@@ -181,8 +181,8 @@ class GraphEngine;
 /// Reusable frontier/visited buffers for the traversal machines (BFS,
 /// shortest path). Owned by a QuerySession so concurrent clients never
 /// share them; reused across queries within a session so steady-state
-/// traversals allocate nothing. The dense visited structure is
-/// epoch-stamped: bumping `epoch` invalidates every mark in O(1), so a
+/// traversals allocate nothing. The dense visited structures are
+/// epoch-stamped: bumping the epoch invalidates every mark in O(1), so a
 /// session almost never pays an O(id-bound) clear between queries (one
 /// byte per vertex slot keeps the session footprint small; the wrap
 /// every 255 queries costs one amortized clear).
@@ -195,6 +195,24 @@ struct TraversalScratch {
   uint8_t epoch = 0;
   /// Fallback visited set for engines with sparse id spaces.
   std::unordered_set<VertexId> visited_sparse;
+
+  /// Per-query marks of the path index's searches, keyed by a vertex's
+  /// PathIndex ordinal minus the first ordinal of the searched component
+  /// (a search never leaves its start's component, and a component is
+  /// one contiguous ordinal range), so the arrays grow to the largest
+  /// component searched. Slot 2 * i + side serves side 0 (the one-sided
+  /// searches, and the bidirectional search from its source) or side 1
+  /// (from its target). index_stamp[slot] == index_epoch means the side
+  /// reached the vertex this query; index_hops[slot] records how.
+  struct IndexHop {
+    uint32_t depth;   // hops from the side's root
+    uint32_t parent;  // ordinal of the first discoverer; the root's own
+  };
+  std::vector<uint8_t> index_stamp;
+  std::vector<IndexHop> index_hops;
+  uint8_t index_epoch = 0;
+  std::vector<uint32_t> index_frontier[2];
+  std::vector<uint32_t> index_next;
 };
 
 /// Opaque base for per-session state owned by layers above the graph

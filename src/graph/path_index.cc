@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <numeric>
 #include <random>
 #include <utility>
 
@@ -25,6 +27,35 @@ uint64_t VecBytes(const std::vector<uint64_t>& v) {
   return v.capacity() * sizeof(uint64_t);
 }
 
+/// Counting-sort CSR over `n` vertices in the PathIndex layout: vertex
+/// v's out-targets fill adj[off[2v], off[2v+1]) and its in-sources
+/// adj[off[2v+1], off[2v+2]), each in `edges` order. Parallel edges and
+/// self-loops are kept as stored (one slot per edge occurrence).
+Status BuildCsr(uint32_t n,
+                const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+                const CancelToken& cancel, std::vector<uint64_t>* off,
+                std::vector<uint32_t>* adj) {
+  GDB_CHECK_CHARGE(cancel, (2 * uint64_t{n} + 1) * sizeof(uint64_t) +
+                               2 * edges.size() * sizeof(uint32_t));
+  // Count into the slot after each range start, then prefix-sum: off[2v+1]
+  // accumulates v's out-degree, off[2v+2] its in-degree.
+  off->assign(2 * size_t{n} + 1, 0);
+  for (const auto& [s, t] : edges) {
+    ++(*off)[2 * size_t{s} + 1];
+    ++(*off)[2 * size_t{t} + 2];
+  }
+  for (size_t i = 1; i < off->size(); ++i) (*off)[i] += (*off)[i - 1];
+  adj->resize(2 * edges.size());
+  std::vector<uint64_t> cur(off->begin(), off->end() - 1);
+  uint32_t polls = 0;
+  for (const auto& [s, t] : edges) {
+    if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
+    (*adj)[cur[2 * size_t{s}]++] = t;
+    (*adj)[cur[2 * size_t{t} + 1]++] = s;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<PathIndex>> PathIndex::Build(
@@ -33,40 +64,44 @@ Result<std::unique_ptr<PathIndex>> PathIndex::Build(
   if (options.labelings < 1 || options.labelings > 16) {
     return Status::InvalidArgument("PathIndexOptions::labelings must be 1..16");
   }
-  if (options.landmarks < 0 || options.landmarks > 1024) {
-    return Status::InvalidArgument("PathIndexOptions::landmarks must be 0..1024");
+  if (options.landmarks < 0 || options.landmarks > kMaxLandmarks) {
+    return Status::InvalidArgument("PathIndexOptions::landmarks must be 0..16");
   }
   Timer timer;
   std::unique_ptr<PathIndex> index(new PathIndex());
   index->options_ = options;
-  if (Status s = index->BuildAdjacency(engine, cancel); !s.ok()) return s;
-  if (Status s = index->BuildSccs(cancel); !s.ok()) return s;
+  std::vector<uint32_t> ord_by_id;
+  if (Status s = index->BuildAdjacency(engine, cancel, &ord_by_id); !s.ok()) {
+    return s;
+  }
+  if (Status s = index->BuildSccs(ord_by_id, cancel); !s.ok()) return s;
   if (Status s = index->BuildIntervals(cancel); !s.ok()) return s;
-  if (Status s = index->BuildComponents(cancel); !s.ok()) return s;
   if (Status s = index->BuildLandmarks(cancel); !s.ok()) return s;
 
   PathIndexStats& st = index->stats_;
   st.vertices = index->ord_to_id_.size();
-  st.edges = index->out_tgt_.size();
+  st.edges = index->adj_.size() / 2;
   st.sccs = index->num_sccs_;
+  st.components = index->comp_begin_.size() - 1;
   st.landmarks = static_cast<int>(index->landmark_ords_.size());
   st.labelings = options.labelings;
   st.bytes = VecBytes(index->dense_ids_) +
              index->sparse_ids_.size() * (sizeof(VertexId) + sizeof(uint32_t)) +
              index->ord_to_id_.capacity() * sizeof(VertexId) +
-             VecBytes(index->out_off_) + VecBytes(index->in_off_) +
-             VecBytes(index->out_tgt_) + VecBytes(index->in_tgt_) +
+             VecBytes(index->adj_off_) + VecBytes(index->adj_) +
              VecBytes(index->scc_of_) + VecBytes(index->dag_off_) +
              VecBytes(index->dag_tgt_) +
              index->intervals_.capacity() * sizeof(Interval) +
-             VecBytes(index->comp_of_) + VecBytes(index->comp_size_) +
-             VecBytes(index->landmark_ords_) + VecBytes(index->landmark_dist_);
+             VecBytes(index->comp_of_) + VecBytes(index->comp_begin_) +
+             VecBytes(index->landmark_ords_) +
+             index->landmark_rows_.capacity() * sizeof(LandmarkRow);
   st.build_millis = timer.ElapsedMillis();
   return index;
 }
 
 Status PathIndex::BuildAdjacency(const GraphEngine& engine,
-                                 const CancelToken& cancel) {
+                                 const CancelToken& cancel,
+                                 std::vector<uint32_t>* ord_by_id) {
   cancel.set_position("PathIndex::BuildAdjacency");
   std::unique_ptr<QuerySession> session = engine.CreateSession();
 
@@ -76,25 +111,26 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
     return true;
   });
   if (!st.ok()) return st;
-  // Engine scan order is unspecified; sort so ordinal assignment (and so
-  // the seeded labelings) is reproducible per engine.
+  // Engine scan order is unspecified; sort so the relabelling (and so the
+  // seeded labelings) is reproducible per engine.
   std::sort(ids.begin(), ids.end());
   if (ids.size() >= static_cast<size_t>(kNoOrd)) {
     return Status::ResourceExhausted("path index: > 2^32-1 vertices");
   }
   GDB_CHECK_CHARGE(cancel, ids.size() * sizeof(VertexId));
+  const uint32_t n = static_cast<uint32_t>(ids.size());
 
-  ord_to_id_ = std::move(ids);
-  const uint32_t n = static_cast<uint32_t>(ord_to_id_.size());
+  // Until the relabelling below, a vertex is its position in engine-id
+  // order.
   uint64_t dense_bound = engine.VertexIdUpperBound();
   if (dense_bound > 0) {
     GDB_CHECK_CHARGE(cancel, dense_bound * sizeof(uint32_t));
     dense_ids_.assign(dense_bound, kNoOrd);
-    for (uint32_t o = 0; o < n; ++o) dense_ids_[ord_to_id_[o]] = o;
+    for (uint32_t p = 0; p < n; ++p) dense_ids_[ids[p]] = p;
   } else {
     GDB_CHECK_CHARGE(cancel, n * (sizeof(VertexId) + sizeof(uint32_t)));
     sparse_ids_.reserve(n);
-    for (uint32_t o = 0; o < n; ++o) sparse_ids_.emplace(ord_to_id_[o], o);
+    for (uint32_t p = 0; p < n; ++p) sparse_ids_.emplace(ids[p], p);
   }
 
   std::vector<std::pair<uint32_t, uint32_t>> edges;
@@ -106,34 +142,63 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
   if (!st.ok()) return st;
   GDB_CHECK_CHARGE(cancel, edges.size() * sizeof(edges[0]));
 
-  // Counting-sort CSR build, both directions. Parallel edges and
-  // self-loops are kept as stored (one slot per edge occurrence).
-  GDB_CHECK_CHARGE(cancel, 2 * (n + 1) * sizeof(uint64_t) +
-                               2 * edges.size() * sizeof(uint32_t));
-  out_off_.assign(n + 1, 0);
-  in_off_.assign(n + 1, 0);
-  for (const auto& [s, t] : edges) {
-    ++out_off_[s + 1];
-    ++in_off_[t + 1];
+  // Relabel in BFS order over the undirected view, roots in engine-id
+  // order: each connected component becomes one contiguous ordinal range,
+  // discovered in the order a search from its first vertex walks it.
+  // `queue` doubles as the new ordinal -> id-order position map.
+  GDB_CHECK_CHARGE(cancel, 3 * uint64_t{n} * sizeof(uint32_t));
+  ord_by_id->assign(n, kNoOrd);
+  std::vector<uint32_t> queue(n);
+  comp_of_.resize(n);
+  comp_begin_.clear();
+  {
+    std::vector<uint64_t> off;
+    std::vector<uint32_t> adj;
+    GDB_RETURN_IF_ERROR(BuildCsr(n, edges, cancel, &off, &adj));
+    uint32_t next = 0;
+    uint32_t polls = 0;
+    for (uint32_t root = 0; root < n; ++root) {
+      if ((*ord_by_id)[root] != kNoOrd) continue;
+      const uint32_t comp = static_cast<uint32_t>(comp_begin_.size());
+      comp_begin_.push_back(next);
+      (*ord_by_id)[root] = next;
+      queue[next++] = root;
+      for (uint32_t head = comp_begin_.back(); head < next; ++head) {
+        if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
+        comp_of_[head] = comp;
+        const uint32_t v = queue[head];
+        for (uint64_t s = off[2 * size_t{v}]; s < off[2 * size_t{v} + 2]; ++s) {
+          uint32_t w = adj[s];
+          if ((*ord_by_id)[w] == kNoOrd) {
+            (*ord_by_id)[w] = next;
+            queue[next++] = w;
+          }
+        }
+      }
+    }
   }
-  for (uint32_t i = 0; i < n; ++i) {
-    out_off_[i + 1] += out_off_[i];
-    in_off_[i + 1] += in_off_[i];
+  comp_begin_.push_back(n);
+  comp_begin_.shrink_to_fit();
+
+  ord_to_id_.resize(n);
+  for (uint32_t o = 0; o < n; ++o) {
+    VertexId id = ids[queue[o]];
+    ord_to_id_[o] = id;
+    if (dense_bound > 0) {
+      dense_ids_[id] = o;
+    } else {
+      sparse_ids_[id] = o;
+    }
   }
-  out_tgt_.resize(edges.size());
-  in_tgt_.resize(edges.size());
-  std::vector<uint64_t> out_cur(out_off_.begin(), out_off_.end() - 1);
-  std::vector<uint64_t> in_cur(in_off_.begin(), in_off_.end() - 1);
-  uint32_t polls = 0;
-  for (const auto& [s, t] : edges) {
-    if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-    out_tgt_[out_cur[s]++] = t;
-    in_tgt_[in_cur[t]++] = s;
+  for (auto& [s, t] : edges) {
+    s = (*ord_by_id)[s];
+    t = (*ord_by_id)[t];
   }
-  return Status::OK();
+  return BuildCsr(n, edges, cancel, &adj_off_, &adj_);
 }
 
-Status PathIndex::BuildSccs(const CancelToken& cancel) {
+Status PathIndex::BuildSccs(const std::vector<uint32_t>& ord_by_id,
+                           const CancelToken& cancel) {
   cancel.set_position("PathIndex::BuildSccs");
   const uint32_t n = NumVertices();
   GDB_CHECK_CHARGE(cancel, n * (sizeof(uint32_t) * 2 + sizeof(uint64_t) + 1));
@@ -141,27 +206,29 @@ Status PathIndex::BuildSccs(const CancelToken& cancel) {
   num_sccs_ = 0;
 
   // Kosaraju, both passes iterative (the frontier graphs have paths far
-  // deeper than any sane stack). Pass 1: DFS on the out-CSR recording
-  // finish order. The frame keeps the next unexplored edge slot so each
-  // edge is walked once.
+  // deeper than any sane stack). Pass 1: DFS on the out-edges recording
+  // finish order, roots in engine-id order so the condensation's
+  // numbering (and so the seeded labelings) does not depend on the
+  // ordinal relabelling. The frame keeps the next unexplored edge slot so
+  // each edge is walked once.
   std::vector<uint32_t> finish_order;
   finish_order.reserve(n);
   {
     std::vector<uint8_t> state(n, 0);  // 0 new, 1 on stack, 2 finished
-    std::vector<std::pair<uint32_t, uint64_t>> stack;  // {vertex, next slot}
+    std::vector<std::pair<uint32_t, const uint32_t*>> stack;  // {vertex, next}
     uint32_t polls = 0;
-    for (uint32_t root = 0; root < n; ++root) {
+    for (uint32_t root : ord_by_id) {
       if (state[root] != 0) continue;
-      stack.emplace_back(root, out_off_[root]);
+      stack.emplace_back(root, OutNeighbors(root).begin());
       state[root] = 1;
       while (!stack.empty()) {
         if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
         auto& [v, slot] = stack.back();
-        if (slot < out_off_[v + 1]) {
-          uint32_t w = out_tgt_[slot++];
+        if (slot != OutNeighbors(v).end()) {
+          uint32_t w = *slot++;
           if (state[w] == 0) {
             state[w] = 1;
-            stack.emplace_back(w, out_off_[w]);
+            stack.emplace_back(w, OutNeighbors(w).begin());
           }
         } else {
           state[v] = 2;
@@ -187,8 +254,7 @@ Status PathIndex::BuildSccs(const CancelToken& cancel) {
         if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
         uint32_t v = stack.back();
         stack.pop_back();
-        for (uint64_t s = in_off_[v]; s < in_off_[v + 1]; ++s) {
-          uint32_t w = in_tgt_[s];
+        for (uint32_t w : InNeighbors(v)) {
           if (scc_of_[w] == kNoOrd) {
             scc_of_[w] = scc;
             stack.push_back(w);
@@ -201,8 +267,8 @@ Status PathIndex::BuildSccs(const CancelToken& cancel) {
   // Condensation DAG: cross-SCC edges, deduplicated.
   std::vector<std::pair<uint32_t, uint32_t>> cross;
   for (uint32_t v = 0; v < n; ++v) {
-    for (uint64_t s = out_off_[v]; s < out_off_[v + 1]; ++s) {
-      uint32_t a = scc_of_[v], b = scc_of_[out_tgt_[s]];
+    for (uint32_t w : OutNeighbors(v)) {
+      uint32_t a = scc_of_[v], b = scc_of_[w];
       if (a != b) cross.emplace_back(a, b);
     }
   }
@@ -277,93 +343,47 @@ Status PathIndex::BuildIntervals(const CancelToken& cancel) {
   return Status::OK();
 }
 
-Status PathIndex::BuildComponents(const CancelToken& cancel) {
-  cancel.set_position("PathIndex::BuildComponents");
-  const uint32_t n = NumVertices();
-  GDB_CHECK_CHARGE(cancel, n * sizeof(uint32_t));
-  comp_of_.assign(n, kNoOrd);
-  comp_size_.clear();
-  std::vector<uint32_t> stack;
-  uint32_t polls = 0;
-  for (uint32_t root = 0; root < n; ++root) {
-    if (comp_of_[root] != kNoOrd) continue;
-    uint32_t comp = static_cast<uint32_t>(comp_size_.size());
-    comp_size_.push_back(0);
-    stack.push_back(root);
-    comp_of_[root] = comp;
-    while (!stack.empty()) {
-      if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-      uint32_t v = stack.back();
-      stack.pop_back();
-      ++comp_size_[comp];
-      for (uint64_t s = out_off_[v]; s < out_off_[v + 1]; ++s) {
-        uint32_t w = out_tgt_[s];
-        if (comp_of_[w] == kNoOrd) {
-          comp_of_[w] = comp;
-          stack.push_back(w);
-        }
-      }
-      for (uint64_t s = in_off_[v]; s < in_off_[v + 1]; ++s) {
-        uint32_t w = in_tgt_[s];
-        if (comp_of_[w] == kNoOrd) {
-          comp_of_[w] = comp;
-          stack.push_back(w);
-        }
-      }
-    }
-  }
-  stats_.components = comp_size_.size();
-  return Status::OK();
-}
-
 Status PathIndex::BuildLandmarks(const CancelToken& cancel) {
   cancel.set_position("PathIndex::BuildLandmarks");
   const uint32_t n = NumVertices();
-  uint32_t want = static_cast<uint32_t>(options_.landmarks);
-  if (want == 0 || n == 0) return Status::OK();
-  want = std::min(want, n);
+  GDB_CHECK_CHARGE(cancel, uint64_t{n} * sizeof(LandmarkRow));
+  LandmarkRow unreached;
+  std::fill(std::begin(unreached.dist), std::end(unreached.dist),
+            kUnreachable);
+  landmark_rows_.assign(n, unreached);
+  const uint32_t want =
+      std::min(static_cast<uint32_t>(options_.landmarks), n);
+  if (want == 0) return Status::OK();
 
   // Highest total degree first: hubs cover the most pairs, and the
   // frontier datasets are heavy-tailed enough that 16 hubs see nearly
-  // every path.
+  // every path. Ties go to the lower engine id, so the relabelling cannot
+  // change the set.
   std::vector<uint32_t> order(n);
-  for (uint32_t i = 0; i < n; ++i) order[i] = i;
-  auto degree = [&](uint32_t v) {
-    return (out_off_[v + 1] - out_off_[v]) + (in_off_[v + 1] - in_off_[v]);
-  };
+  std::iota(order.begin(), order.end(), 0u);
   std::partial_sort(order.begin(), order.begin() + want, order.end(),
                     [&](uint32_t a, uint32_t b) {
-                      uint64_t da = degree(a), db = degree(b);
-                      return da != db ? da > db : a < b;
+                      size_t da = BothNeighbors(a).size();
+                      size_t db = BothNeighbors(b).size();
+                      return da != db ? da > db : IdOf(a) < IdOf(b);
                     });
   landmark_ords_.assign(order.begin(), order.begin() + want);
 
-  GDB_CHECK_CHARGE(cancel, static_cast<uint64_t>(want) * n * sizeof(uint32_t));
-  landmark_dist_.assign(static_cast<size_t>(want) * n, kUnreachable);
   std::vector<uint32_t> frontier, next;
   uint32_t polls = 0;
   for (uint32_t li = 0; li < want; ++li) {
-    uint32_t* dist = landmark_dist_.data() + static_cast<size_t>(li) * n;
-    frontier.clear();
-    frontier.push_back(landmark_ords_[li]);
-    dist[landmark_ords_[li]] = 0;
+    frontier.assign(1, landmark_ords_[li]);
+    landmark_rows_[landmark_ords_[li]].dist[li] = 0;
     uint32_t depth = 0;
     while (!frontier.empty()) {
       ++depth;
       next.clear();
       for (uint32_t v : frontier) {
         if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-        for (uint64_t s = out_off_[v]; s < out_off_[v + 1]; ++s) {
-          uint32_t w = out_tgt_[s];
-          if (dist[w] == kUnreachable) {
-            dist[w] = depth;
-            next.push_back(w);
-          }
-        }
-        for (uint64_t s = in_off_[v]; s < in_off_[v + 1]; ++s) {
-          uint32_t w = in_tgt_[s];
-          if (dist[w] == kUnreachable) {
-            dist[w] = depth;
+        for (uint32_t w : BothNeighbors(v)) {
+          uint32_t& dist = landmark_rows_[w].dist[li];
+          if (dist == kUnreachable) {
+            dist = depth;
             next.push_back(w);
           }
         }
@@ -433,24 +453,12 @@ Result<bool> PathIndex::ReachableExact(uint32_t s_ord, uint32_t t_ord,
   return found;
 }
 
-uint32_t PathIndex::DistanceLowerBound(uint32_t s_ord, uint32_t t_ord) const {
-  const uint32_t n = NumVertices();
-  uint32_t best = 0;
-  for (size_t li = 0; li < landmark_ords_.size(); ++li) {
-    const uint32_t* dist = landmark_dist_.data() + li * n;
-    uint32_t ds = dist[s_ord], dt = dist[t_ord];
-    if (ds == kUnreachable || dt == kUnreachable) continue;
-    best = std::max(best, ds > dt ? ds - dt : dt - ds);
-  }
-  return best;
-}
-
 uint32_t PathIndex::DistanceUpperBound(uint32_t s_ord, uint32_t t_ord) const {
-  const uint32_t n = NumVertices();
+  const LandmarkRow& s = LandmarkRowOf(s_ord);
+  const LandmarkRow& t = LandmarkRowOf(t_ord);
   uint32_t best = kUnreachable;
-  for (size_t li = 0; li < landmark_ords_.size(); ++li) {
-    const uint32_t* dist = landmark_dist_.data() + li * n;
-    uint32_t ds = dist[s_ord], dt = dist[t_ord];
+  for (int l = 0; l < kMaxLandmarks; ++l) {
+    uint32_t ds = s.dist[l], dt = t.dist[l];
     if (ds == kUnreachable || dt == kUnreachable) continue;
     best = std::min(best, ds + dt);
   }

@@ -20,13 +20,21 @@
 //    the condensation DAG pruned by the same intervals.
 //  * Components + landmarks — the undirected view (the both() direction
 //    every Q.32-Q.35 query traverses) gets exact connected components and
-//    ~16 high-degree landmarks with precomputed BFS distance vectors.
+//    16 high-degree landmarks with precomputed BFS distances.
 //    |d(s,l) - d(t,l)| <= d(s,t) <= d(s,l) + d(t,l) bounds any distance
 //    in O(landmarks), answering negative/positive k-hop questions without
 //    touching a frontier and pruning bidirectional shortest-path search.
-//  * CSR snapshot — the index keeps its own compressed adjacency (both
-//    directions), so indexed searches that do need expansion walk flat
-//    arrays instead of paying the engine's per-hop storage costs.
+//  * CSR snapshot — the index keeps its own compressed adjacency, so
+//    indexed searches that do need expansion walk flat arrays instead of
+//    paying the engine's per-hop storage costs.
+//
+// Layout is chosen for the searches' memory traffic. Ordinals are assigned
+// in BFS order over the undirected view (roots in engine-id order), so a
+// BFS touches neighbouring ordinals and every connected component is one
+// contiguous ordinal range. One CSR holds each vertex's out-targets
+// followed by its in-sources, so a both() expansion is a single range.
+// Landmark distances are stored vertex-major, one 64-byte row per vertex,
+// so a distance bound reads one cache line per endpoint.
 //
 // Consistency contract: the index describes exactly the snapshot it was
 // built from. GraphEngine::BulkLoad builds it (behind
@@ -60,8 +68,8 @@ namespace gdbmicro {
 class GraphEngine;
 
 struct PathIndexOptions {
-  /// High-degree landmarks with precomputed distance vectors (0 disables
-  /// the distance-bound tier).
+  /// High-degree landmarks with precomputed distances, 0..16 (0 disables
+  /// the distance-bound tier; 16 fill a vertex's 64-byte landmark row).
   int landmarks = 16;
   /// Randomized interval labelings per condensation node. More labelings
   /// sharpen the negative-reachability certificate at k extra integer
@@ -134,13 +142,47 @@ class PathIndex {
   bool SameComponent(uint32_t s_ord, uint32_t t_ord) const {
     return comp_of_[s_ord] == comp_of_[t_ord];
   }
+  /// A connected component is the contiguous ordinal range
+  /// [ComponentBegin(ord), ComponentBegin(ord) + ComponentSize(ord)).
+  uint32_t ComponentBegin(uint32_t ord) const {
+    return comp_begin_[comp_of_[ord]];
+  }
   uint64_t ComponentSize(uint32_t ord) const {
-    return comp_size_[comp_of_[ord]];
+    uint32_t c = comp_of_[ord];
+    return comp_begin_[c + 1] - comp_begin_[c];
+  }
+
+  /// One vertex's hop distance to each landmark: kUnreachable for a
+  /// landmark in another component and in the lanes past the landmark
+  /// count (all lanes when the index has no landmarks). Aligned so a row
+  /// is exactly one cache line.
+  static constexpr int kMaxLandmarks = 16;
+  struct alignas(64) LandmarkRow {
+    uint32_t dist[kMaxLandmarks];
+  };
+  const LandmarkRow& LandmarkRowOf(uint32_t ord) const {
+    return landmark_rows_[ord];
   }
 
   /// max_l |d(s,l) - d(t,l)| over landmarks covering both sides; 0 when
   /// no landmark covers the pair.
-  uint32_t DistanceLowerBound(uint32_t s_ord, uint32_t t_ord) const;
+  uint32_t DistanceLowerBound(uint32_t s_ord, uint32_t t_ord) const {
+    return DistanceLowerBound(s_ord, LandmarkRowOf(t_ord));
+  }
+  /// The same bound against a row the caller already holds (a search
+  /// copies its far root's row once per level).
+  uint32_t DistanceLowerBound(uint32_t s_ord, const LandmarkRow& t) const {
+    const LandmarkRow& s = LandmarkRowOf(s_ord);
+    uint32_t best = 0;
+    for (int l = 0; l < kMaxLandmarks; ++l) {
+      uint32_t a = s.dist[l], b = t.dist[l];
+      uint32_t gap = a == kUnreachable || b == kUnreachable ? 0
+                     : a > b                                ? a - b
+                                                            : b - a;
+      best = gap > best ? gap : best;
+    }
+    return best;
+  }
   /// min_l d(s,l) + d(t,l); kUnreachable when no landmark covers the pair.
   uint32_t DistanceUpperBound(uint32_t s_ord, uint32_t t_ord) const;
 
@@ -151,9 +193,10 @@ class PathIndex {
 
   // --- CSR adjacency snapshot (for index-side searches) --------------------
   //
-  // Flat ordinal adjacency in both directions; parallel edges and
-  // self-loops appear exactly as loaded (BFS-style consumers dedup via
-  // their visited set, like the engine visitors' contract).
+  // Flat ordinal adjacency: a vertex's out-targets then its in-sources,
+  // each in engine edge-scan order. Parallel edges and self-loops appear
+  // exactly as loaded (BFS-style consumers dedup via their visited set,
+  // like the engine visitors' contract).
 
   struct NeighborRange {
     const uint32_t* begin_ptr;
@@ -163,10 +206,14 @@ class PathIndex {
     size_t size() const { return static_cast<size_t>(end_ptr - begin_ptr); }
   };
   NeighborRange OutNeighbors(uint32_t ord) const {
-    return {out_tgt_.data() + out_off_[ord], out_tgt_.data() + out_off_[ord + 1]};
+    return Slots(2 * size_t{ord}, 2 * size_t{ord} + 1);
   }
   NeighborRange InNeighbors(uint32_t ord) const {
-    return {in_tgt_.data() + in_off_[ord], in_tgt_.data() + in_off_[ord + 1]};
+    return Slots(2 * size_t{ord} + 1, 2 * size_t{ord} + 2);
+  }
+  /// Out-targets then in-sources: the both() expansion in one range.
+  NeighborRange BothNeighbors(uint32_t ord) const {
+    return Slots(2 * size_t{ord}, 2 * size_t{ord} + 2);
   }
 
   const PathIndexStats& stats() const { return stats_; }
@@ -183,10 +230,15 @@ class PathIndex {
     uint32_t rank = 0;
   };
 
-  Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel);
-  Status BuildSccs(const CancelToken& cancel);
+  NeighborRange Slots(size_t from, size_t to) const {
+    return {adj_.data() + adj_off_[from], adj_.data() + adj_off_[to]};
+  }
+
+  Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel,
+                        std::vector<uint32_t>* ord_by_id);
+  Status BuildSccs(const std::vector<uint32_t>& ord_by_id,
+                   const CancelToken& cancel);
   Status BuildIntervals(const CancelToken& cancel);
-  Status BuildComponents(const CancelToken& cancel);
   Status BuildLandmarks(const CancelToken& cancel);
 
   PathIndexOptions options_;
@@ -198,9 +250,10 @@ class PathIndex {
   std::unordered_map<VertexId, uint32_t> sparse_ids_;
   std::vector<VertexId> ord_to_id_;
 
-  // CSR adjacency, both directions, ordinal-keyed.
-  std::vector<uint64_t> out_off_, in_off_;
-  std::vector<uint32_t> out_tgt_, in_tgt_;
+  // CSR adjacency: vertex v's out-targets are adj_[adj_off_[2v],
+  // adj_off_[2v+1]) and its in-sources adj_[adj_off_[2v+1], adj_off_[2v+2]).
+  std::vector<uint64_t> adj_off_;
+  std::vector<uint32_t> adj_;
 
   // SCC condensation: scc_of_[ord] -> condensation node; DAG CSR over
   // condensation nodes (cross-SCC edges, deduplicated).
@@ -212,14 +265,14 @@ class PathIndex {
   // Interval labels: labelings x condensation nodes, row-major.
   std::vector<Interval> intervals_;
 
-  // Undirected components.
+  // Undirected components: component c is the ordinal range
+  // [comp_begin_[c], comp_begin_[c + 1]).
   std::vector<uint32_t> comp_of_;
-  std::vector<uint64_t> comp_size_;
+  std::vector<uint32_t> comp_begin_;
 
-  // Landmarks: ordinals plus one distance vector each (row-major,
-  // landmark-major).
+  // Landmarks: ordinals plus one distance row per vertex (vertex-major).
   std::vector<uint32_t> landmark_ords_;
-  std::vector<uint32_t> landmark_dist_;
+  std::vector<LandmarkRow> landmark_rows_;
 };
 
 }  // namespace gdbmicro

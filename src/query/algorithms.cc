@@ -20,10 +20,6 @@ namespace {
 // relational backend) take the fallback. The stamp array grows lazily
 // (geometric, capped at the bound) so a small search over a huge graph
 // never pays an O(bound) allocation up front.
-//
-// The indexed routes construct it over PathIndex *ordinals* instead of
-// engine ids (always dense); the epoch bump at construction is what makes
-// the key-space change between queries safe.
 class VisitedSet {
  public:
   VisitedSet(TraversalScratch* scratch, uint64_t id_bound)
@@ -73,12 +69,69 @@ class VisitedSet {
   uint64_t bound_;
 };
 
+// Per-query marks of the index routes over one connected component,
+// backed by the session's TraversalScratch (see index_stamp there) and
+// epoch-stamped like VisitedSet. Side 0 serves the one-sided searches;
+// the bidirectional search grows side 0 from its source and side 1 from
+// its target.
+class ComponentMarks {
+ public:
+  ComponentMarks(const PathIndex& index, uint32_t member,
+                 TraversalScratch* scratch)
+      : begin_(index.ComponentBegin(member)) {
+    const size_t slots = 2 * index.ComponentSize(member);
+    scratch->index_epoch = static_cast<uint8_t>(scratch->index_epoch + 1);
+    if (scratch->index_epoch == 0) {
+      std::fill(scratch->index_stamp.begin(), scratch->index_stamp.end(),
+                uint8_t{0});
+      scratch->index_epoch = 1;
+    }
+    if (scratch->index_stamp.size() < slots) {
+      scratch->index_stamp.resize(slots, uint8_t{0});
+      scratch->index_hops.resize(slots);
+    }
+    epoch_ = scratch->index_epoch;
+    stamp_ = scratch->index_stamp.data();
+    hops_ = scratch->index_hops.data();
+  }
+
+  bool Has(int side, uint32_t ord) const {
+    return stamp_[Slot(side, ord)] == epoch_;
+  }
+  /// Marks `ord` on `side`; false when it already was.
+  bool Insert(int side, uint32_t ord) {
+    uint8_t& stamp = stamp_[Slot(side, ord)];
+    if (stamp == epoch_) return false;
+    stamp = epoch_;
+    return true;
+  }
+  /// Marks `ord` on `side` and records how that side reached it.
+  void Insert(int side, uint32_t ord, uint32_t depth, uint32_t parent) {
+    size_t slot = Slot(side, ord);
+    stamp_[slot] = epoch_;
+    hops_[slot] = {depth, parent};
+  }
+  const TraversalScratch::IndexHop& Hop(int side, uint32_t ord) const {
+    return hops_[Slot(side, ord)];
+  }
+
+ private:
+  size_t Slot(int side, uint32_t ord) const {
+    return 2 * size_t{ord - begin_} + static_cast<size_t>(side);
+  }
+
+  uint32_t begin_;
+  uint8_t epoch_;
+  uint8_t* stamp_;
+  TraversalScratch::IndexHop* hops_;
+};
+
 // Governor charge per newly reached vertex. BFS grows three per-session
 // structures per vertex (next frontier, visited list, stamp/set slot); SP
 // additionally records a parent-map entry (hash node + two ids). The
-// indexed routes charge the same rates: they grow the same shapes of
-// per-query state, and keeping the accounting identical means a memory
-// budget trips at the same workload size on either path.
+// indexed routes charge the same rates although their flat per-session
+// marks cost less: identical accounting means a memory budget trips at
+// the same workload size on either path.
 constexpr uint64_t kVisitedVertexBytes = 2 * sizeof(VertexId) + 1;
 constexpr uint64_t kReachedVertexBytes = sizeof(VertexId) + 1 + 48;
 
@@ -95,9 +148,9 @@ const PathIndex* UsableIndex(const GraphEngine& engine,
 }
 
 /// Level-synchronous BFS over the index CSR (both directions — the
-/// paper's both() expansion). Same visited/depth semantics as the
-/// frontier route; stops early once the start's connected component is
-/// exhausted.
+/// paper's both() expansion, one CSR range per vertex). Same
+/// visited/depth semantics as the frontier route; stops early once the
+/// start's connected component is exhausted.
 Result<BfsResult> IndexedBreadthFirst(const PathIndex& index,
                                       QuerySession& session, uint32_t start,
                                       int max_depth,
@@ -108,33 +161,28 @@ Result<BfsResult> IndexedBreadthFirst(const PathIndex& index,
   result.stats.route = "index-bfs";
   cancel.set_position("BreadthFirst(index)");
   TraversalScratch& scratch = session.traversal_scratch();
-  VisitedSet stored(&scratch, index.NumVertices());
-  stored.Insert(start);
+  ComponentMarks stored(index, start, &scratch);
+  stored.Insert(0, start);
   // Everything reachable at any depth is the start's component: once
   // that many vertices are stored the remaining depths cannot add any.
   uint64_t remaining = index.ComponentSize(start) - 1;
   ++result.stats.index_probes;
-  std::vector<VertexId>& frontier = scratch.frontier;
-  std::vector<VertexId>& next = scratch.next;
+  std::vector<uint32_t>& frontier = scratch.index_frontier[0];
+  std::vector<uint32_t>& next = scratch.index_next;
   frontier.assign(1, start);
   next.clear();
   for (int depth = 0; depth < max_depth && !frontier.empty() && remaining > 0;
        ++depth) {
     next.clear();
-    for (VertexId vv : frontier) {
+    for (uint32_t v : frontier) {
       GDB_CHECK_CANCEL(cancel);
-      uint32_t v = static_cast<uint32_t>(vv);
       ++result.stats.expanded;
-      for (int side = 0; side < 2; ++side) {
-        PathIndex::NeighborRange range =
-            side == 0 ? index.OutNeighbors(v) : index.InNeighbors(v);
-        for (uint32_t w : range) {
-          if (stored.Insert(w)) {
-            GDB_CHECK_CHARGE(cancel, kVisitedVertexBytes);
-            next.push_back(w);
-            result.visited.push_back(index.IdOf(w));
-            --remaining;
-          }
+      for (uint32_t w : index.BothNeighbors(v)) {
+        if (stored.Insert(0, w)) {
+          GDB_CHECK_CHARGE(cancel, kVisitedVertexBytes);
+          next.push_back(w);
+          result.visited.push_back(index.IdOf(w));
+          --remaining;
         }
       }
     }
@@ -145,41 +193,40 @@ Result<BfsResult> IndexedBreadthFirst(const PathIndex& index,
 }
 
 /// Landmark-pruned bidirectional level-synchronous BFS over the index
-/// CSR. Returns the minimum-hop distance (<= limit) and fills `out_path`
-/// when non-null; kUnreachable when no path of <= limit hops exists.
+/// CSR between two vertices of one component. Returns the minimum-hop
+/// distance (<= limit) and fills `out_path` when non-null; kUnreachable
+/// when no path of <= limit hops exists.
 /// Exactness: a side's level is always expanded in full, and the search
 /// only stops once depth_s + depth_t covers the best confirmed meeting —
 /// every shorter path would already have produced a meeting vertex. The
 /// landmark bound only prunes vertices that cannot lie on any path
 /// shorter than the current best and within the limit, so it never
 /// changes the answer, only the expansion.
-Result<uint32_t> IndexedBidirDistance(const PathIndex& index, uint32_t s,
+Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
+                                      TraversalScratch& scratch, uint32_t s,
                                       uint32_t t, uint32_t limit,
                                       const CancelToken& cancel,
                                       PathSearchStats* stats,
                                       std::vector<VertexId>* out_path) {
-  struct Entry {
-    uint32_t parent;
-    uint32_t dist;
-  };
-  std::unordered_map<uint32_t, Entry> par_s, par_t;  // ord -> toward root
-  par_s.reserve(256);
-  par_t.reserve(256);
-  par_s.emplace(s, Entry{s, 0});
-  par_t.emplace(t, Entry{t, 0});
-  std::vector<uint32_t> fs{s}, ft{t}, next;
-  uint32_t depth_s = 0, depth_t = 0;
+  ComponentMarks sides(index, s, &scratch);
+  sides.Insert(0, s, 0, s);
+  sides.Insert(1, t, 0, t);
+  std::vector<uint32_t>* frontiers = scratch.index_frontier;
+  frontiers[0].assign(1, s);
+  frontiers[1].assign(1, t);
+  std::vector<uint32_t>& next = scratch.index_next;
+  uint32_t depth[2] = {0, 0};
   uint32_t best = PathIndex::kUnreachable;
   uint32_t meet = PathIndex::kNoOrd;
 
-  while (!fs.empty() && !ft.empty() && best > depth_s + depth_t &&
-         depth_s + depth_t < limit) {
-    bool expand_s = fs.size() <= ft.size();
-    std::vector<uint32_t>& frontier = expand_s ? fs : ft;
-    auto& mine = expand_s ? par_s : par_t;
-    auto& other = expand_s ? par_t : par_s;
-    uint32_t far_root = expand_s ? t : s;
-    uint32_t new_depth = (expand_s ? depth_s : depth_t) + 1;
+  while (!frontiers[0].empty() && !frontiers[1].empty() &&
+         best > depth[0] + depth[1] && depth[0] + depth[1] < limit) {
+    const int side = frontiers[0].size() <= frontiers[1].size() ? 0 : 1;
+    const int other = 1 - side;
+    std::vector<uint32_t>& frontier = frontiers[side];
+    // The far root's landmark row, read once for the whole level.
+    const PathIndex::LandmarkRow far = index.LandmarkRowOf(side == 0 ? t : s);
+    const uint32_t new_depth = depth[side] + 1;
     // Paths must beat the best confirmed meeting and fit the limit.
     uint32_t cap = std::min(best == PathIndex::kUnreachable
                                 ? limit
@@ -189,46 +236,42 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index, uint32_t s,
     for (uint32_t v : frontier) {
       GDB_CHECK_CANCEL(cancel);
       ++stats->expanded;
-      for (int side = 0; side < 2; ++side) {
-        PathIndex::NeighborRange range =
-            side == 0 ? index.OutNeighbors(v) : index.InNeighbors(v);
-        for (uint32_t w : range) {
-          if (mine.count(w) != 0) continue;
-          ++stats->index_probes;
-          if (new_depth + index.DistanceLowerBound(w, far_root) > cap) {
-            continue;  // cannot lie on a useful path — prune
-          }
-          GDB_CHECK_CHARGE(cancel, kReachedVertexBytes);
-          mine.emplace(w, Entry{v, new_depth});
-          auto hit = other.find(w);
-          if (hit != other.end()) {
-            uint32_t total = new_depth + hit->second.dist;
-            if (total < best) {
-              best = total;
-              meet = w;
-            }
-          }
-          next.push_back(w);
+      for (uint32_t w : index.BothNeighbors(v)) {
+        if (sides.Has(side, w)) continue;
+        ++stats->index_probes;
+        if (new_depth + index.DistanceLowerBound(w, far) > cap) {
+          continue;  // cannot lie on a useful path — prune
         }
+        GDB_CHECK_CHARGE(cancel, kReachedVertexBytes);
+        sides.Insert(side, w, new_depth, v);
+        if (sides.Has(other, w)) {
+          uint32_t total = new_depth + sides.Hop(other, w).depth;
+          if (total < best) {
+            best = total;
+            meet = w;
+          }
+        }
+        next.push_back(w);
       }
     }
     frontier.swap(next);
-    (expand_s ? depth_s : depth_t) = new_depth;
+    depth[side] = new_depth;
   }
 
   if (best > limit) return PathIndex::kUnreachable;
   if (out_path != nullptr) {
-    // meet -> s via par_s (reversed), then meet -> t via par_t.
-    std::vector<VertexId> left;
+    // meet -> s along side 0's parents (reversed), then meet -> t along
+    // side 1's.
+    out_path->clear();
     for (uint32_t cur = meet;;) {
-      left.push_back(index.IdOf(cur));
-      uint32_t p = par_s.at(cur).parent;
+      out_path->push_back(index.IdOf(cur));
+      uint32_t p = sides.Hop(0, cur).parent;
       if (p == cur) break;
       cur = p;
     }
-    out_path->assign(left.rbegin(), left.rend());
+    std::reverse(out_path->begin(), out_path->end());
     for (uint32_t cur = meet;;) {
-      uint32_t p = par_t.at(cur).parent;
+      uint32_t p = sides.Hop(1, cur).parent;
       if (p == cur) break;
       cur = p;
       out_path->push_back(index.IdOf(cur));
@@ -245,19 +288,19 @@ Result<bool> IndexedDirectedWithin(const PathIndex& index,
                                    const CancelToken& cancel,
                                    PathSearchStats* stats) {
   TraversalScratch& scratch = session.traversal_scratch();
-  VisitedSet stored(&scratch, index.NumVertices());
-  stored.Insert(s);
-  std::vector<VertexId>& frontier = scratch.frontier;
-  std::vector<VertexId>& next = scratch.next;
+  ComponentMarks stored(index, s, &scratch);
+  stored.Insert(0, s);
+  std::vector<uint32_t>& frontier = scratch.index_frontier[0];
+  std::vector<uint32_t>& next = scratch.index_next;
   frontier.assign(1, s);
   next.clear();
   for (uint64_t depth = 0; depth < max_hops && !frontier.empty(); ++depth) {
     next.clear();
-    for (VertexId vv : frontier) {
+    for (uint32_t v : frontier) {
       GDB_CHECK_CANCEL(cancel);
       ++stats->expanded;
-      for (uint32_t w : index.OutNeighbors(static_cast<uint32_t>(vv))) {
-        if (stored.Insert(w)) {
+      for (uint32_t w : index.OutNeighbors(v)) {
+        if (stored.Insert(0, w)) {
           GDB_CHECK_CHARGE(cancel, kVisitedVertexBytes);
           if (w == t) return true;
           next.push_back(w);
@@ -367,8 +410,9 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
       }
       result.stats.route = "index-bidir";
       Result<uint32_t> dist = IndexedBidirDistance(
-          *index, s, t, static_cast<uint32_t>(max_depth), cancel,
-          &result.stats, &result.path);
+          *index, session.traversal_scratch(), s, t,
+          static_cast<uint32_t>(max_depth), cancel, &result.stats,
+          &result.path);
       if (!dist.ok()) return dist.status();
       result.found = *dist != PathIndex::kUnreachable;
       if (!result.found) result.path.clear();
@@ -477,8 +521,9 @@ Result<ReachResult> KHopReachable(const GraphEngine& engine,
         result.stats.route = "index-bidir";
         uint32_t limit = static_cast<uint32_t>(
             std::min<uint64_t>(hop_budget, PathIndex::kUnreachable - 1));
-        Result<uint32_t> dist = IndexedBidirDistance(
-            *index, s, t, limit, cancel, &result.stats, nullptr);
+        Result<uint32_t> dist =
+            IndexedBidirDistance(*index, session.traversal_scratch(), s, t,
+                                 limit, cancel, &result.stats, nullptr);
         if (!dist.ok()) return dist.status();
         result.reachable = *dist != PathIndex::kUnreachable;
         return result;

@@ -1,21 +1,27 @@
 // PathIndex conformance across all nine engines: every indexed
 // reachability / BFS / shortest-path answer must equal the reference
 // frontier answer on a cyclic multi-component graph (SCC condensation,
-// interval labels, components, and landmarks all exercised), the index
-// must invalidate with a typed status when a commit publishes a new
-// epoch, and a governor trip during build must leave the engine fully
-// usable on the frontier path. The concurrent-probe test runs under the
-// TSan CI job: probes are const and thread-safe by contract.
+// interval labels, components, and landmarks all exercised) and on the
+// repository benchmark's fragmented Freebase-like graph, the index's
+// layout invariants must hold, the index must invalidate with a typed
+// status when a commit publishes a new epoch, and a governor trip during
+// build must leave the engine fully usable on the frontier path. The
+// concurrent-probe test runs under the TSan CI job: probes are const and
+// thread-safe by contract. The suite also runs under ASan and UBSan: the
+// index kernels index flat arrays by ordinal.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/datasets/generators.h"
+#include "src/datasets/workload.h"
 #include "src/graph/registry.h"
 #include "src/graph/writer.h"
 #include "src/query/algorithms.h"
@@ -28,6 +34,62 @@ using query::BreadthFirst;
 using query::KHopReachable;
 using query::PathMode;
 using query::ShortestPath;
+
+/// Structural invariants of the index layout, checked through the public
+/// accessors: the single CSR's out/in sub-ranges partition each vertex's
+/// both() range, each edge appears once per direction, and the connected
+/// components are exactly the contiguous component ranges.
+void ExpectLayoutInvariants(const PathIndex& index) {
+  const uint32_t n = index.NumVertices();
+  uint64_t out_slots = 0, in_slots = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    PathIndex::NeighborRange out = index.OutNeighbors(v);
+    PathIndex::NeighborRange in = index.InNeighbors(v);
+    PathIndex::NeighborRange both = index.BothNeighbors(v);
+    std::multiset<uint32_t> parts(out.begin(), out.end());
+    parts.insert(in.begin(), in.end());
+    ASSERT_EQ(parts, std::multiset<uint32_t>(both.begin(), both.end()))
+        << "ordinal " << v;
+    out_slots += out.size();
+    in_slots += in.size();
+    for (uint32_t w : both) {
+      ASSERT_TRUE(index.SameComponent(v, w)) << v << " ~ " << w;
+    }
+  }
+  EXPECT_EQ(out_slots, index.stats().edges);
+  EXPECT_EQ(in_slots, index.stats().edges);
+
+  // No edge leaves a range (checked above), and a search from a range's
+  // first ordinal reaches all of it: each range is one component.
+  uint64_t components = 0;
+  std::vector<bool> reached(n, false);
+  for (uint32_t v = 0; v < n; v += static_cast<uint32_t>(
+                                   index.ComponentSize(v))) {
+    ASSERT_EQ(index.ComponentBegin(v), v) << "component not contiguous";
+    ++components;
+    const uint64_t end = v + index.ComponentSize(v);
+    for (uint64_t w = v; w < end; ++w) {
+      ASSERT_EQ(index.ComponentBegin(static_cast<uint32_t>(w)), v);
+      ASSERT_TRUE(index.SameComponent(v, static_cast<uint32_t>(w)));
+    }
+    std::vector<uint32_t> stack{v};
+    reached[v] = true;
+    uint64_t count = 1;
+    while (!stack.empty()) {
+      uint32_t u = stack.back();
+      stack.pop_back();
+      for (uint32_t w : index.BothNeighbors(u)) {
+        if (!reached[w]) {
+          reached[w] = true;
+          ++count;
+          stack.push_back(w);
+        }
+      }
+    }
+    EXPECT_EQ(count, end - v) << "range at " << v << " is not connected";
+  }
+  EXPECT_EQ(components, index.stats().components);
+}
 
 // Fixture graph — three undirected components, cycles and tendrils:
 //
@@ -127,6 +189,36 @@ TEST_P(PathIndexTest, BuildStatsDescribeTheGraph) {
   EXPECT_GT(st.landmarks, 0);
   EXPECT_GT(st.bytes, 0u);
   EXPECT_FALSE(index->Describe().empty());
+}
+
+TEST_P(PathIndexTest, LayoutInvariantsHold) {
+  const PathIndex* index = engine_->path_index();
+  ASSERT_NE(index, nullptr);
+  ExpectLayoutInvariants(*index);
+  // The relabelling is a bijection between ordinals and engine ids.
+  std::set<VertexId> ids;
+  for (uint32_t o = 0; o < index->NumVertices(); ++o) {
+    EXPECT_EQ(index->OrdOf(index->IdOf(o)), o);
+    ids.insert(index->IdOf(o));
+  }
+  EXPECT_EQ(ids, std::set<VertexId>(all_.begin(), all_.end()));
+
+  // Resident bytes are exactly the live arrays: id map, ordinal -> id,
+  // the single CSR (2V+1 offsets, one slot per edge and direction), SCC
+  // ids, the condensation DAG (3 cross-SCC edges here), 3 labelings of
+  // intervals, component ids and offsets, landmark ordinals, and one
+  // 64-byte landmark row per vertex.
+  const PathIndexStats& st = index->stats();
+  const uint64_t v = st.vertices, e = st.edges, sccs = st.sccs;
+  const uint64_t dense_bound = engine_->VertexIdUpperBound();
+  const uint64_t id_map = dense_bound > 0 ? dense_bound * sizeof(uint32_t)
+                                          : v * (sizeof(VertexId) + 4);
+  const uint64_t want =
+      id_map + v * sizeof(VertexId) + (2 * v + 1) * 8 + 2 * e * 4 + v * 4 +
+      (sccs + 1) * 8 + 3 * 4 + 3 * sccs * 8 + v * 4 +
+      (st.components + 1) * 4 + st.landmarks * 4 + v * 64;
+  EXPECT_EQ(st.bytes, want);
+  EXPECT_EQ(sizeof(PathIndex::LandmarkRow), 64u);
 }
 
 TEST_P(PathIndexTest, NotBuiltByDefault) {
@@ -437,6 +529,136 @@ TEST_P(PathIndexTest, ConcurrentSessionsShareOneIndex) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Differential check on the shape of the repository benchmark's `reach`
+// workload: the fragmented Freebase-like graph (one giant component among
+// thousands of small ones, zipf hubs), probed at Workload::PathEndpoints
+// pairs. Every engine builds the index and answers the pairs through it;
+// one engine also answers them on the frontier route, the reference,
+// through the same long-lived session. Far more than 255 queries of
+// each route share that session, so the one-byte epochs of both the
+// frontier visited set and the index routes' marks wrap many times.
+// (Frontier answers on every engine would take minutes: sqlg walks one
+// table per edge label, and frb-l has thousands.)
+
+/// One engine's answers to the workload pairs, in dataset vertex indexes
+/// so engines compare directly.
+struct PairAnswers {
+  std::vector<std::set<uint64_t>> bfs;  // per pair, depths 2..5
+  std::vector<int> sp_hops;             // per pair; -1 when not found
+  std::vector<bool> reach;              // per pair, 3 directions x 2 budgets
+  std::map<std::string, int> sp_routes;
+};
+
+constexpr int kWorkloadPairs = 300;
+constexpr int kSpMaxDepth = 30;  // the catalog's Q.34 bound
+
+void CollectAnswers(const GraphEngine& engine, QuerySession& session,
+                    const GraphData& data, const LoadMapping& mapping,
+                    PathMode mode, PairAnswers* out) {
+  std::map<VertexId, uint64_t> index_of;
+  for (uint64_t i = 0; i < mapping.vertex_ids.size(); ++i) {
+    index_of[mapping.vertex_ids[i]] = i;
+  }
+  std::set<std::pair<VertexId, VertexId>> adjacent;
+  for (const GraphData::Edge& e : data.edges) {
+    VertexId a = mapping.vertex_ids[e.src], b = mapping.vertex_ids[e.dst];
+    adjacent.emplace(a, b);
+    adjacent.emplace(b, a);
+  }
+  const bool indexed = mode == PathMode::kAuto;
+  CancelToken never;
+  datasets::Workload workload(&data, &mapping, /*seed=*/42);
+  for (int i = 0; i < kWorkloadPairs; ++i) {
+    auto [src, dst] = workload.PathEndpoints(i);
+    SCOPED_TRACE(::testing::Message() << "pair " << i);
+    for (int depth = 2; depth <= 5; ++depth) {
+      auto bfs = BreadthFirst(engine, session, src, depth, std::nullopt,
+                              never, mode);
+      ASSERT_TRUE(bfs.ok()) << bfs.status();
+      ASSERT_EQ(bfs->stats.used_index, indexed);
+      std::set<uint64_t> reached;
+      for (VertexId v : bfs->visited) reached.insert(index_of.at(v));
+      ASSERT_EQ(reached.size(), bfs->visited.size()) << "duplicate visit";
+      out->bfs.push_back(std::move(reached));
+    }
+
+    auto sp = ShortestPath(engine, session, src, dst, std::nullopt,
+                           kSpMaxDepth, never, mode);
+    ASSERT_TRUE(sp.ok()) << sp.status();
+    ++out->sp_routes[sp->stats.route];
+    out->sp_hops.push_back(sp->found ? static_cast<int>(sp->path.size()) - 1
+                                     : -1);
+    if (sp->found) {
+      ASSERT_EQ(sp->path.front(), src);
+      ASSERT_EQ(sp->path.back(), dst);
+      for (size_t k = 0; k + 1 < sp->path.size(); ++k) {
+        ASSERT_EQ(adjacent.count({sp->path[k], sp->path[k + 1]}), 1u)
+            << "path hop " << k << " is not an edge";
+      }
+    } else {
+      ASSERT_TRUE(sp->path.empty());
+    }
+
+    for (Direction dir : {Direction::kBoth, Direction::kOut, Direction::kIn}) {
+      for (int hops : {3, -1}) {
+        auto reach = KHopReachable(engine, session, src, dst, dir, hops,
+                                   std::nullopt, never, mode);
+        ASSERT_TRUE(reach.ok()) << reach.status();
+        out->reach.push_back(reach->reachable);
+      }
+    }
+  }
+}
+
+TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
+  datasets::GenOptions options;
+  options.scale = 0.0005;
+  auto data = datasets::GenerateByName("frb-l", options);
+  ASSERT_TRUE(data.ok()) << data.status();
+  RegisterBuiltinEngines();
+
+  PairAnswers reference;
+  bool have_reference = false;
+  for (const char* name : {"neo19", "arango", "blaze", "neo30", "orient",
+                           "sparksee", "sqlg", "titan05", "titan10"}) {
+    SCOPED_TRACE(name);
+    auto engine =
+        OpenEngine(name, EngineOptions{}, /*honor_cost_model_env=*/false);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto mapping = (*engine)->BulkLoad(*data);
+    ASSERT_TRUE(mapping.ok()) << mapping.status();
+    ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
+    ExpectLayoutInvariants(*(*engine)->path_index());
+    auto session = (*engine)->CreateSession();
+    if (!have_reference) {
+      CollectAnswers(**engine, *session, *data, *mapping,
+                     PathMode::kFrontierOnly, &reference);
+      if (HasFatalFailure()) return;
+      have_reference = true;
+    }
+    PairAnswers indexed;
+    CollectAnswers(**engine, *session, *data, *mapping, PathMode::kAuto,
+                   &indexed);
+    if (HasFatalFailure()) return;
+    // The pairs reach both the certain tiers and the bidirectional search.
+    EXPECT_GT(indexed.sp_routes["index-bidir"], 0);
+    EXPECT_GT(indexed.sp_routes["index-component"], 0);
+    for (int i = 0; i < kWorkloadPairs; ++i) {
+      SCOPED_TRACE(::testing::Message() << "pair " << i);
+      for (int d = 0; d < 4; ++d) {
+        ASSERT_EQ(indexed.bfs[i * 4 + d], reference.bfs[i * 4 + d])
+            << "BFS depth " << d + 2;
+      }
+      ASSERT_EQ(indexed.sp_hops[i], reference.sp_hops[i]);
+      for (int k = 0; k < 6; ++k) {
+        ASSERT_EQ(indexed.reach[i * 6 + k], reference.reach[i * 6 + k])
+            << "direction " << k / 2
+            << (k % 2 == 0 ? ", 3 hops" : ", unbounded");
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
