@@ -63,15 +63,36 @@ const ColEngine::Row* ColEngine::FetchRowBatched(QuerySession& session,
 
 ColEngine::AdjEntry* ColEngine::FindOutEntry(EdgeId e) {
   Row* row = rows_.Get(SrcOf(e));
-  if (row == nullptr) return nullptr;
-  for (AdjEntry& entry : row->adj) {
-    if (entry.out && entry.edge == e && !entry.tombstone) return &entry;
-  }
-  return nullptr;
+  if (row == nullptr || LocalOf(e) >= row->edges.size()) return nullptr;
+  AdjEntry& entry = row->adj[row->edges[LocalOf(e)].out];
+  return entry.tombstone ? nullptr : &entry;
 }
 
 const ColEngine::AdjEntry* ColEngine::FindOutEntry(EdgeId e) const {
   return const_cast<ColEngine*>(this)->FindOutEntry(e);
+}
+
+EdgeId ColEngine::AppendEdge(Row& src_row, VertexId src, Row& dst_row,
+                             VertexId dst, uint32_t label,
+                             const PropertyMap& props) {
+  EdgeId id = PackEdgeId(src, src_row.edges.size());
+  EdgeSlot slot;
+  slot.out = static_cast<uint32_t>(src_row.adj.size());
+  AdjEntry& out = src_row.adj.emplace_back();
+  out.label = label;
+  out.other = dst;
+  out.edge = id;
+  out.eprops = props;
+  // On a self-loop this append may reallocate and invalidate `out`.
+  slot.in = static_cast<uint32_t>(dst_row.adj.size());
+  AdjEntry& in = dst_row.adj.emplace_back();
+  in.label = label;
+  in.out = false;
+  in.other = src;
+  in.edge = id;
+  src_row.edges.push_back(slot);
+  ++edge_count_;
+  return id;
 }
 
 // --- CRUD -----------------------------------------------------------------------
@@ -96,26 +117,12 @@ Result<EdgeId> ColEngine::AddEdge(VertexId src, VertexId dst,
   backend_.ChargeRead();
   backend_.ChargeWrite();
   Row* src_row = rows_.Get(src);
-  if (src_row == nullptr) return Status::NotFound("edge endpoint not found");
-  if (!rows_.Contains(dst)) return Status::NotFound("edge endpoint not found");
-  uint32_t label_id = labels_.Intern(label);
-  EdgeId id = PackEdgeId(src, src_row->next_local++);
-  AdjEntry out;
-  out.label = label_id;
-  out.out = true;
-  out.other = dst;
-  out.edge = id;
-  out.eprops = props;
-  src_row->adj.push_back(std::move(out));
-  Row* dst_row = rows_.Get(dst);  // may have been invalidated by rehash? no: Put not called
-  AdjEntry in;
-  in.label = label_id;
-  in.out = false;
-  in.other = src;
-  in.edge = id;
-  dst_row->adj.push_back(std::move(in));
-  ++edge_count_;
-  return id;
+  Row* dst_row = rows_.Get(dst);
+  if (src_row == nullptr || dst_row == nullptr) {
+    return Status::NotFound("edge endpoint not found");
+  }
+  return AppendEdge(*src_row, src, *dst_row, dst, labels_.Intern(label),
+                    props);
 }
 
 Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
@@ -130,14 +137,17 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
   // dataset position, so the element pass does zero hash probes.
   std::vector<Row> rows(nv);
   std::vector<uint32_t> degree(nv, 0);
+  std::vector<uint32_t> out_degree(nv, 0);
   for (const auto& e : data.edges) {
     ++degree[e.src];
     ++degree[e.dst];
+    ++out_degree[e.src];
   }
   for (size_t i = 0; i < nv; ++i) {
     rows[i].label = labels_.Intern(data.vertices[i].label);
     rows[i].props = data.vertices[i].properties;
     rows[i].adj.reserve(degree[i]);
+    rows[i].edges.reserve(out_degree[i]);
     mapping.vertex_ids.push_back(base + i);
     if (!indexes_.empty()) {
       for (const auto& [k, val] : data.vertices[i].properties) {
@@ -146,21 +156,10 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
     }
   }
   for (const auto& e : data.edges) {
-    Row& src_row = rows[e.src];
-    uint32_t label_id = labels_.Intern(e.label);
-    EdgeId id = PackEdgeId(base + e.src, src_row.next_local++);
-    AdjEntry& out = src_row.adj.emplace_back();
-    out.label = label_id;
-    out.other = base + e.dst;
-    out.edge = id;
-    out.eprops = e.properties;
-    AdjEntry& in = rows[e.dst].adj.emplace_back();
-    in.label = label_id;
-    in.out = false;
-    in.other = base + e.src;
-    in.edge = id;
-    ++edge_count_;
-    mapping.edge_ids.push_back(id);
+    mapping.edge_ids.push_back(AppendEdge(rows[e.src], base + e.src,
+                                          rows[e.dst], base + e.dst,
+                                          labels_.Intern(e.label),
+                                          e.properties));
   }
   rows_.Reserve(rows_.size() + nv);
   for (size_t i = 0; i < nv; ++i) {
@@ -288,25 +287,16 @@ Result<std::vector<EdgeId>> ColEngine::FindEdgesByProperty(QuerySession& /*sessi
 Status ColEngine::RemoveEdgeInternal(EdgeId e, bool charge) {
   if (charge && backend_.enabled) SpinFor(tombstone_write_us_);
   Row* src_row = rows_.Get(SrcOf(e));
-  if (src_row == nullptr) return Status::NotFound("edge not found");
-  AdjEntry* out_entry = nullptr;
-  for (AdjEntry& entry : src_row->adj) {
-    if (entry.out && entry.edge == e && !entry.tombstone) {
-      out_entry = &entry;
-      break;
-    }
+  if (src_row == nullptr || LocalOf(e) >= src_row->edges.size()) {
+    return Status::NotFound("edge not found");
   }
-  if (out_entry == nullptr) return Status::NotFound("edge not found");
-  VertexId dst = out_entry->other;
-  out_entry->tombstone = true;
-  out_entry->eprops.clear();
-  if (Row* dst_row = rows_.Get(dst)) {
-    for (AdjEntry& entry : dst_row->adj) {
-      if (!entry.out && entry.edge == e && !entry.tombstone) {
-        entry.tombstone = true;
-        break;
-      }
-    }
+  const EdgeSlot slot = src_row->edges[LocalOf(e)];
+  AdjEntry& out_entry = src_row->adj[slot.out];
+  if (out_entry.tombstone) return Status::NotFound("edge not found");
+  out_entry.tombstone = true;
+  out_entry.eprops.clear();
+  if (Row* dst_row = rows_.Get(out_entry.other)) {
+    dst_row->adj[slot.in].tombstone = true;
   }
   --edge_count_;
   return Status::OK();
@@ -316,18 +306,13 @@ Status ColEngine::RemoveVertex(VertexId v) {
   if (backend_.enabled) SpinFor(tombstone_write_us_);
   Row* row = rows_.Get(v);
   if (row == nullptr) return Status::NotFound("vertex not found");
-  // Tombstone every incident edge (mirrored entries included).
-  std::vector<EdgeId> incident;
+  // Tombstone every incident edge (mirrored entries included). A
+  // self-loop's second entry is already tombstoned when the walk reaches it.
   for (const AdjEntry& entry : row->adj) {
-    if (!entry.tombstone) incident.push_back(entry.edge);
+    if (entry.tombstone) continue;
+    RemoveEdgeInternal(entry.edge, /*charge=*/false).ok();
   }
-  std::sort(incident.begin(), incident.end());
-  incident.erase(std::unique(incident.begin(), incident.end()),
-                 incident.end());
-  for (EdgeId e : incident) {
-    RemoveEdgeInternal(e, /*charge=*/false).ok();
-  }
-  for (const auto& [k, val] : rows_.Get(v)->props) IndexErase(k, val, v);
+  for (const auto& [k, val] : row->props) IndexErase(k, val, v);
   rows_.Erase(v);
   return Status::OK();
 }
@@ -566,7 +551,8 @@ Status ColEngine::Checkpoint(const std::string& dir) const {
 uint64_t ColEngine::MemoryBytes() const {
   uint64_t total = rows_.MemoryBytes() + labels_.MemoryBytes();
   rows_.ForEach([&](const VertexId&, const Row& row) {
-    total += row.adj.capacity() * sizeof(AdjEntry);
+    total += row.adj.capacity() * sizeof(AdjEntry) +
+             row.edges.capacity() * sizeof(EdgeSlot);
     return true;
   });
   for (const auto& [prop, index] : indexes_) {

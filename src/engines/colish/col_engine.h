@@ -145,11 +145,20 @@ class ColEngine : public GraphEngine {
     EdgeId edge = 0;
     PropertyMap eprops;  // stored on the out entry only
   };
+  // Where one out edge's two entries live: `out` indexes the source row's
+  // adj, `in` the destination row's (the same row for a self-loop). adj
+  // entries are only ever appended or tombstoned, so positions never move.
+  struct EdgeSlot {
+    uint32_t out = 0;
+    uint32_t in = 0;
+  };
   struct Row {
     uint32_t label = 0;
     PropertyMap props;
     std::vector<AdjEntry> adj;
-    uint64_t next_local = 0;
+    // The row's out edges by local edge number (LocalOf); its size is the
+    // next local number.
+    std::vector<EdgeSlot> edges;
   };
 
   // Point-lookup row access through the row-key index; the read charge is
@@ -163,8 +172,16 @@ class ColEngine : public GraphEngine {
   static constexpr uint64_t kReadBatch = 64;
   const Row* FetchRowBatched(QuerySession& session, VertexId v) const;
 
+  // Row-key hop to e's source row, then one index through its edge table;
+  // null when e is unknown or removed.
   AdjEntry* FindOutEntry(EdgeId e);
   const AdjEntry* FindOutEntry(EdgeId e) const;
+
+  // Appends a new edge's out entry to src_row and its in entry to dst_row,
+  // records both positions under src_row's next local edge number, and
+  // returns the edge's id.
+  EdgeId AppendEdge(Row& src_row, VertexId src, Row& dst_row, VertexId dst,
+                    uint32_t label, const PropertyMap& props);
 
   // Streams the live adjacency entries of v's row that match (dir, label)
   // — the single slice walk both visitor overrides share. Self-loops are

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/graph/registry.h"
 #include "src/util/hash.h"
@@ -116,6 +117,15 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
     std::advance(it, static_cast<long>(rng.Uniform(model.vertices_.size())));
     return it->first;
   };
+  // The oldest live vertex is the hub: a third of new edge endpoints go to
+  // it, so its row interleaves out and in entries, tombstones and
+  // self-loops.
+  auto hub_model_vertex = [&]() -> uint64_t {
+    return model.vertices_.empty() ? ~0ULL : model.vertices_.begin()->first;
+  };
+  auto random_endpoint = [&]() -> uint64_t {
+    return rng.Chance(1.0 / 3) ? hub_model_vertex() : random_model_vertex();
+  };
   auto random_model_edge = [&]() -> uint64_t {
     if (model.edges_.empty()) return ~0ULL;
     auto it = model.edges_.begin();
@@ -133,6 +143,12 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
       default:
         return PropertyValue(std::string(1 + rng.Uniform(6), 'x'));
     }
+  };
+  // Property multiset equality (order may differ).
+  auto sorted = [](PropertyMap props) {
+    std::sort(props.begin(), props.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return props;
   };
 
   const int kOps = 600;
@@ -154,8 +170,8 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
       case 2:
       case 3:
       case 4: {  // add edge
-        uint64_t a = random_model_vertex();
-        uint64_t b = random_model_vertex();
+        uint64_t a = random_endpoint();
+        uint64_t b = random_endpoint();
         if (a == ~0ULL || b == ~0ULL) break;
         PropertyMap props;
         if (rng.Chance(0.4)) {
@@ -190,22 +206,33 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
         uint64_t m = random_model_edge();
         if (m == ~0ULL) break;
         model.RemoveEdge(m);
-        ASSERT_TRUE(engine->RemoveEdge(e_id[m]).ok());
+        EdgeId e = e_id[m];
+        ASSERT_TRUE(engine->RemoveEdge(e).ok());
         e_id.erase(m);
+        // Checked now: engines that reuse freed record slots may hand the
+        // id out again to a later edge.
+        EXPECT_FALSE(engine->GetEdge(*session, e).ok()) << GetParam();
+        EXPECT_FALSE(engine->GetEdgeEnds(*session, e).ok()) << GetParam();
+        EXPECT_FALSE(engine->RemoveEdge(e).ok()) << GetParam();
         break;
       }
       case 8: {  // remove vertex (cascades)
         uint64_t m = random_model_vertex();
         if (m == ~0ULL) break;
         // Track which edges die with it.
+        std::vector<EdgeId> cascaded;
         for (auto it = model.edges_.begin(); it != model.edges_.end(); ++it) {
           if (it->second.src == m || it->second.dst == m) {
+            cascaded.push_back(e_id[it->first]);
             e_id.erase(it->first);
           }
         }
         model.RemoveVertex(m);
         ASSERT_TRUE(engine->RemoveVertex(v_id[m]).ok());
         v_id.erase(m);
+        for (EdgeId e : cascaded) {
+          EXPECT_FALSE(engine->GetEdgeEnds(*session, e).ok()) << GetParam();
+        }
         break;
       }
       case 9: {  // set edge property
@@ -224,9 +251,9 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
       ASSERT_EQ(engine->CountVertices(*session, never).value(),
                 model.vertices_.size());
       ASSERT_EQ(engine->CountEdges(*session, never).value(), model.edges_.size());
-      // Adjacency of five random vertices, all directions.
-      for (int probe = 0; probe < 5; ++probe) {
-        uint64_t m = random_model_vertex();
+      // Adjacency of the hub and five random vertices, all directions.
+      for (int probe = 0; probe < 6; ++probe) {
+        uint64_t m = probe == 0 ? hub_model_vertex() : random_model_vertex();
         if (m == ~0ULL) break;
         for (Direction dir :
              {Direction::kIn, Direction::kOut, Direction::kBoth}) {
@@ -268,16 +295,25 @@ TEST_P(PropertyChurnTest, RandomOpsMatchReferenceModel) {
         auto rec = engine->GetVertex(*session, v_id[m]);
         ASSERT_TRUE(rec.ok());
         EXPECT_EQ(rec->label, model.vertices_[m].label);
-        // Property multiset equality (order may differ).
-        auto sorted = [](PropertyMap props) {
-          std::sort(props.begin(), props.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
-          return props;
-        };
         EXPECT_EQ(sorted(rec->properties),
                   sorted(model.vertices_[m].props));
+      }
+      // Five random live edges, materialized with and without properties.
+      for (int probe = 0; probe < 5; ++probe) {
+        uint64_t me = random_model_edge();
+        if (me == ~0ULL) break;
+        const ModelGraph::Edge& want = model.edges_[me];
+        auto edge = engine->GetEdge(*session, e_id[me]);
+        ASSERT_TRUE(edge.ok()) << GetParam() << " op " << op;
+        EXPECT_EQ(edge->src, v_id[want.src]);
+        EXPECT_EQ(edge->dst, v_id[want.dst]);
+        EXPECT_EQ(edge->label, want.label);
+        EXPECT_EQ(sorted(edge->properties), sorted(want.props));
+        auto ends = engine->GetEdgeEnds(*session, e_id[me]);
+        ASSERT_TRUE(ends.ok()) << GetParam() << " op " << op;
+        EXPECT_EQ(ends->src, v_id[want.src]);
+        EXPECT_EQ(ends->dst, v_id[want.dst]);
+        EXPECT_EQ(ends->label, want.label);
       }
     }
   }
