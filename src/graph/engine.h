@@ -40,7 +40,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/cost_model.h"
@@ -50,6 +49,7 @@
 #include "src/graph/path_index.h"
 #include "src/graph/statistics.h"
 #include "src/graph/types.h"
+#include "src/storage/hash_index.h"
 #include "src/util/cancel.h"
 #include "src/util/result.h"
 
@@ -193,8 +193,12 @@ struct TraversalScratch {
   /// dense id bound: visited_epoch[v] == epoch means "visited this query".
   std::vector<uint8_t> visited_epoch;
   uint8_t epoch = 0;
-  /// Fallback visited set for engines with sparse id spaces.
-  std::unordered_set<VertexId> visited_sparse;
+  /// Fallback visited set for engines with sparse id spaces, and shortest
+  /// path's child -> parent map. Open-addressing tables reset per query
+  /// with their capacity kept, so a warm search inserts without
+  /// allocating.
+  HashIndex<VertexId, bool> visited_sparse;
+  HashIndex<VertexId, VertexId> parent;
 
   /// Per-query marks of the path index's searches, keyed by a vertex's
   /// PathIndex ordinal minus the first ordinal of the searched component

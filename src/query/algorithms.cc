@@ -1,8 +1,8 @@
 #include "src/query/algorithms.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <unordered_map>
 
 #include "src/graph/path_index.h"
 
@@ -16,10 +16,11 @@ namespace {
 // bound, membership is one epoch-stamp compare indexed by vertex slot (no
 // hashing, and no O(bound) clear between queries: bumping the epoch
 // invalidates every stale mark at once); otherwise it falls back to the
-// scratch's reserved hash set. Engines with packed sparse ids (the
-// relational backend) take the fallback. The stamp array grows lazily
-// (geometric, capped at the bound) so a small search over a huge graph
-// never pays an O(bound) allocation up front.
+// scratch's open-addressing set, which keeps its capacity across queries.
+// Engines with packed sparse ids (the relational backend) take the
+// fallback. The stamp array grows lazily (geometric, capped at the bound)
+// so a small search over a huge graph never pays an O(bound) allocation
+// up front.
 class VisitedSet {
  public:
   VisitedSet(TraversalScratch* scratch, uint64_t id_bound)
@@ -34,21 +35,18 @@ class VisitedSet {
                   uint8_t{0});
         s_->epoch = 1;
       }
-      // Dense mode still needs the sparse set empty: ids at or beyond the
-      // engine's declared bound (necessarily unknown vertices, e.g. a bad
-      // query parameter) overflow there instead of forcing a stamp array
-      // proportional to the id value.
-      s_->visited_sparse.clear();
-    } else {
-      s_->visited_sparse.clear();
-      s_->visited_sparse.reserve(1024);
     }
+    // Dense mode needs the sparse set empty too: ids at or beyond the
+    // engine's declared bound (necessarily unknown vertices, e.g. a bad
+    // query parameter) overflow there instead of forcing a stamp array
+    // proportional to the id value.
+    s_->visited_sparse.Reset();
   }
 
   /// Returns true if v was not yet present (and marks it).
   bool Insert(VertexId v) {
     if (dense_) {
-      if (v >= bound_) return s_->visited_sparse.insert(v).second;
+      if (v >= bound_) return s_->visited_sparse.Put(v, true);
       std::vector<uint8_t>& stamps = s_->visited_epoch;
       if (v >= stamps.size()) {
         uint64_t grown = stamps.size() < 1024 ? 1024 : stamps.size() * 2;
@@ -60,7 +58,7 @@ class VisitedSet {
       stamps[v] = s_->epoch;
       return true;
     }
-    return s_->visited_sparse.insert(v).second;
+    return s_->visited_sparse.Put(v, true);
   }
 
  private:
@@ -128,7 +126,7 @@ class ComponentMarks {
 
 // Governor charge per newly reached vertex. BFS grows three per-session
 // structures per vertex (next frontier, visited list, stamp/set slot); SP
-// additionally records a parent-map entry (hash node + two ids). The
+// additionally records a parent-map entry (a table slot + two ids). The
 // indexed routes charge the same rates although their flat per-session
 // marks cost less: identical accounting means a memory budget trips at
 // the same workload size on either path.
@@ -145,6 +143,85 @@ const PathIndex* UsableIndex(const GraphEngine& engine,
   stats->index_available = index != nullptr;
   if (mode != PathMode::kAuto || label.has_value()) return nullptr;
   return index;
+}
+
+/// The frontier route of BreadthFirst, ShortestPath and KHopReachable:
+/// level-synchronous expansion through the engine's neighbor visitor,
+/// charging `charge_bytes` per newly reached vertex. `visited` receives
+/// every reached vertex in visit order, `parent` each one's discoverer,
+/// and reaching `target` ends the search.
+struct FrontierSearch {
+  Direction dir = Direction::kBoth;
+  uint64_t max_depth = 0;
+  uint64_t charge_bytes = kVisitedVertexBytes;
+  std::optional<VertexId> target;
+  std::vector<VertexId>* visited = nullptr;
+  HashIndex<VertexId, VertexId>* parent = nullptr;
+};
+
+/// Runs `search` from `root` (which counts as already reached); returns
+/// whether the target was reached. `depth_reached`, when non-null, is set
+/// to the last level that reached a new vertex.
+Result<bool> RunFrontier(const GraphEngine& engine, QuerySession& session,
+                         VertexId root,
+                         const std::optional<std::string>& label,
+                         const FrontierSearch& search,
+                         const CancelToken& cancel, PathSearchStats* stats,
+                         int* depth_reached = nullptr) {
+  const std::string* label_ptr = label.has_value() ? &*label : nullptr;
+  TraversalScratch& scratch = session.traversal_scratch();
+  VisitedSet reached(&scratch, engine.VertexIdUpperBound());
+  reached.Insert(root);
+  std::vector<VertexId>& frontier = scratch.frontier;
+  std::vector<VertexId>& next = scratch.next;
+  frontier.assign(1, root);
+  next.clear();
+  // Everything the visitor touches sits behind one reference, so the
+  // closure fits std::function's inline buffer and expanding a vertex
+  // allocates nothing. A charge trip can't travel through the bool-valued
+  // visitor, so it parks in `charge_error` and stops the walk.
+  struct Walk {
+    const FrontierSearch& search;
+    const CancelToken& cancel;
+    VisitedSet& reached;
+    std::vector<VertexId>& next;
+    VertexId from = 0;
+    bool found = false;
+    Status charge_error = Status::OK();
+  } walk{search, cancel, reached, next};
+  const std::function<bool(VertexId)> visit = [&walk](VertexId n) {
+    if (!walk.reached.Insert(n)) return true;
+    if (!walk.cancel.Charge(walk.search.charge_bytes)) {
+      walk.charge_error = walk.cancel.ToStatus();
+      return false;
+    }
+    if (walk.search.parent != nullptr) walk.search.parent->Put(n, walk.from);
+    if (walk.search.visited != nullptr) walk.search.visited->push_back(n);
+    if (n == walk.search.target) {
+      walk.found = true;
+      return false;  // early-stop the visitor
+    }
+    walk.next.push_back(n);
+    return true;
+  };
+  for (uint64_t depth = 0; depth < search.max_depth && !frontier.empty();
+       ++depth) {
+    next.clear();
+    for (VertexId v : frontier) {
+      GDB_CHECK_CANCEL(cancel);
+      ++stats->expanded;
+      walk.from = v;
+      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(session, v, search.dir,
+                                                 label_ptr, cancel, visit));
+      GDB_RETURN_IF_ERROR(walk.charge_error);
+      if (walk.found) return true;
+    }
+    if (depth_reached != nullptr && !next.empty()) {
+      *depth_reached = static_cast<int>(depth + 1);
+    }
+    std::swap(frontier, next);
+  }
+  return false;
 }
 
 /// Level-synchronous BFS over the index CSR (both directions — the
@@ -329,48 +406,20 @@ Result<BfsResult> BreadthFirst(const GraphEngine& engine,
     // Unknown start id: the engine is the authority (missing-vertex
     // semantics differ per engine) — frontier route below.
   }
-  const std::string* label_ptr = label.has_value() ? &*label : nullptr;
-  TraversalScratch& scratch = session.traversal_scratch();
   // The Gremlin store(vs) side effect: vs is seeded with the start vertex
   // so except(vs) never re-expands it, but `visited` reports only the
   // vertices *reached* — the start is deliberately absent (see the
-  // BfsResult contract in algorithms.h).
-  VisitedSet stored(&scratch, engine.VertexIdUpperBound());
-  stored.Insert(start);
+  // BfsResult contract in algorithms.h). Each newly reached vertex grows
+  // three per-session structures (next frontier, visited list, stamp/set
+  // slot); the governor is charged that footprint.
   cancel.set_position("BreadthFirst");
-  std::vector<VertexId>& frontier = scratch.frontier;
-  std::vector<VertexId>& next = scratch.next;
-  frontier.assign(1, start);
-  next.clear();
-  // Each newly reached vertex grows three per-session structures (next
-  // frontier, visited list, stamp/set slot); the governor is charged that
-  // footprint. A trip can't travel through the bool-valued visitor, so it
-  // parks and stops the walk.
-  Status charge_error = Status::OK();
-  for (int depth = 0; depth < max_depth && !frontier.empty(); ++depth) {
-    next.clear();
-    for (VertexId v : frontier) {
-      GDB_CHECK_CANCEL(cancel);
-      ++result.stats.expanded;
-      // Stream the expansion: neighbors flow straight into the visited
-      // filter and the next frontier, no per-hop vector.
-      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(
-          session, v, Direction::kBoth, label_ptr, cancel, [&](VertexId n) {
-            if (stored.Insert(n)) {
-              if (!cancel.Charge(kVisitedVertexBytes)) {
-                charge_error = cancel.ToStatus();
-                return false;
-              }
-              next.push_back(n);
-              result.visited.push_back(n);
-            }
-            return true;
-          }));
-      GDB_RETURN_IF_ERROR(charge_error);
-    }
-    if (!next.empty()) result.depth_reached = depth + 1;
-    std::swap(frontier, next);
-  }
+  FrontierSearch search;
+  search.max_depth = max_depth < 0 ? 0 : static_cast<uint64_t>(max_depth);
+  search.visited = &result.visited;
+  Result<bool> walked = RunFrontier(engine, session, start, label, search,
+                                    cancel, &result.stats,
+                                    &result.depth_reached);
+  if (!walked.ok()) return walked.status();
   return result;
 }
 
@@ -419,58 +468,28 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
       return result;
     }
   }
-  const std::string* label_ptr = label.has_value() ? &*label : nullptr;
-  TraversalScratch& scratch = session.traversal_scratch();
   // Membership is the hot check (one stamp compare when dense); parents
   // are recorded only for genuinely reached vertices, so the map stays
-  // O(visited) no matter how large the id space is.
-  VisitedSet reached(&scratch, engine.VertexIdUpperBound());
-  std::unordered_map<VertexId, VertexId> parent;  // child -> parent
-  parent.reserve(1024);
-  reached.Insert(src);
+  // O(visited) no matter how large the id space is. Per reached vertex:
+  // frontier slot, visited stamp, and a parent-map entry, all
+  // governor-accounted.
+  HashIndex<VertexId, VertexId>& parent = session.traversal_scratch().parent;
+  parent.Reset();
   cancel.set_position("ShortestPath");
-  std::vector<VertexId>& frontier = scratch.frontier;
-  std::vector<VertexId>& next = scratch.next;
-  frontier.assign(1, src);
-  next.clear();
-  bool found = false;
-  // Per reached vertex: frontier slot, visited stamp, and a parent-map
-  // entry (hash node + two ids), all governor-accounted.
-  Status charge_error = Status::OK();
-  for (int depth = 0; depth < max_depth && !frontier.empty() && !found;
-       ++depth) {
-    next.clear();
-    for (VertexId v : frontier) {
-      GDB_CHECK_CANCEL(cancel);
-      ++result.stats.expanded;
-      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(
-          session, v, Direction::kBoth, label_ptr, cancel, [&](VertexId n) {
-            if (reached.Insert(n)) {
-              if (!cancel.Charge(kReachedVertexBytes)) {
-                charge_error = cancel.ToStatus();
-                return false;
-              }
-              parent.emplace(n, v);
-              if (n == dst) {
-                found = true;
-                return false;  // early-stop the visitor
-              }
-              next.push_back(n);
-            }
-            return true;
-          }));
-      GDB_RETURN_IF_ERROR(charge_error);
-      if (found) break;
+  FrontierSearch search;
+  search.max_depth = max_depth < 0 ? 0 : static_cast<uint64_t>(max_depth);
+  search.charge_bytes = kReachedVertexBytes;
+  search.target = dst;
+  search.parent = &parent;
+  Result<bool> found =
+      RunFrontier(engine, session, src, label, search, cancel, &result.stats);
+  if (!found.ok()) return found.status();
+  if (*found) {
+    for (VertexId cur = dst; cur != src; cur = *parent.Get(cur)) {
+      result.path.push_back(cur);
     }
-    std::swap(frontier, next);
-  }
-  if (found) {
-    std::vector<VertexId> rev;
-    for (VertexId cur = dst; cur != src; cur = parent.at(cur)) {
-      rev.push_back(cur);
-    }
-    rev.push_back(src);
-    result.path.assign(rev.rbegin(), rev.rend());
+    result.path.push_back(src);
+    std::reverse(result.path.begin(), result.path.end());
     result.found = true;
   }
   return result;  // unreachable within max_depth unless found
@@ -565,44 +584,15 @@ Result<ReachResult> KHopReachable(const GraphEngine& engine,
   }
 
   // Frontier fallback: direction-aware BFS with early target exit.
-  const std::string* label_ptr = label.has_value() ? &*label : nullptr;
-  TraversalScratch& scratch = session.traversal_scratch();
-  VisitedSet stored(&scratch, engine.VertexIdUpperBound());
-  stored.Insert(src);
   cancel.set_position("KHopReachable");
-  std::vector<VertexId>& frontier = scratch.frontier;
-  std::vector<VertexId>& next = scratch.next;
-  frontier.assign(1, src);
-  next.clear();
-  bool found = false;
-  Status charge_error = Status::OK();
-  for (uint64_t depth = 0; depth < hop_budget && !frontier.empty() && !found;
-       ++depth) {
-    next.clear();
-    for (VertexId v : frontier) {
-      GDB_CHECK_CANCEL(cancel);
-      ++result.stats.expanded;
-      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(
-          session, v, dir, label_ptr, cancel, [&](VertexId n) {
-            if (stored.Insert(n)) {
-              if (!cancel.Charge(kVisitedVertexBytes)) {
-                charge_error = cancel.ToStatus();
-                return false;
-              }
-              if (n == dst) {
-                found = true;
-                return false;
-              }
-              next.push_back(n);
-            }
-            return true;
-          }));
-      GDB_RETURN_IF_ERROR(charge_error);
-      if (found) break;
-    }
-    std::swap(frontier, next);
-  }
-  result.reachable = found;
+  FrontierSearch search;
+  search.dir = dir;
+  search.max_depth = hop_budget;
+  search.target = dst;
+  Result<bool> found =
+      RunFrontier(engine, session, src, label, search, cancel, &result.stats);
+  if (!found.ok()) return found.status();
+  result.reachable = *found;
   return result;
 }
 

@@ -41,11 +41,11 @@ const std::string* VisitLabel(const ExecContext& ctx, LabelMode mode,
   return nullptr;
 }
 
-/// Approximate heap bytes of one unordered-set/-map entry (node, bucket
-/// share, key), used to charge the governor for dedup-set growth.
+/// Approximate bytes of one dedup-set entry, charged to the governor for
+/// set growth: a 16-byte slot at the table's 3/8-3/4 load factor.
 constexpr uint64_t kHashSetEntryBytes = 32;
 /// Approximate fixed overhead of one interned pool value (deque slot,
-/// index entry) on top of its string payload.
+/// index slot) on top of its string payload.
 constexpr uint64_t kPoolEntryBytes = 48;
 
 /// Charges the governor for pool growth across an intern call: a repeat
@@ -191,7 +191,7 @@ Status DistinctEdgeTargetScan::Produce(const ExecContext& ctx,
   Status charge_error = Status::OK();
   GDB_RETURN_IF_ERROR(ctx.engine.ScanEdges(
       ctx.session, ctx.cancel, [&](const EdgeEnds& e) {
-        if (!s.seen.insert(e.dst).second) return true;
+        if (!s.seen.Put(e.dst, true)) return true;
         if (!ctx.cancel.Charge(kHashSetEntryBytes)) {
           charge_error = ctx.cancel.ToStatus();
           return false;
@@ -212,7 +212,7 @@ Status DistinctNeighborScan::Produce(const ExecContext& ctx, OpScratch& state,
   OpScratch& s = Fresh(ctx, state);
   Status charge_error = Status::OK();
   auto admit = [&](VertexId v) {
-    if (!s.seen.insert(v).second) return 0;  // duplicate: skip, keep going
+    if (!s.seen.Put(v, true)) return 0;  // duplicate: skip, keep going
     if (!ctx.cancel.Charge(kHashSetEntryBytes)) {
       charge_error = ctx.cancel.ToStatus();
       return -1;  // budget tripped: stop the walk
@@ -371,7 +371,7 @@ Result<bool> Dedup::Process(const ExecContext& ctx, OpScratch& state,
                             uint64_t row, const RowSink& sink) const {
   GDB_CHECK_CANCEL(ctx.cancel);
   OpScratch& s = Fresh(ctx, state);
-  if (s.seen.insert(row).second) {
+  if (s.seen.Put(row, true)) {
     GDB_CHECK_CHARGE(ctx.cancel, kHashSetEntryBytes);
     return sink(row);
   }

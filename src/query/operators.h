@@ -80,7 +80,7 @@ struct ExecContext {
 inline OpScratch& Fresh(const ExecContext& ctx, OpScratch& state) {
   if (state.epoch != ctx.scratch.run_epoch) {
     state.counter = 0;
-    state.seen.clear();  // keeps buckets: no realloc on the next fills
+    state.seen.Reset();  // keeps its slots: the next fills allocate nothing
     state.epoch = ctx.scratch.run_epoch;
   }
   return state;

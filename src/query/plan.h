@@ -57,11 +57,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/engine.h"
+#include "src/storage/hash_index.h"
 
 namespace gdbmicro {
 namespace query {
@@ -86,15 +85,15 @@ enum class RowKind : uint8_t { kVertex, kEdge, kValue };
 /// strings intern to equal indexes, so Dedup over values is integer
 /// dedup and a repeated label costs zero allocation after its first
 /// appearance. Storage is a deque: views handed out stay valid for the
-/// session's lifetime.
+/// session's lifetime. The index is one open-addressing table keyed by
+/// those views, so interning a new value adds no hash node.
 class ValuePool {
  public:
   uint64_t Intern(std::string_view s) {
-    auto it = index_.find(s);
-    if (it != index_.end()) return it->second;
+    if (const uint64_t* idx = index_.Get(s)) return *idx;
     values_.emplace_back(s);
     uint64_t idx = values_.size() - 1;
-    index_.emplace(std::string_view(values_.back()), idx);
+    index_.Put(values_.back(), idx);
     return idx;
   }
   std::string_view Get(uint64_t idx) const { return values_[idx]; }
@@ -102,7 +101,7 @@ class ValuePool {
 
  private:
   std::deque<std::string> values_;
-  std::unordered_map<std::string_view, uint64_t> index_;
+  HashIndex<std::string_view, uint64_t> index_;
 };
 
 /// Per-run arguments for a plan with bound steps (Traversal::V(Bound{}),
@@ -146,12 +145,15 @@ struct TraversalOutput {
 /// accumulator). Epoch-stamped: a slot is lazily reset the first time an
 /// operator touches it in a run whose epoch differs from the stamp, so
 /// starting a run is O(1) — no per-operator reset sweep, and untouched
-/// slots cost nothing. clear() keeps the hash set's buckets, so a warm
-/// slot reallocates nothing.
+/// slots cost nothing. `seen` is an open-addressing set whose reset keeps
+/// its slots: a warm slot allocates nothing until a run admits more
+/// distinct rows than its slots hold, a run that fills less than an
+/// eighth of them shrinks it back to 16 (HashIndex::Reset), and a slot
+/// whose operator never dedups never allocates at all.
 struct OpScratch {
   uint64_t epoch = 0;
   uint64_t counter = 0;
-  std::unordered_set<uint64_t> seen;
+  HashIndex<uint64_t, bool> seen;
 };
 
 /// All per-run mutable state of plan execution, owned by a QuerySession

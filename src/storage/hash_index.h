@@ -1,11 +1,15 @@
 // Open-addressing hash index (linear probing, tombstones, load-factor
 // driven rehash). Used as the row-key index of the columnar engine, the
 // edge-endpoint index of the document engine, and the primary-key indexes
-// of the relational engine.
+// of the relational engine. In the query layer it is the per-session
+// value pool's index and the per-run dedup sets, visited sets and
+// shortest-path parent maps, which keep their slots from run to run
+// through Reset().
 
 #ifndef GDBMICRO_STORAGE_HASH_INDEX_H_
 #define GDBMICRO_STORAGE_HASH_INDEX_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -30,6 +34,8 @@ struct IndexHash {
 
 /// Open-addressing hash map. Key must be equality comparable; Value must be
 /// default constructible. Capacity is a power of two; probing is linear.
+/// A default-constructed table owns no slots: the first Put allocates
+/// them, so a table that is never filled costs no allocation.
 template <typename Key, typename Value, typename Hash = IndexHash>
 class HashIndex {
  public:
@@ -39,12 +45,10 @@ class HashIndex {
   using LookupKey = std::conditional_t<std::is_same_v<Key, std::string>,
                                        std::string_view, const Key&>;
 
-  HashIndex() { Rehash(kInitialCapacity); }
-
   /// Inserts or overwrites. Returns true if the key was new.
   bool Put(const Key& key, Value value) {
     if ((size_ + tombstones_ + 1) * 4 >= slots_.size() * 3) {
-      Rehash(slots_.size() * 2);
+      Rehash(slots_.empty() ? kInitialCapacity : slots_.size() * 2);
     }
     size_t i = FindSlot(key);
     Slot& s = slots_[i];
@@ -61,10 +65,12 @@ class HashIndex {
 
   /// Returns a pointer to the value or nullptr.
   Value* Get(LookupKey key) {
+    if (slots_.empty()) return nullptr;
     size_t i = FindSlot(key);
     return slots_[i].state == State::kFull ? &slots_[i].value : nullptr;
   }
   const Value* Get(LookupKey key) const {
+    if (slots_.empty()) return nullptr;
     size_t i = FindSlot(key);
     return slots_[i].state == State::kFull ? &slots_[i].value : nullptr;
   }
@@ -73,6 +79,7 @@ class HashIndex {
 
   /// Removes the key. Returns true if present.
   bool Erase(const Key& key) {
+    if (slots_.empty()) return false;
     size_t i = FindSlot(key);
     if (slots_[i].state != State::kFull) return false;
     slots_[i].state = State::kTombstone;
@@ -106,11 +113,28 @@ class HashIndex {
   /// Bytes of table backing store (for memory accounting / space reports).
   uint64_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
 
+  /// Empties the table and shrinks it back to 16 slots.
   void Clear() {
     slots_.clear();
     size_ = 0;
     tombstones_ = 0;
     Rehash(kInitialCapacity);
+  }
+
+  /// Empties the table but keeps its capacity: a per-run set refilled to
+  /// its usual size allocates nothing. If the last fill used less than an
+  /// eighth of the slots, the table shrinks back to 16 instead, so one
+  /// large run neither makes every later small one pay its O(capacity)
+  /// refill nor holds its memory. O(capacity) unless already empty.
+  void Reset() {
+    if (slots_.size() > kInitialCapacity && size_ * 8 < slots_.size()) {
+      Clear();
+      return;
+    }
+    if (size_ == 0 && tombstones_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+    tombstones_ = 0;
   }
 
  private:

@@ -35,7 +35,7 @@ enum class TripReason : uint8_t {
 class CancelToken {
  public:
   /// A token that never cancels and accounts no memory.
-  CancelToken() : state_(std::make_shared<State>()) {}
+  CancelToken() : CancelToken(Clock::now()) {}
 
   /// A token that expires `deadline` after now. Non-positive => immediate.
   /// (Unlike WithLimits, 0 here means "spent", not "no deadline" — the
@@ -56,8 +56,9 @@ class CancelToken {
   /// factory.
   static CancelToken WithLimits(std::chrono::nanoseconds deadline,
                                 uint64_t memory_budget_bytes) {
-    CancelToken t;
-    t.state_->armed_at = Clock::now();
+    // One clock read arms the token: it is both the elapsed-time origin
+    // and the deadline's base.
+    CancelToken t(Clock::now());
     if (deadline.count() != 0) {
       t.state_->deadline = t.state_->armed_at + deadline;
       t.state_->deadline_budget = deadline;
@@ -71,19 +72,22 @@ class CancelToken {
   void Cancel() const { Trip(TripReason::kCancelled); }
 
   /// True if cancelled, past deadline, or out of memory budget. Cheap:
-  /// the clock is consulted on the first probe (so an already-expired
-  /// deadline is seen immediately, even by short loops) and every
-  /// `kClockStride` probes after that, keeping the syscall out of the
-  /// measured scan hot path. The probe counter is atomic: tokens are
-  /// shared across reader threads and the stride must not be a data race.
+  /// the trip flag is read on every probe, and the clock on the first
+  /// probe (so an already-expired deadline is seen immediately, even by
+  /// short loops) and every `kClockStride` probes after that, keeping the
+  /// clock read out of the measured scan hot path. The probe counter
+  /// advances with a relaxed load and store, not a locked read-modify-
+  /// write: it stays an atomic, so threads sharing a token do not race,
+  /// but concurrent probers may lose increments, which only delays a
+  /// clock read.
   bool Expired() const {
     if (state_->tripped.load(std::memory_order_relaxed) !=
         static_cast<uint8_t>(TripReason::kNone)) {
       return true;
     }
     if (!state_->has_deadline) return false;
-    uint32_t probe =
-        state_->poll_counter.fetch_add(1, std::memory_order_relaxed);
+    uint32_t probe = state_->poll_counter.load(std::memory_order_relaxed);
+    state_->poll_counter.store(probe + 1, std::memory_order_relaxed);
     if (probe % kClockStride != 0) return false;
     if (Clock::now() >= state_->deadline) {
       Trip(TripReason::kDeadline);
@@ -181,9 +185,11 @@ class CancelToken {
  private:
   using Clock = std::chrono::steady_clock;
   struct State {
+    explicit State(Clock::time_point armed) : armed_at(armed) {}
+
     std::atomic<uint8_t> tripped{static_cast<uint8_t>(TripReason::kNone)};
     bool has_deadline = false;
-    Clock::time_point armed_at{Clock::now()};
+    Clock::time_point armed_at;
     Clock::time_point deadline{};
     std::chrono::nanoseconds deadline_budget{0};
     uint64_t budget_bytes = 0;
@@ -191,6 +197,9 @@ class CancelToken {
     mutable std::atomic<const char*> position{nullptr};
     mutable std::atomic<uint32_t> poll_counter{0};
   };
+
+  explicit CancelToken(Clock::time_point armed_at)
+      : state_(std::make_shared<State>(armed_at)) {}
 
   void Trip(TripReason reason) const {
     uint8_t expected = static_cast<uint8_t>(TripReason::kNone);

@@ -15,11 +15,13 @@
 
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/graph/registry.h"
+#include "src/query/algorithms.h"
 #include "src/query/traversal.h"
 
 // --- global allocation counter ---------------------------------------------
@@ -278,20 +280,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Allocation contract ----------------------------------------------------
 
-TEST(PreparedPlanAllocationTest, SteadyStateRunsAllocateAlmostNothing) {
-  // Propertyless graph on the record-chain engine whose visitors are
-  // allocation-free, so every remaining allocation is the query layer's.
+// Propertyless graph on the record-chain engine whose visitors are
+// allocation-free, so every remaining allocation is the query layer's:
+// 200 vertices and the edges i -> (7i + 1) % 200 labelled "l" (cycles of
+// at most four vertices), plus, with `ring`, the edges i -> i + 1
+// labelled "ring", which connect all 200.
+std::unique_ptr<GraphEngine> PropertylessGraph(bool ring,
+                                               std::vector<VertexId>* v) {
   auto engine = OpenEngine("neo19", EngineOptions{}).value();
+  for (int i = 0; i < 200; ++i) {
+    v->push_back(engine->AddVertex("n", {}).value());
+  }
+  const std::vector<VertexId>& ids = *v;
+  for (size_t i = 0; i < 200; ++i) {
+    EXPECT_TRUE(engine->AddEdge(ids[i], ids[(i * 7 + 1) % 200], "l", {}).ok());
+    if (ring) {
+      EXPECT_TRUE(engine->AddEdge(ids[i], ids[(i + 1) % 200], "ring", {}).ok());
+    }
+  }
+  return engine;
+}
+
+TEST(PreparedPlanAllocationTest, SteadyStateRunsAllocateAlmostNothing) {
   std::vector<VertexId> v;
-  for (int i = 0; i < 200; ++i) {
-    v.push_back(engine->AddVertex("n", {}).value());
-  }
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(engine->AddEdge(v[static_cast<size_t>(i)],
-                                v[static_cast<size_t>((i * 7 + 1) % 200)],
-                                "l", {})
-                    .ok());
-  }
+  auto engine = PropertylessGraph(/*ring=*/false, &v);
   auto session = engine->CreateSession();
   CancelToken never;
 
@@ -338,6 +350,89 @@ TEST(PreparedPlanAllocationTest, SteadyStateRunsAllocateAlmostNothing) {
   // And it must beat the rebuild path by a wide margin (which pays the
   // step vector, the operator chain, and the lowering every iteration).
   EXPECT_LT(prepared_allocs * 10, rebuilt_allocs);
+}
+
+TEST(PreparedPlanAllocationTest, SteadyStateLabelDedupAllocatesAlmostNothing) {
+  // The per-run dedup set keeps its slots across runs: admitting the same
+  // two distinct labels on every run allocates nothing once warm.
+  std::vector<VertexId> v;
+  auto engine = PropertylessGraph(/*ring=*/true, &v);
+  auto session = engine->CreateSession();
+  CancelToken never;
+
+  auto prepared =
+      Traversal::V(Bound{}).BothE().Label().Dedup().Count().Prepare(*engine);
+  ASSERT_TRUE(prepared.ok());
+
+  constexpr int kIterations = 400;
+  PlanParams params;
+  auto run = [&](int iterations) {
+    uint64_t labels = 0;
+    for (int i = 0; i < iterations; ++i) {
+      params.id = v[static_cast<size_t>(i) % v.size()];
+      auto n = prepared->RunCount(*session, never, params);
+      if (n.ok()) labels += *n;
+    }
+    return labels;
+  };
+
+  run(50);  // warmup: the value pool and the dedup slot reach capacity
+  uint64_t before = g_allocs;
+  uint64_t labels = run(kIterations);
+  uint64_t allocs = g_allocs - before;
+
+  EXPECT_EQ(labels, 2u * kIterations);  // "l" and "ring" at every vertex
+  EXPECT_LE(allocs, static_cast<uint64_t>(kIterations) / 10)
+      << "allocs/iter = " << static_cast<double>(allocs) / kIterations;
+}
+
+TEST(PreparedPlanAllocationTest, FrontierSearchesAllocateLittlePerVertex) {
+  // The frontier routes of BFS and shortest path reuse the session's
+  // scratch (frontier buffers, visited marks, parent map), and their
+  // neighbor visitor fits std::function's inline buffer, so a warm search
+  // allocates only for the result it returns.
+  std::vector<VertexId> v;
+  auto engine = PropertylessGraph(/*ring=*/true, &v);
+  auto session = engine->CreateSession();
+  CancelToken never;
+  const std::optional<std::string> any_label;
+
+  auto bfs = [&] {
+    return query::BreadthFirst(*engine, *session, v[0], 1000, any_label, never,
+                               query::PathMode::kFrontierOnly);
+  };
+  ASSERT_TRUE(bfs().ok());  // warmup
+  uint64_t before = g_allocs;
+  auto reached = bfs();
+  uint64_t bfs_allocs = g_allocs - before;
+  ASSERT_TRUE(reached.ok());
+  ASSERT_EQ(reached->visited.size(), v.size() - 1);
+  ASSERT_GE(reached->stats.expanded, 100u);
+  EXPECT_LE(bfs_allocs * 4, reached->stats.expanded)
+      << "BFS allocs/expanded vertex = "
+      << static_cast<double>(bfs_allocs) /
+             static_cast<double>(reached->stats.expanded);
+
+  // The last vertex BFS reached is one of the farthest, so the search
+  // expands almost the whole graph before finding it.
+  const VertexId far = reached->visited.back();
+  auto sp = [&] {
+    return query::ShortestPath(*engine, *session, v[0], far, any_label, 1000,
+                               never, query::PathMode::kFrontierOnly);
+  };
+  ASSERT_TRUE(sp().ok());  // warmup
+  before = g_allocs;
+  auto path = sp();
+  uint64_t sp_allocs = g_allocs - before;
+  ASSERT_TRUE(path.ok());
+  ASSERT_TRUE(path->found);
+  EXPECT_EQ(path->path.size(),
+            static_cast<size_t>(reached->depth_reached) + 1);
+  ASSERT_GE(path->stats.expanded, 100u);
+  EXPECT_LE(sp_allocs * 4, path->stats.expanded)
+      << "SP allocs/expanded vertex = "
+      << static_cast<double>(sp_allocs) /
+             static_cast<double>(path->stats.expanded);
 }
 
 // --- Cost-based re-pricing ---------------------------------------------------

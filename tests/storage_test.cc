@@ -235,6 +235,56 @@ TEST(HashIndexTest, GrowthAndTombstoneChurn) {
 
 // --- RecordFile -----------------------------------------------------------------
 
+TEST(HashIndexTest, ResetKeepsCapacityClearShrinks) {
+  HashIndex<uint64_t, uint64_t> idx;
+  EXPECT_EQ(idx.MemoryBytes(), 0u);  // no slots before the first Put
+  EXPECT_EQ(idx.Get(1), nullptr);
+  EXPECT_FALSE(idx.Erase(1));
+  for (uint64_t k = 0; k < 1000; ++k) idx.Put(k, k);
+  const uint64_t grown = idx.MemoryBytes();
+  idx.Reset();
+  EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(idx.Get(5), nullptr);
+  EXPECT_EQ(idx.MemoryBytes(), grown);
+  // Refilling to the same size reuses the slots instead of growing.
+  for (uint64_t k = 0; k < 1000; ++k) EXPECT_TRUE(idx.Put(k + 7, k));
+  EXPECT_EQ(idx.MemoryBytes(), grown);
+  EXPECT_EQ(idx.size(), 1000u);
+  ASSERT_NE(idx.Get(7), nullptr);
+  EXPECT_EQ(*idx.Get(7), 0u);
+  EXPECT_EQ(idx.Get(6), nullptr);
+  idx.Clear();
+  EXPECT_TRUE(idx.empty());
+  EXPECT_LT(idx.MemoryBytes(), grown);
+}
+
+TEST(HashIndexTest, ResetShrinksAfterSmallFill) {
+  // One large run, then a small one: the Reset after the small run gives
+  // the large run's slots back instead of refilling all of them.
+  HashIndex<uint64_t, uint64_t> idx;
+  for (uint64_t k = 0; k < 1000; ++k) idx.Put(k, k);
+  const uint64_t grown = idx.MemoryBytes();
+  idx.Reset();  // the last fill used most of the slots: capacity kept
+  EXPECT_EQ(idx.MemoryBytes(), grown);
+  for (uint64_t k = 0; k < 10; ++k) EXPECT_TRUE(idx.Put(k, k));
+  EXPECT_EQ(idx.MemoryBytes(), grown);
+  idx.Reset();
+  EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(idx.Get(3), nullptr);
+  EXPECT_LT(idx.MemoryBytes() * 8, grown);
+  // The shrunk table still works, and a small table keeps its slots.
+  for (uint64_t k = 0; k < 10; ++k) EXPECT_TRUE(idx.Put(k, k + 1));
+  ASSERT_NE(idx.Get(9), nullptr);
+  EXPECT_EQ(*idx.Get(9), 10u);
+  const uint64_t small = idx.MemoryBytes();
+  idx.Put(10, 11);
+  idx.Reset();
+  EXPECT_EQ(idx.MemoryBytes(), small);
+  idx.Put(1, 1);
+  idx.Reset();  // one entry in 16 slots: already at the floor
+  EXPECT_EQ(idx.MemoryBytes(), small);
+}
+
 TEST(RecordFileTest, AllocateWriteRead) {
   RecordFile rf(32);
   uint64_t a = rf.Allocate();

@@ -319,5 +319,36 @@ TEST(CancelTest, SharedTokenProbesFromManyThreads) {
   EXPECT_TRUE(t.Expired());
 }
 
+TEST(CancelTest, SharedTokenDeadlineTripsForEveryProber) {
+  // Concurrent probers advance the shared clock-stride counter with a
+  // relaxed load and store, so increments can be lost. That may delay a
+  // clock read but must never hide the deadline: every thread probing a
+  // token armed with 2 ms sees it trip well within 1 s.
+  constexpr int kThreads = 4;
+  CancelToken t = CancelToken::WithTimeout(std::chrono::milliseconds(2));
+  std::vector<double> tripped_after_ms(kThreads, -1.0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&t, &tripped_after_ms, i] {
+      Timer timer;
+      for (uint64_t probe = 0;; ++probe) {
+        if (t.Expired()) {
+          tripped_after_ms[static_cast<size_t>(i)] = timer.ElapsedMillis();
+          return;
+        }
+        if (probe % 1024 == 0 && timer.ElapsedMillis() > 1000.0) return;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    double ms = tripped_after_ms[static_cast<size_t>(i)];
+    EXPECT_GE(ms, 0.0) << "thread " << i << " never saw the deadline";
+    EXPECT_LE(ms, 1000.0) << "thread " << i;
+  }
+  EXPECT_EQ(t.trip_reason(), TripReason::kDeadline);
+}
+
 }  // namespace
 }  // namespace gdbmicro
