@@ -1,6 +1,6 @@
-// Ablation microbenchmarks for the design choices DESIGN.md calls out —
-// each compares the two sides of one architectural decision the paper's
-// §6 analysis turns on:
+// Ablation microbenchmarks for four engine design choices — each
+// compares the two sides of one architectural decision the paper's §6
+// analysis turns on:
 //
 //  1. neo19 vs neo30 relationship chains: splitting by (label, direction)
 //     speeds label-filtered expansion and taxes unfiltered scans of

@@ -4,11 +4,11 @@
 // cardinality, degree skew, fragmentation, density regime, and which
 // elements carry properties. All generators are deterministic in `seed`.
 //
-// Substitutions (documented in DESIGN.md): the paper uses the real Yeast
-// protein network, the MiCo co-authorship crawl, cleaned Freebase
-// snapshots, and the LDBC social-network generator; none are shippable
-// here, so these synthetic equivalents reproduce their published
-// structural characteristics instead.
+// Substitutions: the paper uses the real Yeast protein network, the MiCo
+// co-authorship crawl, cleaned Freebase snapshots, and the LDBC
+// social-network generator; none are shippable here, so these synthetic
+// equivalents reproduce their published structural characteristics
+// instead.
 
 #ifndef GDBMICRO_DATASETS_GENERATORS_H_
 #define GDBMICRO_DATASETS_GENERATORS_H_

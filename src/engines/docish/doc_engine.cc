@@ -35,6 +35,47 @@ Status DocEngine::Open(const EngineOptions& options) {
   return Status::OK();
 }
 
+namespace {
+
+// Members whose names start with '_' (_label, _from, _to) are the document
+// layout's system members, so a property of that name would overwrite or
+// remove one. Every write path rejects such names before it touches a
+// document; GetVertex/GetEdge already hide them from reads.
+Status CheckPropertyName(std::string_view name) {
+  if (!name.empty() && name[0] == '_') {
+    return Status::InvalidArgument("property name \"" + std::string(name) +
+                                   "\" is reserved: names starting with "
+                                   "'_' are document system members");
+  }
+  return Status::OK();
+}
+
+Status CheckPropertyNames(const PropertyMap& props) {
+  for (const auto& [name, value] : props) {
+    GDB_RETURN_IF_ERROR(CheckPropertyName(name));
+  }
+  return Status::OK();
+}
+
+// The endpoint and label members of a parsed edge document, type-checked:
+// a document that lacks one decodes to Corruption, never to a crash.
+Status ReadEdgeMembers(const Json& doc, VertexId* src, VertexId* dst,
+                       const std::string** label) {
+  const Json* from = doc.Find("_from");
+  const Json* to = doc.Find("_to");
+  const Json* name = doc.Find("_label");
+  if (from == nullptr || to == nullptr || name == nullptr ||
+      !from->is_number() || !to->is_number() || !name->is_string()) {
+    return Status::Corruption("malformed edge document");
+  }
+  *src = static_cast<VertexId>(from->int_value());
+  *dst = static_cast<VertexId>(to->int_value());
+  *label = &name->string_value();
+  return Status::OK();
+}
+
+}  // namespace
+
 std::string DocEngine::EncodeVertexDoc(std::string_view label,
                                        const PropertyMap& props) {
   Json doc = Json::MakeObject();
@@ -70,15 +111,9 @@ Status DocEngine::ParseEdgeDocInto(EdgeId id, bool want_props,
   const std::string* doc = edge_docs_.Get(id);
   if (doc == nullptr) return Status::NotFound("edge not found");
   GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  const Json* from = parsed.Find("_from");
-  const Json* to = parsed.Find("_to");
-  const Json* label = parsed.Find("_label");
-  if (from == nullptr || to == nullptr || label == nullptr) {
-    return Status::Corruption("malformed edge document");
-  }
-  out->src = static_cast<VertexId>(from->int_value());
-  out->dst = static_cast<VertexId>(to->int_value());
-  out->label.assign(label->string_value());
+  const std::string* label = nullptr;
+  GDB_RETURN_IF_ERROR(ReadEdgeMembers(parsed, &out->src, &out->dst, &label));
+  out->label.assign(*label);
   out->props.clear();
   if (want_props) {
     for (const auto& [k, v] : parsed.object()) {
@@ -94,6 +129,7 @@ Status DocEngine::ParseEdgeDocInto(EdgeId id, bool want_props,
 Result<VertexId> DocEngine::AddVertex(std::string_view label,
                                       const PropertyMap& props) {
   rest_.ChargeCall();
+  GDB_RETURN_IF_ERROR(CheckPropertyNames(props));
   uint64_t id = next_vertex_++;
   vertex_docs_.Put(id, EncodeVertexDoc(label, props));
   return id;
@@ -106,6 +142,7 @@ Result<EdgeId> DocEngine::AddEdge(VertexId src, VertexId dst,
   if (!vertex_docs_.Contains(src) || !vertex_docs_.Contains(dst)) {
     return Status::NotFound("edge endpoint not found");
   }
+  GDB_RETURN_IF_ERROR(CheckPropertyNames(props));
   uint64_t id = next_edge_++;
   edge_docs_.Put(id, EncodeEdgeDoc(src, dst, label, props));
   std::vector<EdgeId>* out = out_index_.Get(src);
@@ -126,6 +163,13 @@ Result<EdgeId> DocEngine::AddEdge(VertexId src, VertexId dst,
 Result<LoadMapping> DocEngine::BulkLoadNative(const GraphData& data) {
   const size_t nv = data.vertices.size();
   const size_t ne = data.edges.size();
+  // Rejected before the first document is stored.
+  for (const auto& v : data.vertices) {
+    GDB_RETURN_IF_ERROR(CheckPropertyNames(v.properties));
+  }
+  for (const auto& e : data.edges) {
+    GDB_RETURN_IF_ERROR(CheckPropertyNames(e.properties));
+  }
   LoadMapping mapping;
   mapping.vertex_ids.reserve(nv);
   mapping.edge_ids.reserve(ne);
@@ -137,12 +181,11 @@ Result<LoadMapping> DocEngine::BulkLoadNative(const GraphData& data) {
   // byte-identical to EncodeVertexDoc/EncodeEdgeDoc's Json::Dump output,
   // minus the per-document Json tree (one allocation per member).
   // Append-order emission only matches Json::Set semantics when no key
-  // repeats or collides with the _-reserved members, so such property
-  // maps (absent from every real dataset) take the tree-based encoder.
+  // repeats, so such property maps (absent from every real dataset) take
+  // the tree-based encoder.
   std::string buf;
   auto plain_keys = [](const PropertyMap& props) {
     for (size_t i = 0; i < props.size(); ++i) {
-      if (!props[i].first.empty() && props[i].first[0] == '_') return false;
       for (size_t j = 0; j < i; ++j) {
         if (props[j].first == props[i].first) return false;
       }
@@ -234,6 +277,7 @@ Result<LoadMapping> DocEngine::BulkLoadNative(const GraphData& data) {
 Status DocEngine::SetVertexProperty(VertexId v, std::string_view name,
                                     const PropertyValue& value) {
   rest_.ChargeCall();
+  GDB_RETURN_IF_ERROR(CheckPropertyName(name));
   const std::string* doc = vertex_docs_.Get(v);
   if (doc == nullptr) return Status::NotFound("vertex not found");
   GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
@@ -245,6 +289,7 @@ Status DocEngine::SetVertexProperty(VertexId v, std::string_view name,
 Status DocEngine::SetEdgeProperty(EdgeId e, std::string_view name,
                                   const PropertyValue& value) {
   rest_.ChargeCall();
+  GDB_RETURN_IF_ERROR(CheckPropertyName(name));
   const std::string* doc = edge_docs_.Get(e);
   if (doc == nullptr) return Status::NotFound("edge not found");
   GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
@@ -336,6 +381,7 @@ Status DocEngine::RemoveEdge(EdgeId e) {
 
 Status DocEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   rest_.ChargeCall();
+  GDB_RETURN_IF_ERROR(CheckPropertyName(name));
   const std::string* doc = vertex_docs_.Get(v);
   if (doc == nullptr) return Status::NotFound("vertex not found");
   GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
@@ -351,6 +397,7 @@ Status DocEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
 
 Status DocEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
   rest_.ChargeCall();
+  GDB_RETURN_IF_ERROR(CheckPropertyName(name));
   const std::string* doc = edge_docs_.Get(e);
   if (doc == nullptr) return Status::NotFound("edge not found");
   GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
@@ -408,9 +455,10 @@ Status DocEngine::ScanEdges(QuerySession& /*session*/,
     }
     EdgeEnds ends;
     ends.id = id;
-    ends.src = static_cast<VertexId>(parsed->Find("_from")->int_value());
-    ends.dst = static_cast<VertexId>(parsed->Find("_to")->int_value());
-    ends.label = parsed->Find("_label")->string_value();
+    const std::string* label = nullptr;
+    status = ReadEdgeMembers(*parsed, &ends.src, &ends.dst, &label);
+    if (!status.ok()) return false;
+    ends.label = *label;
     return fn(ends);
   });
   return status;

@@ -215,6 +215,8 @@ struct TraversalScratch {
   std::vector<uint8_t> index_stamp;
   std::vector<IndexHop> index_hops;
   uint8_t index_epoch = 0;
+  /// The bidirectional search's two frontiers; the one-sided searches
+  /// use index_frontier[0] as their level-partitioned queue.
   std::vector<uint32_t> index_frontier[2];
   std::vector<uint32_t> index_next;
 };

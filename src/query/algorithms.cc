@@ -96,12 +96,13 @@ class ComponentMarks {
   bool Has(int side, uint32_t ord) const {
     return stamp_[Slot(side, ord)] == epoch_;
   }
-  /// Marks `ord` on `side`; false when it already was.
-  bool Insert(int side, uint32_t ord) {
+  /// Marks `ord` on `side` without branching on whether it already was:
+  /// 1 when the mark is new, else 0.
+  uint32_t Stamp(int side, uint32_t ord) {
     uint8_t& stamp = stamp_[Slot(side, ord)];
-    if (stamp == epoch_) return false;
+    const uint32_t fresh = stamp != epoch_;
     stamp = epoch_;
-    return true;
+    return fresh;
   }
   /// Marks `ord` on `side` and records how that side reached it.
   void Insert(int side, uint32_t ord, uint32_t depth, uint32_t parent) {
@@ -224,49 +225,78 @@ Result<bool> RunFrontier(const GraphEngine& engine, QuerySession& session,
   return false;
 }
 
-/// Level-synchronous BFS over the index CSR (both directions — the
-/// paper's both() expansion, one CSR range per vertex). Same
-/// visited/depth semantics as the frontier route; stops early once the
-/// start's connected component is exhausted.
-Result<BfsResult> IndexedBreadthFirst(const PathIndex& index,
-                                      QuerySession& session, uint32_t start,
-                                      int max_depth,
-                                      const CancelToken& cancel) {
-  BfsResult result;
-  result.stats.index_available = true;
-  result.stats.used_index = true;
-  result.stats.route = "index-bfs";
-  cancel.set_position("BreadthFirst(index)");
-  TraversalScratch& scratch = session.traversal_scratch();
-  ComponentMarks stored(index, start, &scratch);
-  stored.Insert(0, start);
-  // Everything reachable at any depth is the start's component: once
-  // that many vertices are stored the remaining depths cannot add any.
-  uint64_t remaining = index.ComponentSize(start) - 1;
-  ++result.stats.index_probes;
-  std::vector<uint32_t>& frontier = scratch.index_frontier[0];
-  std::vector<uint32_t>& next = scratch.index_next;
-  frontier.assign(1, start);
-  next.clear();
-  for (int depth = 0; depth < max_depth && !frontier.empty() && remaining > 0;
+/// The one-sided searches over the index CSR: level-synchronous BFS from
+/// `root`, expanding each vertex through `Neighbors` (`BothNeighbors`,
+/// the paper's both() expansion of Q.32, or `OutNeighbors`, the bounded
+/// directed residue of KHopReachable), for at most `max_depth` levels.
+/// Same visited/depth semantics as RunFrontier. Returns whether `target`
+/// (kNoOrd: none; never the root) was reached, which ends the search. A
+/// search without a target also stops at the level boundary where the
+/// root's whole connected component is stored, since later levels
+/// cannot add a vertex (with a target in the component, storing all of
+/// it means it was found). `visited`, when non-null, receives every
+/// reached vertex in visit order; `depth_reached`, when non-null, the
+/// last level that reached one.
+///
+/// No data-dependent branch decides whether a slot is stored (the
+/// no-branch selection of Ross, PODS 2002): each slot writes its stamp
+/// and its queue entry unconditionally and advances the tail by whether
+/// the stamp was new, so an already-stored slot is written one past the
+/// tail and overwritten by the next. The queue, `index_frontier[0]`, is
+/// partitioned by level (level d + 1 follows level d) and sized to the
+/// component plus that spare slot. Charges are one per expanded vertex,
+/// for the vertices it stored.
+template <PathIndex::NeighborRange (PathIndex::*Neighbors)(uint32_t) const>
+Result<bool> RunIndexed(const PathIndex& index, TraversalScratch& scratch,
+                        uint32_t root, uint64_t max_depth, uint32_t target,
+                        const CancelToken& cancel, PathSearchStats* stats,
+                        std::vector<VertexId>* visited = nullptr,
+                        int* depth_reached = nullptr) {
+  ComponentMarks stored(index, root, &scratch);
+  stored.Stamp(0, root);
+  const uint64_t component = index.ComponentSize(root);
+  const bool seek =
+      target != PathIndex::kNoOrd && index.SameComponent(root, target);
+  // The tail never passes the component size, so only a search without a
+  // target stops on it.
+  const uint64_t stop = target == PathIndex::kNoOrd ? component
+                                                    : component + 1;
+  std::vector<uint32_t>& queue = scratch.index_frontier[0];
+  if (queue.size() < component + 1) queue.resize(component + 1);
+  uint32_t* const q = queue.data();
+  q[0] = root;
+  size_t level = 0, tail = 1;
+  for (uint64_t depth = 0; depth < max_depth && level < tail && tail < stop;
        ++depth) {
-    next.clear();
-    for (uint32_t v : frontier) {
+    const size_t level_end = tail;
+    for (; level < level_end; ++level) {
       GDB_CHECK_CANCEL(cancel);
-      ++result.stats.expanded;
-      for (uint32_t w : index.BothNeighbors(v)) {
-        if (stored.Insert(0, w)) {
-          GDB_CHECK_CHARGE(cancel, kVisitedVertexBytes);
-          next.push_back(w);
-          result.visited.push_back(index.IdOf(w));
-          --remaining;
-        }
+      const size_t mark = tail;
+      for (uint32_t w : (index.*Neighbors)(q[level])) {
+        q[tail] = w;
+        tail += stored.Stamp(0, w);
       }
+      if (seek && stored.Has(0, target)) {
+        // Charge what was stored up to the target, as a slot-at-a-time
+        // walk stopping there would have.
+        const size_t upto = std::find(q + mark, q + tail, target) - q + 1;
+        GDB_CHECK_CHARGE(cancel, (upto - mark) * kVisitedVertexBytes);
+        stats->expanded += level + 1;
+        return true;
+      }
+      GDB_CHECK_CHARGE(cancel, (tail - mark) * kVisitedVertexBytes);
     }
-    if (!next.empty()) result.depth_reached = depth + 1;
-    std::swap(frontier, next);
+    if (depth_reached != nullptr && tail > level_end) {
+      *depth_reached = static_cast<int>(depth + 1);
+    }
   }
-  return result;
+  // The queue's first `level` entries are exactly the expanded vertices.
+  stats->expanded += level;
+  if (visited != nullptr) {
+    visited->reserve(visited->size() + tail - 1);
+    for (size_t i = 1; i < tail; ++i) visited->push_back(index.IdOf(q[i]));
+  }
+  return false;
 }
 
 /// Landmark-pruned bidirectional level-synchronous BFS over the index
@@ -357,38 +387,6 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
   return best;
 }
 
-/// Bounded BFS over the index CSR following out-edges only (the directed
-/// k-hop residue of KHopReachable). Early-exits on the target.
-Result<bool> IndexedDirectedWithin(const PathIndex& index,
-                                   QuerySession& session, uint32_t s,
-                                   uint32_t t, uint64_t max_hops,
-                                   const CancelToken& cancel,
-                                   PathSearchStats* stats) {
-  TraversalScratch& scratch = session.traversal_scratch();
-  ComponentMarks stored(index, s, &scratch);
-  stored.Insert(0, s);
-  std::vector<uint32_t>& frontier = scratch.index_frontier[0];
-  std::vector<uint32_t>& next = scratch.index_next;
-  frontier.assign(1, s);
-  next.clear();
-  for (uint64_t depth = 0; depth < max_hops && !frontier.empty(); ++depth) {
-    next.clear();
-    for (uint32_t v : frontier) {
-      GDB_CHECK_CANCEL(cancel);
-      ++stats->expanded;
-      for (uint32_t w : index.OutNeighbors(v)) {
-        if (stored.Insert(0, w)) {
-          GDB_CHECK_CHARGE(cancel, kVisitedVertexBytes);
-          if (w == t) return true;
-          next.push_back(w);
-        }
-      }
-    }
-    std::swap(frontier, next);
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<BfsResult> BreadthFirst(const GraphEngine& engine,
@@ -397,11 +395,22 @@ Result<BfsResult> BreadthFirst(const GraphEngine& engine,
                                const std::optional<std::string>& label,
                                const CancelToken& cancel, PathMode mode) {
   BfsResult result;
+  const uint64_t depth_budget =
+      max_depth < 0 ? 0 : static_cast<uint64_t>(max_depth);
   if (const PathIndex* index =
           UsableIndex(engine, label, mode, &result.stats)) {
     uint32_t ord = index->OrdOf(start);
     if (ord != PathIndex::kNoOrd) {
-      return IndexedBreadthFirst(*index, session, ord, max_depth, cancel);
+      cancel.set_position("BreadthFirst(index)");
+      result.stats.used_index = true;
+      result.stats.route = "index-bfs";
+      ++result.stats.index_probes;
+      Result<bool> walked = RunIndexed<&PathIndex::BothNeighbors>(
+          *index, session.traversal_scratch(), ord, depth_budget,
+          PathIndex::kNoOrd, cancel, &result.stats, &result.visited,
+          &result.depth_reached);
+      if (!walked.ok()) return walked.status();
+      return result;
     }
     // Unknown start id: the engine is the authority (missing-vertex
     // semantics differ per engine) — frontier route below.
@@ -414,7 +423,7 @@ Result<BfsResult> BreadthFirst(const GraphEngine& engine,
   // slot); the governor is charged that footprint.
   cancel.set_position("BreadthFirst");
   FrontierSearch search;
-  search.max_depth = max_depth < 0 ? 0 : static_cast<uint64_t>(max_depth);
+  search.max_depth = depth_budget;
   search.visited = &result.visited;
   Result<bool> walked = RunFrontier(engine, session, start, label, search,
                                     cancel, &result.stats,
@@ -574,9 +583,9 @@ Result<ReachResult> KHopReachable(const GraphEngine& engine,
       // Bounded directed: reachability is certain or refuted above, but
       // the hop count still needs a bounded CSR walk.
       result.stats.route = "index-csr-bfs";
-      Result<bool> within = IndexedDirectedWithin(*index, session, a, b,
-                                                  hop_budget, cancel,
-                                                  &result.stats);
+      Result<bool> within = RunIndexed<&PathIndex::OutNeighbors>(
+          *index, session.traversal_scratch(), a, hop_budget, b, cancel,
+          &result.stats);
       if (!within.ok()) return within.status();
       result.reachable = *within;
       return result;

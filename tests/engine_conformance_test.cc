@@ -676,6 +676,125 @@ TEST_P(EngineTest, BulkLoadMatchesReferenceAdjacency) {
   }
 }
 
+// Names starting with '_' are the document engine's system members
+// (_label, _from, _to). A write of such a name through the public API must
+// either be rejected with InvalidArgument or store a plain property; it
+// must never corrupt the element. After every write the edge's ends,
+// label and adjacency read back intact and the edge scan decodes every
+// edge.
+TEST_P(EngineTest, ReservedPropertyNamesNeverCorruptElements) {
+  auto a = engine_->AddVertex("n", {});
+  auto b = engine_->AddVertex("n", {});
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto e = engine_->AddEdge(*a, *b, "l", {});
+  ASSERT_TRUE(e.ok()) << e.status();
+  uint64_t edges = 1;
+
+  auto expect_edge_intact = [&](EdgeId id) {
+    auto ends = engine_->GetEdgeEnds(*session_, id);
+    ASSERT_TRUE(ends.ok()) << ends.status();
+    EXPECT_EQ(ends->src, *a);
+    EXPECT_EQ(ends->dst, *b);
+    EXPECT_EQ(ends->label, "l");
+    auto rec = engine_->GetEdge(*session_, id);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    EXPECT_EQ(rec->src, *a);
+    EXPECT_EQ(rec->dst, *b);
+    EXPECT_EQ(rec->label, "l");
+    auto out = engine_->NeighborsOf(*session_, *a, Direction::kOut, nullptr,
+                                    never_);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(std::count(out->begin(), out->end(), *b),
+              static_cast<std::ptrdiff_t>(edges));
+    auto in = engine_->NeighborsOf(*session_, *b, Direction::kIn, nullptr,
+                                   never_);
+    ASSERT_TRUE(in.ok()) << in.status();
+    EXPECT_EQ(std::count(in->begin(), in->end(), *a),
+              static_cast<std::ptrdiff_t>(edges));
+    auto count = engine_->CountEdges(*session_, never_);
+    ASSERT_TRUE(count.ok()) << count.status();
+    EXPECT_EQ(*count, edges);
+  };
+  // Either rejected, or `name` now reads back as a plain property of
+  // `props` with `want` as its value.
+  auto expect_rejected_or_plain = [](const Status& write,
+                                     const PropertyMap& props,
+                                     const std::string& name,
+                                     const PropertyValue& want) {
+    if (!write.ok()) {
+      EXPECT_EQ(write.code(), StatusCode::kInvalidArgument) << write;
+      return;
+    }
+    const PropertyValue* got = FindProperty(props, name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_EQ(*got, want) << name;
+  };
+
+  const PropertyValue text("x");
+  for (const std::string name : {"_to", "_from", "_label", "_id"}) {
+    SCOPED_TRACE(name);
+    Status set = engine_->SetEdgeProperty(*e, name, text);
+    auto rec = engine_->GetEdge(*session_, *e);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    expect_rejected_or_plain(set, rec->properties, name, text);
+    expect_edge_intact(*e);
+
+    Status removed = engine_->RemoveEdgeProperty(*e, name);
+    if (set.ok()) {
+      EXPECT_TRUE(removed.ok()) << removed;
+    } else {
+      EXPECT_EQ(removed.code(), StatusCode::kInvalidArgument) << removed;
+    }
+    expect_edge_intact(*e);
+
+    set = engine_->SetVertexProperty(*a, name, text);
+    auto vrec = engine_->GetVertex(*session_, *a);
+    ASSERT_TRUE(vrec.ok()) << vrec.status();
+    EXPECT_EQ(vrec->label, "n");
+    expect_rejected_or_plain(set, vrec->properties, name, text);
+    removed = engine_->RemoveVertexProperty(*a, name);
+    EXPECT_EQ(removed.ok(), set.ok()) << removed;
+    vrec = engine_->GetVertex(*session_, *a);
+    ASSERT_TRUE(vrec.ok()) << vrec.status();
+    EXPECT_EQ(vrec->label, "n");
+    expect_edge_intact(*e);
+  }
+
+  // The same names as properties of new elements.
+  PropertyMap reserved;
+  reserved.emplace_back("_label", PropertyValue("fake"));
+  reserved.emplace_back("_to", PropertyValue(int64_t{99}));
+  auto v = engine_->AddVertex("n", reserved);
+  if (v.ok()) {
+    auto vrec = engine_->GetVertex(*session_, *v);
+    ASSERT_TRUE(vrec.ok()) << vrec.status();
+    EXPECT_EQ(vrec->label, "n");
+    expect_rejected_or_plain(Status::OK(), vrec->properties, "_label",
+                             PropertyValue("fake"));
+  } else {
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << v.status();
+  }
+  auto e2 = engine_->AddEdge(*a, *b, "l", reserved);
+  if (e2.ok()) {
+    ++edges;
+    auto rec = engine_->GetEdge(*session_, *e2);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    expect_rejected_or_plain(Status::OK(), rec->properties, "_to",
+                             PropertyValue(int64_t{99}));
+    expect_edge_intact(*e2);
+  } else {
+    EXPECT_EQ(e2.status().code(), StatusCode::kInvalidArgument)
+        << e2.status();
+  }
+  expect_edge_intact(*e);
+
+  // The breadth-first search decodes the edges too.
+  auto bfs = query::BreadthFirst(*engine_, *session_, *a, 1, std::nullopt,
+                                 never_);
+  ASSERT_TRUE(bfs.ok()) << bfs.status();
+  EXPECT_EQ(bfs->visited, std::vector<VertexId>{*b});
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, EngineTest,
     ::testing::Values("arango", "blaze", "neo19", "neo30", "orient",

@@ -288,21 +288,28 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The document engine's native loader emits JSON text directly; property
-// maps with duplicate or _-reserved keys must still land exactly as the
-// per-element encoder (Json::Set overwrite semantics) would store them.
+// maps with duplicate keys must still land exactly as the per-element
+// encoder (Json::Set overwrite semantics) would store them. Names starting
+// with '_' are the document layout's system members (_label, _from, _to):
+// both loaders reject them, and the native one before it stores any
+// document.
 TEST(DocishNativeLoadTest, ReservedAndDuplicateKeysMatchPerElement) {
   RegisterBuiltinEngines();
   GraphData data;
-  data.name = "hostile-keys";
+  data.name = "duplicate-keys";
   data.vertices.push_back({"real",
-                           {{{"_label", PropertyValue("fake")},
-                             {"k", PropertyValue(int64_t{1})},
+                           {{{"k", PropertyValue(int64_t{1})},
                              {"k", PropertyValue(int64_t{2})}}}});
   data.vertices.push_back({"n", {}});
-  // (_from/_to collisions corrupt the endpoint in BOTH load modes — a
-  // pre-existing Json::Set property of the document layout — so only the
-  // string-valued _label collision is exercised here.)
-  data.edges.push_back({0, 1, "l", {{{"_label", PropertyValue("fake")}}}});
+  data.edges.push_back({0, 1, "l",
+                        {{{"w", PropertyValue("a")},
+                          {"w", PropertyValue("b")}}}});
+  GraphData reserved_vertex = data;
+  reserved_vertex.vertices[1].properties.emplace_back("_label",
+                                                      PropertyValue("fake"));
+  GraphData reserved_edge = data;
+  reserved_edge.edges[0].properties.emplace_back("_to",
+                                                 PropertyValue(int64_t{7}));
 
   CancelToken never;
   std::unique_ptr<GraphEngine> engines[2];
@@ -310,6 +317,18 @@ TEST(DocishNativeLoadTest, ReservedAndDuplicateKeysMatchPerElement) {
     EngineOptions options;
     options.bulk_load_mode =
         i == 0 ? BulkLoadMode::kNative : BulkLoadMode::kPerElement;
+    for (const GraphData* bad : {&reserved_vertex, &reserved_edge}) {
+      auto rejecting = OpenEngine("arango", options);
+      ASSERT_TRUE(rejecting.ok());
+      auto loaded = (*rejecting)->BulkLoad(*bad);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << loaded.status();
+      if (i == 0) {
+        auto session = (*rejecting)->CreateSession();
+        EXPECT_EQ((*rejecting)->CountVertices(*session, never).value(), 0u);
+      }
+    }
     auto engine = OpenEngine("arango", options);
     ASSERT_TRUE(engine.ok());
     engines[i] = std::move(engine).value();

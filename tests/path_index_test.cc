@@ -2,10 +2,12 @@
 // reachability / BFS / shortest-path answer must equal the reference
 // frontier answer on a cyclic multi-component graph (SCC condensation,
 // interval labels, components, and landmarks all exercised) and on the
-// repository benchmark's fragmented Freebase-like graph, the index's
-// layout invariants must hold, the index must invalidate with a typed
-// status when a commit publishes a new epoch, and a governor trip during
-// build must leave the engine fully usable on the frontier path. The
+// repository benchmark's fragmented Freebase-like graph, the indexed
+// one-sided searches must match a plain reference walk over the index
+// CSR in visit order, counters and charges, the index's layout
+// invariants must hold, the index must invalidate with a typed status
+// when a commit publishes a new epoch, and a governor trip during build
+// must leave the engine fully usable on the frontier path. The
 // concurrent-probe test runs under the TSan CI job: probes are const and
 // thread-safe by contract. The suite also runs under ASan and UBSan: the
 // index kernels index flat arrays by ordinal.
@@ -658,6 +660,177 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
             << (k % 2 == 0 ? ", 3 hops" : ", unbounded");
       }
     }
+  }
+}
+
+// Reference walks for the indexed one-sided searches: a plain
+// level-synchronous BFS over the index's own CSR, written out here slot by
+// slot, which the indexed BreadthFirst and the bounded directed
+// KHopReachable must match in everything they report — visit order,
+// depth reached, vertices expanded and governor charges — on the `reach`
+// graph shape. The indexed kernels stamp and queue every slot without
+// branching on whether it is new, so a slot read once the whole component
+// is stored is written one past the component (the queue's spare slot);
+// the sweep covers such starts, and reruns each on a fresh session, whose
+// queue is allocated to exactly the size the search asks for, so an
+// undersized queue shows under ASan.
+
+/// What a one-sided search over the index CSR reports.
+struct ReferenceWalk {
+  std::vector<VertexId> visited;  // reached vertices, in visit order
+  int depth_reached = 0;
+  uint64_t expanded = 0;
+  bool found = false;
+  uint64_t spare_slot_writes = 0;  // slots read with the component stored
+};
+
+/// BFS from `root` through `neighbors` for at most `max_depth` levels.
+/// Without a target it stops at the level boundary where the root's
+/// whole component is stored; with one, at the target's first sighting.
+template <typename Neighbors>
+ReferenceWalk WalkIndex(const PathIndex& index, uint32_t root, int max_depth,
+                        uint32_t target, Neighbors neighbors) {
+  ReferenceWalk walk;
+  std::set<uint32_t> stored{root};
+  std::vector<uint32_t> frontier{root};
+  const uint64_t component = index.ComponentSize(root);
+  for (int depth = 0; depth < max_depth && !frontier.empty(); ++depth) {
+    if (target == PathIndex::kNoOrd && stored.size() == component) break;
+    std::vector<uint32_t> next;
+    for (uint32_t v : frontier) {
+      ++walk.expanded;
+      for (uint32_t w : neighbors(v)) {
+        if (stored.size() == component) ++walk.spare_slot_writes;
+        if (!stored.insert(w).second) continue;
+        if (w == target) {
+          walk.found = true;
+          return walk;
+        }
+        next.push_back(w);
+        walk.visited.push_back(index.IdOf(w));
+      }
+    }
+    if (!next.empty()) walk.depth_reached = depth + 1;
+    frontier = std::move(next);
+  }
+  return walk;
+}
+
+TEST(PathIndexWorkloadTest, IndexedSearchesMatchReferenceWalks) {
+  datasets::GenOptions options;
+  options.scale = 0.0005;
+  auto data = datasets::GenerateByName("frb-l", options);
+  ASSERT_TRUE(data.ok()) << data.status();
+  RegisterBuiltinEngines();
+  constexpr int kPairs = 100;
+  constexpr uint64_t kVertexBytes = 17;  // the governor's BFS charge
+  // A budget far above any search here: the token then keeps its ledger.
+  constexpr uint64_t kAmpleBudget = uint64_t{1} << 40;
+
+  for (const char* name : {"neo19", "arango", "blaze", "neo30", "orient",
+                           "sparksee", "sqlg", "titan05", "titan10"}) {
+    SCOPED_TRACE(name);
+    auto engine =
+        OpenEngine(name, EngineOptions{}, /*honor_cost_model_env=*/false);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto mapping = (*engine)->BulkLoad(*data);
+    ASSERT_TRUE(mapping.ok()) << mapping.status();
+    ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
+    const PathIndex& index = *(*engine)->path_index();
+    auto both = [&](uint32_t v) { return index.BothNeighbors(v); };
+    auto out = [&](uint32_t v) { return index.OutNeighbors(v); };
+    auto session = (*engine)->CreateSession();
+    datasets::Workload workload(&*data, &*mapping, /*seed=*/42);
+    CancelToken never;
+
+    int spare_slot_searches = 0, directed_walks = 0;
+    VertexId budget_start = kInvalidId;
+    ReferenceWalk budget_golden;
+    for (int i = 0; i < kPairs; ++i) {
+      auto [src, dst] = workload.PathEndpoints(i);
+      SCOPED_TRACE(::testing::Message() << "pair " << i);
+      const uint32_t s = index.OrdOf(src), t = index.OrdOf(dst);
+      ASSERT_NE(s, PathIndex::kNoOrd);
+      ASSERT_NE(t, PathIndex::kNoOrd);
+      for (int depth = 0; depth <= 6; ++depth) {
+        SCOPED_TRACE(::testing::Message() << "depth " << depth);
+        const ReferenceWalk want =
+            WalkIndex(index, s, depth, PathIndex::kNoOrd, both);
+        CancelToken ledger =
+            CancelToken::WithLimits(std::chrono::nanoseconds(0), kAmpleBudget);
+        auto bfs = BreadthFirst(**engine, *session, src, depth, std::nullopt,
+                                ledger, PathMode::kAuto);
+        ASSERT_TRUE(bfs.ok()) << bfs.status();
+        ASSERT_STREQ(bfs->stats.route, "index-bfs");
+        ASSERT_EQ(bfs->visited, want.visited);
+        EXPECT_EQ(bfs->depth_reached, want.depth_reached);
+        EXPECT_EQ(bfs->stats.expanded, want.expanded);
+        EXPECT_EQ(ledger.charged_bytes(), want.visited.size() * kVertexBytes);
+        if (want.spare_slot_writes > 0) {
+          ++spare_slot_searches;
+          auto fresh = (*engine)->CreateSession();
+          auto again = BreadthFirst(**engine, *fresh, src, depth,
+                                    std::nullopt, never, PathMode::kAuto);
+          ASSERT_TRUE(again.ok()) << again.status();
+          EXPECT_EQ(again->visited, want.visited);
+        }
+        if (depth == 3 && budget_start == kInvalidId &&
+            want.visited.size() >= 2) {
+          budget_start = src;
+          budget_golden = want;
+        }
+      }
+      for (Direction dir : {Direction::kOut, Direction::kIn}) {
+        // KHopReachable phrases kIn as out-reachability from the far end.
+        const uint32_t a = dir == Direction::kOut ? s : t;
+        const uint32_t b = dir == Direction::kOut ? t : s;
+        for (int hops = 1; hops <= 6; ++hops) {
+          SCOPED_TRACE(::testing::Message() << "direction "
+                                            << static_cast<int>(dir)
+                                            << ", hops " << hops);
+          auto reach = KHopReachable(**engine, *session, src, dst, dir, hops,
+                                     std::nullopt, never,
+                                     PathMode::kAuto);
+          ASSERT_TRUE(reach.ok()) << reach.status();
+          const bool trivial = src == dst;
+          const ReferenceWalk want = WalkIndex(index, a, hops, b, out);
+          EXPECT_EQ(reach->reachable, trivial || want.found);
+          if (std::string(reach->stats.route) == "index-csr-bfs") {
+            ++directed_walks;
+            EXPECT_EQ(reach->stats.expanded, want.expanded);
+          }
+        }
+      }
+    }
+    EXPECT_GT(spare_slot_searches, 0) << "no search wrote the spare slot";
+    EXPECT_GT(directed_walks, 0) << "no bounded directed walk ran";
+
+    // A budget one vertex short of the BFS's total trips on both routes,
+    // and the session then still returns the golden answer.
+    ASSERT_NE(budget_start, kInvalidId);
+    const uint64_t total = budget_golden.visited.size() * kVertexBytes;
+    for (PathMode mode : {PathMode::kAuto, PathMode::kFrontierOnly}) {
+      query::GovernorOptions short_budget;
+      short_budget.memory_budget_bytes = total - kVertexBytes;
+      query::ResourceGovernor governor(short_budget);
+      auto tripped = BreadthFirst(**engine, *session, budget_start, 3,
+                                  std::nullopt, governor.token(), mode);
+      ASSERT_FALSE(tripped.ok()) << "mode " << static_cast<int>(mode);
+      EXPECT_TRUE(tripped.status().IsResourceExhausted()) << tripped.status();
+    }
+    auto golden = BreadthFirst(**engine, *session, budget_start, 3,
+                               std::nullopt, never, PathMode::kAuto);
+    ASSERT_TRUE(golden.ok()) << golden.status();
+    EXPECT_EQ(golden->visited, budget_golden.visited);
+    EXPECT_EQ(golden->depth_reached, budget_golden.depth_reached);
+    auto frontier =
+        BreadthFirst(**engine, *session, budget_start, 3, std::nullopt,
+                     never, PathMode::kFrontierOnly);
+    ASSERT_TRUE(frontier.ok()) << frontier.status();
+    EXPECT_EQ(std::set<VertexId>(frontier->visited.begin(),
+                                 frontier->visited.end()),
+              std::set<VertexId>(budget_golden.visited.begin(),
+                                 budget_golden.visited.end()));
   }
 }
 
