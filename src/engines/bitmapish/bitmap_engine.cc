@@ -364,38 +364,51 @@ Status BitmapEngine::WalkIncident(VertexId v, Direction dir,
     label_bm = &edges_by_label_[label_id];
   }
   if (!vertices_.Contains(v)) return Status::NotFound("vertex not found");
-  Status status = Status::OK();
-  bool stop = false;
-  auto walk = [&](const Bitmap* bm, bool in_side) {
-    if (bm == nullptr) return;
-    bm->ForEach([&](uint64_t oid) {
-      if (cancel.Expired()) {
-        status = cancel.ToStatus();
-        return false;
-      }
-      // Label filter first: a bitmap probe is cheaper than the hash
-      // lookup the self-loop check below needs.
-      if (label_bm != nullptr && !label_bm->Contains(oid)) return true;
-      // A self-loop sits in both incidence bitmaps; both() reports it
-      // once, via the out side.
-      if (in_side && dir == Direction::kBoth && *edge_src_.Get(oid) == v) {
-        return true;
-      }
-      if (!fn(oid)) {
-        stop = true;
-        return false;
-      }
+  // Everything the bitmap callback touches sits behind one reference, so
+  // the closure fits std::function's inline buffer and a walk allocates
+  // nothing.
+  struct Walk {
+    const BitmapEngine& engine;
+    const CancelToken& cancel;
+    const std::function<bool(EdgeId)>& fn;
+    const Bitmap* label_bm;
+    VertexId v;
+    Direction dir;
+    bool in_side = false;
+    Status status = Status::OK();
+    bool stop = false;
+  } walk{*this, cancel, fn, label_bm, v, dir};
+  const std::function<bool(uint64_t)> visit = [&walk](uint64_t oid) {
+    if (walk.cancel.Expired()) {
+      walk.status = walk.cancel.ToStatus();
+      return false;
+    }
+    // Label filter first: a bitmap probe is cheaper than the hash lookup
+    // the self-loop check below needs.
+    if (walk.label_bm != nullptr && !walk.label_bm->Contains(oid)) {
       return true;
-    });
+    }
+    // A self-loop sits in both incidence bitmaps; both() reports it once,
+    // via the out side.
+    if (walk.in_side && walk.dir == Direction::kBoth &&
+        *walk.engine.edge_src_.Get(oid) == walk.v) {
+      return true;
+    }
+    if (!walk.fn(oid)) {
+      walk.stop = true;
+      return false;
+    }
+    return true;
   };
   if (dir == Direction::kOut || dir == Direction::kBoth) {
-    walk(out_edges_.Get(v), /*in_side=*/false);
-    GDB_RETURN_IF_ERROR(status);
-    if (stop) return Status::OK();
+    if (const Bitmap* bm = out_edges_.Get(v)) bm->ForEach(visit);
+    GDB_RETURN_IF_ERROR(walk.status);
+    if (walk.stop) return Status::OK();
   }
   if (dir == Direction::kIn || dir == Direction::kBoth) {
-    walk(in_edges_.Get(v), /*in_side=*/true);
-    GDB_RETURN_IF_ERROR(status);
+    walk.in_side = true;
+    if (const Bitmap* bm = in_edges_.Get(v)) bm->ForEach(visit);
+    GDB_RETURN_IF_ERROR(walk.status);
   }
   return Status::OK();
 }
@@ -410,9 +423,15 @@ Status BitmapEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direct
 Status BitmapEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
-  return WalkIncident(v, dir, label, cancel, [&](EdgeId e) {
-    uint64_t src = *edge_src_.Get(e);
-    return fn(src == v ? *edge_dst_.Get(e) : src);
+  // One reference: the closure fits std::function's inline buffer.
+  struct Hop {
+    const BitmapEngine& engine;
+    VertexId v;
+    const std::function<bool(VertexId)>& fn;
+  } hop{*this, v, fn};
+  return WalkIncident(v, dir, label, cancel, [&hop](EdgeId e) {
+    uint64_t src = *hop.engine.edge_src_.Get(e);
+    return hop.fn(src == hop.v ? *hop.engine.edge_dst_.Get(e) : src);
   });
 }
 

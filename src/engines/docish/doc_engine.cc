@@ -57,36 +57,49 @@ Status CheckPropertyNames(const PropertyMap& props) {
   return Status::OK();
 }
 
-// The endpoint and label members of a parsed edge document, type-checked:
-// a document that lacks one decodes to Corruption, never to a crash.
-Status ReadEdgeMembers(const Json& doc, VertexId* src, VertexId* dst,
-                       const std::string** label) {
-  const Json* from = doc.Find("_from");
-  const Json* to = doc.Find("_to");
-  const Json* name = doc.Find("_label");
-  if (from == nullptr || to == nullptr || name == nullptr ||
-      !from->is_number() || !to->is_number() || !name->is_string()) {
-    return Status::Corruption("malformed edge document");
+// The member walk behind both document decoders. A system member (name
+// starting with '_') is handed to `system`, which reads or skips its
+// value; any other member becomes a property when `props` is non-null
+// and is skipped otherwise. Either way every value is validated, and so
+// is the rest of the document.
+template <typename SystemFn>
+Status ReadDocMembers(std::string_view doc, std::string* scratch,
+                      PropertyMap* props, SystemFn&& system) {
+  JsonReader reader(doc);
+  GDB_ASSIGN_OR_RETURN(JsonReader::Kind kind, reader.Peek());
+  if (kind != JsonReader::Kind::kObject) {
+    return Status::Corruption("document is not a JSON object");
   }
-  *src = static_cast<VertexId>(from->int_value());
-  *dst = static_cast<VertexId>(to->int_value());
-  *label = &name->string_value();
-  return Status::OK();
+  bool more = reader.EnterObject();
+  while (more) {
+    std::string_view key;
+    GDB_RETURN_IF_ERROR(reader.ReadKey(scratch, &key));
+    if (!key.empty() && key[0] == '_') {
+      GDB_RETURN_IF_ERROR(system(key, reader));
+    } else if (props != nullptr) {
+      props->emplace_back(std::string(key), PropertyValue());
+      JsonReader::Value value;
+      GDB_RETURN_IF_ERROR(reader.ReadValue(scratch, &value));
+      props->back().second = PropertyValue::FromJson(value);
+    } else {
+      GDB_RETURN_IF_ERROR(reader.SkipValue());
+    }
+    GDB_ASSIGN_OR_RETURN(more, reader.NextMember());
+  }
+  return reader.Finish();
 }
 
 }  // namespace
 
-std::string DocEngine::EncodeVertexDoc(std::string_view label,
-                                       const PropertyMap& props) {
+std::string EncodeVertexDoc(std::string_view label, const PropertyMap& props) {
   Json doc = Json::MakeObject();
   doc.Set("_label", Json(std::string(label)));
   for (const auto& [k, v] : props) doc.Set(k, v.ToJson());
   return doc.Dump();
 }
 
-std::string DocEngine::EncodeEdgeDoc(VertexId src, VertexId dst,
-                                     std::string_view label,
-                                     const PropertyMap& props) {
+std::string EncodeEdgeDoc(VertexId src, VertexId dst, std::string_view label,
+                          const PropertyMap& props) {
   Json doc = Json::MakeObject();
   doc.Set("_from", Json(src));
   doc.Set("_to", Json(dst));
@@ -95,33 +108,66 @@ std::string DocEngine::EncodeEdgeDoc(VertexId src, VertexId dst,
   return doc.Dump();
 }
 
-Result<DocEngine::ParsedEdge> DocEngine::ParseEdgeDoc(EdgeId id) const {
-  DocSession::EdgeScratch scratch;
-  GDB_RETURN_IF_ERROR(ParseEdgeDocInto(id, /*want_props=*/true, &scratch));
-  ParsedEdge e;
-  e.src = scratch.src;
-  e.dst = scratch.dst;
-  e.label = std::move(scratch.label);
-  e.props = std::move(scratch.props);
-  return e;
+Status DecodeEdgeDoc(std::string_view doc, EdgeDocFields* out,
+                     PropertyMap* props) {
+  if (props != nullptr) props->clear();
+  JsonReader::Value from, to, label;
+  bool has_from = false, has_to = false, has_label = false;
+  GDB_RETURN_IF_ERROR(ReadDocMembers(
+      doc, &out->scratch, props,
+      [&](std::string_view key, JsonReader& reader) {
+        if (key == "_from" && !has_from) {
+          has_from = true;
+          return reader.ReadValue(nullptr, &from);
+        }
+        if (key == "_to" && !has_to) {
+          has_to = true;
+          return reader.ReadValue(nullptr, &to);
+        }
+        if (key == "_label" && !has_label) {
+          has_label = true;
+          return reader.ReadValue(&out->label_buf, &label);
+        }
+        return reader.SkipValue();
+      }));
+  if (!has_from || !has_to || !has_label ||
+      from.kind != JsonReader::Kind::kNumber ||
+      to.kind != JsonReader::Kind::kNumber ||
+      label.kind != JsonReader::Kind::kString) {
+    return Status::Corruption("malformed edge document");
+  }
+  auto id = [](const JsonReader::Value& v) {
+    return static_cast<VertexId>(v.is_double ? JsonDoubleToInt64(v.real)
+                                             : v.integer);
+  };
+  out->src = id(from);
+  out->dst = id(to);
+  out->label = label.string;
+  return Status::OK();
 }
 
-Status DocEngine::ParseEdgeDocInto(EdgeId id, bool want_props,
-                                   DocSession::EdgeScratch* out) const {
+Status DecodeVertexDoc(std::string_view doc, std::string* label,
+                       PropertyMap* props) {
+  label->clear();
+  props->clear();
+  std::string scratch;
+  bool has_label = false;
+  return ReadDocMembers(
+      doc, &scratch, props, [&](std::string_view key, JsonReader& reader) {
+        if (key != "_label" || has_label) return reader.SkipValue();
+        has_label = true;
+        JsonReader::Value value;
+        GDB_RETURN_IF_ERROR(reader.ReadValue(&scratch, &value));
+        if (value.kind == JsonReader::Kind::kString) label->assign(value.string);
+        return Status::OK();
+      });
+}
+
+Status DocEngine::ReadEdgeDoc(EdgeId id, EdgeDocFields* out,
+                              PropertyMap* props) const {
   const std::string* doc = edge_docs_.Get(id);
   if (doc == nullptr) return Status::NotFound("edge not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  const std::string* label = nullptr;
-  GDB_RETURN_IF_ERROR(ReadEdgeMembers(parsed, &out->src, &out->dst, &label));
-  out->label.assign(*label);
-  out->props.clear();
-  if (want_props) {
-    for (const auto& [k, v] : parsed.object()) {
-      if (!k.empty() && k[0] == '_') continue;
-      out->props.emplace_back(k, PropertyValue::FromJson(v));
-    }
-  }
-  return Status::OK();
+  return DecodeEdgeDoc(*doc, out, props);
 }
 
 // --- CRUD -----------------------------------------------------------------------
@@ -306,30 +352,24 @@ Result<VertexRecord> DocEngine::GetVertex(QuerySession& /*session*/, VertexId id
   }
   const std::string* doc = vertex_docs_.Get(id);
   if (doc == nullptr) return Status::NotFound("vertex not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
   VertexRecord rec;
   rec.id = id;
-  const Json* label = parsed.Find("_label");
-  if (label != nullptr && label->is_string()) rec.label = label->string_value();
-  for (const auto& [k, v] : parsed.object()) {
-    if (!k.empty() && k[0] == '_') continue;
-    rec.properties.emplace_back(k, PropertyValue::FromJson(v));
-  }
+  GDB_RETURN_IF_ERROR(DecodeVertexDoc(*doc, &rec.label, &rec.properties));
   return rec;
 }
 
-Result<EdgeRecord> DocEngine::GetEdge(QuerySession& /*session*/, EdgeId id) const {
+Result<EdgeRecord> DocEngine::GetEdge(QuerySession& session, EdgeId id) const {
   rest_.ChargeCall();
   if (const QueryFaultInjector* f = options().query_fault_injector) {
     GDB_RETURN_IF_ERROR(f->Intercept("DocEngine::GetEdge"));
   }
-  GDB_ASSIGN_OR_RETURN(ParsedEdge e, ParseEdgeDoc(id));
+  EdgeDocFields& fields = static_cast<DocSession&>(session).edge_scratch_;
   EdgeRecord rec;
+  GDB_RETURN_IF_ERROR(ReadEdgeDoc(id, &fields, &rec.properties));
   rec.id = id;
-  rec.src = e.src;
-  rec.dst = e.dst;
-  rec.label = std::move(e.label);
-  rec.properties = std::move(e.props);
+  rec.src = fields.src;
+  rec.dst = fields.dst;
+  rec.label.assign(fields.label);
   return rec;
 }
 
@@ -363,7 +403,8 @@ Status DocEngine::RemoveVertex(VertexId v) {
 }
 
 Status DocEngine::RemoveEdgeNoCharge_(EdgeId e) {
-  GDB_ASSIGN_OR_RETURN(ParsedEdge parsed, ParseEdgeDoc(e));
+  EdgeDocFields parsed;
+  GDB_RETURN_IF_ERROR(ReadEdgeDoc(e, &parsed, /*props=*/nullptr));
   if (std::vector<EdgeId>* out = out_index_.Get(parsed.src)) {
     out->erase(std::remove(out->begin(), out->end(), e), out->end());
   }
@@ -427,11 +468,12 @@ Status DocEngine::ScanVertices(QuerySession& /*session*/,
   return status;
 }
 
-Status DocEngine::ScanEdges(QuerySession& /*session*/, 
+Status DocEngine::ScanEdges(QuerySession& session, 
     const CancelToken& cancel,
     const std::function<bool(const EdgeEnds&)>& fn) const {
   rest_.ChargeCall();
   Status status = Status::OK();
+  EdgeDocFields& fields = static_cast<DocSession&>(session).edge_scratch_;
   // Architectural cost: every document is materialized through the AQL
   // cursor (the paper: "it materializes all edges while counting them" —
   // the reason ArangoDB rarely finished Q.9/Q.10 on the Freebase samples).
@@ -448,17 +490,13 @@ Status DocEngine::ScanEdges(QuerySession& /*session*/,
       return false;
     }
     rest_.ChargeCall();  // per-item cursor materialization
-    auto parsed = Json::Parse(doc);
-    if (!parsed.ok()) {
-      status = parsed.status();
-      return false;
-    }
+    status = DecodeEdgeDoc(doc, &fields, /*props=*/nullptr);
+    if (!status.ok()) return false;
     EdgeEnds ends;
     ends.id = id;
-    const std::string* label = nullptr;
-    status = ReadEdgeMembers(*parsed, &ends.src, &ends.dst, &label);
-    if (!status.ok()) return false;
-    ends.label = *label;
+    ends.src = fields.src;
+    ends.dst = fields.dst;
+    ends.label.assign(fields.label);
     return fn(ends);
   });
   return status;
@@ -473,18 +511,16 @@ Status DocEngine::WalkIncident(
     GDB_RETURN_IF_ERROR(f->Intercept("DocEngine::WalkIncident"));
   }
   if (!vertex_docs_.Contains(v)) return Status::NotFound("vertex not found");
-  // Edge envelopes decode into the session scratch: the per-edge parse
-  // (the layout's honest price) stays, the buffer churn does not.
-  DocSession::EdgeScratch& scratch =
-      static_cast<DocSession&>(session).edge_scratch_;
+  // Each edge document the walk opens is read whole and validated — the
+  // layout's cost — and its envelope lands in the session scratch.
+  EdgeDocFields& scratch = static_cast<DocSession&>(session).edge_scratch_;
   if (dir == Direction::kOut || dir == Direction::kBoth) {
     if (const std::vector<EdgeId>* out = out_index_.Get(v)) {
       for (EdgeId e : *out) {
         GDB_CHECK_CANCEL(cancel);
         VertexId other = kInvalidId;
         if (want_other || label != nullptr) {
-          GDB_RETURN_IF_ERROR(
-              ParseEdgeDocInto(e, /*want_props=*/false, &scratch));
+          GDB_RETURN_IF_ERROR(ReadEdgeDoc(e, &scratch, /*props=*/nullptr));
           if (label != nullptr && scratch.label != *label) continue;
           other = scratch.dst;
         }
@@ -498,8 +534,7 @@ Status DocEngine::WalkIncident(
         GDB_CHECK_CANCEL(cancel);
         VertexId other = kInvalidId;
         if (want_other || label != nullptr || dir == Direction::kBoth) {
-          GDB_RETURN_IF_ERROR(
-              ParseEdgeDocInto(e, /*want_props=*/false, &scratch));
+          GDB_RETURN_IF_ERROR(ReadEdgeDoc(e, &scratch, /*props=*/nullptr));
           // Self-loops are already visited via the out index.
           if (dir == Direction::kBoth && scratch.src == scratch.dst) continue;
           if (label != nullptr && scratch.label != *label) continue;
@@ -531,14 +566,13 @@ Status DocEngine::ForEachNeighbor(QuerySession& session, VertexId v,
 
 Result<EdgeEnds> DocEngine::GetEdgeEnds(QuerySession& session,
                                         EdgeId e) const {
-  DocSession::EdgeScratch& scratch =
-      static_cast<DocSession&>(session).edge_scratch_;
-  GDB_RETURN_IF_ERROR(ParseEdgeDocInto(e, /*want_props=*/false, &scratch));
+  EdgeDocFields& scratch = static_cast<DocSession&>(session).edge_scratch_;
+  GDB_RETURN_IF_ERROR(ReadEdgeDoc(e, &scratch, /*props=*/nullptr));
   EdgeEnds ends;
   ends.id = e;
   ends.src = scratch.src;
   ends.dst = scratch.dst;
-  ends.label = scratch.label;
+  ends.label.assign(scratch.label);
   return ends;
 }
 

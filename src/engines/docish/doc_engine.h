@@ -22,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/graph/engine.h"
@@ -29,25 +30,56 @@
 
 namespace gdbmicro {
 
-/// Per-connection scratch of the document engine: the JSON parse buffers
-/// the hop path fills for every incident edge it must open. One edge's
-/// envelope (endpoints + label) is decoded into the session-owned scratch
-/// instead of a fresh allocation per edge, so the string/property-vector
-/// capacity is reused across the millions of parses a traversal performs
-/// — and concurrent clients never share a buffer.
+// --- Document layout -----------------------------------------------------
+//
+// A vertex is stored as {"_label":<label>,<properties>...} and an edge as
+// {"_from":<src>,"_to":<dst>,"_label":<label>,<properties>...}. Members
+// whose names start with '_' are the layout's system members; every other
+// member is a property.
+
+std::string EncodeVertexDoc(std::string_view label, const PropertyMap& props);
+std::string EncodeEdgeDoc(VertexId src, VertexId dst, std::string_view label,
+                          const PropertyMap& props);
+
+/// An edge document's envelope as DecodeEdgeDoc reads it. `label` views
+/// the document, or `label_buf` when the stored label has escapes; the
+/// buffers keep their capacity from one decode to the next.
+struct EdgeDocFields {
+  VertexId src = 0;
+  VertexId dst = 0;
+  std::string_view label;
+  std::string label_buf;
+  std::string scratch;  // escaped member names, decoded
+};
+
+/// Reads an edge document in place, without building a Json tree:
+/// _from, _to and _label come from their first occurrence (the member
+/// Json::Find returns) and, when `props` is non-null, every member not
+/// starting with '_' becomes a property in document order, mapped as
+/// PropertyValue::FromJson maps it. The whole document is validated;
+/// malformed JSON, or a missing or mistyped _from, _to or _label, is
+/// kCorruption, as Json::Parse followed by Find reported it.
+Status DecodeEdgeDoc(std::string_view doc, EdgeDocFields* out,
+                     PropertyMap* props);
+
+/// Reads a vertex document in place: the first _label member when it is
+/// a string (an empty label otherwise), and its properties as
+/// DecodeEdgeDoc reads them. A document that is not an object is
+/// kCorruption.
+Status DecodeVertexDoc(std::string_view doc, std::string* label,
+                       PropertyMap* props);
+
+/// Per-connection scratch of the document engine: the decode buffers the
+/// hop path fills for every incident edge it must open, reused across the
+/// millions of decodes a traversal performs — and never shared between
+/// concurrent clients.
 class DocSession : public QuerySession {
  public:
   explicit DocSession(const GraphEngine* engine) : QuerySession(engine) {}
 
  private:
   friend class DocEngine;
-  struct EdgeScratch {
-    VertexId src = 0;
-    VertexId dst = 0;
-    std::string label;
-    PropertyMap props;
-  };
-  EdgeScratch edge_scratch_;
+  EdgeDocFields edge_scratch_;
 };
 
 class DocEngine : public GraphEngine {
@@ -88,8 +120,8 @@ class DocEngine : public GraphEngine {
       const CancelToken& cancel,
       const std::function<bool(const EdgeEnds&)>& fn) const override;
   /// The visitors stream over the endpoint hash index. The index stores
-  /// only edge ids, so learning an edge's label or far endpoint forces a
-  /// document parse per edge — the architectural cost of the
+  /// only edge ids, so learning an edge's label or far endpoint means
+  /// reading the whole edge document — the architectural cost of the
   /// self-contained-JSON layout, paid inside the visit.
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
@@ -112,36 +144,20 @@ class DocEngine : public GraphEngine {
   /// per-edge endpoint existence probes, presized collections, and the
   /// endpoint hash index assembled from a degree pass instead of a
   /// get-or-insert probe pair per edge. Documents are still serialized
-  /// JSON — the layout's honest price.
+  /// JSON, as the layout stores them.
   Result<LoadMapping> BulkLoadNative(const GraphData& data) override;
 
  private:
-  struct ParsedEdge {
-    VertexId src;
-    VertexId dst;
-    std::string label;
-    PropertyMap props;
-  };
-
-  static std::string EncodeVertexDoc(std::string_view label,
-                                     const PropertyMap& props);
-  static std::string EncodeEdgeDoc(VertexId src, VertexId dst,
-                                   std::string_view label,
-                                   const PropertyMap& props);
-  Result<ParsedEdge> ParseEdgeDoc(EdgeId id) const;
-
-  // Decodes an edge document's envelope into the session scratch
-  // (endpoints + label; `want_props` additionally materializes the
-  // properties). The parse still builds the document tree — the layout's
-  // honest price — but the scratch buffers are reused across edges.
-  Status ParseEdgeDocInto(EdgeId id, bool want_props,
-                          DocSession::EdgeScratch* out) const;
+  // Looks edge `id` up and decodes its document in place (see
+  // DecodeEdgeDoc): every byte is read and validated, and the properties
+  // are materialized only into a non-null `props`.
+  Status ReadEdgeDoc(EdgeId id, EdgeDocFields* out, PropertyMap* props) const;
 
   // Edge removal without the REST charge (shared by RemoveVertex).
   Status RemoveEdgeNoCharge_(EdgeId e);
 
   // The shared endpoint-index walk behind both visitors. Documents are
-  // parsed only when something needs their contents (`want_other`, a
+  // read only when something needs their contents (`want_other`, a
   // label filter, or kBoth self-loop dedup); `other` is the far endpoint
   // when `want_other` is set, kInvalidId otherwise.
   Status WalkIncident(QuerySession& session, VertexId v, Direction dir,

@@ -48,30 +48,44 @@ void OrientEngine::EncodeVertex(const VertexData& v, std::string* out) {
   }
 }
 
-Result<OrientEngine::VertexData> OrientEngine::DecodeVertex(
-    std::string_view blob) const {
-  std::string buf(blob);
+Status OrientEngine::SplitVertex(std::string_view blob, VertexView* out,
+                                PropertyMap* props) {
   size_t pos = 0;
-  VertexData v;
-  GDB_ASSIGN_OR_RETURN(uint64_t label, GetVarint64(buf, &pos));
-  v.label = static_cast<uint32_t>(label);
-  GDB_ASSIGN_OR_RETURN(v.props, DecodePropertyMap(buf, &pos));
-  if (pos >= buf.size()) return Status::Corruption("truncated vertex record");
-  v.external_adj = buf[pos++] != 0;
-  if (!v.external_adj) {
-    GDB_ASSIGN_OR_RETURN(uint64_t n_out, GetVarint64(buf, &pos));
-    v.out_edges.reserve(n_out);
-    for (uint64_t i = 0; i < n_out; ++i) {
-      GDB_ASSIGN_OR_RETURN(uint64_t e, GetVarint64(buf, &pos));
-      v.out_edges.push_back(e);
-    }
-    GDB_ASSIGN_OR_RETURN(uint64_t n_in, GetVarint64(buf, &pos));
-    v.in_edges.reserve(n_in);
-    for (uint64_t i = 0; i < n_in; ++i) {
-      GDB_ASSIGN_OR_RETURN(uint64_t e, GetVarint64(buf, &pos));
-      v.in_edges.push_back(e);
+  GDB_ASSIGN_OR_RETURN(uint64_t label, GetVarint64(blob, &pos));
+  out->label = static_cast<uint32_t>(label);
+  if (props != nullptr) {
+    GDB_ASSIGN_OR_RETURN(*props, DecodePropertyMap(blob, &pos));
+  } else {
+    GDB_RETURN_IF_ERROR(SkipPropertyMap(blob, &pos));
+  }
+  if (pos >= blob.size()) return Status::Corruption("truncated vertex record");
+  out->external_adj = blob[pos++] != 0;
+  out->out_edges = RidRun();
+  out->in_edges = RidRun();
+  if (!out->external_adj) {
+    for (RidRun* run : {&out->out_edges, &out->in_edges}) {
+      GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(blob, &pos));
+      const size_t start = pos;
+      for (uint64_t i = 0; i < n; ++i) {
+        GDB_RETURN_IF_ERROR(GetVarint64(blob, &pos).status());
+      }
+      *run = RidRun(blob.substr(start, pos - start), n);
     }
   }
+  return Status::OK();
+}
+
+Result<OrientEngine::VertexData> OrientEngine::DecodeVertex(
+    std::string_view blob) {
+  VertexView view;
+  VertexData v;
+  GDB_RETURN_IF_ERROR(SplitVertex(blob, &view, &v.props));
+  v.label = view.label;
+  v.external_adj = view.external_adj;
+  v.out_edges.reserve(view.out_edges.size());
+  for (EdgeId e : view.out_edges) v.out_edges.push_back(e);
+  v.in_edges.reserve(view.in_edges.size());
+  for (EdgeId e : view.in_edges) v.in_edges.push_back(e);
   return v;
 }
 
@@ -81,15 +95,14 @@ void OrientEngine::EncodeEdge(const EdgeData& e, std::string* out) {
   EncodePropertyMap(e.props, out);
 }
 
-Result<OrientEngine::EdgeData> OrientEngine::DecodeEdge(
-    std::string_view blob) const {
-  std::string buf(blob);
+Status OrientEngine::SplitEdge(std::string_view blob, VertexId* src,
+                              VertexId* dst, PropertyMap* props) {
   size_t pos = 0;
-  EdgeData e;
-  GDB_ASSIGN_OR_RETURN(e.src, GetVarint64(buf, &pos));
-  GDB_ASSIGN_OR_RETURN(e.dst, GetVarint64(buf, &pos));
-  GDB_ASSIGN_OR_RETURN(e.props, DecodePropertyMap(buf, &pos));
-  return e;
+  GDB_ASSIGN_OR_RETURN(*src, GetVarint64(blob, &pos));
+  GDB_ASSIGN_OR_RETURN(*dst, GetVarint64(blob, &pos));
+  if (props == nullptr) return SkipPropertyMap(blob, &pos);
+  GDB_ASSIGN_OR_RETURN(*props, DecodePropertyMap(blob, &pos));
+  return Status::OK();
 }
 
 Result<OrientEngine::VertexData> OrientEngine::LoadVertex(VertexId id) const {
@@ -103,12 +116,17 @@ Status OrientEngine::StoreVertex(VertexId id, const VertexData& v) {
   return vertex_store_.Update(id, blob);
 }
 
-Result<OrientEngine::EdgeData> OrientEngine::LoadEdge(EdgeId id) const {
+Result<std::string_view> OrientEngine::ReadEdgeRecord(EdgeId id) const {
   uint64_t cluster = ClusterOf(id);
   if (cluster >= clusters_.size()) return Status::NotFound("edge not found");
-  GDB_ASSIGN_OR_RETURN(std::string_view blob,
-                       clusters_[cluster].store.Read(LocalOf(id)));
-  return DecodeEdge(blob);
+  return clusters_[cluster].store.Read(LocalOf(id));
+}
+
+Result<OrientEngine::EdgeData> OrientEngine::LoadEdge(EdgeId id) const {
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, ReadEdgeRecord(id));
+  EdgeData e;
+  GDB_RETURN_IF_ERROR(SplitEdge(blob, &e.src, &e.dst, &e.props));
+  return e;
 }
 
 Status OrientEngine::StoreEdge(EdgeId id, const EdgeData& e) {
@@ -172,19 +190,29 @@ Status OrientEngine::EraseAdjacency(VertexId v, EdgeId e, bool outgoing) {
   return Status::OK();
 }
 
+template <typename Fn>
+Status OrientEngine::WithRidbag(VertexId v, Fn&& fn) const {
+  auto bag_it = bags_.find(v);
+  if (bag_it != bags_.end()) {
+    return fn(bag_it->second.out_edges, bag_it->second.in_edges);
+  }
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, vertex_store_.Read(v));
+  VertexView view;
+  GDB_RETURN_IF_ERROR(SplitVertex(blob, &view, /*props=*/nullptr));
+  return fn(view.out_edges, view.in_edges);
+}
+
 Status OrientEngine::CollectAdjacency(VertexId v, Direction dir,
                                       std::vector<EdgeId>* out) const {
-  const std::vector<EdgeId>* out_list = nullptr;
-  const std::vector<EdgeId>* in_list = nullptr;
-  VertexData scratch;
-  GDB_RETURN_IF_ERROR(AdjacencyLists(v, &out_list, &in_list, &scratch));
-  if (dir == Direction::kOut || dir == Direction::kBoth) {
-    out->insert(out->end(), out_list->begin(), out_list->end());
-  }
-  if (dir == Direction::kIn || dir == Direction::kBoth) {
-    out->insert(out->end(), in_list->begin(), in_list->end());
-  }
-  return Status::OK();
+  return WithRidbag(v, [&](const auto& out_list, const auto& in_list) {
+    if (dir == Direction::kOut || dir == Direction::kBoth) {
+      for (EdgeId e : out_list) out->push_back(e);
+    }
+    if (dir == Direction::kIn || dir == Direction::kBoth) {
+      for (EdgeId e : in_list) out->push_back(e);
+    }
+    return Status::OK();
+  });
 }
 
 // --- CRUD -------------------------------------------------------------------
@@ -324,11 +352,12 @@ Status OrientEngine::SetEdgeProperty(EdgeId e, std::string_view name,
 }
 
 Result<VertexRecord> OrientEngine::GetVertex(QuerySession& /*session*/, VertexId id) const {
-  GDB_ASSIGN_OR_RETURN(VertexData data, LoadVertex(id));
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, vertex_store_.Read(id));
+  VertexView view;
   VertexRecord rec;
+  GDB_RETURN_IF_ERROR(SplitVertex(blob, &view, &rec.properties));
   rec.id = id;
-  rec.label = vertex_labels_.Get(data.label);
-  rec.properties = std::move(data.props);
+  rec.label = vertex_labels_.Get(view.label);
   return rec;
 }
 
@@ -466,31 +495,13 @@ Status OrientEngine::ScanEdges(QuerySession& /*session*/,
       if (!cluster.store.IsLive(local)) continue;
       auto blob = cluster.store.Read(local);
       if (!blob.ok()) continue;
-      GDB_ASSIGN_OR_RETURN(EdgeData data, DecodeEdge(*blob));
       EdgeEnds ends;
+      GDB_RETURN_IF_ERROR(SplitEdge(*blob, &ends.src, &ends.dst, nullptr));
       ends.id = PackEdgeId(c, local);
-      ends.src = data.src;
-      ends.dst = data.dst;
       ends.label = cluster.label;
       if (!fn(ends)) return Status::OK();
     }
   }
-  return Status::OK();
-}
-
-Status OrientEngine::AdjacencyLists(VertexId v,
-                                    const std::vector<EdgeId>** out_list,
-                                    const std::vector<EdgeId>** in_list,
-                                    VertexData* scratch) const {
-  auto bag_it = bags_.find(v);
-  if (bag_it != bags_.end()) {
-    *out_list = &bag_it->second.out_edges;
-    *in_list = &bag_it->second.in_edges;
-    return Status::OK();
-  }
-  GDB_ASSIGN_OR_RETURN(*scratch, LoadVertex(v));
-  *out_list = &scratch->out_edges;
-  *in_list = &scratch->in_edges;
   return Status::OK();
 }
 
@@ -519,38 +530,37 @@ Status OrientEngine::WalkIncident(
     cluster = it->second;
   }
   if (!vertex_store_.IsLive(v)) return Status::NotFound("vertex not found");
-  const std::vector<EdgeId>* out_list = nullptr;
-  const std::vector<EdgeId>* in_list = nullptr;
-  VertexData scratch;
-  GDB_RETURN_IF_ERROR(AdjacencyLists(v, &out_list, &in_list, &scratch));
-  if (dir == Direction::kOut || dir == Direction::kBoth) {
-    for (EdgeId e : *out_list) {
-      GDB_CHECK_CANCEL(cancel);
-      if (label != nullptr && ClusterOf(e) != cluster) continue;
-      VertexId other = kInvalidId;
-      if (want_other) {
-        GDB_ASSIGN_OR_RETURN(auto ends, ReadEdgeEndpoints(e));
-        other = ends.first == v ? ends.second : ends.first;
+  return WithRidbag(v, [&](const auto& out_list,
+                           const auto& in_list) -> Status {
+    if (dir == Direction::kOut || dir == Direction::kBoth) {
+      for (EdgeId e : out_list) {
+        GDB_CHECK_CANCEL(cancel);
+        if (label != nullptr && ClusterOf(e) != cluster) continue;
+        VertexId other = kInvalidId;
+        if (want_other) {
+          GDB_ASSIGN_OR_RETURN(auto ends, ReadEdgeEndpoints(e));
+          other = ends.first == v ? ends.second : ends.first;
+        }
+        if (!fn(e, other)) return Status::OK();
       }
-      if (!fn(e, other)) return Status::OK();
     }
-  }
-  if (dir == Direction::kIn || dir == Direction::kBoth) {
-    for (EdgeId e : *in_list) {
-      GDB_CHECK_CANCEL(cancel);
-      if (label != nullptr && ClusterOf(e) != cluster) continue;
-      VertexId other = kInvalidId;
-      if (want_other || dir == Direction::kBoth) {
-        GDB_ASSIGN_OR_RETURN(auto ends, ReadEdgeEndpoints(e));
-        // A self-loop sits in both ridbags; both() must report it once
-        // (already visited via the out side).
-        if (dir == Direction::kBoth && ends.first == ends.second) continue;
-        other = ends.first == v ? ends.second : ends.first;
+    if (dir == Direction::kIn || dir == Direction::kBoth) {
+      for (EdgeId e : in_list) {
+        GDB_CHECK_CANCEL(cancel);
+        if (label != nullptr && ClusterOf(e) != cluster) continue;
+        VertexId other = kInvalidId;
+        if (want_other || dir == Direction::kBoth) {
+          GDB_ASSIGN_OR_RETURN(auto ends, ReadEdgeEndpoints(e));
+          // A self-loop sits in both ridbags; both() must report it once
+          // (already visited via the out side).
+          if (dir == Direction::kBoth && ends.first == ends.second) continue;
+          other = ends.first == v ? ends.second : ends.first;
+        }
+        if (!fn(e, other)) return Status::OK();
       }
-      if (!fn(e, other)) return Status::OK();
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status OrientEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
@@ -569,11 +579,10 @@ Status OrientEngine::ForEachNeighbor(QuerySession& /*session*/,
 }
 
 Result<EdgeEnds> OrientEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) const {
-  GDB_ASSIGN_OR_RETURN(EdgeData data, LoadEdge(e));
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, ReadEdgeRecord(e));
   EdgeEnds ends;
+  GDB_RETURN_IF_ERROR(SplitEdge(blob, &ends.src, &ends.dst, nullptr));
   ends.id = e;
-  ends.src = data.src;
-  ends.dst = data.dst;
   ends.label = clusters_[ClusterOf(e)].label;
   return ends;
 }

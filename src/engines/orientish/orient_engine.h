@@ -132,13 +132,83 @@ class OrientEngine : public GraphEngine {
     AppendStore store;
   };
 
+  // One direction of an embedded ridbag: `count` edge-id varints stored
+  // back to back in the vertex record, validated when the record was
+  // split and decoded in place as it is iterated.
+  class RidRun {
+   public:
+    class Iterator {
+     public:
+      Iterator(const uint8_t* p, uint64_t left) : p_(p), left_(left) {
+        Load();
+      }
+      EdgeId operator*() const { return value_; }
+      Iterator& operator++() {
+        --left_;
+        Load();
+        return *this;
+      }
+      bool operator!=(const Iterator& other) const {
+        return left_ != other.left_;
+      }
+
+     private:
+      void Load() {
+        if (left_ == 0) return;
+        uint64_t v = 0;
+        int shift = 0;
+        uint8_t byte;
+        do {
+          byte = *p_++;
+          v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+          shift += 7;
+        } while ((byte & 0x80) != 0);
+        value_ = v;
+      }
+      const uint8_t* p_;
+      uint64_t left_;
+      EdgeId value_ = 0;
+    };
+
+    RidRun() = default;
+    RidRun(std::string_view bytes, uint64_t count)
+        : bytes_(bytes), count_(count) {}
+    Iterator begin() const {
+      return Iterator(reinterpret_cast<const uint8_t*>(bytes_.data()),
+                      count_);
+    }
+    Iterator end() const { return Iterator(nullptr, 0); }
+    uint64_t size() const { return count_; }
+
+   private:
+    std::string_view bytes_;
+    uint64_t count_ = 0;
+  };
+
+  // A vertex record split in place: what the hop path reads of it.
+  struct VertexView {
+    uint32_t label = 0;
+    bool external_adj = false;
+    RidRun out_edges;  // embedded only
+    RidRun in_edges;
+  };
+
   static void EncodeVertex(const VertexData& v, std::string* out);
-  Result<VertexData> DecodeVertex(std::string_view blob) const;
+  // Splits a vertex record without copying it. The property map is
+  // decoded into *props, or skip-walked (validated, not built) when
+  // `props` is null; the embedded ridbag is validated whole.
+  static Status SplitVertex(std::string_view blob, VertexView* out,
+                            PropertyMap* props);
+  static Result<VertexData> DecodeVertex(std::string_view blob);
   static void EncodeEdge(const EdgeData& e, std::string* out);
-  Result<EdgeData> DecodeEdge(std::string_view blob) const;
+  // An edge record read in place: the two endpoint varints, then the
+  // property map, decoded into *props or skip-walked when it is null.
+  static Status SplitEdge(std::string_view blob, VertexId* src,
+                          VertexId* dst, PropertyMap* props);
 
   Result<VertexData> LoadVertex(VertexId id) const;
   Status StoreVertex(VertexId id, const VertexData& v);
+  Result<std::string_view> ReadEdgeRecord(EdgeId id) const;
   Result<EdgeData> LoadEdge(EdgeId id) const;
   Status StoreEdge(EdgeId id, const EdgeData& e);
 
@@ -150,12 +220,11 @@ class OrientEngine : public GraphEngine {
   Status CollectAdjacency(VertexId v, Direction dir,
                           std::vector<EdgeId>* out) const;
 
-  // Resolves v's out/in edge lists from the external bag or the embedded
-  // record (decoded into *scratch). The returned pointers stay valid for
-  // the lifetime of *scratch / the bag entry.
-  Status AdjacencyLists(VertexId v, const std::vector<EdgeId>** out_list,
-                        const std::vector<EdgeId>** in_list,
-                        VertexData* scratch) const;
+  // Calls fn(out_list, in_list) with v's ridbag: the external bag's
+  // vectors, or the embedded RidRuns of its record, read in place (the
+  // record is read once and its property map skip-walked).
+  template <typename Fn>
+  Status WithRidbag(VertexId v, Fn&& fn) const;
 
   // Reads only the (src, dst) varint header of e's record — the 2-hop
   // pointer chase without property materialization.

@@ -454,53 +454,63 @@ Status RelEngine::WalkIncident(
       !vtables_[TableOf(v)].rows[RowOf(v)].live) {
     return Status::NotFound("vertex not found");
   }
-  // The scan callbacks are hoisted out of the table loop: constructing a
-  // std::function per table would cost two allocations per edge label on
-  // the unrestricted UNION ALL path (hundreds on the Freebase shapes).
-  bool stop = false;       // fn asked to stop: a successful early-stop
-  bool cancelled = false;  // the token expired mid-walk
-  uint64_t cur_table = 0;
-  const ETable* cur = nullptr;
-  const std::function<bool(const uint64_t&)> on_src = [&](const uint64_t& row) {
-    if (cancel.Expired()) {
-      cancelled = true;
-      return false;
-    }
-    if (!fn(cur_table, row)) {
-      stop = true;
-      return false;
-    }
-    return true;
-  };
-  const std::function<bool(const uint64_t&)> on_dst = [&](const uint64_t& row) {
-    // Self-loops already reported through the src index when kBoth.
-    if (dir == Direction::kBoth &&
-        cur->rows[row].src == cur->rows[row].dst) {
-      return true;
-    }
-    if (cancel.Expired()) {
-      cancelled = true;
-      return false;
-    }
-    if (!fn(cur_table, row)) {
-      stop = true;
-      return false;
-    }
-    return true;
-  };
-  for (uint64_t table = first; table < last && !stop && !cancelled; ++table) {
+  // The scan callbacks are hoisted out of the table loop (constructing a
+  // std::function per table would cost allocations per edge label on the
+  // unrestricted UNION ALL path, hundreds on the Freebase shapes), and
+  // everything they touch sits behind one reference, so each fits
+  // std::function's inline buffer and a walk allocates nothing.
+  struct Walk {
+    const CancelToken& cancel;
+    const std::function<bool(uint64_t, uint64_t)>& fn;
+    Direction dir;
+    uint64_t table = 0;
+    const ETable* cur = nullptr;
+    bool stop = false;       // fn asked to stop: a successful early-stop
+    bool cancelled = false;  // the token expired mid-walk
+  } walk{cancel, fn, dir};
+  const std::function<bool(const uint64_t&)> on_src =
+      [&walk](const uint64_t& row) {
+        if (walk.cancel.Expired()) {
+          walk.cancelled = true;
+          return false;
+        }
+        if (!walk.fn(walk.table, row)) {
+          walk.stop = true;
+          return false;
+        }
+        return true;
+      };
+  const std::function<bool(const uint64_t&)> on_dst =
+      [&walk](const uint64_t& row) {
+        // Self-loops already reported through the src index when kBoth.
+        if (walk.dir == Direction::kBoth &&
+            walk.cur->rows[row].src == walk.cur->rows[row].dst) {
+          return true;
+        }
+        if (walk.cancel.Expired()) {
+          walk.cancelled = true;
+          return false;
+        }
+        if (!walk.fn(walk.table, row)) {
+          walk.stop = true;
+          return false;
+        }
+        return true;
+      };
+  for (uint64_t table = first;
+       table < last && !walk.stop && !walk.cancelled; ++table) {
     GDB_CHECK_CANCEL(cancel);
-    cur_table = table;
-    cur = &etables_[table];
+    walk.table = table;
+    walk.cur = &etables_[table];
     if (dir == Direction::kOut || dir == Direction::kBoth) {
-      cur->src_index.ScanKey(v, on_src);
-      if (stop || cancelled) break;
+      walk.cur->src_index.ScanKey(v, on_src);
+      if (walk.stop || walk.cancelled) break;
     }
     if (dir == Direction::kIn || dir == Direction::kBoth) {
-      cur->dst_index.ScanKey(v, on_dst);
+      walk.cur->dst_index.ScanKey(v, on_dst);
     }
   }
-  if (cancelled) return cancel.ToStatus();
+  if (walk.cancelled) return cancel.ToStatus();
   return Status::OK();
 }
 
@@ -517,10 +527,16 @@ Status RelEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction
 Status RelEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+  // One reference: the closure fits std::function's inline buffer.
+  struct Hop {
+    const std::vector<ETable>& tables;
+    VertexId v;
+    const std::function<bool(VertexId)>& fn;
+  } hop{etables_, v, fn};
   return WalkIncident(v, dir, label, cancel,
-                      [&](uint64_t table, uint64_t row) {
-                        const ERow& r = etables_[table].rows[row];
-                        return fn(r.src == v ? r.dst : r.src);
+                      [&hop](uint64_t table, uint64_t row) {
+                        const ERow& r = hop.tables[table].rows[row];
+                        return hop.fn(r.src == hop.v ? r.dst : r.src);
                       });
 }
 

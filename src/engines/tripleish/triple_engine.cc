@@ -549,55 +549,68 @@ Status TripleEngine::WalkIncident(VertexId v, Direction dir,
   }
   uint64_t vt = LookupTerm(VertexTerm(v));
   if (vt == kNoTerm) return Status::NotFound("vertex not found");
-  Status status = Status::OK();
-  bool stop = false;
+  // Everything the scan callbacks touch sits behind one reference, so
+  // each closure fits std::function's inline buffer and a walk allocates
+  // nothing.
+  struct Walk {
+    const TripleEngine& engine;
+    const CancelToken& cancel;
+    const std::function<bool(EdgeId)>& fn;
+    Direction dir;
+    uint64_t label_term;
+    Status status = Status::OK();
+    bool stop = false;
+  } walk{*this, cancel, fn, dir, label_term};
   if (dir == Direction::kOut || dir == Direction::kBoth) {
     // Connectivity statements (v, l:<label>, e): SPO prefix scan. When a
     // label is given the scan range narrows to that one predicate.
     uint64_t p_lo = label_term != kNoTerm ? label_term : 0;
     uint64_t p_hi = label_term != kNoTerm ? label_term : kMaxTerm;
     spo_.ScanRange({vt, p_lo, 0}, {vt, p_hi, kMaxTerm},
-                   [&](const Triple& t, const uint8_t&) {
-                     if (cancel.Expired()) {
-                       status = cancel.ToStatus();
+                   [&walk](const Triple& t, const uint8_t&) {
+                     if (walk.cancel.Expired()) {
+                       walk.status = walk.cancel.ToStatus();
                        return false;
                      }
-                     if (label_term == kNoTerm &&
-                         !StartsWith(terms_[t[1]], "l:")) {
+                     const std::vector<std::string>& terms =
+                         walk.engine.terms_;
+                     if (walk.label_term == kNoTerm &&
+                         !StartsWith(terms[t[1]], "l:")) {
                        return true;
                      }
-                     if (!fn(DecodeIdFromTerm(terms_[t[2]]))) {
-                       stop = true;
+                     if (!walk.fn(DecodeIdFromTerm(terms[t[2]]))) {
+                       walk.stop = true;
                        return false;
                      }
                      return true;
                    });
-    GDB_RETURN_IF_ERROR(status);
-    if (stop) return Status::OK();
+    GDB_RETURN_IF_ERROR(walk.status);
+    if (walk.stop) return Status::OK();
   }
   if (dir == Direction::kIn || dir == Direction::kBoth) {
     // Connectivity statements (e, g:to, v): OSP prefix scan, key layout
     // (o, s, p) with o = v, s = the reified edge term.
     osp_.ScanRange({vt, 0, 0}, {vt, kMaxTerm, kMaxTerm},
-                   [&](const Triple& t, const uint8_t&) {
-                     if (cancel.Expired()) {
-                       status = cancel.ToStatus();
+                   [&walk](const Triple& t, const uint8_t&) {
+                     if (walk.cancel.Expired()) {
+                       walk.status = walk.cancel.ToStatus();
                        return false;
                      }
-                     if (t[2] != to_pred_) return true;
-                     EdgeId id = DecodeIdFromTerm(terms_[t[1]]);
-                     const EdgeStmt& stmt = edge_stmts_[id];
+                     const TripleEngine& engine = walk.engine;
+                     if (t[2] != engine.to_pred_) return true;
+                     EdgeId id = DecodeIdFromTerm(engine.terms_[t[1]]);
+                     const EdgeStmt& stmt = engine.edge_stmts_[id];
                      // Self-loops already visited via the outgoing scan.
-                     if (dir == Direction::kBoth && stmt.src == stmt.dst) {
+                     if (walk.dir == Direction::kBoth && stmt.src == stmt.dst) {
                        return true;
                      }
-                     if (label_term != kNoTerm &&
-                         stmt.label_term != label_term) {
+                     if (walk.label_term != kNoTerm &&
+                         stmt.label_term != walk.label_term) {
                        return true;
                      }
-                     return fn(id);
+                     return walk.fn(id);
                    });
-    GDB_RETURN_IF_ERROR(status);
+    GDB_RETURN_IF_ERROR(walk.status);
   }
   return Status::OK();
 }
@@ -612,9 +625,15 @@ Status TripleEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direct
 Status TripleEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
-  return WalkIncident(v, dir, label, cancel, [&](EdgeId e) {
-    const EdgeStmt& stmt = edge_stmts_[e];
-    return fn(stmt.src == v ? stmt.dst : stmt.src);
+  // One reference: the closure fits std::function's inline buffer.
+  struct Hop {
+    const std::vector<EdgeStmt>& stmts;
+    VertexId v;
+    const std::function<bool(VertexId)>& fn;
+  } hop{edge_stmts_, v, fn};
+  return WalkIncident(v, dir, label, cancel, [&hop](EdgeId e) {
+    const EdgeStmt& stmt = hop.stmts[e];
+    return hop.fn(stmt.src == hop.v ? stmt.dst : stmt.src);
   });
 }
 

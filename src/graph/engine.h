@@ -445,14 +445,17 @@ class GraphEngine {
   // yields each element into `fn` without materializing an intermediate
   // collection. Contract:
   //
-  //  * Zero per-element allocation: a native override must not allocate
-  //    on the heap per visited edge/neighbor. Per-*call* setup (label id
-  //    lookup, loading the one vertex record the layout keeps adjacency
-  //    in) is allowed; per-hop vectors/sets/copies are not. Engines whose
-  //    emulated architecture forces per-element decoding (the document
-  //    engine must parse an edge document to learn its label or far
-  //    endpoint) pay that cost inside the visit — it is the storage
-  //    layout's honest price, not harness overhead.
+  //  * No allocation: a warm visitor call allocates nothing on the heap,
+  //    on every engine — neither per visited edge/neighbor nor per call.
+  //    The records a layout must open are read in place (the vertex
+  //    record holding a ridbag) or decoded into session scratch (the
+  //    edge document holding a label or far endpoint), and the callbacks
+  //    an engine hands its own storage walks capture a single reference,
+  //    so they fit std::function's inline buffer. Per-element decoding the
+  //    layout forces (the document engine reads and validates each edge
+  //    document whole) is paid in time inside the visit.
+  //    HopAllocationTest (tests/prepared_plan_test.cc) pins this on all
+  //    nine engines.
   //  * Early stop: `fn` returning false stops the walk immediately and
   //    the visitor returns OK. No further elements are visited.
   //  * Cancellation: the walk checks `cancel` between elements and

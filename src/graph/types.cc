@@ -1,5 +1,7 @@
 #include "src/graph/types.h"
 
+#include <algorithm>
+
 #include "src/util/hash.h"
 #include "src/util/string_util.h"
 #include "src/util/varint.h"
@@ -68,40 +70,83 @@ void PropertyValue::EncodeTo(std::string* out) const {
   }
 }
 
-Result<PropertyValue> PropertyValue::DecodeFrom(const std::string& in,
-                                                size_t* pos) {
+namespace {
+
+// The one value decoder behind DecodeFrom and SkipEncoded: a null `out`
+// runs every check and advances *pos without materializing the value.
+Status DecodeValue(std::string_view in, size_t* pos, PropertyValue* out) {
   if (*pos >= in.size()) return Status::Corruption("truncated property value");
   uint8_t tag = static_cast<uint8_t>(in[(*pos)++]);
   switch (tag) {
     case 0:
-      return PropertyValue();
+      if (out != nullptr) *out = PropertyValue();
+      return Status::OK();
     case 1: {
       if (*pos >= in.size()) return Status::Corruption("truncated bool");
-      return PropertyValue(in[(*pos)++] != 0);
+      bool b = in[(*pos)++] != 0;
+      if (out != nullptr) *out = PropertyValue(b);
+      return Status::OK();
     }
     case 2: {
       GDB_ASSIGN_OR_RETURN(uint64_t z, GetVarint64(in, pos));
-      return PropertyValue(ZigZagDecode(z));
+      if (out != nullptr) *out = PropertyValue(ZigZagDecode(z));
+      return Status::OK();
     }
     case 3: {
       if (*pos + sizeof(double) > in.size()) {
         return Status::Corruption("truncated double");
       }
-      double d;
-      __builtin_memcpy(&d, in.data() + *pos, sizeof(d));
-      *pos += sizeof(d);
-      return PropertyValue(d);
+      if (out != nullptr) {
+        double d;
+        __builtin_memcpy(&d, in.data() + *pos, sizeof(d));
+        *out = PropertyValue(d);
+      }
+      *pos += sizeof(double);
+      return Status::OK();
     }
     case 4: {
       GDB_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in, pos));
       if (*pos + len > in.size()) return Status::Corruption("truncated string");
-      PropertyValue v(in.substr(*pos, len));
+      if (out != nullptr) *out = PropertyValue(std::string(in.substr(*pos, len)));
       *pos += len;
-      return v;
+      return Status::OK();
     }
     default:
       return Status::Corruption("unknown property value tag");
   }
+}
+
+// The one map decoder behind DecodePropertyMap and SkipPropertyMap.
+Status DecodeMap(std::string_view in, size_t* pos, PropertyMap* out) {
+  GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
+  // Every pair takes at least two bytes, so a corrupt count cannot make
+  // the reservation outgrow the input.
+  if (out != nullptr) out->reserve(std::min<uint64_t>(n, in.size() - *pos));
+  for (uint64_t i = 0; i < n; ++i) {
+    GDB_ASSIGN_OR_RETURN(uint64_t klen, GetVarint64(in, pos));
+    if (*pos + klen > in.size()) return Status::Corruption("truncated key");
+    PropertyValue* value = nullptr;
+    if (out != nullptr) {
+      out->emplace_back(std::string(in.substr(*pos, klen)), PropertyValue());
+      value = &out->back().second;
+    }
+    *pos += klen;
+    GDB_RETURN_IF_ERROR(DecodeValue(in, pos, value));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<PropertyValue> PropertyValue::DecodeFrom(std::string_view in,
+                                                size_t* pos) {
+  PropertyValue v;
+  GDB_RETURN_IF_ERROR(DecodeValue(in, pos, &v));
+  return v;
+}
+
+Status PropertyValue::SkipEncoded(std::string_view in, size_t* pos) {
+  return DecodeValue(in, pos, nullptr);
 }
 
 Json PropertyValue::ToJson() const {
@@ -126,6 +171,19 @@ PropertyValue PropertyValue::FromJson(const Json& j) {
   if (j.is_double()) return PropertyValue(j.double_value());
   if (j.is_string()) return PropertyValue(j.string_value());
   return PropertyValue();
+}
+
+PropertyValue PropertyValue::FromJson(const JsonReader::Value& v) {
+  switch (v.kind) {
+    case JsonReader::Kind::kBool:
+      return PropertyValue(v.boolean);
+    case JsonReader::Kind::kNumber:
+      return v.is_double ? PropertyValue(v.real) : PropertyValue(v.integer);
+    case JsonReader::Kind::kString:
+      return PropertyValue(std::string(v.string));
+    default:
+      return PropertyValue();
+  }
 }
 
 const PropertyValue* FindProperty(const PropertyMap& props,
@@ -157,19 +215,14 @@ void EncodePropertyMap(const PropertyMap& props, std::string* out) {
   }
 }
 
-Result<PropertyMap> DecodePropertyMap(const std::string& in, size_t* pos) {
-  GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
+Result<PropertyMap> DecodePropertyMap(std::string_view in, size_t* pos) {
   PropertyMap props;
-  props.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    GDB_ASSIGN_OR_RETURN(uint64_t klen, GetVarint64(in, pos));
-    if (*pos + klen > in.size()) return Status::Corruption("truncated key");
-    std::string key(in, *pos, klen);
-    *pos += klen;
-    GDB_ASSIGN_OR_RETURN(PropertyValue v, PropertyValue::DecodeFrom(in, pos));
-    props.emplace_back(std::move(key), std::move(v));
-  }
+  GDB_RETURN_IF_ERROR(DecodeMap(in, pos, &props));
   return props;
+}
+
+Status SkipPropertyMap(std::string_view in, size_t* pos) {
+  return DecodeMap(in, pos, nullptr);
 }
 
 bool EraseProperty(PropertyMap* props, std::string_view name) {

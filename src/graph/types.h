@@ -64,10 +64,15 @@ class PropertyValue {
 
   /// Encodes into a compact binary representation (type tag + payload).
   void EncodeTo(std::string* out) const;
-  static Result<PropertyValue> DecodeFrom(const std::string& in, size_t* pos);
+  static Result<PropertyValue> DecodeFrom(std::string_view in, size_t* pos);
+  /// Skip mode of DecodeFrom: the same tag and truncation checks, and
+  /// *pos ends where DecodeFrom's would, but nothing is materialized.
+  static Status SkipEncoded(std::string_view in, size_t* pos);
 
   Json ToJson() const;
+  /// Arrays and objects become null.
   static PropertyValue FromJson(const Json& j);
+  static PropertyValue FromJson(const JsonReader::Value& v);
 
   /// Appends this value's compact JSON rendering to *out — byte-identical
   /// to ToJson().Dump(), but strings stream straight into the buffer
@@ -98,7 +103,11 @@ bool EraseProperty(PropertyMap* props, std::string_view name);
 void EncodePropertyMap(const PropertyMap& props, std::string* out);
 
 /// Inverse of EncodePropertyMap; advances *pos.
-Result<PropertyMap> DecodePropertyMap(const std::string& in, size_t* pos);
+Result<PropertyMap> DecodePropertyMap(std::string_view in, size_t* pos);
+
+/// Skip mode of DecodePropertyMap: the same truncation and tag checks,
+/// and *pos ends where DecodePropertyMap's would, with no map built.
+Status SkipPropertyMap(std::string_view in, size_t* pos);
 
 /// Fully materialized vertex (what a search-by-id query returns).
 struct VertexRecord {

@@ -104,11 +104,14 @@ Result<CommitReceipt> GraphWriter::Commit(const WriteBatch& batch) {
   epochs.BeginApply();
   // Inside the drained apply window (no pinned sessions), so no reader
   // can observe the index swap: the graph is about to change and any
-  // PathIndex describes the retiring snapshot.
-  engine_->InvalidatePathIndex(Status::Unavailable(
-      "path index invalidated by commit (epoch " +
-      std::to_string(retiring + 1) + " published); rebuild via "
-      "GraphEngine::BuildPathIndex"));
+  // PathIndex describes the retiring snapshot. With no index live the
+  // reason would be discarded, so it is only formatted for a live one.
+  if (engine_->path_index() != nullptr) {
+    engine_->InvalidatePathIndex(Status::Unavailable(
+        "path index invalidated by commit (epoch " +
+        std::to_string(retiring + 1) + " published); rebuild via "
+        "GraphEngine::BuildPathIndex"));
+  }
   Status applied = ApplyBatchOps(*engine_, batch.ops(), &receipt.vertex_ids,
                                  &receipt.edge_ids);
   // Publish even on failure: the gate must reopen, and recovery replay is

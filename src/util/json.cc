@@ -1,5 +1,6 @@
 #include "src/util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -54,213 +55,220 @@ void EscapeString(std::string_view s, std::string* out) {
   out->push_back('"');
 }
 
-/// Recursive-descent JSON parser over a string_view.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<Json> ParseDocument() {
-    GDB_ASSIGN_OR_RETURN(Json v, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Status::Corruption("trailing characters after JSON document");
-    }
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  Result<Json> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Status::Corruption("JSON nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Status::Corruption("unexpected end of JSON");
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(depth);
-      case '[':
-        return ParseArray(depth);
-      case '"': {
-        GDB_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Json(std::move(s));
-      }
-      case 't':
-        return ParseLiteral("true", Json(true));
-      case 'f':
-        return ParseLiteral("false", Json(false));
-      case 'n':
-        return ParseLiteral("null", Json(nullptr));
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<Json> ParseLiteral(std::string_view lit, Json value) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      return Status::Corruption("invalid JSON literal");
-    }
-    pos_ += lit.size();
-    return value;
-  }
-
-  Result<Json> ParseNumber() {
-    size_t start = pos_;
-    bool is_double = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return Status::Corruption("invalid JSON number");
-    std::string token(text_.substr(start, pos_ - start));
-    if (is_double) {
-      char* end = nullptr;
-      double d = std::strtod(token.c_str(), &end);
-      if (end != token.c_str() + token.size()) {
-        return Status::Corruption("invalid JSON number: " + token);
-      }
-      return Json(d);
-    }
-    errno = 0;
-    char* end = nullptr;
-    long long i = std::strtoll(token.c_str(), &end, 10);
-    if (errno == ERANGE) {
-      // Fall back to double for out-of-range integers.
-      return Json(std::strtod(token.c_str(), nullptr));
-    }
-    if (end != token.c_str() + token.size()) {
-      return Status::Corruption("invalid JSON number: " + token);
-    }
-    return Json(static_cast<int64_t>(i));
-  }
-
-  Result<std::string> ParseString() {
-    ++pos_;  // opening quote
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Status::Corruption("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Status::Corruption("invalid \\u escape");
-          }
-          // Encode as UTF-8 (basic multilingual plane only; surrogate pairs
-          // are passed through as two 3-byte sequences, sufficient for the
-          // benchmark payloads).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Status::Corruption("invalid escape character");
-      }
-    }
-    return Status::Corruption("unterminated JSON string");
-  }
-
-  Result<Json> ParseArray(int depth) {
-    ++pos_;  // '['
-    Json::Array arr;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Json(std::move(arr));
-    }
-    while (true) {
-      GDB_ASSIGN_OR_RETURN(Json v, ParseValue(depth + 1));
-      arr.push_back(std::move(v));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Status::Corruption("unterminated array");
-      char c = text_[pos_++];
-      if (c == ']') return Json(std::move(arr));
-      if (c != ',') return Status::Corruption("expected ',' in array");
-    }
-  }
-
-  Result<Json> ParseObject(int depth) {
-    ++pos_;  // '{'
+/// Builds the Json tree for the value at the reader's cursor.
+Result<Json> ReadTree(JsonReader& reader, std::string* scratch) {
+  GDB_ASSIGN_OR_RETURN(JsonReader::Kind kind, reader.Peek());
+  if (kind == JsonReader::Kind::kObject) {
     Json::Object obj;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Json(std::move(obj));
+    bool more = reader.EnterObject();
+    while (more) {
+      std::string_view key;
+      GDB_RETURN_IF_ERROR(reader.ReadKey(scratch, &key));
+      std::string name(key);
+      GDB_ASSIGN_OR_RETURN(Json v, ReadTree(reader, scratch));
+      obj.emplace_back(std::move(name), std::move(v));
+      GDB_ASSIGN_OR_RETURN(more, reader.NextMember());
     }
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Status::Corruption("expected object key");
-      }
-      GDB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_++] != ':') {
-        return Status::Corruption("expected ':' in object");
-      }
-      GDB_ASSIGN_OR_RETURN(Json v, ParseValue(depth + 1));
-      obj.emplace_back(std::move(key), std::move(v));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Status::Corruption("unterminated object");
-      char c = text_[pos_++];
-      if (c == '}') return Json(std::move(obj));
-      if (c != ',') return Status::Corruption("expected ',' in object");
-    }
+    return Json(std::move(obj));
   }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
+  if (kind == JsonReader::Kind::kArray) {
+    Json::Array arr;
+    bool more = reader.EnterArray();
+    while (more) {
+      GDB_ASSIGN_OR_RETURN(Json v, ReadTree(reader, scratch));
+      arr.push_back(std::move(v));
+      GDB_ASSIGN_OR_RETURN(more, reader.NextElement());
     }
+    return Json(std::move(arr));
   }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+  JsonReader::Value v;
+  GDB_RETURN_IF_ERROR(reader.ReadValue(scratch, &v));
+  switch (v.kind) {
+    case JsonReader::Kind::kBool:
+      return Json(v.boolean);
+    case JsonReader::Kind::kNumber:
+      return v.is_double ? Json(v.real) : Json(v.integer);
+    case JsonReader::Kind::kString:
+      return Json(std::string(v.string));
+    default:
+      return Json(nullptr);
+  }
+}
 
 }  // namespace
+
+// --- JsonReader ------------------------------------------------------------
+
+Status JsonReader::Corrupt(const char* what) {
+  return Status::Corruption(what);
+}
+
+Status JsonReader::SkipContainer() {
+  if (text_[pos_] == '{') {
+    bool more = EnterObject();
+    while (more) {
+      GDB_RETURN_IF_ERROR(ReadKey(nullptr, nullptr));
+      GDB_RETURN_IF_ERROR(SkipValue());
+      GDB_ASSIGN_OR_RETURN(more, NextMember());
+    }
+    return Status::OK();
+  }
+  bool more = EnterArray();
+  while (more) {
+    GDB_RETURN_IF_ERROR(SkipValue());
+    GDB_ASSIGN_OR_RETURN(more, NextElement());
+  }
+  return Status::OK();
+}
+
+Status JsonReader::MatchLiteral(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) {
+    return Status::Corruption("invalid JSON literal");
+  }
+  pos_ += literal.size();
+  return Status::OK();
+}
+
+// The token is the run of [0-9.eE+-] after an optional '-'. Tokens with
+// no '.', 'e', 'E', '+' or '-' past that sign are integers; the rest are
+// doubles and must be whole strtod numbers: an optional sign, digits with
+// at most one '.' (at least one digit in all), and an optional exponent
+// with at least one digit.
+Status JsonReader::ScanNumber(std::string_view* token, bool* is_double) {
+  const size_t start = pos_;
+  *is_double = false;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  while (pos_ < text_.size()) {
+    char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
+      ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      *is_double = true;
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  if (pos_ == start) return Status::Corruption("invalid JSON number");
+  *token = text_.substr(start, pos_ - start);
+  const std::string_view t = *token;
+  size_t i = 0;
+  auto digits = [&] {
+    size_t from = i;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+    return i - from;
+  };
+  if (t[i] == '-' || (*is_double && t[i] == '+')) ++i;
+  size_t mantissa = digits();
+  if (*is_double && i < t.size() && t[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  bool valid = mantissa > 0;
+  if (valid && *is_double && i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    valid = digits() > 0;
+  }
+  if (!valid || i != t.size()) {
+    return Status::Corruption("invalid JSON number: " + std::string(t));
+  }
+  return Status::OK();
+}
+
+Status JsonReader::ReadNumberToken(Value* out) {
+  std::string_view token;
+  GDB_RETURN_IF_ERROR(ScanNumber(&token, &out->is_double));
+  if (!out->is_double) {
+    long long i = 0;
+    auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), i);
+    if (ec == std::errc()) {
+      out->integer = static_cast<int64_t>(i);
+      return Status::OK();
+    }
+    out->is_double = true;  // out of int64's range: keep it as a double
+  }
+  // strtod wants a terminated string; number tokens are short.
+  char buf[64];
+  std::string long_token;
+  const char* text = buf;
+  if (token.size() < sizeof(buf)) {
+    token.copy(buf, token.size());
+    buf[token.size()] = '\0';
+  } else {
+    long_token.assign(token);
+    text = long_token.c_str();
+  }
+  out->real = std::strtod(text, nullptr);
+  return Status::OK();
+}
+
+Status JsonReader::ReadEscapedString(size_t start, std::string* scratch,
+                                     std::string_view* out) {
+  if (scratch != nullptr) scratch->assign(text_.substr(start, pos_ - start));
+  auto put = [scratch](char c) {
+    if (scratch != nullptr) scratch->push_back(c);
+  };
+  while (pos_ < text_.size()) {
+    char c = text_[pos_++];
+    if (c == '"') {
+      if (out != nullptr) {
+        *out = scratch != nullptr ? std::string_view(*scratch)
+                                  : std::string_view();
+      }
+      return Status::OK();
+    }
+    if (c != '\\') {
+      put(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) break;
+    char esc = text_[pos_++];
+    switch (esc) {
+      case '"': put('"'); break;
+      case '\\': put('\\'); break;
+      case '/': put('/'); break;
+      case 'n': put('\n'); break;
+      case 'r': put('\r'); break;
+      case 't': put('\t'); break;
+      case 'b': put('\b'); break;
+      case 'f': put('\f'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) {
+          return Status::Corruption("truncated \\u escape");
+        }
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return Status::Corruption("invalid \\u escape");
+        }
+        // Encode as UTF-8 (basic multilingual plane only; surrogate pairs
+        // are passed through as two 3-byte sequences, sufficient for the
+        // benchmark payloads).
+        if (code < 0x80) {
+          put(static_cast<char>(code));
+        } else if (code < 0x800) {
+          put(static_cast<char>(0xC0 | (code >> 6)));
+          put(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          put(static_cast<char>(0xE0 | (code >> 12)));
+          put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          put(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default:
+        return Status::Corruption("invalid escape character");
+    }
+  }
+  return Status::Corruption("unterminated JSON string");
+}
+
+// --- Json --------------------------------------------------------------------
 
 const Json* Json::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
@@ -371,8 +379,11 @@ std::string Json::Pretty() const {
 }
 
 Result<Json> Json::Parse(std::string_view text) {
-  Parser p(text);
-  return p.ParseDocument();
+  JsonReader reader(text);
+  std::string scratch;
+  GDB_ASSIGN_OR_RETURN(Json v, ReadTree(reader, &scratch));
+  GDB_RETURN_IF_ERROR(reader.Finish());
+  return v;
 }
 
 }  // namespace gdbmicro

@@ -12,17 +12,7 @@ void PutVarint64(std::string* out, uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-Result<uint64_t> GetVarint64(std::string_view in, size_t* pos) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < in.size() && shift <= 63) {
-    uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
-    shift += 7;
-  }
-  return Status::Corruption("truncated varint");
-}
+Status TruncatedVarint() { return Status::Corruption("truncated varint"); }
 
 void EncodeDeltaList(const std::vector<uint64_t>& sorted_ids,
                      std::string* out) {

@@ -23,6 +23,7 @@
 #include "src/graph/registry.h"
 #include "src/query/algorithms.h"
 #include "src/query/traversal.h"
+#include "src/util/string_util.h"
 
 // --- global allocation counter ---------------------------------------------
 // Counts every operator-new hit in the process (same technique as
@@ -386,13 +387,43 @@ TEST(PreparedPlanAllocationTest, SteadyStateLabelDedupAllocatesAlmostNothing) {
       << "allocs/iter = " << static_cast<double>(allocs) / kIterations;
 }
 
-TEST(PreparedPlanAllocationTest, FrontierSearchesAllocateLittlePerVertex) {
+// PropertylessGraph(ring = true)'s shape on any engine, with a string, an
+// int and a double property on every vertex and edge, so each hop opens
+// records and documents that carry properties it must decode or skip.
+// The strings are longer than std::string's inline buffer: a copy of one
+// allocates.
+std::unique_ptr<GraphEngine> PropertiedRing(const std::string& engine_name,
+                                            std::vector<VertexId>* v) {
+  auto engine = OpenEngine(engine_name, EngineOptions{}).value();
+  auto props = [](const char* kind, size_t i) {
+    return PropertyMap{
+        {"name", PropertyValue(StrFormat("%s number %03zu of the ring", kind, i))},
+        {"rank", PropertyValue(static_cast<int64_t>(i))},
+        {"weight", PropertyValue(0.25 + static_cast<double>(i))}};
+  };
+  for (size_t i = 0; i < 200; ++i) {
+    v->push_back(engine->AddVertex("n", props("vertex", i)).value());
+  }
+  const std::vector<VertexId>& ids = *v;
+  for (size_t i = 0; i < 200; ++i) {
+    EXPECT_TRUE(
+        engine->AddEdge(ids[i], ids[(i * 7 + 1) % 200], "l", props("l", i)).ok());
+    EXPECT_TRUE(
+        engine->AddEdge(ids[i], ids[(i + 1) % 200], "ring", props("ring", i))
+            .ok());
+  }
+  return engine;
+}
+
+class HopAllocationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HopAllocationTest, FrontierSearchesAllocateLittlePerVertex) {
   // The frontier routes of BFS and shortest path reuse the session's
-  // scratch (frontier buffers, visited marks, parent map), and their
-  // neighbor visitor fits std::function's inline buffer, so a warm search
-  // allocates only for the result it returns.
+  // scratch (frontier buffers, visited marks, parent map), and every
+  // engine's neighbor visitor allocates nothing once warm (engine.h), so
+  // a warm search allocates only for the result it returns.
   std::vector<VertexId> v;
-  auto engine = PropertylessGraph(/*ring=*/true, &v);
+  auto engine = PropertiedRing(GetParam(), &v);
   auto session = engine->CreateSession();
   CancelToken never;
   const std::optional<std::string> any_label;
@@ -433,7 +464,50 @@ TEST(PreparedPlanAllocationTest, FrontierSearchesAllocateLittlePerVertex) {
       << "SP allocs/expanded vertex = "
       << static_cast<double>(sp_allocs) /
              static_cast<double>(path->stats.expanded);
+
+  // A warm prepared one-hop count makes one visitor call per run. g.V(id)
+  // itself materializes the vertex record (GetVertex), which allocates
+  // for this graph's long string property by design, so the bound applies
+  // to what both() adds over a warm V(?).count() on the same ids.
+  constexpr int kIterations = 400;
+  auto run = [&](const Traversal& traversal, uint64_t* allocs) {
+    auto prepared = traversal.Prepare(*engine);
+    EXPECT_TRUE(prepared.ok());
+    if (!prepared.ok()) return uint64_t{0};
+    PlanParams params;
+    uint64_t total = 0;
+    for (int i = -50; i < kIterations; ++i) {  // 50 warmup runs first
+      if (i == 0) {
+        *allocs = g_allocs;
+        total = 0;
+      }
+      params.id = v[static_cast<size_t>(i + 50) % v.size()];
+      auto n = prepared->RunCount(*session, never, params);
+      EXPECT_TRUE(n.ok());
+      if (n.ok()) total += *n;
+    }
+    *allocs = g_allocs - *allocs;
+    return total;
+  };
+  uint64_t lookup_allocs = 0, hop_allocs = 0;
+  EXPECT_EQ(run(Traversal::V(Bound{}).Count(), &lookup_allocs),
+            static_cast<uint64_t>(kIterations));
+  // Every vertex has one "l" and one "ring" edge each way.
+  EXPECT_EQ(run(Traversal::V(Bound{}).Both().Count(), &hop_allocs),
+            4u * kIterations);
+  EXPECT_LE(hop_allocs, lookup_allocs + kIterations / 10)
+      << "both() allocs/run = "
+      << (static_cast<double>(hop_allocs) - static_cast<double>(lookup_allocs)) /
+             kIterations;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, HopAllocationTest,
+    ::testing::Values("arango", "blaze", "neo19", "neo30", "orient",
+                      "sparksee", "sqlg", "titan05", "titan10"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // --- Cost-based re-pricing ---------------------------------------------------
 

@@ -1,14 +1,22 @@
 // Unit tests for src/util: Status/Result, JSON, varint/delta codecs,
-// RNG/samplers, string helpers.
+// RNG/samplers, string helpers — plus the in-place decoders built on
+// them (the document engine's JsonReader-based document reads and the
+// skip mode of the binary property codec), checked against the full
+// decoders.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/datasets/generators.h"
+#include "src/engines/docish/doc_engine.h"
+#include "src/graph/types.h"
 #include "src/util/cancel.h"
 #include "src/util/json.h"
 #include "src/util/result.h"
@@ -242,6 +250,324 @@ TEST(JsonTest, UnicodeEscapes) {
   auto v = Json::Parse(R"("Aé")");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->string_value(), "A\xc3\xa9");
+}
+
+// --- In-place decoders vs the full ones ----------------------------------
+
+// What the document engine read from a stored document before it decoded
+// in place: Json::Parse, then Find for the system members (type-checked)
+// and PropertyValue::FromJson for every other member.
+struct TreeDecode {
+  Status status;
+  VertexId src = 0;
+  VertexId dst = 0;
+  std::string label;
+  PropertyMap props;
+};
+
+TreeDecode TreeDecodeEdge(std::string_view doc) {
+  TreeDecode out;
+  auto parsed = Json::Parse(doc);
+  if (!parsed.ok()) {
+    out.status = parsed.status();
+    return out;
+  }
+  const Json* from = parsed->Find("_from");
+  const Json* to = parsed->Find("_to");
+  const Json* label = parsed->Find("_label");
+  if (from == nullptr || to == nullptr || label == nullptr ||
+      !from->is_number() || !to->is_number() || !label->is_string()) {
+    out.status = Status::Corruption("malformed edge document");
+    return out;
+  }
+  out.src = static_cast<VertexId>(from->int_value());
+  out.dst = static_cast<VertexId>(to->int_value());
+  out.label = label->string_value();
+  for (const auto& [k, v] : parsed->object()) {
+    if (!k.empty() && k[0] == '_') continue;
+    out.props.emplace_back(k, PropertyValue::FromJson(v));
+  }
+  return out;
+}
+
+// The tree-based vertex read threw std::bad_variant_access on a document
+// that parsed but was not an object; the in-place read reports
+// kCorruption there instead, which is what this reference expects.
+TreeDecode TreeDecodeVertex(std::string_view doc) {
+  TreeDecode out;
+  auto parsed = Json::Parse(doc);
+  if (!parsed.ok()) {
+    out.status = parsed.status();
+    return out;
+  }
+  if (!parsed->is_object()) {
+    out.status = Status::Corruption("document is not a JSON object");
+    return out;
+  }
+  const Json* label = parsed->Find("_label");
+  if (label != nullptr && label->is_string()) out.label = label->string_value();
+  for (const auto& [k, v] : parsed->object()) {
+    if (!k.empty() && k[0] == '_') continue;
+    out.props.emplace_back(k, PropertyValue::FromJson(v));
+  }
+  return out;
+}
+
+// Decodes `doc` both ways, as an edge and as a vertex document, and
+// checks that the in-place reads return what the tree reads return: the
+// same endpoints, label and properties, or the same status code. A bare
+// JsonReader skip of the whole text must agree with Json::Parse too.
+void ExpectSameDecode(std::string_view doc, EdgeDocFields* fields) {
+  SCOPED_TRACE(std::string(doc));
+  auto parsed = Json::Parse(doc);
+  JsonReader reader(doc);
+  Status skipped = reader.SkipValue();
+  if (skipped.ok()) skipped = reader.Finish();
+  EXPECT_EQ(skipped.code(), parsed.ok() ? StatusCode::kOk
+                                        : parsed.status().code());
+
+  TreeDecode want = TreeDecodeEdge(doc);
+  for (bool with_props : {false, true}) {
+    PropertyMap props;
+    Status got = DecodeEdgeDoc(doc, fields, with_props ? &props : nullptr);
+    ASSERT_EQ(got.code(), want.status.code()) << got << " vs " << want.status;
+    if (!got.ok()) continue;
+    EXPECT_EQ(fields->src, want.src);
+    EXPECT_EQ(fields->dst, want.dst);
+    EXPECT_EQ(fields->label, want.label);
+    if (with_props) {
+      EXPECT_EQ(props, want.props);
+    }
+  }
+
+  want = TreeDecodeVertex(doc);
+  std::string label = "stale";
+  PropertyMap props = {{"stale", PropertyValue(1)}};
+  Status got = DecodeVertexDoc(doc, &label, &props);
+  ASSERT_EQ(got.code(), want.status.code()) << got << " vs " << want.status;
+  if (!got.ok()) return;
+  EXPECT_EQ(label, want.label);
+  EXPECT_EQ(props, want.props);
+}
+
+void ExpectSameDecodeOfEveryPrefix(const std::string& doc,
+                                   EdgeDocFields* fields) {
+  for (size_t n = 0; n <= doc.size(); ++n) {
+    ExpectSameDecode(std::string_view(doc).substr(0, n), fields);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The hand-written corner cases: escapes, duplicate and mistyped system
+// members, number spellings, missing members, nested property values,
+// whitespace, trailing bytes and the nesting limit.
+std::vector<std::string> EdgeCaseDocuments() {
+  std::vector<std::string> docs = {
+      R"({"_from":1,"_to":2,"_label":"knows"})",
+      R"({"_from":1,"_to":2,"_label":"knows","since":2010,"w":0.5,)"
+      R"("tag":"a","ok":true,"no":false,"none":null})",
+      // Escaped keys and values, \u escapes included.
+      R"({"_from":3,"_to":4,"_label":"a\"b\\c\/d\u00e9\u4e2d\n"})",
+      R"({"_from":3,"_to":4,"_label":"x","name":"tab\there","\u00e9":1})",
+      R"({"_fr\u006fm":1,"\u005fto":2,"\u005flabel":"esc","n\u0061me":"v"})",
+      R"({"_from":3,"_to":4,"_label":"A\u00ff\u0800","k":"\b\f\r"})",
+      // Duplicate members: the first occurrence counts.
+      R"({"_from":1,"_from":"x","_to":2,"_label":"a","_label":5})",
+      R"({"_from":"x","_from":1,"_to":2,"_label":"a"})",
+      R"({"_from":1,"_to":2,"_label":5,"_label":"a"})",
+      R"({"_from":1,"_to":2,"_to":3,"_label":"a","p":1,"p":2})",
+      // _from spelled as a string, a double, out of range and signed.
+      R"({"_from":"5","_to":2,"_label":"a"})",
+      R"({"_from":5.75,"_to":2,"_label":"a"})",
+      R"({"_from":1e400,"_to":-1e400,"_label":"a"})",
+      R"({"_from":+5,"_to":2,"_label":"a"})",
+      R"({"_from":-0,"_to":-0.0,"_label":"a"})",
+      R"({"_from":-5,"_to":1E3,"_label":"a"})",
+      R"({"_from":18446744073709551615,"_to":9223372036854775807,"_label":"a"})",
+      R"({"_from":-9223372036854775808,"_to":1e-400,"_label":"a"})",
+      R"({"_from":.5,"_to":5.,"_label":"a","x":0.5e+2,"y":007})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":1e})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":--1})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":-})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":1.2.3})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":+-1})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":1e+})",
+      R"({"_from":1,"_to":2,"_label":"a","bad":.})",
+      // Missing members.
+      R"({"_to":2,"_label":"a"})",
+      R"({"_from":1,"_label":"a"})",
+      R"({"_from":1,"_to":2})",
+      R"({})",
+      R"({"name":"only properties","n":1})",
+      // Nested objects and arrays as property values.
+      R"({"_from":1,"_to":2,"_label":"a","o":{"x":[1,2,{"y":null}]},)"
+      R"("arr":[],"obj":{},"mixed":[true,"s",-1.5,[[]]]})",
+      R"({"_from":[1],"_to":{"v":2},"_label":["a"]})",
+      // Whitespace and trailing bytes.
+      " \t\r\n{ \"_from\" : 1 ,\n\"_to\":2\t,\"_label\" : \"a\" , \"p\" : [ 1 , 2 ] }\n ",
+      R"({"_from":1,"_to":2,"_label":"a"} x)",
+      R"({"_from":1,"_to":2,"_label":"a"}})",
+      R"({"_from":1,"_to":2,"_label":"a"}{})",
+      // Not an object, and broken structure.
+      R"([1,2,3])",
+      R"("just a string")",
+      "42",
+      "null",
+      "",
+      R"({"_from":1 "_to":2})",
+      R"({"_from":1,,"_to":2})",
+      R"({"_from":1,"_to":2,"_label":"a",})",
+      R"({_from:1})",
+      R"({"_from"1})",
+      R"({"_from":1,"_to":2,"_label":"a","t":tru})",
+      R"({"_from":1,"_to":2,"_label":"a","t":nul})",
+      R"({"_from":1,"_to":2,"_label":"a\x"})",
+      R"({"_from":1,"_to":2,"_label":"a\u12G4"})",
+      R"({"_from":1,"_to":2,"_label":"\u12"})",
+      "{\"_from\":1,\"_to\":2,\"_label\":\"raw\x01\x7f\xc3\xa9 bytes\"}",
+  };
+  // The nesting limit: 256 containers inside the document object still
+  // parse, 257 do not.
+  for (int depth : {255, 256, 257, 258}) {
+    docs.push_back(R"({"_from":1,"_to":2,"_label":"deep","p":)" +
+                   std::string(static_cast<size_t>(depth), '[') +
+                   std::string(static_cast<size_t>(depth), ']') + "}");
+    docs.push_back(R"({"_from":1,"_to":2,"_label":"deep","p":)" +
+                   std::string(static_cast<size_t>(depth), '[') + "1" +
+                   std::string(static_cast<size_t>(depth), ']') + "}");
+  }
+  docs.push_back(std::string(257, '[') + std::string(257, ']'));
+  return docs;
+}
+
+TEST(JsonReaderTest, EdgeCaseDocumentsDecodeInPlaceAsTheTreeDoes) {
+  EdgeDocFields fields;
+  for (const std::string& doc : EdgeCaseDocuments()) {
+    ExpectSameDecodeOfEveryPrefix(doc, &fields);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// Every vertex and edge document arango stores for ldbc 0.05 and mico
+// 0.05 decodes in place to what the tree returns. Every document is
+// decoded whole; every truncated prefix is decoded for the first
+// document of each shape (the sequence of member names and value kinds),
+// since where a truncation lands, not which digits it cuts, decides the
+// outcome.
+TEST(JsonReaderTest, StoredDocumentsDecodeInPlaceAsTheTreeDoes) {
+  EdgeDocFields fields;
+  std::set<std::string> shapes;
+  auto shape_of = [](const std::string& doc) {
+    std::string shape;
+    auto parsed = Json::Parse(doc);
+    if (!parsed.ok() || !parsed->is_object()) return shape;
+    for (const auto& [k, v] : parsed->object()) {
+      shape += k;
+      shape += v.is_string() ? ":s," : v.is_int() ? ":i," : v.is_double() ? ":d," : ":o,";
+    }
+    return shape;
+  };
+  size_t documents = 0;
+  auto check = [&](const std::string& doc) {
+    ++documents;
+    ExpectSameDecode(doc, &fields);
+    if (shapes.insert(shape_of(doc)).second) {
+      ExpectSameDecodeOfEveryPrefix(doc, &fields);
+    }
+  };
+  for (const char* name : {"ldbc", "mico"}) {
+    auto data = datasets::GenerateByName(name, datasets::GenOptions{0.05});
+    ASSERT_TRUE(data.ok()) << name;
+    for (const auto& v : data->vertices) {
+      check(EncodeVertexDoc(v.label, v.properties));
+      if (HasFatalFailure()) return;
+    }
+    for (const auto& e : data->edges) {
+      check(EncodeEdgeDoc(e.src, e.dst, e.label, e.properties));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(documents, 10000u);
+  EXPECT_GE(shapes.size(), 4u);
+}
+
+// An encoded property map with every value tag: null, bool, negative and
+// large ints, doubles, empty and long strings.
+std::string EncodedMapWithEveryTag() {
+  PropertyMap props = {
+      {"null", PropertyValue()},
+      {"yes", PropertyValue(true)},
+      {"no", PropertyValue(false)},
+      {"small", PropertyValue(int64_t{-3})},
+      {"big", PropertyValue(int64_t{1} << 62)},
+      {"real", PropertyValue(-2.5e-7)},
+      {"", PropertyValue(std::string())},
+      {"text", PropertyValue(std::string(300, 'x'))},
+  };
+  std::string out;
+  EncodePropertyMap(props, &out);
+  return out;
+}
+
+TEST(PropertyCodecTest, SkipModeEndsWhereDecodingEndsOnEveryPrefix) {
+  std::vector<std::string> inputs = {EncodedMapWithEveryTag()};
+  std::string empty;
+  EncodePropertyMap({}, &empty);
+  inputs.push_back(empty);
+  // An unknown value tag (9) after a valid key.
+  std::string bad_tag;
+  PutVarint64(&bad_tag, 1);
+  PutVarint64(&bad_tag, 1);
+  bad_tag += "k";
+  bad_tag.push_back(9);
+  inputs.push_back(bad_tag);
+  for (const std::string& input : inputs) {
+    for (size_t n = 0; n <= input.size(); ++n) {
+      std::string_view prefix = std::string_view(input).substr(0, n);
+      size_t decode_pos = 0, skip_pos = 0;
+      auto decoded = DecodePropertyMap(prefix, &decode_pos);
+      Status skipped = SkipPropertyMap(prefix, &skip_pos);
+      ASSERT_EQ(skipped.code(), decoded.ok() ? StatusCode::kOk
+                                             : decoded.status().code())
+          << "prefix of " << n << " bytes";
+      if (decoded.ok()) {
+        EXPECT_EQ(skip_pos, decode_pos) << n;
+      }
+    }
+  }
+  size_t pos = 0;
+  auto full = DecodePropertyMap(inputs[0], &pos);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->size(), 8u);
+  EXPECT_EQ(pos, inputs[0].size());
+}
+
+TEST(PropertyCodecTest, SkipModeMatchesEveryValueTag) {
+  std::vector<PropertyValue> values = {
+      PropertyValue(),          PropertyValue(true),
+      PropertyValue(int64_t{-1}), PropertyValue(int64_t{1} << 40),
+      PropertyValue(3.25),      PropertyValue(std::string("short")),
+      PropertyValue(std::string(200, 'y'))};
+  for (const PropertyValue& value : values) {
+    std::string input;
+    value.EncodeTo(&input);
+    for (size_t n = 0; n <= input.size(); ++n) {
+      std::string_view prefix = std::string_view(input).substr(0, n);
+      size_t decode_pos = 0, skip_pos = 0;
+      auto decoded = PropertyValue::DecodeFrom(prefix, &decode_pos);
+      Status skipped = PropertyValue::SkipEncoded(prefix, &skip_pos);
+      ASSERT_EQ(skipped.code(), decoded.ok() ? StatusCode::kOk
+                                             : decoded.status().code())
+          << value.ToString() << " prefix " << n;
+      if (!decoded.ok()) continue;
+      EXPECT_EQ(skip_pos, decode_pos);
+      EXPECT_EQ(*decoded, value);
+    }
+  }
+  std::string unknown(1, '\x07');
+  size_t pos = 0;
+  EXPECT_EQ(PropertyValue::SkipEncoded(unknown, &pos).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(StringUtilTest, JoinAndSplit) {
