@@ -6,6 +6,7 @@
 #include <map>
 
 #include "src/core/report.h"
+#include "src/graph/registry.h"
 #include "src/util/string_util.h"
 
 namespace gdbmicro {
@@ -69,12 +70,11 @@ BenchProfile ParseFlags(int argc, char** argv, double default_scale,
       std::exit(2);
     }
   }
+  RegisterBuiltinEngines();
+  if (profile.engines.empty()) {
+    profile.engines = EngineRegistry::Instance().Names();
+  }
   return profile;
-}
-
-std::vector<std::string> AllEngines() {
-  return {"arango", "blaze",    "neo19", "neo30",  "orient",
-          "sparksee", "sqlg",  "titan05", "titan10"};
 }
 
 const GraphData& GetDataset(const std::string& name, double scale) {
@@ -174,93 +174,12 @@ Json MeasurementsJson(const std::vector<core::Measurement>& rows) {
   return Json(std::move(out));
 }
 
-bool ParseMicroBenchFlags(int argc, char** argv, MicroBenchFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value_of = [&](const char* prefix) -> const char* {
-      size_t len = std::strlen(prefix);
-      if (std::strncmp(arg, prefix, len) == 0) return arg + len;
-      return nullptr;
-    };
-    if (const char* v = value_of("--scale=")) {
-      flags->scale = std::atof(v);
-    } else if (const char* v = value_of("--rounds=")) {
-      flags->rounds = std::atoi(v);
-    } else if (const char* v = value_of("--dataset=")) {
-      flags->dataset = v;
-    } else if (const char* v = value_of("--json=")) {
-      flags->json_path = v;
-    } else if (const char* v = value_of("--engines=")) {
-      flags->engines = SplitList(v);
-    } else if (const char* v = value_of("--threads=")) {
-      flags->threads.clear();
-      for (const std::string& t : SplitList(v)) {
-        flags->threads.push_back(std::atoi(t.c_str()));
-      }
-    } else if (const char* v = value_of("--write-ratio=")) {
-      flags->write_ratios.clear();
-      for (const std::string& r : SplitList(v)) {
-        double ratio = std::atof(r.c_str());
-        if (ratio < 0.0 || ratio > 1.0) {
-          std::fprintf(stderr, "--write-ratio values must be in [0,1]: %s\n",
-                       r.c_str());
-          return false;
-        }
-        flags->write_ratios.push_back(ratio);
-      }
-    } else if (const char* v = value_of("--iterations=")) {
-      flags->iterations = std::atoi(v);
-    } else if (const char* v = value_of("--fault-rate=")) {
-      double rate = std::atof(v);
-      if (rate < 0.0 || rate > 1.0) {
-        std::fprintf(stderr, "--fault-rate must be in [0,1]: %s\n", v);
-        return false;
-      }
-      flags->fault_rate = rate;
-    } else if (const char* v = value_of("--fault-seed=")) {
-      flags->fault_seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--max-attempts=")) {
-      flags->max_attempts = std::atoi(v);
-      if (flags->max_attempts < 1) {
-        std::fprintf(stderr, "--max-attempts must be >= 1: %s\n", v);
-        return false;
-      }
-    } else if (const char* v = value_of("--memory-budgets=")) {
-      flags->memory_budgets.clear();
-      for (const std::string& b : SplitList(v)) {
-        flags->memory_budgets.push_back(
-            std::strtoull(b.c_str(), nullptr, 10));
-      }
-    } else if (std::strcmp(arg, "--cost-model") == 0) {
-      flags->cost_model = true;
-    } else if (const char* v = value_of("--stats=")) {
-      if (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0) {
-        std::fprintf(stderr, "--stats takes on|off, got %s\n", v);
-        return false;
-      }
-      flags->stats = std::strcmp(v, "on") == 0;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale=f] [--rounds=n] [--dataset=name] "
-                   "[--engines=a,b,c] [--json=path] [--threads=1,2,4] "
-                   "[--write-ratio=0,0.1,0.5] [--iterations=n] "
-                   "[--fault-rate=p] [--fault-seed=n] [--max-attempts=n] "
-                   "[--memory-budgets=a,b,c] [--cost-model] "
-                   "[--stats=on|off]\n",
-                   argv[0]);
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<core::Measurement> RunAndPrint(
     const BenchProfile& profile, const std::vector<std::string>& datasets,
     const std::vector<int>& query_numbers) {
   std::vector<std::string> names =
       profile.datasets.empty() ? datasets : profile.datasets;
-  std::vector<std::string> engines =
-      profile.engines.empty() ? AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
   core::Runner runner(RunnerOptionsFrom(profile));
   auto specs = core::QueriesByNumber(query_numbers);
 

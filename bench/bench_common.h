@@ -1,6 +1,7 @@
-// Shared scaffolding for the per-figure bench binaries: flag parsing, the
-// default bench profile (dataset scale, deadlines, engine list), dataset
-// caching, and header printing.
+// Shared scaffolding for the per-figure and per-table bench binaries: flag
+// parsing, the default bench profile (dataset scale, deadlines, engine
+// list), dataset caching, header printing, and the JSON artifact writer
+// (which bench_micro shares).
 //
 // Every binary accepts:
 //   --scale=<f>        dataset scale (default per binary; 0.05 = 1/20th of
@@ -40,7 +41,8 @@ struct BenchProfile {
   uint64_t seed = 42;
   uint64_t memory_budget = 24ULL << 20;
   std::string json_path;              // --json=<path>: BENCH_*.json artifact
-  std::vector<std::string> engines;   // empty = all nine
+  std::vector<std::string> engines;   // --engines, else every registered
+                                      // engine in Table 1 order
   std::vector<std::string> datasets;  // empty = binary default
 };
 
@@ -51,9 +53,6 @@ struct BenchProfile {
 BenchProfile ParseFlags(int argc, char** argv, double default_scale,
                         int default_deadline_ms,
                         uint64_t default_budget = 24ULL << 20);
-
-/// All nine engine variants in Table 1 order.
-std::vector<std::string> AllEngines();
 
 /// Generates (and memoizes per process) a dataset at the profile scale.
 const GraphData& GetDataset(const std::string& name, double scale);
@@ -76,35 +75,6 @@ bool WriteJsonArtifact(const std::string& path, const Json& doc);
 ///                     Json(Json::Object{..., {"results",
 ///                         MeasurementsJson(rows)}}));
 Json MeasurementsJson(const std::vector<core::Measurement>& rows);
-
-/// Flags shared by all bench_micro_* binaries, which run without the
-/// full BenchProfile (the cost model defaults to off there by design —
-/// they measure the data structures). One parser serves every binary so
-/// the CLI surface stays uniform; binaries ignore the flags they have no
-/// use for (e.g. --threads outside the concurrency bench).
-struct MicroBenchFlags {
-  double scale = 0.02;
-  int rounds = 3;
-  std::string dataset = "mico";
-  std::string json_path;               // empty = no JSON artifact
-  std::vector<std::string> engines;    // empty = all nine
-  std::vector<int> threads;            // --threads=1,2,4 (concurrency sweep)
-  std::vector<double> write_ratios;    // --write-ratio=0,0.1,0.5 (mixed mode)
-  int iterations = 0;                  // 0 = binary default
-  bool cost_model = false;             // --cost-model turns the charges on
-  bool stats = true;                   // --stats=off: rule-based planning
-  // Robustness knobs (the chaos bench; other binaries ignore them).
-  double fault_rate = 0.01;            // --fault-rate=p (transient faults)
-  uint64_t fault_seed = 7;             // --fault-seed=n (injector stream)
-  int max_attempts = 3;                // --max-attempts=n (1 = no retry)
-  std::vector<uint64_t> memory_budgets;  // --memory-budgets=a,b,c (bytes)
-};
-
-/// Parses --scale/--rounds/--dataset/--engines/--json/--threads/
-/// --write-ratio/--iterations/--cost-model/--stats plus the robustness
-/// knobs (--fault-rate/--fault-seed/--max-attempts/--memory-budgets) into
-/// `flags`. Unknown flags print usage and return false.
-bool ParseMicroBenchFlags(int argc, char** argv, MicroBenchFlags* flags);
 
 /// Shared driver for the per-figure binaries: runs the Table 2 queries
 /// with the given numbers on each dataset across the profile's engines and

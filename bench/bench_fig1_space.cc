@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
           ? std::vector<std::string>{"frb-o", "frb-m", "frb-l", "frb-s",
                                      "ldbc", "mico"}
           : profile.datasets;
-  std::vector<std::string> engines =
-      profile.engines.empty() ? bench::AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
 
   core::Runner runner(bench::RunnerOptionsFrom(profile));
   std::printf("%-7s %12s", "dataset", "raw-json");

@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   bench::BenchProfile profile = bench::ParseFlags(argc, argv, 0.03, 6000);
   bench::PrintBanner("Figure 2: Complex Query Performance on ldbc", profile);
 
-  std::vector<std::string> engines =
-      profile.engines.empty() ? bench::AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
   const GraphData& data = bench::GetDataset("ldbc", profile.scale);
   core::Runner runner(bench::RunnerOptionsFrom(profile));
 

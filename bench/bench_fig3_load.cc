@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
       profile.datasets.empty()
           ? std::vector<std::string>{"frb-o", "frb-m", "frb-l"}
           : profile.datasets;
-  std::vector<std::string> engines =
-      profile.engines.empty() ? bench::AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
   core::Runner runner(bench::RunnerOptionsFrom(profile));
 
   Json::Array json_rows;

@@ -12,9 +12,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner("Table 1: Features and Characteristics of the tested systems",
                      profile);
 
-  RegisterBuiltinEngines();
-  std::vector<std::string> engines =
-      profile.engines.empty() ? bench::AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
 
   std::printf("%-9s %-12s %-20s %-48s %-28s %-10s %-32s %s\n", "engine",
               "emulates", "type", "storage", "edge traversal", "contract",

@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
       profile.datasets.empty()
           ? std::vector<std::string>{"frb-s", "frb-o", "frb-m"}
           : profile.datasets;
-  std::vector<std::string> engines =
-      profile.engines.empty() ? bench::AllEngines() : profile.engines;
+  const std::vector<std::string>& engines = profile.engines;
   core::Runner runner(bench::RunnerOptionsFrom(profile));
   std::vector<const core::QuerySpec*> specs;
   for (const auto& spec : core::QueryCatalog()) specs.push_back(&spec);

@@ -1,10 +1,9 @@
-// Micro-benchmark for the cost-based optimizer: query shapes written in
-// ADVERSARIAL order (cheap keep-everything filters first, the selective
-// predicate last; expansion shapes the rule-based planner has no pattern
-// for) are lowered twice — rule-based (syntactic lowering, today's
-// baseline) and cost-based (load-time statistics) — plus a hand-ordered
-// BEST version of each shape lowered rule-based, the oracle the
-// optimizer is judged against.
+// Optimizer scenario: query shapes written in ADVERSARIAL order (cheap
+// keep-everything filters first, the selective predicate last; expansion
+// shapes the rule-based planner has no pattern for) are lowered twice —
+// rule-based (syntactic lowering, today's baseline) and cost-based
+// (load-time statistics) — plus a hand-ordered BEST version of each shape
+// lowered rule-based, the oracle the optimizer is judged against.
 //
 // For each engine and shape it reports:
 //   rule ms   the adversarial ordering, rule-based lowering
@@ -14,26 +13,21 @@
 //   vs hand   cost ms / hand ms  (1.0 = matches the oracle; < 1 beats it,
 //             e.g. when the optimizer picks an index the syntax didn't)
 //
-// All three lowerings must return identical results; a mismatch fails
-// the run (CI's smoke step). The summary line counts engines where the
-// cost-based plan is >= 2x the adversarial ordering AND within 20% of
-// the hand-ordered oracle on at least one shape.
-//
-// Usage: bench_micro_optimizer [--scale=<f>] [--engines=a,b,c]
-//        [--rounds=<n>] [--stats=on|off] [--json=<path>]
+// All three lowerings must return identical results. The summary line
+// counts engines where the cost-based plan is >= 2x the adversarial
+// ordering AND within 20% of the hand-ordered oracle on at least one
+// shape.
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
-#include "src/graph/registry.h"
+#include "bench/micro/micro.h"
 #include "src/query/traversal.h"
-#include "src/util/json.h"
-#include "src/util/timer.h"
+#include "src/util/string_util.h"
 
 namespace gdbmicro {
+namespace bench {
 namespace {
 
 using query::Plan;
@@ -74,15 +68,15 @@ GraphData SkewedData(double scale) {
   return data;
 }
 
-struct Measured {
+struct PlanTiming {
   double ms = 0;
   uint64_t rows = 0;
 };
 
-Result<Measured> MeasurePlan(const Plan& plan, const GraphEngine& engine,
-                             QuerySession& session, int rounds,
-                             const CancelToken& cancel) {
-  Measured m;
+Result<PlanTiming> MeasurePlan(const Plan& plan, const GraphEngine& engine,
+                               QuerySession& session, int rounds,
+                               const CancelToken& cancel) {
+  PlanTiming m;
   Timer timer;
   for (int r = 0; r < rounds; ++r) {
     GDB_ASSIGN_OR_RETURN(query::TraversalOutput out,
@@ -128,79 +122,62 @@ std::vector<Shape> Shapes() {
   return shapes;
 }
 
-int Run(int argc, char** argv) {
-  bench::MicroBenchFlags flags;
-  if (!bench::ParseMicroBenchFlags(argc, argv, &flags)) return 2;
+}  // namespace
 
-  RegisterBuiltinEngines();
-  std::vector<std::string> engines = flags.engines;
-  if (engines.empty()) engines = EngineRegistry::Instance().Names();
-
-  GraphData data = SkewedData(flags.scale);
+Json::Object RunOptimizer(MicroRun& run) {
+  const int rounds = run.flags.rounds;
+  GraphData data = SkewedData(run.flags.scale);
   std::printf(
       "optimizer micro-bench: %zu vertices, %zu edges, %d rounds, "
       "stats %s\n\n",
-      data.vertices.size(), data.edges.size(), flags.rounds,
-      flags.stats ? "on" : "off");
-  std::printf("%-9s %-12s %10s %10s %10s %8s %8s\n", "engine", "shape",
-              "rule ms", "cost ms", "hand ms", "x adv", "vs hand");
+      data.vertices.size(), data.edges.size(), rounds,
+      run.flags.stats ? "on" : "off");
+  run.Table({{"engine", "engine", -9},
+             {"shape", "shape", -12},
+             {"rows", "rows", 6},
+             {"rule_adversarial_ms", "rule ms", 10, 3},
+             {"cost_adversarial_ms", "cost ms", 10, 3},
+             {"hand_best_ms", "hand ms", 10, 3},
+             {"speedup_vs_adversarial", "x adv", 8, 2},
+             {"cost_over_hand", "vs hand", 8, 2}});
 
   CancelToken never;
-  Json::Array json_rows;
-  bool mismatch = false;
   int engines_meeting_criteria = 0;
-  for (const std::string& name : engines) {
+  for (const std::string& name : run.flags.engines) {
     EngineOptions options;  // cost model off: measure the planner's effect
-    options.collect_statistics = flags.stats;
-    auto engine = OpenEngine(name, options, /*honor_cost_model_env=*/false);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                   engine.status().ToString().c_str());
-      continue;
-    }
-    auto mapping = (*engine)->BulkLoad(data);
-    if (!mapping.ok()) {
-      std::fprintf(stderr, "%s load: %s\n", name.c_str(),
-                   mapping.status().ToString().c_str());
-      continue;
-    }
-    auto session = (*engine)->CreateSession();
-    QueryExecution policy = Traversal::PolicyFor(**engine);
+    options.collect_statistics = run.flags.stats;
+    auto loaded = run.Load(name, data, options);
+    if (!loaded) continue;
+    const GraphEngine& engine = *loaded->engine;
+    QuerySession& session = *loaded->session;
+    QueryExecution policy = Traversal::PolicyFor(engine);
 
     bool meets = false;
     for (const Shape& shape : Shapes()) {
-      auto rule_plan = shape.adversarial.Lower(policy);
-      auto cost_plan = shape.adversarial.LowerFor(**engine, policy);
-      auto hand_plan = shape.hand_best.Lower(policy);
-      if (!rule_plan.ok() || !cost_plan.ok() || !hand_plan.ok()) {
-        std::fprintf(stderr, "%s %s: lowering failed\n", name.c_str(),
-                     shape.name);
-        continue;
-      }
-      auto rule = MeasurePlan(*rule_plan, **engine, *session, flags.rounds,
-                              never);
-      auto cost = MeasurePlan(*cost_plan, **engine, *session, flags.rounds,
-                              never);
-      auto hand = MeasurePlan(*hand_plan, **engine, *session, flags.rounds,
-                              never);
+      auto measure = [&](Result<Plan> plan) -> Result<PlanTiming> {
+        GDB_RETURN_IF_ERROR(plan.status());
+        return MeasurePlan(*plan, engine, session, rounds, never);
+      };
+      auto rule = measure(shape.adversarial.Lower(policy));
+      auto cost = measure(shape.adversarial.LowerFor(engine, policy));
+      auto hand = measure(shape.hand_best.Lower(policy));
       if (!rule.ok() || !cost.ok() || !hand.ok()) {
-        std::fprintf(stderr, "%s %s: run failed\n", name.c_str(), shape.name);
+        run.Fail(name + " " + shape.name + ": " +
+                 (!rule.ok() ? rule : !cost.ok() ? cost : hand)
+                     .status()
+                     .ToString());
         continue;
       }
       if (rule->rows != cost->rows || rule->rows != hand->rows) {
-        mismatch = true;
-        std::fprintf(
-            stderr, "%s %s: RESULT MISMATCH rule=%llu cost=%llu hand=%llu\n",
+        run.Fail(StrFormat(
+            "%s %s: RESULT MISMATCH rule=%llu cost=%llu hand=%llu",
             name.c_str(), shape.name, (unsigned long long)rule->rows,
-            (unsigned long long)cost->rows, (unsigned long long)hand->rows);
+            (unsigned long long)cost->rows, (unsigned long long)hand->rows));
       }
-      double x_adv = cost->ms > 0 ? rule->ms / cost->ms : 0.0;
-      double vs_hand = hand->ms > 0 ? cost->ms / hand->ms : 0.0;
+      double x_adv = Ratio(rule->ms, cost->ms);
+      double vs_hand = Ratio(cost->ms, hand->ms);
       if (x_adv >= 2.0 && vs_hand <= 1.2) meets = true;
-      std::printf("%-9s %-12s %10.3f %10.3f %10.3f %8.2f %8.2f\n",
-                  name.c_str(), shape.name, rule->ms, cost->ms, hand->ms,
-                  x_adv, vs_hand);
-      json_rows.push_back(Json(Json::Object{
+      run.Emit({
           {"engine", Json(name)},
           {"shape", Json(shape.name)},
           {"rows", Json(rule->rows)},
@@ -209,7 +186,7 @@ int Run(int argc, char** argv) {
           {"hand_best_ms", Json(hand->ms)},
           {"speedup_vs_adversarial", Json(x_adv)},
           {"cost_over_hand", Json(vs_hand)},
-      }));
+      });
     }
     if (meets) ++engines_meeting_criteria;
   }
@@ -219,22 +196,15 @@ int Run(int argc, char** argv) {
       "adversarial ordering and within 20%% of the hand-ordered oracle\n"
       "on at least one shape; the bar asks for >= 3).\n",
       engines_meeting_criteria);
-
-  if (!flags.json_path.empty()) {
-    Json doc(Json::Object{
-        {"bench", Json("micro_optimizer")},
-        {"scale", Json(flags.scale)},
-        {"rounds", Json(flags.rounds)},
-        {"stats", Json(flags.stats)},
-        {"engines_meeting_criteria", Json(engines_meeting_criteria)},
-        {"results", Json(std::move(json_rows))},
-    });
-    if (!bench::WriteJsonArtifact(flags.json_path, doc)) return 1;
-  }
-  return mismatch ? 1 : 0;
+  return {
+      {"bench", Json("micro_optimizer")},
+      {"scale", Json(run.flags.scale)},
+      {"rounds", Json(rounds)},
+      {"stats", Json(run.flags.stats)},
+      {"engines_meeting_criteria", Json(engines_meeting_criteria)},
+      {"results", run.TakeRows()},
+  };
 }
 
-}  // namespace
+}  // namespace bench
 }  // namespace gdbmicro
-
-int main(int argc, char** argv) { return gdbmicro::Run(argc, argv); }

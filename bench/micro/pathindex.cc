@@ -1,8 +1,8 @@
-// Micro-benchmark for the post-load path/reachability index tier
-// (src/graph/path_index.h): every workload runs twice per engine — the
+// Path-index scenario: the post-load path/reachability index tier
+// (src/graph/path_index.h). Every workload runs twice per engine — the
 // paper-faithful frontier execution (PathMode::kFrontierOnly, the
 // reference) and the indexed execution (PathMode::kAuto) — on identical
-// query pairs. Any answer disagreement fails the run (CI's smoke step).
+// query pairs. Any answer disagreement is a violation.
 //
 // The graph is a deterministic "archipelago": disconnected islands, each
 // a directed ring (one big SCC) with chords, tendril chains hanging off
@@ -19,27 +19,22 @@
 //              in-island pairs plus a cross-island tail
 //   bfs-d3     breadth-first to depth 3 (Q.32/Q.33 shape)
 //
-// Acceptance bar (ISSUE 9): indexed >= 5x frontier queries/sec on
-// neg-reach and >= 1.5x on sp-fig7, same engine, on >= 6 of 9 engines,
-// with zero disagreements. The summary line reports the count; result
-// mismatches (not a missed bar) make the exit status non-zero.
-//
-// Usage: bench_micro_pathindex [--scale=<f>] [--engines=a,b,c]
-//        [--rounds=<n>] [--json=<path>]
+// Acceptance bar: indexed >= 5x frontier queries/sec on neg-reach and
+// >= 1.5x on sp-fig7, same engine, on >= 6 of 9 engines, with zero
+// disagreements. The summary line reports the count; result mismatches
+// (not a missed bar) fail the run.
 
 #include <algorithm>
-#include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
-#include "src/graph/registry.h"
+#include "bench/micro/micro.h"
 #include "src/query/algorithms.h"
-#include "src/util/json.h"
-#include "src/util/timer.h"
+#include "src/util/string_util.h"
 
 namespace gdbmicro {
+namespace bench {
 namespace {
 
 using query::BreadthFirst;
@@ -254,90 +249,70 @@ Result<ModeRun> RunMode(const GraphEngine& engine, QuerySession& session,
   return run;
 }
 
-int Run(int argc, char** argv) {
-  bench::MicroBenchFlags flags;
-  if (!bench::ParseMicroBenchFlags(argc, argv, &flags)) return 2;
+}  // namespace
 
-  RegisterBuiltinEngines();
-  std::vector<std::string> engines = flags.engines;
-  if (engines.empty()) engines = EngineRegistry::Instance().Names();
-
-  GraphData data = ArchipelagoData(flags.scale);
+Json::Object RunPathIndex(MicroRun& run) {
+  const int rounds = run.flags.rounds;
+  GraphData data = ArchipelagoData(run.flags.scale);
   size_t island_span = data.vertices.size() / kIslands;
   std::vector<Workload> loads =
       Workloads(data.vertices.size(), island_span);
   std::printf(
       "path-index micro-bench: %zu vertices, %zu edges, %d islands, "
       "%d rounds\n\n",
-      data.vertices.size(), data.edges.size(), kIslands, flags.rounds);
-  std::printf("%-9s %-10s %12s %12s %9s\n", "engine", "workload",
-              "frontier q/s", "indexed q/s", "speedup");
+      data.vertices.size(), data.edges.size(), kIslands, rounds);
+  run.Table({{"engine", "engine", -9},
+             {"workload", "workload", -10},
+             {"frontier_qps", "frontier q/s", 12},
+             {"indexed_qps", "indexed q/s", 12},
+             {"speedup", "speedup", 8, 2},
+             {"index_build_ms", "index ms", 9, 1},
+             {"index_bytes", "index B", 9}});
 
   CancelToken never;
-  Json::Array json_rows;
   bool mismatch = false;
   int engines_meeting_bar = 0;
-  for (const std::string& name : engines) {
+  for (const std::string& name : run.flags.engines) {
     // Cost model off: the index tier is the subject, not the simulated
     // per-operation penalties.
-    auto engine =
-        OpenEngine(name, EngineOptions{}, /*honor_cost_model_env=*/false);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                   engine.status().ToString().c_str());
-      continue;
-    }
-    auto mapping = (*engine)->BulkLoad(data);
-    if (!mapping.ok()) {
-      std::fprintf(stderr, "%s load: %s\n", name.c_str(),
-                   mapping.status().ToString().c_str());
-      continue;
-    }
-    Status built = (*engine)->BuildPathIndex(never);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s index build: %s\n", name.c_str(),
-                   built.ToString().c_str());
-      continue;
-    }
-    const PathIndexStats& ist = (*engine)->path_index()->stats();
-    auto session = (*engine)->CreateSession();
+    EngineOptions options;
+    options.build_path_index = true;
+    auto loaded = run.Load(name, data, options);
+    if (!loaded) continue;
+    const GraphEngine& engine = *loaded->engine;
+    const PathIndexStats& ist = engine.path_index()->stats();
 
     double neg_speedup = 0, sp_speedup = 0;
     for (const Workload& load : loads) {
-      auto frontier = RunMode(**engine, *session, load, mapping->vertex_ids,
-                              PathMode::kFrontierOnly, flags.rounds, never);
-      auto indexed = RunMode(**engine, *session, load, mapping->vertex_ids,
-                             PathMode::kAuto, flags.rounds, never);
+      auto frontier =
+          RunMode(engine, *loaded->session, load, loaded->mapping.vertex_ids,
+                  PathMode::kFrontierOnly, rounds, never);
+      auto indexed =
+          RunMode(engine, *loaded->session, load, loaded->mapping.vertex_ids,
+                  PathMode::kAuto, rounds, never);
       if (!frontier.ok() || !indexed.ok()) {
-        std::fprintf(stderr, "%s %s: run failed: %s\n", name.c_str(),
-                     load.name,
-                     (!frontier.ok() ? frontier.status() : indexed.status())
-                         .ToString()
-                         .c_str());
         mismatch = true;
+        run.Fail(name + " " + load.name + ": run failed: " +
+                 (!frontier.ok() ? frontier : indexed).status().ToString());
         continue;
       }
       for (size_t i = 0; i < load.pairs.size(); ++i) {
         if (frontier->answers[i] != indexed->answers[i]) {
           mismatch = true;
-          std::fprintf(
-              stderr,
+          run.Fail(StrFormat(
               "%s %s: DISAGREEMENT pair %zu (v%llu, v%llu): frontier=%llu "
-              "indexed=%llu\n",
+              "indexed=%llu",
               name.c_str(), load.name, i,
               (unsigned long long)load.pairs[i].first,
               (unsigned long long)load.pairs[i].second,
               (unsigned long long)frontier->answers[i],
-              (unsigned long long)indexed->answers[i]);
+              (unsigned long long)indexed->answers[i]));
         }
       }
-      double speedup =
-          frontier->qps > 0 ? indexed->qps / frontier->qps : 0.0;
+      double speedup = Ratio(indexed->qps, frontier->qps);
       if (load.kind == Kind::kNegReach) neg_speedup = speedup;
       if (load.kind == Kind::kShortestPath) sp_speedup = speedup;
-      std::printf("%-9s %-10s %12.0f %12.0f %8.2fx\n", name.c_str(),
-                  load.name, frontier->qps, indexed->qps, speedup);
-      json_rows.push_back(Json(Json::Object{
+      run.Emit({
           {"engine", Json(name)},
           {"workload", Json(load.name)},
           {"pairs", Json(static_cast<uint64_t>(load.pairs.size()))},
@@ -346,40 +321,30 @@ int Run(int argc, char** argv) {
           {"speedup", Json(speedup)},
           {"index_build_ms", Json(ist.build_millis)},
           {"index_bytes", Json(ist.bytes)},
-      }));
+      });
     }
     bool meets = neg_speedup >= 5.0 && sp_speedup >= 1.5;
     if (meets) ++engines_meeting_bar;
-    std::printf(
-        "%-9s index: %.1f ms build, %llu SCCs, %llu components, %d "
-        "landmarks, %.1f KiB%s\n",
-        name.c_str(), ist.build_millis, (unsigned long long)ist.sccs,
-        (unsigned long long)ist.components, ist.landmarks,
-        ist.bytes / 1024.0, meets ? "  [meets bar]" : "");
+    std::printf("%-9s index: %llu SCCs, %llu components, %d landmarks%s\n",
+                name.c_str(), (unsigned long long)ist.sccs,
+                (unsigned long long)ist.components, ist.landmarks,
+                meets ? "  [meets bar]" : "");
   }
 
   std::printf(
       "\n%d engine(s) met the acceptance bar (indexed >= 5x frontier on\n"
       "neg-reach and >= 1.5x on sp-fig7; the bar asks for >= 6 of 9,\n"
-      "zero disagreements).%s\n",
-      engines_meeting_bar,
-      mismatch ? "  RESULT DISAGREEMENTS FOUND." : "");
-
-  if (!flags.json_path.empty()) {
-    Json doc(Json::Object{
-        {"bench", Json("micro_pathindex")},
-        {"scale", Json(flags.scale)},
-        {"rounds", Json(flags.rounds)},
-        {"engines_meeting_bar", Json(engines_meeting_bar)},
-        {"disagreements", Json(mismatch)},
-        {"results", Json(std::move(json_rows))},
-    });
-    if (!bench::WriteJsonArtifact(flags.json_path, doc)) return 1;
-  }
-  return mismatch ? 1 : 0;
+      "zero disagreements).\n",
+      engines_meeting_bar);
+  return {
+      {"bench", Json("micro_pathindex")},
+      {"scale", Json(run.flags.scale)},
+      {"rounds", Json(rounds)},
+      {"engines_meeting_bar", Json(engines_meeting_bar)},
+      {"disagreements", Json(mismatch)},
+      {"results", run.TakeRows()},
+  };
 }
 
-}  // namespace
+}  // namespace bench
 }  // namespace gdbmicro
-
-int main(int argc, char** argv) { return gdbmicro::Run(argc, argv); }

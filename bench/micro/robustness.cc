@@ -1,5 +1,6 @@
-// Chaos micro-bench: graceful degradation of the full query stack under
-// injected transient faults and shrinking governor memory budgets.
+// Robustness scenario (chaos): graceful degradation of the full query
+// stack under injected transient faults and shrinking governor memory
+// budgets.
 //
 // Per engine, four sequential legs against freshly loaded instances:
 //
@@ -24,29 +25,24 @@
 //                   == issued, and whatever completes must match the
 //                   unlimited leg's items.
 //
-// Any violated invariant is recorded and the binary exits nonzero —
-// this is the regression harness for the governor/retry machinery, not
-// just a reporter. --json writes BENCH_robustness.json (archived by CI).
-//
-// Usage: bench_micro_robustness [--scale=<f>] [--engines=a,b,c]
-//        [--dataset=<name>] [--iterations=<n>] [--fault-rate=<p>]
-//        [--fault-seed=<n>] [--max-attempts=<n>]
-//        [--memory-budgets=a,b,c] [--json=<path>] [--cost-model]
+// Any violated invariant is recorded and fails the run — this is the
+// regression harness for the governor/retry machinery, not just a
+// reporter. Engines load through core::Runner: its retry policy and
+// governor are the subject.
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "bench/micro/micro.h"
 #include "src/core/queries.h"
 #include "src/core/runner.h"
 #include "src/graph/fault.h"
-#include "src/util/json.h"
 #include "src/util/string_util.h"
 
 namespace gdbmicro {
+namespace bench {
 namespace {
 
 // Light per-query fault surface (~1-3 emulated remote probes each) so a
@@ -70,19 +66,14 @@ struct LegResult {
   std::map<std::pair<std::string, int>, std::pair<uint64_t, uint64_t>> items;
 };
 
-LegResult RunLeg(const core::Runner& runner, const std::string& engine,
-                 const GraphData& data,
-                 const std::vector<const core::QuerySpec*>& specs,
-                 std::vector<std::string>* violations) {
+LegResult RunLeg(MicroRun& run, const core::Runner& runner,
+                 const std::string& engine,
+                 const std::vector<const core::QuerySpec*>& specs) {
   LegResult leg;
-  auto loaded = runner.Load(engine, data);
-  if (!loaded.ok()) {
-    violations->push_back(engine + ": load failed: " +
-                          loaded.status().ToString());
-    return leg;
-  }
+  auto loaded = runner.Load(engine, run.data);
+  if (!run.Check(loaded.status(), engine + ": load failed")) return leg;
   for (const core::QuerySpec* spec : specs) {
-    for (core::Measurement& m : runner.RunQuery(*loaded, data, *spec)) {
+    for (core::Measurement& m : runner.RunQuery(*loaded, run.data, *spec)) {
       leg.outcomes.Merge(m.outcomes);
       leg.wall_ms += m.millis;
       leg.items[{m.query, static_cast<int>(m.mode)}] = {
@@ -112,28 +103,18 @@ bool SameCounters(const core::OutcomeCounters& a,
 }
 
 }  // namespace
-}  // namespace gdbmicro
 
-int main(int argc, char** argv) {
-  using namespace gdbmicro;
-  bench::MicroBenchFlags flags;
-  if (!bench::ParseMicroBenchFlags(argc, argv, &flags)) return 2;
-  if (flags.memory_budgets.empty()) {
-    flags.memory_budgets = {16ULL << 10, 256ULL << 10, 0};
-  }
+Json::Object RunRobustness(MicroRun& run) {
+  const MicroBenchFlags& flags = run.flags;
   // Ascending budgets, unlimited (0) last: the monotonicity check below
   // walks them as ever-looser limits.
-  std::sort(flags.memory_budgets.begin(), flags.memory_budgets.end(),
-            [](uint64_t a, uint64_t b) {
-              if (a == 0) return false;
-              if (b == 0) return true;
-              return a < b;
-            });
-  int iterations = flags.iterations > 0 ? flags.iterations : 10;
-
-  std::vector<std::string> engines =
-      flags.engines.empty() ? bench::AllEngines() : flags.engines;
-  const GraphData& data = bench::GetDataset(flags.dataset, flags.scale);
+  std::vector<uint64_t> budgets = flags.memory_budgets;
+  std::sort(budgets.begin(), budgets.end(), [](uint64_t a, uint64_t b) {
+    if (a == 0) return false;
+    if (b == 0) return true;
+    return a < b;
+  });
+  const int iterations = flags.iterations;
 
   core::RunnerOptions base;
   base.deadline = std::chrono::milliseconds(10000);
@@ -152,28 +133,38 @@ int main(int argc, char** argv) {
   const uint64_t expected_issued = fault_specs.size() * (1 + iterations);
 
   std::printf(
-      "robustness micro-bench: dataset=%s scale=%.3f (%zu vertices, %zu "
-      "edges)\nfault-rate=%.3f fault-seed=%llu max-attempts=%d "
-      "iterations=%d\n\n",
-      flags.dataset.c_str(), flags.scale, data.vertices.size(),
-      data.edges.size(), flags.fault_rate,
-      (unsigned long long)flags.fault_seed, flags.max_attempts, iterations);
-  std::printf("%-9s %8s %8s %8s %8s %8s %8s %9s %8s\n", "engine", "issued",
-              "ok", "retried", "timeout", "oom", "failed", "goodput",
-              "probes");
+      "robustness micro-bench: fault-rate=%.3f fault-seed=%llu "
+      "max-attempts=%d iterations=%d\n\n",
+      flags.fault_rate, (unsigned long long)flags.fault_seed,
+      flags.max_attempts, iterations);
+  // The faulted leg's counters, then the oom count of each budget leg.
+  std::vector<Column> columns = {{"engine", "engine", -9},
+                                 {"faulted.issued", "issued", 7},
+                                 {"faulted.ok", "ok", 7},
+                                 {"faulted.retried", "retried", 7},
+                                 {"faulted.timeout", "timeout", 7},
+                                 {"faulted.oom", "oom", 7},
+                                 {"faulted.failed", "failed", 7},
+                                 {"faulted.goodput_ratio", "goodput", 7, 3},
+                                 {"faulted.probes", "probes", 7}};
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    columns.push_back(
+        {StrFormat("memory_sweep.%zu.oom", i),
+         budgets[i] == 0 ? std::string("oom@unlim")
+                         : StrFormat("oom@%lluK",
+                                     (unsigned long long)(budgets[i] >> 10)),
+         10});
+  }
+  run.Table(std::move(columns));
 
-  std::vector<std::string> violations;
-  Json engines_json = Json::MakeArray();
-
-  for (const std::string& engine : engines) {
+  for (const std::string& engine : flags.engines) {
     auto fail = [&](const std::string& what) {
-      violations.push_back(engine + ": " + what);
+      run.Fail(engine + ": " + what);
     };
 
     // Leg 1: fault-free baseline (golden items, reference goodput).
     core::Runner base_runner(base);
-    LegResult baseline =
-        RunLeg(base_runner, engine, data, fault_specs, &violations);
+    LegResult baseline = RunLeg(run, base_runner, engine, fault_specs);
     if (baseline.outcomes.Issued() != expected_issued) {
       fail(StrFormat("baseline issued %llu != expected %llu",
                      (unsigned long long)baseline.outcomes.Issued(),
@@ -194,16 +185,15 @@ int main(int argc, char** argv) {
       core::RunnerOptions with_faults = base;
       with_faults.fault_injector = &injector;
       core::Runner fault_runner(with_faults);
-      faulted[rep] =
-          RunLeg(fault_runner, engine, data, fault_specs, &violations);
+      faulted[rep] = RunLeg(run, fault_runner, engine, fault_specs);
 
       // Leg 3 (same injector stream): mixed read/write ops, one client,
       // commits through the writer — injected aborts must retry cleanly.
-      auto loaded = fault_runner.Load(engine, data);
+      auto loaded = fault_runner.Load(engine, run.data);
       if (!loaded.ok()) {
         fail("mixed-mode load failed: " + loaded.status().ToString());
       } else {
-        auto mixed = fault_runner.RunMixed(*loaded, data, mixed_reads,
+        auto mixed = fault_runner.RunMixed(*loaded, run.data, mixed_reads,
                                            mixed_writes, /*threads=*/1,
                                            /*iterations_per_thread=*/
                                            2 * iterations,
@@ -257,31 +247,18 @@ int main(int argc, char** argv) {
       }
     }
 
-    double goodput_ratio =
-        baseline.outcomes.Completed() > 0
-            ? static_cast<double>(chaos.outcomes.Completed()) /
-                  static_cast<double>(baseline.outcomes.Completed())
-            : 0.0;
-    std::printf("%-9s %8llu %8llu %8llu %8llu %8llu %8llu %8.1f%% %8llu\n",
-                engine.c_str(), (unsigned long long)chaos.outcomes.Issued(),
-                (unsigned long long)chaos.outcomes.ok,
-                (unsigned long long)chaos.outcomes.retried,
-                (unsigned long long)chaos.outcomes.timeout,
-                (unsigned long long)chaos.outcomes.oom,
-                (unsigned long long)chaos.outcomes.failed,
-                100.0 * goodput_ratio, (unsigned long long)probes[0]);
-    std::fflush(stdout);
+    double goodput_ratio = Ratio(chaos.outcomes.Completed(),
+                                 baseline.outcomes.Completed());
 
     // Leg 4: fault-free budget sweep, loosest budget last. OOM counts
     // must fall (or hold) as the budget grows, and anything that
     // completes under a limit must match the unlimited leg's items.
     std::vector<LegResult> sweep;
-    for (uint64_t budget : flags.memory_budgets) {
+    for (uint64_t budget : budgets) {
       core::RunnerOptions with_budget = base;
       with_budget.governor_memory_budget_bytes = budget;
       core::Runner budget_runner(with_budget);
-      sweep.push_back(
-          RunLeg(budget_runner, engine, data, memory_specs, &violations));
+      sweep.push_back(RunLeg(run, budget_runner, engine, memory_specs));
       const LegResult& leg = sweep.back();
       if (leg.outcomes.failed != 0) {
         fail(StrFormat("budget %llu produced %llu permanent failures",
@@ -294,7 +271,7 @@ int main(int argc, char** argv) {
                        (unsigned long long)budget));
       }
     }
-    if (!sweep.empty() && flags.memory_budgets.back() == 0) {
+    if (!sweep.empty() && budgets.back() == 0) {
       const LegResult& unlimited = sweep.back();
       if (unlimited.outcomes.oom != 0) {
         fail("unlimited budget still reported oom");
@@ -311,65 +288,46 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::printf("  budget sweep:");
-    for (size_t i = 0; i < sweep.size(); ++i) {
-      uint64_t budget = flags.memory_budgets[i];
-      std::printf("  %s -> %llu oom",
-                  budget == 0 ? "unlimited"
-                              : StrFormat("%lluKiB", (unsigned long long)(
-                                                         budget >> 10))
-                                    .c_str(),
-                  (unsigned long long)sweep[i].outcomes.oom);
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-
-    Json row = Json::MakeObject();
-    row.Set("engine", engine);
-    row.Set("baseline", CountersJson(baseline.outcomes));
     Json chaos_json = CountersJson(chaos.outcomes);
     chaos_json.Set("probes", probes[0]);
     chaos_json.Set("faults", faults[0]);
     chaos_json.Set("goodput_ratio", goodput_ratio);
-    row.Set("faulted", chaos_json);
     Json mixed_json = CountersJson(mixed_outcomes[0]);
     mixed_json.Set("epochs_published", mixed_epochs[0]);
-    row.Set("mixed", mixed_json);
     Json sweep_json = Json::MakeArray();
     for (size_t i = 0; i < sweep.size(); ++i) {
       Json leg_json = CountersJson(sweep[i].outcomes);
-      leg_json.Set("budget_bytes", flags.memory_budgets[i]);
+      leg_json.Set("budget_bytes", budgets[i]);
       sweep_json.Append(std::move(leg_json));
     }
-    row.Set("memory_sweep", std::move(sweep_json));
-    engines_json.Append(std::move(row));
+    run.Emit({
+        {"engine", Json(engine)},
+        {"baseline", CountersJson(baseline.outcomes)},
+        {"faulted", std::move(chaos_json)},
+        {"mixed", std::move(mixed_json)},
+        {"memory_sweep", std::move(sweep_json)},
+    });
   }
 
-  if (!violations.empty()) {
-    std::printf("\nINVARIANT VIOLATIONS:\n");
-    for (const std::string& v : violations) {
-      std::printf("  %s\n", v.c_str());
-    }
-  } else {
+  if (run.violations().empty()) {
     std::printf(
         "\nall robustness invariants held: deterministic chaos, goodput "
         "within 10%%, no drift, monotone oom\n");
   }
-
-  if (!flags.json_path.empty()) {
-    Json doc = Json::MakeObject();
-    doc.Set("bench", "robustness");
-    doc.Set("dataset", flags.dataset);
-    doc.Set("scale", flags.scale);
-    doc.Set("fault_rate", flags.fault_rate);
-    doc.Set("fault_seed", flags.fault_seed);
-    doc.Set("max_attempts", flags.max_attempts);
-    doc.Set("iterations", iterations);
-    doc.Set("engines", std::move(engines_json));
-    Json violations_json = Json::MakeArray();
-    for (const std::string& v : violations) violations_json.Append(v);
-    doc.Set("violations", std::move(violations_json));
-    if (!bench::WriteJsonArtifact(flags.json_path, doc)) return 1;
-  }
-  return violations.empty() ? 0 : 1;
+  Json violations = Json::MakeArray();
+  for (const std::string& v : run.violations()) violations.Append(v);
+  return {
+      {"bench", Json("robustness")},
+      {"dataset", Json(flags.dataset)},
+      {"scale", Json(flags.scale)},
+      {"fault_rate", Json(flags.fault_rate)},
+      {"fault_seed", Json(flags.fault_seed)},
+      {"max_attempts", Json(flags.max_attempts)},
+      {"iterations", Json(iterations)},
+      {"engines", run.TakeRows()},
+      {"violations", std::move(violations)},
+  };
 }
+
+}  // namespace bench
+}  // namespace gdbmicro

@@ -21,7 +21,7 @@ namespace query {
 /// live and the query shape qualifies (no label filter, endpoints in the
 /// indexed snapshot); kFrontierOnly pins the paper-faithful
 /// frontier-at-a-time execution — the reference the index is verified
-/// against (tests/path_index_test.cc, bench_micro_pathindex).
+/// against (tests/path_index_test.cc, `bench_micro pathindex`).
 enum class PathMode { kAuto, kFrontierOnly };
 
 /// Which execution path answered a traversal query, for Explain-style

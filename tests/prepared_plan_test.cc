@@ -26,10 +26,9 @@
 #include "src/util/string_util.h"
 
 // --- global allocation counter ---------------------------------------------
-// Counts every operator-new hit in the process (same technique as
-// bench_micro_adjacency). Atomic/relaxed because the concurrent-session
-// test allocates from several threads; the assertions only read it
-// around single-threaded sections.
+// Counts every operator-new hit in the process. Atomic/relaxed because
+// the concurrent-session test allocates from several threads; the
+// assertions only read it around single-threaded sections.
 
 #include <atomic>
 
