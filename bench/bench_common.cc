@@ -1,80 +1,79 @@
-#include "bench_common.h"
+#include "bench/bench_common.h"
 
-#include <cstdio>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
-
-#include "src/core/report.h"
-#include "src/graph/registry.h"
-#include "src/util/string_util.h"
 
 namespace gdbmicro {
 namespace bench {
 
 namespace {
 
-std::vector<std::string> SplitList(const char* value) {
-  return Split(value, ',');
+bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return errno == 0 && *end == '\0' && std::isfinite(*out);
 }
 
 }  // namespace
 
-BenchProfile ParseFlags(int argc, char** argv, double default_scale,
-                        int default_deadline_ms, uint64_t default_budget) {
-  BenchProfile profile;
-  profile.scale = default_scale;
-  profile.deadline_ms = default_deadline_ms;
-  profile.memory_budget = default_budget;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value_of = [&](const char* prefix) -> const char* {
-      size_t len = std::strlen(prefix);
-      if (std::strncmp(arg, prefix, len) == 0) return arg + len;
-      return nullptr;
-    };
-    if (const char* v = value_of("--scale=")) {
-      profile.scale = std::atof(v);
-    } else if (const char* v = value_of("--deadline-ms=")) {
-      profile.deadline_ms = std::atoi(v);
-    } else if (const char* v = value_of("--batch=")) {
-      profile.batch = std::atoi(v);
-    } else if (const char* v = value_of("--engines=")) {
-      profile.engines = SplitList(v);
-    } else if (const char* v = value_of("--datasets=")) {
-      profile.datasets = SplitList(v);
-    } else if (const char* v = value_of("--seed=")) {
-      profile.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--memory-budget=")) {
-      profile.memory_budget = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--json=")) {
-      profile.json_path = v;
-    } else if (std::strcmp(arg, "--no-cost-model") == 0) {
-      profile.cost_model = false;
-    } else if (std::strcmp(arg, "--indexed") == 0) {
-      profile.indexed = true;
-    } else if (const char* v = value_of("--stats=")) {
-      if (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0) {
-        std::fprintf(stderr, "--stats takes on|off, got %s\n", v);
-        std::exit(2);
-      }
-      profile.stats = std::strcmp(v, "on") == 0;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --scale=F --deadline-ms=N --batch=N --engines=a,b,c\n"
-          "       --datasets=a,b,c --seed=N --memory-budget=N\n"
-          "       --no-cost-model --indexed --stats=on|off --json=PATH\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", arg);
-      std::exit(2);
-    }
+bool ParsePositiveDouble(const std::string& text, double* out) {
+  return ParseDouble(text, out) && *out > 0;
+}
+
+bool ParseUint64(const std::string& text, uint64_t* out) {
+  if (text.empty() || text.find_first_not_of("0123456789") != text.npos) {
+    return false;
   }
-  RegisterBuiltinEngines();
-  if (profile.engines.empty()) {
-    profile.engines = EngineRegistry::Instance().Names();
+  errno = 0;
+  *out = std::strtoull(text.c_str(), nullptr, 10);
+  return errno == 0;
+}
+
+bool ParsePositiveInt(const std::string& text, int* out) {
+  uint64_t value = 0;
+  if (!ParseUint64(text, &value) || value < 1 ||
+      value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
   }
-  return profile;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool ParseFraction(const std::string& text, double* out) {
+  return ParseDouble(text, out) && *out >= 0.0 && *out <= 1.0;
+}
+
+bool ParseEngineName(const std::string& text, std::string* out) {
+  *out = text;
+  return EngineRegistry::Instance().Has(text);
+}
+
+bool ParseDatasetName(const std::string& text, std::string* out) {
+  *out = text;
+  std::vector<std::string> names = datasets::AllDatasetNames();
+  return std::find(names.begin(), names.end(), text) != names.end();
+}
+
+bool ParseOnOff(const std::string& text, bool* out) {
+  *out = text == "on";
+  return text == "on" || text == "off";
+}
+
+bool ParsePath(const std::string& text, std::string* out) {
+  *out = text;
+  return !text.empty();
+}
+
+bool Reads(const char* reads, std::string_view flag) {
+  for (const std::string& name : Split(reads, ' ')) {
+    if (name == flag) return true;
+  }
+  return false;
 }
 
 const GraphData& GetDataset(const std::string& name, double scale) {
@@ -94,28 +93,6 @@ const GraphData& GetDataset(const std::string& name, double scale) {
   return cache->emplace(key, std::move(data).value()).first->second;
 }
 
-core::RunnerOptions RunnerOptionsFrom(const BenchProfile& profile) {
-  core::RunnerOptions options;
-  options.deadline = std::chrono::milliseconds(profile.deadline_ms);
-  options.batch_iterations = profile.batch > 0 ? profile.batch : 10;
-  options.run_batch = profile.batch > 0;
-  options.enable_cost_model = profile.cost_model;
-  options.memory_budget_bytes = profile.memory_budget;
-  options.workload_seed = profile.seed;
-  options.create_property_index = profile.indexed;
-  options.collect_statistics = profile.stats;
-  return options;
-}
-
-void PrintBanner(const std::string& title, const BenchProfile& profile) {
-  std::printf("== %s ==\n", title.c_str());
-  std::printf(
-      "   scale=%.3f (paper sizes x %.2f)  deadline=%dms  batch=%d  "
-      "cost-model=%s%s\n\n",
-      profile.scale, profile.scale * 20.0, profile.deadline_ms, profile.batch,
-      profile.cost_model ? "on" : "off", profile.indexed ? "  indexed" : "");
-}
-
 bool WriteJsonArtifact(const std::string& path, const Json& doc) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -132,75 +109,6 @@ bool WriteJsonArtifact(const std::string& path, const Json& doc) {
   }
   std::printf("wrote %s\n", path.c_str());
   return true;
-}
-
-Json MeasurementsJson(const std::vector<core::Measurement>& rows) {
-  Json::Array out;
-  for (const core::Measurement& m : rows) {
-    Json::Object row{
-        {"engine", Json(m.engine)},
-        {"dataset", Json(m.dataset)},
-        {"query", Json(m.query)},
-        {"mode", Json(m.mode == core::Measurement::Mode::kBatch ? "batch"
-                                                                : "single")},
-        {"ok", Json(m.ok())},
-        {"millis", Json(m.millis)},
-        {"items", Json(m.items)},
-    };
-    if (!m.ok()) row.emplace_back("status", Json(m.status.ToString()));
-    if (m.latency.samples > 0) {
-      row.emplace_back("latency_ms",
-                       Json(Json::Object{
-                           {"samples", Json(m.latency.samples)},
-                           {"min", Json(m.latency.min_ms)},
-                           {"p50", Json(m.latency.p50_ms)},
-                           {"p95", Json(m.latency.p95_ms)},
-                           {"p99", Json(m.latency.p99_ms)},
-                           {"max", Json(m.latency.max_ms)},
-                       }));
-    }
-    if (m.outcomes.Issued() > 0) {
-      row.emplace_back("outcomes",
-                       Json(Json::Object{
-                           {"ok", Json(m.outcomes.ok)},
-                           {"retried", Json(m.outcomes.retried)},
-                           {"timeout", Json(m.outcomes.timeout)},
-                           {"oom", Json(m.outcomes.oom)},
-                           {"failed", Json(m.outcomes.failed)},
-                       }));
-    }
-    out.push_back(Json(std::move(row)));
-  }
-  return Json(std::move(out));
-}
-
-std::vector<core::Measurement> RunAndPrint(
-    const BenchProfile& profile, const std::vector<std::string>& datasets,
-    const std::vector<int>& query_numbers) {
-  std::vector<std::string> names =
-      profile.datasets.empty() ? datasets : profile.datasets;
-  const std::vector<std::string>& engines = profile.engines;
-  core::Runner runner(RunnerOptionsFrom(profile));
-  auto specs = core::QueriesByNumber(query_numbers);
-
-  std::vector<core::Measurement> all;
-  for (const std::string& name : names) {
-    const GraphData& data = GetDataset(name, profile.scale);
-    std::printf("-- %s (%llu nodes / %llu edges) --\n", name.c_str(),
-                (unsigned long long)data.VertexCount(),
-                (unsigned long long)data.EdgeCount());
-    std::fflush(stdout);
-    auto results = runner.RunAll(engines, data, specs);
-
-    core::PivotOptions pivot;
-    pivot.dataset = name;
-    pivot.mode = core::Measurement::Mode::kSingle;
-    pivot.engine_order = engines;
-    std::printf("%s\n", core::PivotTable(results, pivot).c_str());
-    all.insert(all.end(), std::make_move_iterator(results.begin()),
-               std::make_move_iterator(results.end()));
-  }
-  return all;
 }
 
 }  // namespace bench

@@ -1,88 +1,169 @@
-// Shared scaffolding for the per-figure and per-table bench binaries: flag
-// parsing, the default bench profile (dataset scale, deadlines, engine
-// list), dataset caching, header printing, and the JSON artifact writer
-// (which bench_micro shares).
-//
-// Every binary accepts:
-//   --scale=<f>        dataset scale (default per binary; 0.05 = 1/20th of
-//                      the paper's sizes)
-//   --deadline-ms=<n>  per-test deadline
-//   --batch=<n>        batch iterations (0 disables batch mode)
-//   --engines=a,b,c    subset of engines
-//   --datasets=a,b,c   subset of datasets
-//   --no-cost-model    disable the out-of-process cost models
-//   --seed=<n>         workload seed
-//   --indexed          create the Q.11 attribute index before running
-//   --stats=on|off     collect load-time planner statistics (default on;
-//                      off reverts query lowering to the rule-based plans)
-//   --json=<path>      write a machine-readable BENCH_*.json artifact
-//                      (binaries that support it; others ignore the path)
+// What the two bench drivers, bench_micro (bench/micro/) and gdbmicro_suite
+// (bench/suite.cc), share: the strict flag parser, dataset caching and the
+// JSON artifact writer. A command line is `<program> <command> [flags]`;
+// Driver::Parse rejects an unknown command, a flag the command does not
+// read and a missing, unexpected or invalid value with the usage message,
+// before any work, and the driver then exits 2.
 
 #ifndef GDBMICRO_BENCH_BENCH_COMMON_H_
 #define GDBMICRO_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/core/runner.h"
 #include "src/datasets/generators.h"
+#include "src/graph/graph_data.h"
+#include "src/graph/registry.h"
 #include "src/util/json.h"
+#include "src/util/string_util.h"
 
 namespace gdbmicro {
 namespace bench {
 
-struct BenchProfile {
-  double scale = 0.05;
-  int deadline_ms = 5000;
-  int batch = 10;
-  bool cost_model = true;
-  bool indexed = false;
-  bool stats = true;  // --stats=off: A/B the cost-based planner away
-  uint64_t seed = 42;
-  uint64_t memory_budget = 24ULL << 20;
-  std::string json_path;              // --json=<path>: BENCH_*.json artifact
-  std::vector<std::string> engines;   // --engines, else every registered
-                                      // engine in Table 1 order
-  std::vector<std::string> datasets;  // empty = binary default
+// Flag value parsers: each returns false on an invalid value.
+bool ParsePositiveDouble(const std::string& text, double* out);
+/// Digits only: strtoull would accept a sign and wrap a negative value.
+bool ParseUint64(const std::string& text, uint64_t* out);
+/// An integer in [1, INT_MAX].
+bool ParsePositiveInt(const std::string& text, int* out);
+/// A number in [0, 1].
+bool ParseFraction(const std::string& text, double* out);
+/// A registered engine (EngineRegistry::Has).
+bool ParseEngineName(const std::string& text, std::string* out);
+/// A dataset the generators produce.
+bool ParseDatasetName(const std::string& text, std::string* out);
+/// "on" or "off".
+bool ParseOnOff(const std::string& text, bool* out);
+/// Any non-empty path.
+bool ParsePath(const std::string& text, std::string* out);
+
+/// A switch takes no value: it sets its flag to `value`.
+template <bool value>
+bool Switch(const std::string&, bool* out) {
+  *out = value;
+  return true;
+}
+
+/// Comma-separated values, each parsed with `parse`.
+template <typename T, bool (*parse)(const std::string&, T*)>
+bool ParseListOf(const std::string& text, std::vector<T>* out) {
+  out->clear();
+  for (const std::string& entry : Split(text, ',')) {
+    T value{};
+    if (!parse(entry, &value)) return false;
+    out->push_back(value);
+  }
+  return true;
+}
+
+/// One flag of a driver: its name, what a valid value is (nullptr for a
+/// switch) and how a value is checked and stored, usually a Set<...>.
+template <typename Flags>
+struct Flag {
+  const char* name;
+  const char* want;
+  bool (*set)(const std::string& value, Flags* flags);
 };
 
-/// Parses the common flags; unknown flags abort with usage help.
-/// `default_budget` is the per-query memory budget (see EngineOptions);
-/// the failure boundaries of Fig. 1(c)/Fig. 5(b) scale with the dataset,
-/// so binaries pass a budget matched to their default scale.
-BenchProfile ParseFlags(int argc, char** argv, double default_scale,
-                        int default_deadline_ms,
-                        uint64_t default_budget = 24ULL << 20);
+/// Flag::set that parses the value with `parse` into `member`, as in
+/// Set<&MicroBenchFlags::rounds, ParsePositiveInt>.
+template <auto member, auto parse>
+bool Set(const std::string& value, auto* flags) {
+  return parse(value, &(flags->*member));
+}
 
-/// Generates (and memoizes per process) a dataset at the profile scale.
+/// Whether the space-separated flag list `reads` names `flag`.
+bool Reads(const char* reads, std::string_view flag);
+
+/// A driver's two tables. `Command`, its command row, has the members
+/// `name`, `flags` (the flags it reads, space-separated) and `defaults`
+/// (flags parsed before the command line).
+template <typename Command, typename Flags>
+struct Driver {
+  const char* program;  // "bench_micro"
+  const char* noun;     // what a command is called: "scenario"
+  std::span<const Command> commands;
+  std::span<const Flag<Flags>> flags;
+
+  /// Prints `error`, every command with the flags it reads and the engine
+  /// and dataset names to stderr. Returns 2, a usage error's exit status.
+  int Usage(const std::string& error) const {
+    std::fprintf(stderr, "%s: %s\nusage: %s <%s> [flags]\n", program,
+                 error.c_str(), program, noun);
+    size_t width = 0;
+    for (const Command& c : commands) {
+      width = std::max(width, std::strlen(c.name));
+    }
+    for (const Command& c : commands) {
+      std::fprintf(stderr, "  %-*s", static_cast<int>(width + 1), c.name);
+      for (const Flag<Flags>& f : flags) {
+        if (!Reads(c.flags, f.name)) continue;
+        std::fprintf(stderr, " --%s%s", f.name, f.want ? "=" : "");
+      }
+      std::fprintf(stderr, "\n");
+    }
+    std::fprintf(stderr, "engines: %s\ndatasets: %s\n",
+                 Join(EngineRegistry::Instance().Names(), ",").c_str(),
+                 Join(datasets::AllDatasetNames(), ",").c_str());
+    return 2;
+  }
+
+  /// Finds the command argv[1] names and parses its defaults, then
+  /// argv[2..], into `*out`. Returns nullptr after printing the usage
+  /// message when the command line is invalid.
+  const Command* Parse(int argc, char** argv, Flags* out) const {
+    if (argc < 2) {
+      Usage(StrFormat("no %s given", noun));
+      return nullptr;
+    }
+    const Command* command = nullptr;
+    for (const Command& c : commands) {
+      if (std::string_view(argv[1]) == c.name) command = &c;
+    }
+    if (command == nullptr) {
+      Usage(StrFormat("unknown %s %s", noun, argv[1]));
+      return nullptr;
+    }
+    std::vector<std::string> args = command->defaults;
+    args.insert(args.end(), argv + 2, argv + argc);
+    for (const std::string& arg : args) {
+      size_t eq = arg.find('=');
+      std::string name = arg.substr(0, eq);
+      const Flag<Flags>* flag = nullptr;
+      for (const Flag<Flags>& f : flags) {
+        if (name == std::string("--") + f.name) flag = &f;
+      }
+      if (flag == nullptr || !Reads(command->flags, flag->name)) {
+        Usage(StrFormat("%s does not take %s", command->name, name.c_str()));
+        return nullptr;
+      }
+      if ((flag->want != nullptr) != (eq != std::string::npos)) {
+        Usage(flag->want ? StrFormat("%s needs =<%s>", name.c_str(), flag->want)
+                         : StrFormat("%s takes no value", name.c_str()));
+        return nullptr;
+      }
+      if (!flag->set(eq == std::string::npos ? "" : arg.substr(eq + 1), out)) {
+        Usage(StrFormat("%s: want %s", arg.c_str(), flag->want));
+        return nullptr;
+      }
+    }
+    return command;
+  }
+};
+
+/// Generates (and memoizes per process) a dataset at `scale` with the
+/// generators' default seed, so that every driver measures the same graph.
 const GraphData& GetDataset(const std::string& name, double scale);
-
-/// Runner configured from the profile.
-core::RunnerOptions RunnerOptionsFrom(const BenchProfile& profile);
-
-/// Prints the figure banner.
-void PrintBanner(const std::string& title, const BenchProfile& profile);
 
 /// Writes `doc` pretty-printed to `path` (the machine-readable
 /// BENCH_*.json artifacts CI archives). Returns false on I/O error.
 bool WriteJsonArtifact(const std::string& path, const Json& doc);
-
-/// Measurement rows as a Json array (engine/dataset/query/status/millis/
-/// items, latency percentiles when batch mode sampled them, and the DNF
-/// outcome counters) — the per-figure binaries' half of --json support:
-///   auto rows = RunAndPrint(profile, ...);
-///   WriteJsonArtifact(profile.json_path,
-///                     Json(Json::Object{..., {"results",
-///                         MeasurementsJson(rows)}}));
-Json MeasurementsJson(const std::vector<core::Measurement>& rows);
-
-/// Shared driver for the per-figure binaries: runs the Table 2 queries
-/// with the given numbers on each dataset across the profile's engines and
-/// prints one pivot table (queries x engines) per dataset and mode.
-/// Returns all measurements (for additional aggregation by the caller).
-std::vector<core::Measurement> RunAndPrint(
-    const BenchProfile& profile, const std::vector<std::string>& datasets,
-    const std::vector<int>& query_numbers);
 
 }  // namespace bench
 }  // namespace gdbmicro

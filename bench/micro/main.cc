@@ -1,19 +1,14 @@
 // The bench_micro driver: picks the scenario named by the first argument,
 // parses the flags it accepts, and runs it (see micro.h).
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/micro/micro.h"
-#include "src/datasets/generators.h"
 #include "src/graph/registry.h"
 #include "src/util/string_util.h"
 
@@ -124,126 +119,27 @@ namespace {
 
 // --- flags -----------------------------------------------------------------
 
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtod(text.c_str(), &end);
-  return errno == 0 && *end == '\0' && std::isfinite(*out);
-}
-
-bool ParseUint64(const std::string& text, uint64_t* out) {
-  // strtoull would accept a sign and wrap a negative value around.
-  if (text.empty() || text.find_first_not_of("0123456789") != text.npos) {
-    return false;
-  }
-  errno = 0;
-  *out = std::strtoull(text.c_str(), nullptr, 10);
-  return errno == 0;
-}
-
-bool ParsePositiveInt(const std::string& text, int* out) {
-  uint64_t value = 0;
-  if (!ParseUint64(text, &value) || value < 1 ||
-      value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool ParseFraction(const std::string& text, double* out) {
-  return ParseDouble(text, out) && *out >= 0.0 && *out <= 1.0;
-}
-
-/// Parses every comma-separated entry of `text` into `out` with `parse`.
-template <typename T, typename Parse>
-bool ParseList(const std::string& text, Parse parse, std::vector<T>* out) {
-  out->clear();
-  for (const std::string& entry : Split(text, ',')) {
-    T value{};
-    if (!parse(entry, &value)) return false;
-    out->push_back(value);
-  }
-  return true;
-}
-
-/// One flag: its name, what a valid value is (nullptr for a switch that
-/// takes none), and how it is stored.
-struct FlagSpec {
-  const char* name;
-  const char* want;
-  bool (*set)(const std::string& value, MicroBenchFlags* flags);
-};
-
-const FlagSpec kFlags[] = {
-    {"scale", "a number > 0",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseDouble(v, &f->scale) && f->scale > 0;
-     }},
-    {"rounds", "an integer >= 1",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParsePositiveInt(v, &f->rounds);
-     }},
-    {"dataset", "a dataset name",
-     [](const std::string& v, MicroBenchFlags* f) {
-       f->dataset = v;
-       for (const std::string& name : datasets::AllDatasetNames()) {
-         if (name == v) return true;
-       }
-       return false;
-     }},
+using F = MicroBenchFlags;
+const Flag<F> kFlags[] = {
+    {"scale", "a number > 0", Set<&F::scale, ParsePositiveDouble>},
+    {"rounds", "an integer >= 1", Set<&F::rounds, ParsePositiveInt>},
+    {"dataset", "a dataset name", Set<&F::dataset, ParseDatasetName>},
     {"engines", "registered engine names",
-     [](const std::string& v, MicroBenchFlags* f) {
-       f->engines = Split(v, ',');
-       for (const std::string& name : f->engines) {
-         if (!EngineRegistry::Instance().Has(name)) return false;
-       }
-       return true;
-     }},
-    {"json", "a path",
-     [](const std::string& v, MicroBenchFlags* f) {
-       f->json_path = v;
-       return !v.empty();
-     }},
+     Set<&F::engines, ParseListOf<std::string, ParseEngineName>>},
+    {"json", "a path", Set<&F::json_path, ParsePath>},
     {"threads", "integers >= 1",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseList(v, ParsePositiveInt, &f->threads);
-     }},
+     Set<&F::threads, ParseListOf<int, ParsePositiveInt>>},
     {"write-ratio", "numbers in [0,1]",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseList(v, ParseFraction, &f->write_ratios);
-     }},
-    {"iterations", "an integer >= 1",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParsePositiveInt(v, &f->iterations);
-     }},
-    {"cost-model", nullptr,
-     [](const std::string&, MicroBenchFlags* f) {
-       f->cost_model = true;
-       return true;
-     }},
-    {"stats", "on or off",
-     [](const std::string& v, MicroBenchFlags* f) {
-       f->stats = v == "on";
-       return v == "on" || v == "off";
-     }},
-    {"fault-rate", "a number in [0,1]",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseFraction(v, &f->fault_rate);
-     }},
-    {"fault-seed", "an unsigned integer",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseUint64(v, &f->fault_seed);
-     }},
+     Set<&F::write_ratios, ParseListOf<double, ParseFraction>>},
+    {"iterations", "an integer >= 1", Set<&F::iterations, ParsePositiveInt>},
+    {"cost-model", nullptr, Set<&F::cost_model, Switch<true>>},
+    {"stats", "on or off", Set<&F::stats, ParseOnOff>},
+    {"fault-rate", "a number in [0,1]", Set<&F::fault_rate, ParseFraction>},
+    {"fault-seed", "an unsigned integer", Set<&F::fault_seed, ParseUint64>},
     {"max-attempts", "an integer >= 1",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParsePositiveInt(v, &f->max_attempts);
-     }},
+     Set<&F::max_attempts, ParsePositiveInt>},
     {"memory-budgets", "byte counts (0 = unlimited)",
-     [](const std::string& v, MicroBenchFlags* f) {
-       return ParseList(v, ParseUint64, &f->memory_budgets);
-     }},
+     Set<&F::memory_budgets, ParseListOf<uint64_t, ParseUint64>>},
 };
 
 // --- scenarios -------------------------------------------------------------
@@ -253,13 +149,6 @@ struct Scenario {
   const char* flags;  // the flags it reads, space-separated
   std::vector<std::string> defaults;  // parsed before the command line
   Json::Object (*run)(MicroRun& run);
-
-  bool Reads(std::string_view flag) const {
-    for (const std::string& name : Split(flags, ' ')) {
-      if (name == flag) return true;
-    }
-    return false;
-  }
 };
 
 const Scenario kScenarios[] = {
@@ -282,65 +171,20 @@ const Scenario kScenarios[] = {
      {"--iterations=10", "--memory-budgets=16384,262144,0"}, RunRobustness},
 };
 
-int Usage(const std::string& error) {
-  std::fprintf(stderr,
-               "bench_micro: %s\nusage: bench_micro <scenario> [flags]\n",
-               error.c_str());
-  for (const Scenario& s : kScenarios) {
-    std::fprintf(stderr, "  %-12s", s.name);
-    for (const FlagSpec& flag : kFlags) {
-      if (!s.Reads(flag.name)) continue;
-      std::fprintf(stderr, " --%s%s", flag.name, flag.want ? "=" : "");
-    }
-    std::fprintf(stderr, "\n");
-  }
-  std::fprintf(stderr, "engines: %s\ndatasets: %s\n",
-               Join(EngineRegistry::Instance().Names(), ",").c_str(),
-               Join(datasets::AllDatasetNames(), ",").c_str());
-  return 2;
-}
+const Driver<Scenario, MicroBenchFlags> kDriver{"bench_micro", "scenario",
+                                                kScenarios, kFlags};
 
 int Main(int argc, char** argv) {
   RegisterBuiltinEngines();
-  if (argc < 2) return Usage("no scenario given");
-  const Scenario* scenario = nullptr;
-  for (const Scenario& s : kScenarios) {
-    if (std::string_view(argv[1]) == s.name) scenario = &s;
-  }
-  if (scenario == nullptr) {
-    return Usage(StrFormat("unknown scenario %s", argv[1]));
-  }
-
-  std::vector<std::string> args = scenario->defaults;
-  args.insert(args.end(), argv + 2, argv + argc);
   MicroBenchFlags flags;
-  for (const std::string& arg : args) {
-    size_t eq = arg.find('=');
-    std::string name = arg.substr(0, eq);
-    const FlagSpec* spec = nullptr;
-    for (const FlagSpec& f : kFlags) {
-      if (name == std::string("--") + f.name) spec = &f;
-    }
-    if (spec == nullptr || !scenario->Reads(spec->name)) {
-      return Usage(StrFormat("%s does not take %s", scenario->name,
-                             name.c_str()));
-    }
-    if ((spec->want != nullptr) != (eq != std::string::npos)) {
-      return Usage(spec->want ? StrFormat("%s needs =<%s>", name.c_str(),
-                                          spec->want)
-                              : StrFormat("%s takes no value", name.c_str()));
-    }
-    std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (!spec->set(value, &flags)) {
-      return Usage(StrFormat("%s: want %s", arg.c_str(), spec->want));
-    }
-  }
+  const Scenario* scenario = kDriver.Parse(argc, argv, &flags);
+  if (scenario == nullptr) return 2;
 
   if (flags.engines.empty()) {
     flags.engines = EngineRegistry::Instance().Names();
   }
   static const GraphData kNoData;
-  const GraphData& data = scenario->Reads("dataset")
+  const GraphData& data = Reads(scenario->flags, "dataset")
                               ? GetDataset(flags.dataset, flags.scale)
                               : kNoData;
   if (&data != &kNoData) {

@@ -67,23 +67,37 @@ Result<std::vector<VertexId>> Friends(QueryContext& ctx, VertexId person) {
   return friends;
 }
 
-std::vector<ComplexQuerySpec> BuildComplexCatalog() {
-  std::vector<ComplexQuerySpec> catalog;
+/// A complex query as a QuerySpec: named after its Fig. 2 label, with no
+/// Table 2 number or Gremlin text. The two that mutate are creates.
+QuerySpec Complex(std::string name, std::string description,
+                  Category category,
+                  std::function<Result<QueryResult>(QueryContext&)> run) {
+  QuerySpec spec;
+  spec.name = std::move(name);
+  spec.description = std::move(description);
+  spec.category = category;
+  spec.mutates = category == Category::kCreate;
+  spec.run = std::move(run);
+  return spec;
+}
 
-  catalog.push_back({"max-iid", "Person with maximum incoming degree", false,
-                     [](QueryContext& ctx) {
-                       return MaxDegreePerson(ctx, Direction::kIn);
-                     }});
-  catalog.push_back({"max-oid", "Person with maximum outgoing degree", false,
-                     [](QueryContext& ctx) {
-                       return MaxDegreePerson(ctx, Direction::kOut);
-                     }});
+std::vector<QuerySpec> BuildComplexCatalog() {
+  std::vector<QuerySpec> catalog;
 
-  catalog.push_back(
-      {"create",
-       "Create an account and fill the profile (city, university, company, "
-       "initial friends)",
-       true, [](QueryContext& ctx) -> Result<QueryResult> {
+  catalog.push_back(Complex("max-iid", "Person with maximum incoming degree",
+                            Category::kRead, [](QueryContext& ctx) {
+                              return MaxDegreePerson(ctx, Direction::kIn);
+                            }));
+  catalog.push_back(Complex("max-oid", "Person with maximum outgoing degree",
+                            Category::kRead, [](QueryContext& ctx) {
+                              return MaxDegreePerson(ctx, Direction::kOut);
+                            }));
+
+  catalog.push_back(Complex(
+      "create",
+      "Create an account and fill the profile (city, university, company, "
+      "initial friends)",
+      Category::kCreate, [](QueryContext& ctx) -> Result<QueryResult> {
          const Workload& w = *ctx.workload;
          PropertyMap props;
          props.emplace_back("firstName", PropertyValue(StrFormat(
@@ -119,7 +133,7 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
            (void)k;
          }
          return QueryResult{7};
-       }});
+       }));
 
   auto members_of = [](QueryContext& ctx, const std::string& target_label,
                        const std::string& edge_label) -> Result<QueryResult> {
@@ -130,29 +144,29 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
                                                  &edge_label, ctx.cancel));
     return QueryResult{members.size()};
   };
-  catalog.push_back({"city", "People located in a given city", false,
-                     [members_of](QueryContext& ctx) {
-                       return members_of(ctx, "city", "isLocatedIn");
-                     }});
-  catalog.push_back({"company", "People working at a given company", false,
-                     [members_of](QueryContext& ctx) {
-                       return members_of(ctx, "company", "workAt");
-                     }});
-  catalog.push_back({"university", "People who studied at a university",
-                     false, [members_of](QueryContext& ctx) {
-                       return members_of(ctx, "university", "studyAt");
-                     }});
+  catalog.push_back(Complex("city", "People located in a given city",
+                            Category::kRead, [members_of](QueryContext& ctx) {
+                              return members_of(ctx, "city", "isLocatedIn");
+                            }));
+  catalog.push_back(Complex("company", "People working at a given company",
+                            Category::kRead, [members_of](QueryContext& ctx) {
+                              return members_of(ctx, "company", "workAt");
+                            }));
+  catalog.push_back(Complex("university", "People who studied at a university",
+                            Category::kRead, [members_of](QueryContext& ctx) {
+                              return members_of(ctx, "university", "studyAt");
+                            }));
 
-  catalog.push_back(
-      {"friend1", "Direct friends of a person", false,
+  catalog.push_back(Complex(
+      "friend1", "Direct friends of a person", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(std::vector<VertexId> friends, Friends(ctx, p));
          return QueryResult{friends.size()};
-       }});
+       }));
 
-  catalog.push_back(
-      {"friend2", "Friends of friends (excluding directs)", false,
+  catalog.push_back(Complex(
+      "friend2", "Friends of friends (excluding directs)", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(std::vector<VertexId> friends, Friends(ctx, p));
@@ -166,10 +180,10 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
            }
          }
          return QueryResult{fof.size()};
-       }});
+       }));
 
-  catalog.push_back(
-      {"friend-tags", "Tags of content created by friends", false,
+  catalog.push_back(Complex(
+      "friend-tags", "Tags of content created by friends", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(std::vector<VertexId> friends, Friends(ctx, p));
@@ -190,10 +204,10 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
            }
          }
          return QueryResult{tags.size()};
-       }});
+       }));
 
-  catalog.push_back(
-      {"add-tags", "Tag a person's post with new tags", true,
+  catalog.push_back(Complex(
+      "add-tags", "Tag a person's post with new tags", Category::kCreate,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          std::string has_creator = "hasCreator";
@@ -215,11 +229,11 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
            ++added;
          }
          return QueryResult{added};
-       }});
+       }));
 
-  catalog.push_back(
-      {"friend-of-friend",
-       "People up to 3 hops away, sorted by last name, top 10", false,
+  catalog.push_back(Complex(
+      "friend-of-friend",
+      "People up to 3 hops away, sorted by last name, top 10", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(
@@ -236,10 +250,10 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
          std::sort(named.begin(), named.end());
          uint64_t top = std::min<uint64_t>(10, named.size());
          return QueryResult{top};
-       }});
+       }));
 
-  catalog.push_back(
-      {"triangle", "Triangles in a person's friendship neighborhood", false,
+  catalog.push_back(Complex(
+      "triangle", "Triangles in a person's friendship neighborhood", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(std::vector<VertexId> friends, Friends(ctx, p));
@@ -253,10 +267,10 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
            }
          }
          return QueryResult{closed / 2};
-       }});
+       }));
 
-  catalog.push_back(
-      {"places", "Top-3 places among friends' locations", false,
+  catalog.push_back(Complex(
+      "places", "Top-3 places among friends' locations", Category::kRead,
        [](QueryContext& ctx) -> Result<QueryResult> {
          VertexId p = SampleWithLabel(*ctx.workload, "person", ctx.iteration);
          GDB_ASSIGN_OR_RETURN(std::vector<VertexId> friends, Friends(ctx, p));
@@ -273,16 +287,16 @@ std::vector<ComplexQuerySpec> BuildComplexCatalog() {
          for (const auto& [place, n] : counts) ranked.emplace_back(n, place);
          std::sort(ranked.rbegin(), ranked.rend());
          return QueryResult{std::min<uint64_t>(3, ranked.size())};
-       }});
+       }));
 
   return catalog;
 }
 
 }  // namespace
 
-const std::vector<ComplexQuerySpec>& ComplexQueryCatalog() {
-  static const std::vector<ComplexQuerySpec>* catalog =
-      new std::vector<ComplexQuerySpec>(BuildComplexCatalog());
+const std::vector<QuerySpec>& ComplexQueryCatalog() {
+  static const std::vector<QuerySpec>* catalog =
+      new std::vector<QuerySpec>(BuildComplexCatalog());
   return *catalog;
 }
 

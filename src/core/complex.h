@@ -7,8 +7,6 @@
 #ifndef GDBMICRO_CORE_COMPLEX_H_
 #define GDBMICRO_CORE_COMPLEX_H_
 
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "src/core/queries.h"
@@ -16,17 +14,14 @@
 namespace gdbmicro {
 namespace core {
 
-struct ComplexQuerySpec {
-  std::string name;         // Fig. 2 x-axis label
-  std::string description;
-  bool mutates = false;
-  std::function<Result<QueryResult>(QueryContext&)> run;
-};
-
 /// The 13 complex queries in Fig. 2 order: max-iid, max-oid, create, city,
 /// company, university, friend1, friend2, friend-tags, add-tags,
-/// friend-of-friend, triangle, places.
-const std::vector<ComplexQuerySpec>& ComplexQueryCatalog();
+/// friend-of-friend, triangle, places. Each is a QuerySpec named after its
+/// Fig. 2 x-axis label (number 0, no Gremlin text) in category kRead, or
+/// kCreate for create and add-tags, the two that mutate. They simulate one
+/// user session, so they run in this order on one loaded engine (see
+/// Runner::RunQuery): the later reads see what create and add-tags added.
+const std::vector<QuerySpec>& ComplexQueryCatalog();
 
 }  // namespace core
 }  // namespace gdbmicro

@@ -57,14 +57,21 @@ TEST(QueryCatalogTest, CoversTable2) {
 
   // Category sanity: Table 2's row ranges.
   for (const auto& spec : QueryCatalog()) {
-    if (spec.number <= 7) EXPECT_EQ(spec.category, Category::kCreate);
-    if (spec.number >= 8 && spec.number <= 15)
+    if (spec.number <= 7) {
+      EXPECT_EQ(spec.category, Category::kCreate);
+    }
+    if (spec.number >= 8 && spec.number <= 15) {
       EXPECT_EQ(spec.category, Category::kRead);
-    if (spec.number >= 16 && spec.number <= 17)
+    }
+    if (spec.number >= 16 && spec.number <= 17) {
       EXPECT_EQ(spec.category, Category::kUpdate);
-    if (spec.number >= 18 && spec.number <= 21)
+    }
+    if (spec.number >= 18 && spec.number <= 21) {
       EXPECT_EQ(spec.category, Category::kDelete);
-    if (spec.number >= 22) EXPECT_EQ(spec.category, Category::kTraversal);
+    }
+    if (spec.number >= 22) {
+      EXPECT_EQ(spec.category, Category::kTraversal);
+    }
     EXPECT_EQ(spec.mutates,
               spec.category == Category::kCreate ||
                   spec.category == Category::kUpdate ||
@@ -86,7 +93,7 @@ TEST(RunnerTest, FullSuiteOnSmallDatasetAllEnginesSucceed) {
   std::vector<const core::QuerySpec*> specs;
   for (const auto& spec : QueryCatalog()) specs.push_back(&spec);
 
-  for (const std::string& engine :
+  for (const char* engine :
        {"neo19", "sparksee", "sqlg", "arango", "titan10", "orient", "blaze"}) {
     auto results = runner.RunEngine(engine, data, specs);
     ASSERT_TRUE(results.ok()) << engine << ": " << results.status();
@@ -235,45 +242,46 @@ TEST(ComplexTest, CatalogHasThirteenQueries) {
   }
 }
 
+// The complex catalog runs as gdbmicro_suite fig2_complex runs it: through
+// Runner::RunQuery in catalog order on one loaded engine, single mode.
+RunnerOptions ComplexRunner() {
+  RunnerOptions options = FastRunner();
+  options.deadline = std::chrono::seconds(30);
+  options.run_batch = false;
+  return options;
+}
+
 TEST(ComplexTest, AllComplexQueriesRunOnLdbc) {
   GraphData data = datasets::GenerateLdbc(TinyScale());
-  Runner runner(FastRunner());
-  for (const std::string& engine : {"neo19", "sqlg", "sparksee"}) {
+  Runner runner(ComplexRunner());
+  for (const char* engine : {"neo19", "sqlg", "sparksee"}) {
     auto loaded = runner.Load(engine, data);
     ASSERT_TRUE(loaded.ok()) << engine;
-    core::QueryContext ctx;
-    ctx.engine = loaded->engine.get();
-    ctx.session = loaded->session.get();
-    ctx.workload = loaded->workload.get();
-    ctx.cancel = CancelToken::WithTimeout(std::chrono::seconds(30));
-    for (const auto& spec : ComplexQueryCatalog()) {
-      ctx.iteration = 0;
-      auto r = spec.run(ctx);
-      EXPECT_TRUE(r.ok()) << engine << " " << spec.name << ": " << r.status();
+    for (const core::QuerySpec& spec : ComplexQueryCatalog()) {
+      std::vector<Measurement> runs = runner.RunQuery(*loaded, data, spec);
+      ASSERT_EQ(runs.size(), 1u) << engine << " " << spec.name;
+      EXPECT_TRUE(runs[0].ok())
+          << engine << " " << spec.name << ": " << runs[0].status;
     }
   }
 }
 
 TEST(ComplexTest, ResultsAgreeAcrossEngines) {
   GraphData data = datasets::GenerateLdbc(TinyScale());
-  Runner runner(FastRunner());
+  Runner runner(ComplexRunner());
   std::map<std::string, uint64_t> reference;  // query -> items from neo19
-  for (const std::string& engine : {"neo19", "sqlg", "titan10", "blaze"}) {
+  for (const char* engine : {"neo19", "sqlg", "titan10", "blaze"}) {
     auto loaded = runner.Load(engine, data);
     ASSERT_TRUE(loaded.ok()) << engine;
-    core::QueryContext ctx;
-    ctx.engine = loaded->engine.get();
-    ctx.session = loaded->session.get();
-    ctx.workload = loaded->workload.get();
-    ctx.cancel = CancelToken::WithTimeout(std::chrono::seconds(30));
-    for (const auto& spec : ComplexQueryCatalog()) {
+    for (const core::QuerySpec& spec : ComplexQueryCatalog()) {
+      std::vector<Measurement> runs = runner.RunQuery(*loaded, data, spec);
+      ASSERT_EQ(runs.size(), 1u) << engine << " " << spec.name;
+      ASSERT_TRUE(runs[0].ok())
+          << engine << " " << spec.name << ": " << runs[0].status;
       if (spec.mutates) continue;  // read-only queries must agree exactly
-      ctx.iteration = 0;
-      auto r = spec.run(ctx);
-      ASSERT_TRUE(r.ok()) << engine << " " << spec.name;
-      auto [it, inserted] = reference.emplace(spec.name, r->items);
+      auto [it, inserted] = reference.emplace(spec.name, runs[0].items);
       if (!inserted) {
-        EXPECT_EQ(r->items, it->second) << engine << " " << spec.name;
+        EXPECT_EQ(runs[0].items, it->second) << engine << " " << spec.name;
       }
     }
   }

@@ -88,7 +88,7 @@ TEST(IntegrationTest, RunnerOverAllDatasets) {
   for (const std::string& name : datasets::AllDatasetNames()) {
     auto data = datasets::GenerateByName(name, gen);
     ASSERT_TRUE(data.ok()) << name;
-    for (const std::string& engine : {"neo19", "sqlg"}) {
+    for (const char* engine : {"neo19", "sqlg"}) {
       auto results = runner.RunEngine(engine, *data, specs);
       ASSERT_TRUE(results.ok()) << name << "/" << engine;
       for (const auto& m : *results) {

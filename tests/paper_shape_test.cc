@@ -35,7 +35,7 @@ Result<uint64_t> CheckpointBytes(GraphEngine& engine, const std::string& tag) {
 TEST(PaperShapeTest, TitanSmallestBlazeLargestOnHubGraphs) {
   GraphData data = HubGraph();
   std::map<std::string, uint64_t> bytes;
-  for (const std::string& name : {"titan10", "neo19", "blaze"}) {
+  for (const char* name : {"titan10", "neo19", "blaze"}) {
     auto engine = OpenEngine(name, EngineOptions{});
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE((*engine)->BulkLoad(data).ok());
@@ -157,7 +157,7 @@ TEST(PaperShapeTest, IndexAdoptionMatrix) {
   GraphData data = datasets::GenerateMiCo(gen);
   CancelToken never;
 
-  for (const std::string& name :
+  for (const char* name :
        {"neo19", "orient", "sqlg", "titan10", "sparksee", "arango"}) {
     auto engine = OpenEngine(name, EngineOptions{});
     ASSERT_TRUE(engine.ok());
@@ -228,7 +228,7 @@ TEST(PaperShapeTest, ConflatedQ31MatchesStepwise) {
   GraphData data = datasets::GenerateLdbc(gen);
   CancelToken never;
   std::map<std::string, uint64_t> counts;
-  for (const std::string& name : {"sqlg", "neo19"}) {
+  for (const char* name : {"sqlg", "neo19"}) {
     auto engine = OpenEngine(name, EngineOptions{});
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE((*engine)->BulkLoad(data).ok());
