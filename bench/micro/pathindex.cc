@@ -275,10 +275,12 @@ Json::Object RunPathIndex(MicroRun& run) {
   for (const std::string& name : run.flags.engines) {
     // Cost model off: the index tier is the subject, not the simulated
     // per-operation penalties.
-    EngineOptions options;
-    options.build_path_index = true;
-    auto loaded = run.Load(name, data, options);
+    auto loaded = run.Load(name, data, EngineOptions{});
     if (!loaded) continue;
+    if (!run.Check(loaded->engine->BuildPathIndex(never),
+                   name + " path index build")) {
+      continue;
+    }
     const GraphEngine& engine = *loaded->engine;
     const PathIndexStats& ist = engine.path_index()->stats();
 

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   ctx.engine = loaded->engine.get();
   ctx.session = loaded->session.get();
   ctx.workload = loaded->workload.get();
-  ctx.cancel = CancelToken::WithTimeout(std::chrono::seconds(60));
+  ctx.cancel = CancelToken::WithLimits(std::chrono::seconds(60), 0);
 
   std::printf("%-18s %-62s %10s %8s\n", "query", "description", "time",
               "items");

@@ -85,14 +85,6 @@ Result<LoadMapping> GraphEngine::BulkLoad(const GraphData& data) {
         std::make_unique<GraphStatistics>(GraphStatistics::Collect(data));
     load_stats_.stats_build_millis = stats_timer.ElapsedMillis();
   }
-  // Optional post-load path-index tier (see path_index.h). Unlimited
-  // token: the load path has no governor; governed (re)builds go through
-  // BuildPathIndex directly.
-  if (options_.build_path_index) {
-    Timer index_timer;
-    GDB_RETURN_IF_ERROR(BuildPathIndex(CancelToken()));
-    load_stats_.path_index_build_millis = index_timer.ElapsedMillis();
-  }
   return mapping;
 }
 

@@ -128,14 +128,6 @@ struct EngineOptions {
   /// kUnavailable. Not owned; must outlive the engine. nullptr disables
   /// injection entirely.
   const QueryFaultInjector* query_fault_injector = nullptr;
-
-  /// Build the post-load PathIndex (src/graph/path_index.h) as a timed
-  /// extra phase of BulkLoad. Off by default: the paper's workloads run
-  /// frontier-at-a-time, and the index is the explicitly-opt-in
-  /// workload-conscious tier (BFS/SP consult it when present; see
-  /// src/query/algorithms.h). Build time lands in
-  /// BulkLoadStats::path_index_build_millis.
-  bool build_path_index = false;
 };
 
 /// Measurements of the most recent BulkLoad on an engine instance (the
@@ -157,18 +149,12 @@ struct BulkLoadStats {
   /// index_build_millis: it is planner bookkeeping, not a load phase of
   /// the emulated system.
   double stats_build_millis = 0;
-  /// Wall millis building the optional PathIndex (0 when
-  /// EngineOptions::build_path_index is off). Reported separately from
-  /// index_build_millis for the same reason as stats_build_millis: it is
-  /// a harness-level post-load tier, not a phase of the emulated loader.
-  double path_index_build_millis = 0;
   /// Engine-reported resident bytes after the load.
   uint64_t bytes = 0;
 
   uint64_t Elements() const { return vertices + edges; }
   double TotalMillis() const {
-    return element_millis + index_build_millis + stats_build_millis +
-           path_index_build_millis;
+    return element_millis + index_build_millis + stats_build_millis;
   }
   double ElementsPerSec() const {
     double s = TotalMillis() / 1000.0;
@@ -365,8 +351,11 @@ class GraphEngine {
   /// trip aborts with that typed status, installs nothing, and leaves the
   /// engine fully usable on the frontier path. Like the raw write
   /// methods, this is a load-phase operation: call it single-threaded,
-  /// not concurrently with sessions (BulkLoad calls it when
-  /// EngineOptions::build_path_index is set).
+  /// after BulkLoad, not concurrently with sessions. Off until called:
+  /// the paper's workloads run frontier-at-a-time, and the index is the
+  /// explicitly-opt-in workload-conscious tier (BFS/SP consult it when
+  /// present; see src/query/algorithms.h). PathIndexStats::build_millis
+  /// times the build.
   Status BuildPathIndex(const CancelToken& cancel);
 
   /// Drops the live index (no-op when none), recording `reason` as the
@@ -571,7 +560,7 @@ class GraphEngine {
   std::unique_ptr<GraphStatistics> statistics_;
   std::unique_ptr<PathIndex> path_index_;
   Status path_index_status_ = Status::Unavailable(
-      "path index not built (EngineOptions::build_path_index is off)");
+      "path index not built (GraphEngine::BuildPathIndex not called)");
   mutable EpochManager epochs_;
 };
 

@@ -37,11 +37,11 @@
 // so a distance bound reads one cache line per endpoint.
 //
 // Consistency contract: the index describes exactly the snapshot it was
-// built from. GraphEngine::BulkLoad builds it (behind
-// EngineOptions::build_path_index, off by default) and GraphWriter
-// invalidates it when a commit publishes a new epoch — and since the
-// epoch gate drains every reader session before applying, no live session
-// can ever observe a graph that disagrees with a live index. Probes are
+// built from. GraphEngine::BuildPathIndex builds it after BulkLoad (off
+// until called) and GraphWriter invalidates it when a commit publishes a
+// new epoch — and since the epoch gate drains every reader session before
+// applying, no live session can ever observe a graph that disagrees with
+// a live index. Probes are
 // const and thread-safe: any number of sessions may share one index.
 //
 // Build is governor-cooperative: it checks the CancelToken at bounded

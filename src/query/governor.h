@@ -15,8 +15,10 @@
 // a typed kResourceExhausted carrying charged-vs-limit diagnostics — the
 // paper's OOM class (Sparksee on Q28-Q31) as a measured outcome.
 //
-// The governor is per-query; the session it runs against stays reusable
-// after any trip (nothing below holds a tripped token past the query).
+// Arming is the governor's whole job: charges, trips and diagnostics are
+// read and made through token(). The governor is per-query; the session
+// it runs against stays reusable after any trip (nothing below holds a
+// tripped token past the query).
 
 #ifndef GDBMICRO_QUERY_GOVERNOR_H_
 #define GDBMICRO_QUERY_GOVERNOR_H_
@@ -39,44 +41,15 @@ struct GovernorOptions {
 
 class ResourceGovernor {
  public:
-  ResourceGovernor() : ResourceGovernor(GovernorOptions{}) {}
-  explicit ResourceGovernor(const GovernorOptions& options);
+  explicit ResourceGovernor(const GovernorOptions& options)
+      : token_(CancelToken::WithLimits(options.deadline,
+                                       options.memory_budget_bytes)) {}
 
   /// The token to thread through the query: carries the deadline, the
   /// byte ledger, and the trip state.
   const CancelToken& token() const { return token_; }
 
-  /// Accounts `bytes` against the budget, marking `site` for the trip
-  /// diagnostics. OK, or the typed kResourceExhausted once exhausted.
-  Status Charge(uint64_t bytes, const char* site = nullptr) const;
-
-  /// Returns previously charged bytes (a structure shrank).
-  void Release(uint64_t bytes) const { token_.Release(bytes); }
-
-  /// Cooperative stop from another thread.
-  void Cancel() const { token_.Cancel(); }
-
-  /// True once any limit tripped.
-  bool exhausted() const { return token_.trip_reason() != TripReason::kNone; }
-  bool deadline_exceeded() const {
-    return token_.trip_reason() == TripReason::kDeadline;
-  }
-  bool memory_exhausted() const {
-    return token_.trip_reason() == TripReason::kMemory;
-  }
-
-  /// OK while within limits, else the token's typed diagnostic status.
-  Status status() const {
-    return exhausted() ? token_.ToStatus() : Status::OK();
-  }
-
-  uint64_t charged_bytes() const { return token_.charged_bytes(); }
-  uint64_t budget_bytes() const { return token_.budget_bytes(); }
-  double elapsed_ms() const { return token_.elapsed_ms(); }
-  const GovernorOptions& options() const { return options_; }
-
  private:
-  GovernorOptions options_;
   CancelToken token_;
 };
 

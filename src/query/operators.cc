@@ -182,25 +182,6 @@ Status EdgeLabelScan::Produce(const ExecContext& ctx, OpScratch& state,
   return Status::OK();
 }
 
-Status DistinctEdgeTargetScan::Produce(const ExecContext& ctx,
-                                       OpScratch& state,
-                                       const RowSink& sink) const {
-  OpScratch& s = Fresh(ctx, state);
-  // Dedup-set growth is governor-accounted; a budget trip can't travel
-  // through the bool-valued visitor, so it parks and stops the walk.
-  Status charge_error = Status::OK();
-  GDB_RETURN_IF_ERROR(ctx.engine.ScanEdges(
-      ctx.session, ctx.cancel, [&](const EdgeEnds& e) {
-        if (!s.seen.Put(e.dst, true)) return true;
-        if (!ctx.cancel.Charge(kHashSetEntryBytes)) {
-          charge_error = ctx.cancel.ToStatus();
-          return false;
-        }
-        return sink(e.dst);
-      }));
-  return charge_error;
-}
-
 std::string DistinctNeighborScan::args() const {
   return AdjacencyArgs(dir_,
                        label_.has_value() ? LabelMode::kFixed : LabelMode::kAny,
@@ -210,6 +191,8 @@ std::string DistinctNeighborScan::args() const {
 Status DistinctNeighborScan::Produce(const ExecContext& ctx, OpScratch& state,
                                      const RowSink& sink) const {
   OpScratch& s = Fresh(ctx, state);
+  // Dedup-set growth is governor-accounted; a budget trip can't travel
+  // through the bool-valued visitor, so it parks and stops the walk.
   Status charge_error = Status::OK();
   auto admit = [&](VertexId v) {
     if (!s.seen.Put(v, true)) return 0;  // duplicate: skip, keep going

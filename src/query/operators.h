@@ -243,27 +243,13 @@ class EdgeLabelScan : public Operator {
   std::string label_;
 };
 
-/// Conflated rewrite of V().Out().Dedup() (paper Q.31): one pass over
-/// ScanEdges with a streaming hash-dedup of destination vertices — the
-/// SELECT DISTINCT dst the Sqlg adapter generates. Emission order is the
-/// engine's edge-scan order.
-class DistinctEdgeTargetScan : public Operator {
- public:
-  std::string_view name() const override { return "DistinctEdgeTargetScan"; }
-  bool is_source() const override { return true; }
-  RowKind OutputKind(RowKind) const override { return RowKind::kVertex; }
-  std::optional<uint64_t> RowBound(std::optional<uint64_t>) const override {
-    return std::nullopt;
-  }
-  Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
-};
-
-/// Cost-based generalization of DistinctEdgeTargetScan to every
-/// direction and an optional label: V().out/in/both([l]).dedup() as one
-/// ScanEdges pass with a streaming hash-dedup of the matching endpoints.
-/// The optimizer chooses it when one edge scan is estimated cheaper than
-/// a per-vertex expansion (the expansion-direction choice for both()).
+/// V().out/in/both([l]).dedup() as one ScanEdges pass with a streaming
+/// hash-dedup of the matching endpoints; emission order is the engine's
+/// edge-scan order. The conflated policy's rewrite of V().Out().Dedup()
+/// (paper Q.31: the SELECT DISTINCT dst the Sqlg adapter generates), and
+/// the optimizer's choice under either policy whenever one edge scan is
+/// estimated cheaper than a per-vertex expansion (the expansion-direction
+/// choice for both()).
 class DistinctNeighborScan : public Operator {
  public:
   DistinctNeighborScan(Direction dir, std::optional<std::string> label)

@@ -54,47 +54,47 @@ RowKind StepOutputKind(const LogicalStep& s, RowKind in) {
 /// scan side is already tiny.
 constexpr double kIndexProbeCost = 8.0;
 
-/// Which access-path rewrite the optimizer selected for the plan prefix.
+/// The native access path that replaces a plan's source prefix.
 enum class AccessPath : uint8_t {
   kNone,
-  kPropertyIndex,     // V().has(...) -> PropertyIndexScan
+  kPropertyIndex,     // V().has(k, v) -> PropertyIndexScan
   kEdgeLabel,         // E().hasLabel(l) -> EdgeLabelScan
   kDistinctNeighbor,  // V().out/in/both([l]).dedup() -> DistinctNeighborScan
 };
 
-struct OptimizedSteps {
-  std::vector<LogicalStep> steps;
-  AccessPath access = AccessPath::kNone;
+/// An access path and the prefix steps it replaces: the source and
+/// steps[1] (plus the Dedup at steps[2] for kDistinctNeighbor), except
+/// that kPropertyIndex probes the has() at `has_step`, which may sit
+/// anywhere in the leading filter run.
+struct AccessChoice {
+  AccessPath path = AccessPath::kNone;
+  size_t has_step = 1;
 };
 
 /// Pipeline cost of running `rows` input rows of kind `kind` through the
-/// filter run steps[first, last) in order: sum over the run of
+/// filter run steps[first, last) in order, leaving out steps[skip] (the
+/// default, the source, is never in a run): sum over the run of
 /// (surviving rows) * (per-row filter cost).
 double FilterRunCost(const std::vector<LogicalStep>& steps, size_t first,
                      size_t last, double rows, RowKind kind,
-                     const CardinalityEstimator& est) {
+                     const CardinalityEstimator& est, size_t skip = 0) {
   double cost = 0.0;
   for (size_t i = first; i < last; ++i) {
+    if (i == skip) continue;
     cost += rows * est.FilterCostPerRow(steps[i]);
     rows *= est.Selectivity(steps[i], kind);
   }
   return cost;
 }
 
-/// The logical-step optimizer: (1) orders every maximal run of
-/// consecutive commutable filters by the classic rank
-/// (selectivity - 1) / cost, ascending — filters that drop the most rows
-/// per unit of work run first; since filters only drop rows (never
-/// reorder survivors), the result multiset AND its order are preserved
-/// under both policies — and (2) picks the prefix access path by
-/// estimated cost. Access-path rewrites emit in native scan/index order,
-/// so they stay off when the suffix contains a Limit (the same
-/// order-sensitivity guard the rule-based rewrites use).
-OptimizedSteps OptimizeSteps(const std::vector<LogicalStep>& in,
-                             const CardinalityEstimator& est) {
-  OptimizedSteps out;
-  out.steps = in;
-  std::vector<LogicalStep>& steps = out.steps;
+/// Orders every maximal run of consecutive commutable filters by the
+/// classic rank (selectivity - 1) / cost, ascending: filters that drop
+/// the most rows per unit of work run first. Filters only drop rows
+/// (never reorder survivors), so the result multiset AND its order are
+/// preserved under both policies.
+std::vector<LogicalStep> OrderFilterRuns(const std::vector<LogicalStep>& in,
+                                         const CardinalityEstimator& est) {
+  std::vector<LogicalStep> steps = in;
 
   // Input row kind of each step (filters keep their input kind, so the
   // kind is stable across any permutation of a run).
@@ -125,76 +125,109 @@ OptimizedSteps OptimizeSteps(const std::vector<LogicalStep>& in,
           return rank(a) < rank(b);
         });
   }
+  return steps;
+}
 
-  bool has_limit = false;
+/// The one access-path chooser, shaped after RDF-3X's IndexScan::create:
+/// what the prefix binds and what it costs pick the path. With an
+/// estimator each rewrite is priced against the pipeline it replaces,
+/// under BOTH policies (a native access path beats a full scan however
+/// the rest of the chain runs). Without one, the conflated policy takes
+/// the three syntactic rewrites that generalize what the engines' real
+/// adapters conflate (paper Table 1 "Query execution"; the remaining
+/// steps fuse into the streaming pass, so Limit()/Count() pushdown needs
+/// no pattern at all), and step-wise takes none.
+///
+/// Guard shared by every rewrite: a rewritten source emits in its own
+/// native order (edge-scan / index order), not the vertex-scan expansion
+/// order the step-wise policy produces. That is fine for every
+/// order-insensitive continuation, but a downstream Limit() selects a
+/// *subset* by order, so no rewrite applies when the suffix holds one,
+/// keeping both policies answer-equivalent. (The fused streaming pass
+/// itself preserves step-wise order, so un-rewritten plans are never
+/// affected.)
+AccessChoice ChooseAccessPath(const std::vector<LogicalStep>& steps,
+                              QueryExecution policy,
+                              const CardinalityEstimator* est) {
   for (const LogicalStep& s : steps) {
-    if (s.op == LogicalOp::kCount) break;
-    if (s.op == LogicalOp::kLimit) has_limit = true;
+    if (s.op == LogicalOp::kCount) break;  // terminal: later steps dropped
+    if (s.op == LogicalOp::kLimit) return {};
   }
-  if (has_limit || steps.size() < 2) return out;
+  if (steps.size() < 2) return {};
+  const bool from_v = steps[0].op == LogicalOp::kSourceV;
+  const bool from_e = steps[0].op == LogicalOp::kSourceE;
+  const LogicalOp second = steps[1].op;
+  const bool expand_dedup =
+      from_v && steps.size() > 2 && !steps[1].bound &&
+      (second == LogicalOp::kOut || second == LogicalOp::kIn ||
+       second == LogicalOp::kBoth) &&
+      steps[2].op == LogicalOp::kDedup;
 
-  const double vertices = static_cast<double>(est.stats().vertices);
-  const double edges = static_cast<double>(est.stats().edges);
+  if (est == nullptr) {
+    if (policy != QueryExecution::kConflated) return {};
+    if (expand_dedup && second == LogicalOp::kOut &&
+        !steps[1].label.has_value()) {
+      // V().out().dedup(), paper Q.31: SELECT DISTINCT dst over the edge
+      // tables instead of a per-vertex union of expansions.
+      return {AccessPath::kDistinctNeighbor};
+    }
+    if (from_v && second == LogicalOp::kHas) {
+      // V().has(k, v), paper Q.11: one native property search.
+      return {AccessPath::kPropertyIndex};
+    }
+    if (from_e && second == LogicalOp::kHasLabel) {
+      // E().hasLabel(l), paper Q.13: the native edges-by-label search.
+      return {AccessPath::kEdgeLabel};
+    }
+    return {};
+  }
 
-  if (steps[0].op == LogicalOp::kSourceV && IsFilterOp(steps[1].op) &&
-      est.supports_property_index()) {
+  const double vertices = static_cast<double>(est->stats().vertices);
+  const double edges = static_cast<double>(est->stats().edges);
+  if (from_v && IsFilterOp(second) && est->supports_property_index()) {
     // Index-vs-scan by estimated cardinality: any has() in the leading
     // filter run is index-eligible (filters commute), so probe the one
-    // estimated cheapest — not merely the one written first.
+    // estimated cheapest, not merely the one written first. The index
+    // plan runs the rest of the run, in order, over the probed rows.
     size_t run_end = 1;
     while (run_end < steps.size() && IsFilterOp(steps[run_end].op)) ++run_end;
     size_t best = 0;
     double best_rows = 0.0;
     for (size_t j = 1; j < run_end; ++j) {
       if (steps[j].op != LogicalOp::kHas) continue;
-      double rows = est.HasRows(steps[j]);
+      double rows = est->HasRows(steps[j]);
       if (best == 0 || rows < best_rows) {
         best = j;
         best_rows = rows;
       }
     }
-    if (best != 0) {
-      double scan_cost =
-          vertices +
-          FilterRunCost(steps, 1, run_end, vertices, RowKind::kVertex, est);
-      LogicalStep chosen = steps[best];
-      steps.erase(steps.begin() + static_cast<ptrdiff_t>(best));
-      steps.insert(steps.begin() + 1, chosen);
-      double index_cost =
-          kIndexProbeCost + best_rows +
-          FilterRunCost(steps, 2, run_end, best_rows, RowKind::kVertex, est);
-      if (index_cost < scan_cost) {
-        out.access = AccessPath::kPropertyIndex;
-      } else {
-        // Undo the splice: keep the rank order the sort produced.
-        steps.erase(steps.begin() + 1);
-        steps.insert(steps.begin() + static_cast<ptrdiff_t>(best), chosen);
-      }
-    }
-  } else if (steps[0].op == LogicalOp::kSourceE &&
-             steps[1].op == LogicalOp::kHasLabel) {
+    if (best == 0) return {};
+    double scan_cost =
+        vertices +
+        FilterRunCost(steps, 1, run_end, vertices, RowKind::kVertex, *est);
+    double index_cost = kIndexProbeCost + best_rows +
+                        FilterRunCost(steps, 1, run_end, best_rows,
+                                      RowKind::kVertex, *est, best);
+    if (index_cost < scan_cost) return {AccessPath::kPropertyIndex, best};
+  } else if (from_e && second == LogicalOp::kHasLabel) {
     // Native edges-by-label visits only the labeled edges; the scan
     // pipeline visits every edge and fetches its record.
-    double labeled = static_cast<double>(est.stats().EdgesWithLabel(
-        steps[1].key));
+    double labeled =
+        static_cast<double>(est->stats().EdgesWithLabel(steps[1].key));
     if (kIndexProbeCost + labeled < edges * 2.0) {
-      out.access = AccessPath::kEdgeLabel;
+      return {AccessPath::kEdgeLabel};
     }
-  } else if (steps[0].op == LogicalOp::kSourceV && steps.size() > 2 &&
-             (steps[1].op == LogicalOp::kOut ||
-              steps[1].op == LogicalOp::kIn ||
-              steps[1].op == LogicalOp::kBoth) &&
-             !steps[1].bound && steps[2].op == LogicalOp::kDedup) {
+  } else if (expand_dedup) {
     // Distinct neighbors: per-vertex expansion pays one visitor call per
     // vertex plus every directed edge visit (both() walks each edge from
     // both endpoints); one ScanEdges pass pays each edge once, whatever
     // the direction. This is where the expansion-direction choice for
     // both()/undirected chains happens.
-    double expand_cost = vertices + vertices * est.Fanout(steps[1]);
+    double expand_cost = vertices + vertices * est->Fanout(steps[1]);
     double scan_cost = edges;
-    if (scan_cost < expand_cost) out.access = AccessPath::kDistinctNeighbor;
+    if (scan_cost < expand_cost) return {AccessPath::kDistinctNeighbor};
   }
-  return out;
+  return {};
 }
 
 /// Cap on speculative sink reservations: a statically-bounded plan never
@@ -254,11 +287,6 @@ Plan::~Plan() = default;
 Plan::Plan(Plan&&) noexcept = default;
 Plan& Plan::operator=(Plan&&) noexcept = default;
 
-Result<Plan> Plan::Lower(const std::vector<LogicalStep>& steps,
-                         QueryExecution policy) {
-  return Lower(steps, policy, nullptr);
-}
-
 Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
                          QueryExecution policy,
                          const CardinalityEstimator* est) {
@@ -269,31 +297,12 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
     return Status::InvalidArgument("traversal does not start with a source");
   }
 
-  // Cost-based path: reorder commutable filter runs and pick the prefix
-  // access path by estimated cost. Without statistics the rule-based
-  // lowering below runs unchanged (the exact-fallback contract).
-  AccessPath access = AccessPath::kNone;
-  std::vector<LogicalStep> optimized;
-  if (est != nullptr) {
-    OptimizedSteps opt = OptimizeSteps(input, *est);
-    optimized = std::move(opt.steps);
-    access = opt.access;
-  }
-  const std::vector<LogicalStep>& steps = est != nullptr ? optimized : input;
-
-  // Guard shared by every source rewrite (rule-based and cost-based): a
-  // rewritten source emits in its own native order (edge-scan / index
-  // order), not the vertex-scan expansion order the step-wise policy
-  // produces. That is fine for every order-insensitive continuation, but
-  // a downstream Limit() selects a *subset* by order — so the rewrites
-  // stay off whenever the suffix contains one, keeping both policies
-  // answer-equivalent. (The fused streaming pass itself preserves
-  // step-wise order, so un-rewritten plans are never affected.)
-  bool has_limit = false;
-  for (const LogicalStep& s : steps) {
-    if (s.op == LogicalOp::kCount) break;  // terminal: later steps dropped
-    if (s.op == LogicalOp::kLimit) has_limit = true;
-  }
+  // Cost-based lowering orders the commutable filter runs first; without
+  // statistics the steps lower in their written order.
+  std::vector<LogicalStep> ordered;
+  if (est != nullptr) ordered = OrderFilterRuns(input, *est);
+  const std::vector<LogicalStep>& steps = est != nullptr ? ordered : input;
+  const AccessChoice access = ChooseAccessPath(steps, policy, est);
 
   // Running estimate threaded through the lowering: rows flowing out of
   // the operator just pushed, and the row kind flowing into the next step.
@@ -304,63 +313,37 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
     rows = r;
   };
 
+  // The one emission switch: the chosen access path becomes the source
+  // operator, and the loop below lowers the steps it did not replace.
   size_t i = 0;
-  if (est != nullptr) {
-    // The optimizer already priced these rewrites against the pipeline
-    // alternative (and against each other for multi-has chains); here we
-    // just emit what it chose. Applies under BOTH policies: a native
-    // access path beats a full scan regardless of how the remaining
-    // chain is executed.
-    switch (access) {
-      case AccessPath::kPropertyIndex:
-        plan.ops_.push_back(LowerPredicate<PropertyIndexScan>(steps[1]));
-        note(est->HasRows(steps[1]));
-        i = 2;
-        break;
-      case AccessPath::kEdgeLabel:
-        plan.ops_.push_back(std::make_unique<EdgeLabelScan>(steps[1].key));
-        note(static_cast<double>(est->stats().EdgesWithLabel(steps[1].key)));
-        ekind = RowKind::kEdge;
-        i = 2;
-        break;
-      case AccessPath::kDistinctNeighbor: {
-        Direction dir = steps[1].op == LogicalOp::kOut   ? Direction::kOut
-                        : steps[1].op == LogicalOp::kIn ? Direction::kIn
-                                                        : Direction::kBoth;
-        plan.ops_.push_back(
-            std::make_unique<DistinctNeighborScan>(dir, steps[1].label));
-        note(est->DistinctNeighbors(dir, steps[1].label));
-        i = 3;
-        break;
-      }
-      case AccessPath::kNone:
-        break;
+  switch (access.path) {
+    case AccessPath::kPropertyIndex: {
+      const LogicalStep& has = steps[access.has_step];
+      plan.ops_.push_back(LowerPredicate<PropertyIndexScan>(has));
+      if (est != nullptr) note(est->HasRows(has));
+      i = 1;
+      break;
     }
-  } else if (policy == QueryExecution::kConflated && !has_limit) {
-    // Rule-based conflated policy: syntactic prefix rewrites that push
-    // step patterns into native engine queries. These generalize what
-    // the engines' real adapters conflate (paper Table 1 "Query
-    // execution"); the remaining steps fuse into the streaming pass, so
-    // Limit()/Count() pushdown needs no pattern at all.
-    auto is = [&](size_t at, LogicalOp op) {
-      return at < steps.size() && steps[at].op == op;
-    };
-    if (is(0, LogicalOp::kSourceV) && is(1, LogicalOp::kOut) &&
-        !steps[1].label.has_value() && !steps[1].bound &&
-        is(2, LogicalOp::kDedup)) {
-      // V().out().dedup() — paper Q.31: SELECT DISTINCT dst over the edge
-      // tables instead of a per-vertex union of expansions.
-      plan.ops_.push_back(std::make_unique<DistinctEdgeTargetScan>());
-      i = 3;
-    } else if (is(0, LogicalOp::kSourceV) && is(1, LogicalOp::kHas)) {
-      // V().has(k, v) — paper Q.11: one native property search.
-      plan.ops_.push_back(LowerPredicate<PropertyIndexScan>(steps[1]));
-      i = 2;
-    } else if (is(0, LogicalOp::kSourceE) && is(1, LogicalOp::kHasLabel)) {
-      // E().hasLabel(l) — paper Q.13: the native edges-by-label search.
+    case AccessPath::kEdgeLabel:
       plan.ops_.push_back(std::make_unique<EdgeLabelScan>(steps[1].key));
+      if (est != nullptr) {
+        note(static_cast<double>(est->stats().EdgesWithLabel(steps[1].key)));
+      }
+      ekind = RowKind::kEdge;
       i = 2;
+      break;
+    case AccessPath::kDistinctNeighbor: {
+      Direction dir = steps[1].op == LogicalOp::kOut   ? Direction::kOut
+                      : steps[1].op == LogicalOp::kIn ? Direction::kIn
+                                                      : Direction::kBoth;
+      plan.ops_.push_back(
+          std::make_unique<DistinctNeighborScan>(dir, steps[1].label));
+      if (est != nullptr) note(est->DistinctNeighbors(dir, steps[1].label));
+      i = 3;
+      break;
     }
+    case AccessPath::kNone:
+      break;
   }
 
   auto adjacency = [](const LogicalStep& s, Direction dir, bool edges)
@@ -374,6 +357,9 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
   };
 
   for (; i < steps.size(); ++i) {
+    if (access.path == AccessPath::kPropertyIndex && i == access.has_step) {
+      continue;  // the index scan probes it
+    }
     const LogicalStep& s = steps[i];
     if (IsSourceOp(s.op) && !plan.ops_.empty()) {
       return Status::InvalidArgument("source step mid-pipeline");
@@ -522,7 +508,6 @@ Status Plan::RunInto(const GraphEngine& engine, QuerySession& session,
   if (stats != nullptr) {
     *stats = PlanStats{};
     stats->rows_out.assign(ops_.size(), 0);
-    stats->est_rows = est_rows_;
   }
   if (ops_.empty()) return Status::OK();
   GDB_CHECK_CANCEL(cancel);
@@ -726,62 +711,6 @@ std::string Plan::Explain() const {
     ++indent;
   }
   return out;
-}
-
-PreparedPlan::PreparedPlan(const GraphEngine* engine, Plan plan,
-                           std::vector<LogicalStep> steps,
-                           bool supports_property_index)
-    : engine_(engine), plan_(std::move(plan)), steps_(std::move(steps)),
-      supports_index_(supports_property_index) {
-  const GraphStatistics* stats = engine_->statistics();
-  if (stats == nullptr) return;
-  for (const LogicalStep& s : steps_) {
-    if (s.op == LogicalOp::kHas && s.bound) {
-      bound_has_key_ = s.key;
-      break;
-    }
-  }
-  if (bound_has_key_.empty()) return;
-  // plan_ was lowered with the bound value unknown, i.e. priced at the
-  // key-wide average; that is the class rebinding compares against.
-  CardinalityEstimator est(*stats, supports_index_);
-  base_class_ = est.SelectivityClass(bound_has_key_, PropertyValue());
-  cache_ = std::make_shared<ClassPlanCache>();
-}
-
-const Plan& PreparedPlan::RepricedPlan(const PlanParams& params) const {
-  const GraphStatistics* stats = engine_->statistics();
-  if (stats == nullptr) return plan_;
-  CardinalityEstimator est(*stats, supports_index_);
-  int cls = est.SelectivityClass(bound_has_key_, params.value);
-  if (cls == base_class_) return plan_;
-  const Plan* cached = cache_->slots[static_cast<size_t>(cls)].load(
-      std::memory_order_acquire);
-  if (cached != nullptr) return *cached;
-
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cached = cache_->slots[static_cast<size_t>(cls)].load(
-      std::memory_order_relaxed);
-  if (cached != nullptr) return *cached;
-
-  // Re-lower with the bound value as a pricing hint. The step stays
-  // bound — the operator still reads PlanParams at Run time — so the
-  // re-priced plan is correct for EVERY value, merely priced for this
-  // value's class.
-  std::vector<LogicalStep> hinted = steps_;
-  for (LogicalStep& s : hinted) {
-    if (s.op == LogicalOp::kHas && s.bound && s.key == bound_has_key_) {
-      s.value = params.value;
-      break;
-    }
-  }
-  Result<Plan> replan = Plan::Lower(hinted, plan_.policy(), &est);
-  if (!replan.ok()) return plan_;  // pricing is best-effort; never fail a run
-  cache_->owned.push_back(std::make_unique<Plan>(std::move(*replan)));
-  const Plan* built = cache_->owned.back().get();
-  cache_->slots[static_cast<size_t>(cls)].store(built,
-                                                std::memory_order_release);
-  return *built;
 }
 
 }  // namespace query

@@ -14,16 +14,19 @@
 //  * QueryExecution::kConflated — the Sqlg/Titan adapter model: the
 //    planner first applies prefix rewrites that push whole step patterns
 //    into native engine queries (Has → PropertyIndexScan, E().HasLabel →
-//    EdgeLabelScan, V().Out().Dedup() → a streaming distinct over
-//    ScanEdges), then fuses the remaining chain into a single streaming
-//    pass with no barriers: each operator pushes rows straight into its
-//    consumer, a trailing Count() never materializes a frontier, and a
-//    Limit() stops the source scan itself (the operator chain propagates
-//    "stop" upstream through the sink return value).
+//    EdgeLabelScan, V().Out().Dedup() → DistinctNeighborScan, a streaming
+//    distinct over ScanEdges), then fuses the remaining chain into a
+//    single streaming pass with no barriers: each operator pushes rows
+//    straight into its consumer, a trailing Count() never materializes a
+//    frontier, and a Limit() stops the source scan itself (the operator
+//    chain propagates "stop" upstream through the sink return value).
 //
 // Both policies run the *same* operator implementations; only the
 // executor and the planner rewrites differ, so result equivalence is
-// structural. Plan::Explain() prints the operator tree (root = last
+// structural. Plan::Lower is the one lowering entry point: one chooser
+// picks the access path (by estimated cost when the engine has
+// statistics, by the conflated policy's patterns otherwise) and one
+// switch emits it. Plan::Explain() prints the operator tree (root = last
 // operator, children indented, the RDF-3X print(indent) idiom) and is
 // the unit-testable surface of the lowering pass.
 //
@@ -48,12 +51,9 @@
 #ifndef GDBMICRO_QUERY_PLAN_H_
 #define GDBMICRO_QUERY_PLAN_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -67,12 +67,6 @@ namespace query {
 
 class Operator;
 class CardinalityEstimator;
-
-/// Number of selectivity classes a bound has(k, ?) value can land in
-/// (log-scale over estimated matching rows; see
-/// CardinalityEstimator::ClassOf). PreparedPlan keeps at most one
-/// re-priced lowering per class.
-inline constexpr int kSelectivityClasses = 4;
 
 /// What a pipeline position's rows denote. Uniform per position: sources
 /// fix it, and every operator maps its input kind to one output kind, so
@@ -226,10 +220,6 @@ struct PlanStats {
   /// rows_out[i] = rows operator i pushed into its consumer (for the
   /// source, the number of elements the engine scan emitted).
   std::vector<uint64_t> rows_out;
-  /// est_rows[i] = the optimizer's estimated output rows of operator i
-  /// (empty for rule-based plans). Compare against rows_out to see where
-  /// the cost model mis-estimated.
-  std::vector<double> est_rows;
   /// Materializing barriers executed (0 under the conflated policy).
   uint64_t barriers = 0;
   /// Largest materialized frontier, in rows and approximate bytes.
@@ -251,20 +241,18 @@ class Plan {
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
 
-  /// Lowers logical steps into a physical chain under `policy`. The
-  /// conflated policy applies the planner rewrites; step-wise maps steps
-  /// one-to-one. Steps after a Count() are unreachable and dropped.
-  static Result<Plan> Lower(const std::vector<LogicalStep>& steps,
-                            QueryExecution policy);
-
-  /// Cost-based lowering: with a non-null `estimator`, commutable filter
-  /// runs are ordered by estimated selectivity rank, access paths
+  /// Lowers logical steps into a physical chain under `policy`. Steps
+  /// after a Count() are unreachable and dropped.
+  ///
+  /// With a null `estimator` the lowering is rule-based: the conflated
+  /// policy applies the planner rewrites, step-wise maps steps
+  /// one-to-one. With one it is cost-based: commutable filter runs are
+  /// ordered by estimated selectivity rank, access paths
   /// (PropertyIndexScan / EdgeLabelScan / DistinctNeighborScan) are
   /// chosen by estimated cardinality under BOTH policies, and per-
-  /// operator row estimates are recorded (Explain / PlanStats). A null
-  /// estimator is exactly the rule-based overload above. The optimizer
-  /// never changes the emitted result multiset, and pure filter
-  /// reordering preserves even the row order.
+  /// operator row estimates are recorded (Explain, estimated_rows()).
+  /// The optimizer never changes the emitted result multiset, and pure
+  /// filter reordering preserves even the row order.
   static Result<Plan> Lower(const std::vector<LogicalStep>& steps,
                             QueryExecution policy,
                             const CardinalityEstimator* estimator);
@@ -324,39 +312,19 @@ class Plan {
   QueryExecution policy_ = QueryExecution::kStepWise;
 };
 
-/// Lazily built per-selectivity-class lowerings of one prepared plan
-/// (see PreparedPlan). Slots publish through acquire/release atomics so
-/// concurrent sessions re-pricing the same class race only on the
-/// construction mutex, never on a published plan.
-struct ClassPlanCache {
-  std::mutex mu;
-  std::array<std::atomic<const Plan*>, kSelectivityClasses> slots{};
-  std::vector<std::unique_ptr<Plan>> owned;  // guarded by mu
-};
-
 /// A plan prepared for one engine (lowered once under the engine's
 /// policy) and runnable from any of that engine's sessions — build with
 /// Traversal::Prepare(engine), run every iteration with fresh PlanParams.
 /// Immutable and therefore shareable across concurrent client threads;
-/// the engine must outlive it.
-///
-/// Cost-based re-pricing: when the plan was lowered with statistics and
-/// has a bound has(k, ?) step, rebinding a value whose estimated
-/// cardinality falls in a different selectivity class than the one the
-/// cached lowering was priced for transparently switches to a lowering
-/// priced for that class (built once per class, cached). Values within
-/// the same class never re-lower.
+/// the engine must outlive it. A bound has(k, ?) is priced once, at the
+/// key-wide average, and every bound value runs that one plan.
 class PreparedPlan {
  public:
-  PreparedPlan(PreparedPlan&&) noexcept = default;
-  PreparedPlan& operator=(PreparedPlan&&) noexcept = default;
-
   /// Executes into a caller-owned, capacity-reused output.
   Status RunInto(QuerySession& session, const CancelToken& cancel,
                  const PlanParams& params, TraversalOutput* out,
                  PlanStats* stats = nullptr) const {
-    return PlanFor(params).RunInto(*engine_, session, cancel, &params, out,
-                                   stats);
+    return plan_.RunInto(*engine_, session, cancel, &params, out, stats);
   }
 
   Result<TraversalOutput> Run(QuerySession& session, const CancelToken& cancel,
@@ -377,36 +345,16 @@ class PreparedPlan {
   }
 
   const GraphEngine& engine() const { return *engine_; }
-  const Plan& plan() const { return plan_; }
   std::string Explain() const { return plan_.Explain(); }
   QueryExecution policy() const { return plan_.policy(); }
-
-  /// The lowering RunInto would execute for `params`: the base plan, or
-  /// a per-selectivity-class re-priced lowering (see the class comment).
-  const Plan& PlanFor(const PlanParams& params) const {
-    if (cache_ == nullptr) return plan_;
-    return RepricedPlan(params);
-  }
 
  private:
   friend class Traversal;
   PreparedPlan(const GraphEngine* engine, Plan plan)
       : engine_(engine), plan_(std::move(plan)) {}
-  /// Cost-based ctor (statistics present at Prepare time): enables
-  /// re-pricing iff `steps` contain a bound has(k, ?).
-  PreparedPlan(const GraphEngine* engine, Plan plan,
-               std::vector<LogicalStep> steps, bool supports_property_index);
-
-  const Plan& RepricedPlan(const PlanParams& params) const;
 
   const GraphEngine* engine_;
   Plan plan_;
-  /// Re-pricing state; cache_ stays null unless it applies.
-  std::vector<LogicalStep> steps_;
-  std::string bound_has_key_;
-  int base_class_ = -1;  // class plan_ was priced for (-1 = off)
-  bool supports_index_ = false;
-  std::shared_ptr<ClassPlanCache> cache_;
 };
 
 }  // namespace query

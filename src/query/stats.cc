@@ -106,8 +106,8 @@ double CardinalityEstimator::Fanout(const LogicalStep& s) const {
 double CardinalityEstimator::HasRows(const LogicalStep& s) const {
   const PropertyKeyStats* key = stats_.VertexProperty(s.key);
   if (key == nullptr) return 0.0;
-  // s.value is the fixed predicate value, the PreparedPlan re-pricing
-  // hint, or null for an unhinted bound slot (EstimateEq then averages).
+  // s.value is the fixed predicate value, or null for a bound slot
+  // (EstimateEq then averages).
   return key->EstimateEq(s.value);
 }
 
@@ -135,21 +135,6 @@ double CardinalityEstimator::KeyPresence(const std::string& key,
                  static_cast<double>(stats_.edges));
   }
   return 0.0;
-}
-
-int CardinalityEstimator::ClassOf(double rows) {
-  if (rows <= 2.0) return 0;
-  if (rows <= 32.0) return 1;
-  if (rows <= 1024.0) return 2;
-  return 3;
-}
-
-int CardinalityEstimator::SelectivityClass(const std::string& key,
-                                           const PropertyValue& value) const {
-  LogicalStep probe{LogicalOp::kHas};
-  probe.key = key;
-  probe.value = value;
-  return ClassOf(HasRows(probe));
 }
 
 }  // namespace query

@@ -13,9 +13,8 @@
 //  * an adjacency step multiplies rows by Fanout().
 //
 // A bound has(k, ?) whose value is unknown at lowering prices at the
-// key-wide average; PreparedPlan re-prices when a bound value's
-// estimated cardinality lands in a different selectivity class (see
-// kSelectivityClasses in plan.h and PreparedPlan::PlanFor).
+// key-wide average, and its PreparedPlan runs that one plan for every
+// bound value.
 
 #ifndef GDBMICRO_QUERY_STATS_H_
 #define GDBMICRO_QUERY_STATS_H_
@@ -49,9 +48,8 @@ class CardinalityEstimator {
   /// Mean output rows per input row of an adjacency step.
   double Fanout(const LogicalStep& s) const;
 
-  /// Estimated vertices matching has(k, v). A bound step with a null
-  /// value prices at the key-wide average; a bound step whose value was
-  /// hinted (PreparedPlan re-pricing) prices at the hint.
+  /// Estimated vertices matching has(k, v). A bound step, whose value
+  /// is null, prices at the key-wide average.
   double HasRows(const LogicalStep& s) const;
 
   /// Estimated distinct vertices a V().expand(dir, label?).dedup()
@@ -62,13 +60,6 @@ class CardinalityEstimator {
   /// Fraction of elements of kind `in` carrying property `key` (the
   /// values(k) drop rate).
   double KeyPresence(const std::string& key, RowKind in) const;
-
-  /// Log-scale class of an equality predicate's estimated cardinality —
-  /// the stable re-pricing key for prepared plans: two values in the
-  /// same class always share one lowered plan.
-  int SelectivityClass(const std::string& key,
-                       const PropertyValue& value) const;
-  static int ClassOf(double rows);
 
   bool supports_property_index() const { return supports_property_index_; }
   const GraphStatistics& stats() const { return stats_; }

@@ -5,18 +5,6 @@
 namespace gdbmicro {
 namespace query {
 
-namespace {
-
-/// The engine's cost estimator, when BulkLoad collected statistics
-/// (nullopt reverts Execute/Prepare to rule-based lowering).
-std::optional<CardinalityEstimator> EstimatorFor(const GraphEngine& engine) {
-  const GraphStatistics* stats = engine.statistics();
-  if (stats == nullptr) return std::nullopt;
-  return CardinalityEstimator(*stats, engine.info().supports_property_index);
-}
-
-}  // namespace
-
 Traversal Traversal::V() {
   Traversal t;
   t.steps_.push_back(LogicalStep{LogicalOp::kSourceV});
@@ -218,39 +206,32 @@ QueryExecution Traversal::PolicyFor(const GraphEngine& engine) {
 }
 
 Result<Plan> Traversal::Lower(QueryExecution policy) const {
-  return Plan::Lower(steps_, policy);
+  return Plan::Lower(steps_, policy, nullptr);
 }
 
 Result<Plan> Traversal::LowerFor(const GraphEngine& engine,
                                  QueryExecution policy) const {
-  std::optional<CardinalityEstimator> est = EstimatorFor(engine);
-  return Plan::Lower(steps_, policy, est ? &*est : nullptr);
+  // Without load-time statistics the lowering is rule-based.
+  const GraphStatistics* stats = engine.statistics();
+  if (stats == nullptr) return Lower(policy);
+  CardinalityEstimator est(*stats, engine.info().supports_property_index);
+  return Plan::Lower(steps_, policy, &est);
 }
 
 Result<std::string> Traversal::ExplainPlan(QueryExecution policy) const {
-  GDB_ASSIGN_OR_RETURN(Plan plan, Plan::Lower(steps_, policy));
+  GDB_ASSIGN_OR_RETURN(Plan plan, Lower(policy));
   return plan.Explain();
 }
 
 Result<TraversalOutput> Traversal::Execute(const GraphEngine& engine,
                                            QuerySession& session,
                                            const CancelToken& cancel) const {
-  std::optional<CardinalityEstimator> est = EstimatorFor(engine);
-  GDB_ASSIGN_OR_RETURN(
-      Plan plan,
-      Plan::Lower(steps_, PolicyFor(engine), est ? &*est : nullptr));
+  GDB_ASSIGN_OR_RETURN(Plan plan, LowerFor(engine, PolicyFor(engine)));
   return plan.Run(engine, session, cancel);
 }
 
 Result<PreparedPlan> Traversal::Prepare(const GraphEngine& engine) const {
-  std::optional<CardinalityEstimator> est = EstimatorFor(engine);
-  GDB_ASSIGN_OR_RETURN(
-      Plan plan,
-      Plan::Lower(steps_, PolicyFor(engine), est ? &*est : nullptr));
-  if (est) {
-    return PreparedPlan(&engine, std::move(plan), steps_,
-                        engine.info().supports_property_index);
-  }
+  GDB_ASSIGN_OR_RETURN(Plan plan, LowerFor(engine, PolicyFor(engine)));
   return PreparedPlan(&engine, std::move(plan));
 }
 

@@ -1,7 +1,8 @@
-// Cooperative cancellation and per-query resource accounting. The
-// benchmark runner (through query::ResourceGovernor) arms a deadline and
-// an optional byte-accounted memory budget before every query; engines
-// and the traversal machine check the token inside their scan loops and
+// Cooperative cancellation and per-query resource accounting. A query's
+// limits are armed one way, CancelToken::WithLimits: the benchmark runner
+// calls it through query::ResourceGovernor with a deadline and an
+// optional byte-accounted memory budget before every query; engines and
+// the traversal machine check the token inside their scan loops and
 // charge it wherever a per-session structure grows. This reproduces the
 // paper's 2-hour query timeout (Fig. 1(c)) and its OOM class (Sparksee on
 // Q28-Q31) without detaching threads: any query stops at a bounded stride
@@ -36,20 +37,6 @@ class CancelToken {
  public:
   /// A token that never cancels and accounts no memory.
   CancelToken() : CancelToken(Clock::now()) {}
-
-  /// A token that expires `deadline` after now. Non-positive => immediate.
-  /// (Unlike WithLimits, 0 here means "spent", not "no deadline" — the
-  /// runner's remaining-time arithmetic hands in 0 when the budget is
-  /// exactly used up.)
-  static CancelToken WithTimeout(std::chrono::nanoseconds deadline) {
-    CancelToken t = WithLimits(deadline, 0);
-    if (deadline.count() == 0) {
-      t.state_->deadline = t.state_->armed_at;
-      t.state_->deadline_budget = deadline;
-      t.state_->has_deadline = true;
-    }
-    return t;
-  }
 
   /// A token with a deadline (0 = none, negative = already expired) and a
   /// memory budget in bytes (0 = unlimited). The resource governor's

@@ -265,7 +265,7 @@ TEST(PlanExplainTest, ConflatedRewritesFireOnlyForConflatedPolicy) {
   Traversal q31 = Traversal::V().Out().Dedup().Count();
   EXPECT_EQ(q31.ExplainPlan(QueryExecution::kConflated).value(),
             "CountSink\n"
-            "  DistinctEdgeTargetScan\n");
+            "  DistinctNeighborScan(out)\n");
   EXPECT_EQ(q31.ExplainPlan(QueryExecution::kStepWise).value(),
             "CountSink\n"
             "  Dedup\n"

@@ -508,17 +508,15 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param;
     });
 
-// --- Cost-based re-pricing ---------------------------------------------------
+// --- Bound has(k, ?) --------------------------------------------------------
 
-// With statistics present, a prepared V().has(tier, ?) is priced at the
-// key-wide average; rebinding a value whose estimated cardinality falls
-// in a different selectivity class transparently switches lowerings.
-// Whatever plan PlanFor picks, every value must return the rebuild-
-// golden results — re-pricing is a performance decision, never a
-// correctness one.
-TEST(PreparedPlanRepricingTest, RebindingAcrossSelectivityClassesStaysCorrect) {
-  // Property "tier" spans three selectivity classes: hot ~ 1200 rows
-  // (class 3), mid ~ 20 (class 1), rare = 2 (class 0).
+// With statistics present, a prepared V().has(tier, ?) is priced once, at
+// the key-wide average, and every bound value runs that one plan. Values
+// whose cardinalities differ by three orders of magnitude must all return
+// the rebuild-golden results.
+TEST(PreparedPlanBoundHasTest, RebindingValuesOfAnySelectivityStaysCorrect) {
+  // Property "tier" spans three orders of magnitude: hot ~ 1200 rows,
+  // mid ~ 20, rare = 2.
   GraphData data;
   data.name = "repricing";
   for (int i = 0; i < 1222; ++i) {
@@ -549,12 +547,10 @@ TEST(PreparedPlanRepricingTest, RebindingAcrossSelectivityClassesStaysCorrect) {
         Traversal::V().Has("tier", Bound{}).Count().Prepare(**engine);
     ASSERT_TRUE(prepared.ok()) << name;
 
-    bool repriced = false;
-    for (int round = 0; round < 2; ++round) {  // 2nd round hits the cache
+    for (int round = 0; round < 2; ++round) {
       for (const char* tier : kTiers) {
         PlanParams params;
         params.value = PropertyValue(tier);
-        if (&prepared->PlanFor(params) != &prepared->plan()) repriced = true;
         auto n = prepared->RunCount(*session, never, params);
         ASSERT_TRUE(n.ok()) << name << "/" << tier;
         auto golden = Traversal::V()
@@ -565,12 +561,9 @@ TEST(PreparedPlanRepricingTest, RebindingAcrossSelectivityClassesStaysCorrect) {
         EXPECT_EQ(*n, *golden) << name << "/" << tier;
       }
     }
-    // The class spread guarantees at least one rebind left the base
-    // class, so the per-class cache must have been exercised.
-    EXPECT_TRUE(repriced) << name;
 
-    // Concurrent rebinding across classes races only on the cache's
-    // construction mutex; results stay correct (TSan leg covers this).
+    // Concurrent rebinding from four sessions shares the one plan;
+    // results stay correct (TSan leg covers this).
     constexpr int kThreads = 4;
     std::vector<Status> failures(kThreads);
     std::vector<std::thread> threads;

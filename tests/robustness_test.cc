@@ -34,26 +34,30 @@ using query::Traversal;
 
 TEST(GovernorTest, MemoryBudgetTripsTyped) {
   ResourceGovernor governor({std::chrono::nanoseconds(0), 4096});
-  EXPECT_FALSE(governor.exhausted());
-  EXPECT_TRUE(governor.Charge(1024, "warmup").ok());
-  EXPECT_EQ(governor.charged_bytes(), 1024u);
-  EXPECT_TRUE(governor.status().ok());
+  const CancelToken& token = governor.token();
+  EXPECT_EQ(token.trip_reason(), TripReason::kNone);
+  EXPECT_EQ(token.budget_bytes(), 4096u);
+  token.set_position("warmup");
+  EXPECT_TRUE(token.Charge(1024));
+  EXPECT_EQ(token.charged_bytes(), 1024u);
+  EXPECT_FALSE(token.Expired());
 
-  Status s = governor.Charge(8192, "GovernorTest.site");
+  token.set_position("GovernorTest.site");
+  EXPECT_FALSE(token.Charge(8192));
+  EXPECT_EQ(token.trip_reason(), TripReason::kMemory);
+  Status s = token.ToStatus();
   EXPECT_TRUE(s.IsResourceExhausted()) << s;
-  EXPECT_TRUE(governor.memory_exhausted());
-  EXPECT_FALSE(governor.deadline_exceeded());
   // Diagnostics: charged-vs-limit bytes and the marked position.
   EXPECT_NE(s.message().find("budget 4096"), std::string::npos) << s;
   EXPECT_NE(s.message().find("GovernorTest.site"), std::string::npos) << s;
-  EXPECT_TRUE(governor.status().IsResourceExhausted());
+  EXPECT_TRUE(token.Expired());
 }
 
 TEST(GovernorTest, SpentDeadlineTripsTyped) {
   ResourceGovernor governor({std::chrono::microseconds(200), 0});
   SpinFor(1000);
   EXPECT_TRUE(governor.token().Expired());
-  EXPECT_TRUE(governor.deadline_exceeded());
+  EXPECT_EQ(governor.token().trip_reason(), TripReason::kDeadline);
   Status s = governor.token().ToStatus();
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s;
   // Diagnostics: elapsed-vs-budget milliseconds.
@@ -62,17 +66,18 @@ TEST(GovernorTest, SpentDeadlineTripsTyped) {
 }
 
 TEST(GovernorTest, UnlimitedGovernorNeverTrips) {
-  ResourceGovernor governor;  // no deadline, no budget
-  EXPECT_TRUE(governor.Charge(1ULL << 40).ok());
+  ResourceGovernor governor(GovernorOptions{});  // no deadline, no budget
+  EXPECT_TRUE(governor.token().Charge(1ULL << 40));
   EXPECT_FALSE(governor.token().Expired());
-  EXPECT_TRUE(governor.status().ok());
+  EXPECT_EQ(governor.token().trip_reason(), TripReason::kNone);
 }
 
 TEST(GovernorTest, FirstTripWins) {
   ResourceGovernor governor({std::chrono::nanoseconds(0), 64});
-  EXPECT_TRUE(governor.Charge(128).IsResourceExhausted());
-  governor.Cancel();  // later cancellation must not flap the class
-  EXPECT_TRUE(governor.status().IsResourceExhausted());
+  EXPECT_FALSE(governor.token().Charge(128));
+  governor.token().Cancel();  // later cancellation must not flap the class
+  EXPECT_EQ(governor.token().trip_reason(), TripReason::kMemory);
+  EXPECT_TRUE(governor.token().ToStatus().IsResourceExhausted());
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +189,7 @@ TEST_P(RobustnessEngineTest, SessionSurvivesDeadlineAndMemoryTrips) {
   auto timed_out = run(deadline.token());
   ASSERT_FALSE(timed_out.ok());
   EXPECT_TRUE(timed_out.status().IsDeadlineExceeded()) << timed_out.status();
-  EXPECT_TRUE(deadline.deadline_exceeded());
+  EXPECT_EQ(deadline.token().trip_reason(), TripReason::kDeadline);
 
   // A 1 MiB budget against > 1 MiB of materialized rows: typed
   // kResourceExhausted with charged-vs-limit diagnostics.
@@ -192,7 +197,7 @@ TEST_P(RobustnessEngineTest, SessionSurvivesDeadlineAndMemoryTrips) {
   auto oom = run(budget.token());
   ASSERT_FALSE(oom.ok());
   EXPECT_TRUE(oom.status().IsResourceExhausted()) << oom.status();
-  EXPECT_TRUE(budget.memory_exhausted());
+  EXPECT_EQ(budget.token().trip_reason(), TripReason::kMemory);
   EXPECT_NE(oom.status().message().find("budget"), std::string::npos);
 
   // The same session reproduces the golden answer after both trips.

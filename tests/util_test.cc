@@ -597,7 +597,7 @@ TEST(CancelTest, ManualCancel) {
 }
 
 TEST(CancelTest, DeadlineExpires) {
-  CancelToken t = CancelToken::WithTimeout(std::chrono::milliseconds(1));
+  CancelToken t = CancelToken::WithLimits(std::chrono::milliseconds(1), 0);
   Timer timer;
   bool expired = false;
   while (timer.ElapsedMillis() < 200.0) {
@@ -612,14 +612,14 @@ TEST(CancelTest, DeadlineExpires) {
 TEST(CancelTest, ExpiredDeadlineSeenOnFirstProbe) {
   // An already-expired deadline must not hide behind the clock stride: a
   // short scan loop (< kClockStride probes) still has to time out.
-  CancelToken t = CancelToken::WithTimeout(std::chrono::nanoseconds(-1));
+  CancelToken t = CancelToken::WithLimits(std::chrono::nanoseconds(-1), 0);
   EXPECT_TRUE(t.Expired());
 }
 
 TEST(CancelTest, StrideSkipsClockBetweenChecks) {
   // With a far-future deadline, probes between stride boundaries must
   // return false without flipping the token.
-  CancelToken t = CancelToken::WithTimeout(std::chrono::hours(2));
+  CancelToken t = CancelToken::WithLimits(std::chrono::hours(2), 0);
   for (uint32_t i = 0; i < 4 * CancelToken::kClockStride; ++i) {
     EXPECT_FALSE(t.Expired());
   }
@@ -628,7 +628,7 @@ TEST(CancelTest, StrideSkipsClockBetweenChecks) {
 TEST(CancelTest, SharedTokenProbesFromManyThreads) {
   // The probe counter is shared state: hammer it from several threads
   // (TSan-checked in CI) and confirm a cross-thread Cancel is observed.
-  CancelToken t = CancelToken::WithTimeout(std::chrono::hours(2));
+  CancelToken t = CancelToken::WithLimits(std::chrono::hours(2), 0);
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   threads.reserve(4);
@@ -651,7 +651,7 @@ TEST(CancelTest, SharedTokenDeadlineTripsForEveryProber) {
   // clock read but must never hide the deadline: every thread probing a
   // token armed with 2 ms sees it trip well within 1 s.
   constexpr int kThreads = 4;
-  CancelToken t = CancelToken::WithTimeout(std::chrono::milliseconds(2));
+  CancelToken t = CancelToken::WithLimits(std::chrono::milliseconds(2), 0);
   std::vector<double> tripped_after_ms(kThreads, -1.0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
