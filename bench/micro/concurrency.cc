@@ -14,7 +14,7 @@
 // engine's single-writer WAL path (src/graph/writer.h). Rows then carry
 // per-class latency (R/C/U/D) plus WAL and epoch counters.
 //
-// Engines load through core::Runner, whose concurrent and mixed modes are
+// Engines load through core::Runner, whose client loop (RunClients) is
 // what this scenario measures. Every load failure and client failure is a
 // violation.
 
@@ -51,6 +51,10 @@ std::vector<int> DefaultThreadSweep() {
     sweep.push_back(static_cast<int>(hw));
   }
   return sweep;
+}
+
+uint64_t Failures(const core::ClientsMeasurement& m) {
+  return m.outcomes.Issued() - m.outcomes.Completed();
 }
 
 Json LatencyJson(const core::LatencyStats& lat) {
@@ -95,19 +99,22 @@ Json::Object RunMixedSweep(MicroRun& run, const std::vector<int>& sweep,
                                       ratio);
         auto loaded = runner.Load(name, run.data);
         if (!run.Check(loaded.status(), point + " load")) continue;
-        auto result = runner.RunMixed(*loaded, run.data, read_specs,
-                                      write_specs, threads, flags.iterations,
-                                      ratio);
+        auto result = runner.RunClients(*loaded, run.data, read_specs,
+                                        write_specs, threads,
+                                        flags.iterations, ratio);
         if (!run.Check(result.status(), point)) continue;
         run.Check(result->status, point + " client failure");
+        const uint64_t reads_ok = result->read_latency.samples;
         run.Emit({
             {"engine", Json(name)},
             {"mode", Json(std::string("mixed"))},
             {"threads", Json(static_cast<int64_t>(threads))},
             {"write_ratio", Json(ratio)},
-            {"reads_ok", Json(static_cast<int64_t>(result->reads_ok))},
-            {"writes_ok", Json(static_cast<int64_t>(result->writes_ok))},
-            {"failures", Json(static_cast<int64_t>(result->failures))},
+            {"reads_ok", Json(static_cast<int64_t>(reads_ok))},
+            {"writes_ok",
+             Json(static_cast<int64_t>(result->outcomes.Completed() -
+                                       reads_ok))},
+            {"failures", Json(static_cast<int64_t>(Failures(*result)))},
             {"wall_millis", Json(result->wall_millis)},
             {"ops_per_sec", Json(result->OpsPerSec())},
             {"read_latency", LatencyJson(result->read_latency)},
@@ -178,29 +185,33 @@ Json::Object RunConcurrency(MicroRun& run) {
     double single_thread_qps = 0;
     for (int threads : sweep) {
       std::string point = StrFormat("%s x%d", name.c_str(), threads);
-      auto result = runner.RunConcurrent(*loaded, run.data, specs, threads,
-                                         flags.iterations);
+      // --iterations counts rounds over the read mix.
+      auto result = runner.RunClients(
+          *loaded, run.data, specs, {}, threads,
+          flags.iterations * static_cast<int>(specs.size()),
+          /*write_ratio=*/0);
       if (!run.Check(result.status(), point)) break;
       run.Check(result->status, point + " client failure");
       // The baseline is strictly the 1-thread row; a sweep without one
       // (e.g. --threads=2,4) reports no speedup rather than a mislabeled
       // ratio.
-      if (threads == 1) single_thread_qps = result->QueriesPerSec();
+      if (threads == 1) single_thread_qps = result->OpsPerSec();
+      const core::LatencyStats& lat = result->read_latency;
       run.Emit({
           {"engine", Json(name)},
           {"threads", Json(static_cast<int64_t>(threads))},
-          {"queries", Json(static_cast<int64_t>(result->queries))},
-          {"failures", Json(static_cast<int64_t>(result->failures))},
+          {"queries", Json(static_cast<int64_t>(lat.samples))},
+          {"failures", Json(static_cast<int64_t>(Failures(*result)))},
           {"wall_millis", Json(result->wall_millis)},
-          {"queries_per_sec", Json(result->QueriesPerSec())},
+          {"queries_per_sec", Json(result->OpsPerSec())},
           {"speedup_vs_1_thread",
-           Json(Ratio(result->QueriesPerSec(), single_thread_qps))},
-          {"lat_p50_ms", Json(result->latency.p50_ms)},
-          {"lat_p95_ms", Json(result->latency.p95_ms)},
-          {"lat_p99_ms", Json(result->latency.p99_ms)},
-          {"lat_min_ms", Json(result->latency.min_ms)},
-          {"lat_max_ms", Json(result->latency.max_ms)},
-          {"lat_mean_ms", Json(result->latency.mean_ms)},
+           Json(Ratio(result->OpsPerSec(), single_thread_qps))},
+          {"lat_p50_ms", Json(lat.p50_ms)},
+          {"lat_p95_ms", Json(lat.p95_ms)},
+          {"lat_p99_ms", Json(lat.p99_ms)},
+          {"lat_min_ms", Json(lat.min_ms)},
+          {"lat_max_ms", Json(lat.max_ms)},
+          {"lat_mean_ms", Json(lat.mean_ms)},
       });
     }
   }

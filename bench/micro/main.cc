@@ -169,6 +169,7 @@ const Scenario kScenarios[] = {
      "scale iterations dataset engines json cost-model stats fault-rate "
      "fault-seed max-attempts memory-budgets",
      {"--iterations=10", "--memory-budgets=16384,262144,0"}, RunRobustness},
+    {"ablation", "rounds json", {}, RunAblation},
 };
 
 const Driver<Scenario, MicroBenchFlags> kDriver{"bench_micro", "scenario",

@@ -1,12 +1,12 @@
 // bench_micro: one driver for the micro scenarios. Each scenario isolates
 // one mechanism (adjacency visitors, execution policies, load modes,
 // concurrent sessions, prepared plans, cost-based lowering, the chaos
-// harness, the path index), prints and records its rows and checks its own
-// invariant. The driver (main.cc) owns everything they share: flag parsing,
-// the engine list, dataset generation, opening and loading engines, the
-// allocation counter, the row table, the --json artifact, and the exit
-// status: 2 for a usage error before any work, 1 when anything recorded a
-// violation.
+// harness, the path index, the §6 engine design choices), prints and
+// records its rows and checks its own invariant. The driver (main.cc)
+// owns everything they share: flag parsing, the engine list, dataset
+// generation, opening and loading engines, the allocation counter, the
+// row table, the --json artifact, and the exit status: 2 for a usage
+// error before any work, 1 when anything recorded a violation.
 //
 // Usage: bench_micro <scenario> [flags]; run it without arguments for the
 // scenarios and the flags each one accepts.
@@ -149,6 +149,7 @@ Json::Object RunOptimizer(MicroRun& run);
 Json::Object RunPathIndex(MicroRun& run);
 Json::Object RunConcurrency(MicroRun& run);
 Json::Object RunRobustness(MicroRun& run);
+Json::Object RunAblation(MicroRun& run);
 
 }  // namespace bench
 }  // namespace gdbmicro

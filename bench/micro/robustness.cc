@@ -119,7 +119,6 @@ Json::Object RunRobustness(MicroRun& run) {
   core::RunnerOptions base;
   base.deadline = std::chrono::milliseconds(10000);
   base.batch_iterations = iterations;
-  base.run_batch = true;
   base.enable_cost_model = flags.cost_model;
   base.workload_seed = 42;
   base.collect_statistics = flags.stats;
@@ -193,11 +192,10 @@ Json::Object RunRobustness(MicroRun& run) {
       if (!loaded.ok()) {
         fail("mixed-mode load failed: " + loaded.status().ToString());
       } else {
-        auto mixed = fault_runner.RunMixed(*loaded, run.data, mixed_reads,
-                                           mixed_writes, /*threads=*/1,
-                                           /*iterations_per_thread=*/
-                                           2 * iterations,
-                                           /*write_ratio=*/0.5);
+        auto mixed = fault_runner.RunClients(*loaded, run.data, mixed_reads,
+                                             mixed_writes, /*threads=*/1,
+                                             /*ops_per_thread=*/2 * iterations,
+                                             /*write_ratio=*/0.5);
         if (!mixed.ok()) {
           fail("mixed-mode run failed: " + mixed.status().ToString());
         } else {

@@ -34,7 +34,6 @@ using Mode = Measurement::Mode;
 struct SuiteFlags : core::RunnerOptions {
   double scale = 0.02;                // --scale=f
   int deadline_ms = 10000;            // --deadline-ms=n, per test
-  int batch = 10;                     // --batch=n, 0 = single mode only
   std::vector<std::string> engines;   // --engines=a,b,c, else all
   std::vector<std::string> datasets;  // --datasets=a,b,c
   std::vector<int> queries;           // --queries=2,5,8-15
@@ -72,7 +71,7 @@ using F = SuiteFlags;
 const Flag<F> kFlags[] = {
     {"scale", "a number > 0", Set<&F::scale, ParsePositiveDouble>},
     {"deadline-ms", "an integer >= 1", Set<&F::deadline_ms, ParsePositiveInt>},
-    {"batch", "an integer >= 0", Set<&F::batch, ParseCount>},
+    {"batch", "an integer >= 0", Set<&F::batch_iterations, ParseCount>},
     {"engines", "registered engine names",
      Set<&F::engines, ParseListOf<std::string, ParseEngineName>>},
     {"datasets", "dataset names",
@@ -234,9 +233,10 @@ void PrintPivots(ReportRun& run) {
                              .mode = Mode::kSingle,
                              .engine_order = run.flags.engines};
     std::printf("%s", core::PivotTable(rows, pivot).c_str());
-    if (run.flags.batch == 0) return;
+    if (run.flags.batch_iterations == 0) return;
     pivot.mode = Mode::kBatch;
-    std::printf("\nbatch execution (%d iterations):\n%s", run.flags.batch,
+    std::printf("\nbatch execution (%d iterations):\n%s",
+                run.flags.batch_iterations,
                 core::PivotTable(rows, pivot).c_str());
     std::printf("\nbatch per-iteration latency:\n");
     for (const Measurement& m : rows) {
@@ -562,7 +562,8 @@ void PrintBanner(const Report& report, const SuiteFlags& flags) {
   if (Reads(report.flags, "deadline-ms")) {
     std::printf("   scale=%.3f (paper sizes x %.2f)  deadline=%dms  batch=%d  "
                 "cost-model=%s%s\n",
-                flags.scale, flags.scale * 20.0, flags.deadline_ms, flags.batch,
+                flags.scale, flags.scale * 20.0, flags.deadline_ms,
+                flags.batch_iterations,
                 flags.enable_cost_model ? "on" : "off",
                 flags.create_property_index ? "  indexed" : "");
   } else if (Reads(report.flags, "scale")) {
@@ -584,8 +585,6 @@ int Main(int argc, char** argv) {
   if (flags.engines.empty()) flags.engines = EngineRegistry::Instance().Names();
 
   flags.deadline = std::chrono::milliseconds(flags.deadline_ms);
-  flags.run_batch = flags.batch > 0;
-  if (flags.run_batch) flags.batch_iterations = flags.batch;
   ReportRun run{*report, flags, core::Runner(flags), std::nullopt, {}, {}};
   if (!flags.graphson_path.empty()) {
     auto parsed = ReadGraphSONFile(flags.graphson_path);

@@ -46,12 +46,11 @@ void BackoffBeforeRetry(const RunnerOptions& options, uint64_t stream_key,
 /// outcomes are classed ok/retried here; failures are returned for the
 /// caller to classify (timeout/oom/failed).
 Result<QueryResult> RunAttempts(const QuerySpec& spec, QueryContext& ctx,
-                                QuerySession* session,
                                 const RunnerOptions& options,
                                 uint64_t stream_key,
                                 OutcomeCounters* outcomes) {
   for (int attempt = 1;; ++attempt) {
-    if (session != nullptr) session->BeginQuery();
+    if (ctx.session != nullptr) ctx.session->BeginQuery();
     Result<QueryResult> r = spec.run(ctx);
     if (r.ok()) {
       if (attempt > 1) {
@@ -69,24 +68,60 @@ Result<QueryResult> RunAttempts(const QuerySpec& spec, QueryContext& ctx,
   }
 }
 
-/// Classifies a permanent (post-retry) failure into its outcome class and
-/// keeps the first non-OK status for display. Returns true when the run
-/// should stop: the deadline class means the time budget is spent, so
-/// further iterations cannot complete either; memory exhaustion and
-/// permanent errors leave the session reusable and the loop continues.
-bool ClassifyFailure(const Status& s, OutcomeCounters* outcomes,
-                     Status* first) {
+/// What one op step saw: whether the op completed (with its latency and
+/// result size), and whether its loop must stop.
+struct OpStep {
+  bool completed = false;
+  bool stop = false;
+  double millis = 0;
+  uint64_t items = 0;
+};
+
+/// The per-op step of every runner loop. It arms a governor with what is
+/// left of the loop's deadline budget, which started on `budget`, times
+/// RunAttempts on `ctx` (whose session the caller chose), and classifies
+/// a failure into `outcomes`, keeping the first non-OK status in `*first`
+/// for display. A spent budget or a deadline trip stops the loop: further
+/// ops cannot complete either. Memory exhaustion and permanent errors
+/// leave the session reusable, so the loop goes on.
+OpStep RunOp(const QuerySpec& spec, QueryContext& ctx,
+             const RunnerOptions& options, const Timer& budget,
+             uint64_t stream_key, OutcomeCounters* outcomes, Status* first) {
+  OpStep step;
+  std::chrono::nanoseconds remaining =
+      RemainingNanos(options.deadline, budget.ElapsedMillis());
+  if (remaining.count() <= 0) {
+    if (first->ok()) {
+      *first = Status::DeadlineExceeded(
+          "deadline budget (" + std::to_string(options.deadline.count()) +
+          " ms) spent");
+    }
+    ++outcomes->timeout;
+    step.stop = true;
+    return step;
+  }
+  query::ResourceGovernor governor(
+      {remaining, options.governor_memory_budget_bytes});
+  ctx.cancel = governor.token();
+  Timer timer;
+  Result<QueryResult> r = RunAttempts(spec, ctx, options, stream_key, outcomes);
+  step.millis = timer.ElapsedMillis();
+  if (r.ok()) {
+    step.completed = true;
+    step.items = r->items;
+    return step;
+  }
+  const Status& s = r.status();
   if (first->ok()) *first = s;
   if (s.IsDeadlineExceeded()) {
     ++outcomes->timeout;
-    return true;
-  }
-  if (s.IsResourceExhausted()) {
+    step.stop = true;
+  } else if (s.IsResourceExhausted()) {
     ++outcomes->oom;
-    return false;
+  } else {
+    ++outcomes->failed;
   }
-  ++outcomes->failed;
-  return false;
+  return step;
 }
 
 }  // namespace
@@ -179,201 +214,54 @@ std::vector<Measurement> Runner::RunQuery(LoadedEngine& loaded,
     ctx.session = loaded.session.get();
     ctx.workload = loaded.workload.get();
     ctx.prepared = loaded.prepared.get();
+    // The whole mode runs under one time budget; each iteration's
+    // governor gets what is left of it, so each trip carries its own
+    // typed diagnostics and a memory DNF does not poison the next
+    // iteration.
     Timer timer;
-    Status status = Status::OK();
-    uint64_t items = 0;
     std::vector<double> iteration_ms;
     iteration_ms.reserve(static_cast<size_t>(iterations));
     for (int i = 0; i < iterations; ++i) {
       // Batch iterations use indexes 1..N so they never resample the
       // single run's pick (deletion victims must be distinct).
       ctx.iteration = mode == Measurement::Mode::kBatch ? i + 1 : 0;
-      // One governor per iteration, armed with whatever is left of the
-      // mode's deadline: the whole mode still runs under one time budget,
-      // but each iteration's trip carries its own typed diagnostics and a
-      // memory DNF does not poison the next iteration.
-      std::chrono::nanoseconds remaining =
-          RemainingNanos(options_.deadline, timer.ElapsedMillis());
-      if (remaining.count() <= 0) {
-        if (status.ok()) {
-          status = Status::DeadlineExceeded(
-              "deadline budget (" +
-              std::to_string(options_.deadline.count()) + " ms) spent after " +
-              std::to_string(i) + " of " + std::to_string(iterations) +
-              " iterations");
-        }
-        ++m.outcomes.timeout;
-        break;
-      }
-      query::ResourceGovernor governor(
-          {remaining, options_.governor_memory_budget_bytes});
-      ctx.cancel = governor.token();
-      Timer iteration_timer;
-      Result<QueryResult> r =
-          RunAttempts(spec, ctx, loaded.session.get(), options_,
-                      static_cast<uint64_t>(ctx.iteration), &m.outcomes);
-      if (r.ok()) {
+      OpStep step = RunOp(spec, ctx, options_, timer,
+                          static_cast<uint64_t>(ctx.iteration), &m.outcomes,
+                          &m.status);
+      if (step.completed) {
         // Only completed iterations enter the distribution (a failed run
         // has samples == 0; see the LatencyStats contract in runner.h).
-        iteration_ms.push_back(iteration_timer.ElapsedMillis());
-        items += r->items;
-        continue;
+        iteration_ms.push_back(step.millis);
+        m.items += step.items;
       }
-      if (ClassifyFailure(r.status(), &m.outcomes, &status)) break;
+      if (step.stop) break;
     }
     m.millis = timer.ElapsedMillis();
-    m.status = std::move(status);
-    m.items = items;
     m.latency = LatencyStats::FromSamples(std::move(iteration_ms));
     out.push_back(std::move(m));
   };
   run_mode(Measurement::Mode::kSingle, 1);
-  if (options_.run_batch) {
+  if (options_.batch_iterations > 0) {
     run_mode(Measurement::Mode::kBatch, options_.batch_iterations);
   }
   return out;
 }
 
-Result<ConcurrentMeasurement> Runner::RunConcurrent(
-    LoadedEngine& loaded, const GraphData& data,
-    const std::vector<const QuerySpec*>& specs, int threads,
-    int iterations_per_thread) const {
-  if (threads < 1) {
-    return Status::InvalidArgument("RunConcurrent needs at least one thread");
-  }
-  if (specs.empty()) {
-    return Status::InvalidArgument("RunConcurrent needs at least one spec");
-  }
-  for (const QuerySpec* spec : specs) {
-    if (spec->mutates) {
-      return Status::InvalidArgument(
-          spec->name + " mutates; concurrent sessions read an immutable "
-                       "snapshot (see the engine.h concurrency contract)");
-    }
-  }
-
-  ConcurrentMeasurement out;
-  out.engine = std::string(loaded.engine->name());
-  out.dataset = data.name;
-  out.threads = threads;
-  out.iterations_per_thread = iterations_per_thread;
-
-  // Per-thread result slots, indexed by thread id: no locks on the hot
-  // path, no sharing until after the join.
-  struct ThreadResult {
-    std::vector<double> latencies_ms;
-    uint64_t ok_queries = 0;
-    uint64_t failures = 0;
-    Status status;
-    OutcomeCounters outcomes;
-  };
-  std::vector<ThreadResult> results(static_cast<size_t>(threads));
-  // Per-thread workloads: same dataset, disjoint parameter streams.
-  std::vector<std::unique_ptr<datasets::Workload>> workloads;
-  workloads.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workloads.push_back(std::make_unique<datasets::Workload>(
-        &data, loaded.mapping.get(), options_.workload_seed +
-                                         static_cast<uint64_t>(t)));
-  }
-
-  Timer wall;
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      clients.emplace_back([&, t] {
-        ThreadResult& slot = results[static_cast<size_t>(t)];
-        std::unique_ptr<QuerySession> session =
-            loaded.engine->CreateSession();
-        QueryContext ctx;
-        ctx.engine = loaded.engine.get();
-        ctx.session = session.get();
-        ctx.workload = workloads[static_cast<size_t>(t)].get();
-        // The prepared-plan cache is shared across clients by design:
-        // lowering happens once, every thread runs the same plan through
-        // its own session scratch.
-        ctx.prepared = loaded.prepared.get();
-        slot.latencies_ms.reserve(static_cast<size_t>(iterations_per_thread) *
-                                  specs.size());
-        // One time budget per client covering its whole closed loop; each
-        // query gets a governor armed with what remains of it. Timeouts
-        // stop the client (its budget is spent); memory DNFs and permanent
-        // failures are counted and the loop continues — the session stays
-        // reusable by contract.
-        Timer client_timer;
-        bool stop = false;
-        for (int it = 0; it < iterations_per_thread && !stop; ++it) {
-          ctx.iteration = it;
-          for (const QuerySpec* spec : specs) {
-            std::chrono::nanoseconds remaining =
-                RemainingNanos(options_.deadline, client_timer.ElapsedMillis());
-            if (remaining.count() <= 0) {
-              if (slot.status.ok()) {
-                slot.status = Status::DeadlineExceeded(
-                    "client deadline budget spent mid-loop");
-              }
-              ++slot.outcomes.timeout;
-              ++slot.failures;
-              stop = true;
-              break;
-            }
-            query::ResourceGovernor governor(
-                {remaining, options_.governor_memory_budget_bytes});
-            ctx.cancel = governor.token();
-            Timer query_timer;
-            uint64_t stream_key = static_cast<uint64_t>(t) * 1000003ULL +
-                                  static_cast<uint64_t>(it);
-            Result<QueryResult> r = RunAttempts(*spec, ctx, ctx.session,
-                                                options_, stream_key,
-                                                &slot.outcomes);
-            if (r.ok()) {
-              // The latency distribution covers completed queries only;
-              // failures are counted separately.
-              slot.latencies_ms.push_back(query_timer.ElapsedMillis());
-              ++slot.ok_queries;
-              continue;
-            }
-            ++slot.failures;
-            if (ClassifyFailure(r.status(), &slot.outcomes, &slot.status)) {
-              stop = true;
-              break;
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& c : clients) c.join();
-  }
-  out.wall_millis = wall.ElapsedMillis();
-
-  std::vector<double> all_latencies;
-  for (ThreadResult& slot : results) {
-    out.queries += slot.ok_queries;
-    out.failures += slot.failures;
-    out.outcomes.Merge(slot.outcomes);
-    all_latencies.insert(all_latencies.end(), slot.latencies_ms.begin(),
-                         slot.latencies_ms.end());
-    if (out.status.ok() && !slot.status.ok()) out.status = slot.status;
-  }
-  out.latency = LatencyStats::FromSamples(std::move(all_latencies));
-  return out;
-}
-
-Result<MixedMeasurement> Runner::RunMixed(
+Result<ClientsMeasurement> Runner::RunClients(
     LoadedEngine& loaded, const GraphData& data,
     const std::vector<const QuerySpec*>& read_specs,
     const std::vector<const QuerySpec*>& write_specs, int threads,
-    int iterations_per_thread, double write_ratio) const {
+    int ops_per_thread, double write_ratio) const {
+  const bool writes = write_ratio > 0.0;
   if (threads < 1) {
-    return Status::InvalidArgument("RunMixed needs at least one thread");
-  }
-  if (read_specs.empty() || write_specs.empty()) {
-    return Status::InvalidArgument(
-        "RunMixed needs at least one read spec and one write spec");
+    return Status::InvalidArgument("RunClients needs at least one thread");
   }
   if (write_ratio < 0.0 || write_ratio > 1.0) {
     return Status::InvalidArgument("write_ratio must be in [0, 1]");
+  }
+  if (read_specs.empty() || (writes && write_specs.empty())) {
+    return Status::InvalidArgument(
+        "RunClients needs a read spec, and a write spec when it writes");
   }
   for (const QuerySpec* spec : read_specs) {
     if (spec->mutates) {
@@ -391,30 +279,32 @@ Result<MixedMeasurement> Runner::RunMixed(
     return Status::InvalidArgument("loaded engine has no GraphWriter");
   }
 
-  MixedMeasurement out;
-  out.engine = std::string(loaded.engine->name());
-  out.dataset = data.name;
-  out.threads = threads;
-  out.iterations_per_thread = iterations_per_thread;
-  out.write_ratio = write_ratio;
-
+  ClientsMeasurement out;
   // The runner's long-lived session pins the current epoch; holding it
-  // across the run would park every commit in BeginApply forever.
-  // Recycle it around the mixed run.
-  loaded.session.reset();
+  // across a run with writes would park every commit in BeginApply
+  // forever.
+  if (writes) loaded.session.reset();
   const uint64_t epochs_before = loaded.engine->epochs().current();
-  const uint64_t wal_commits_before = loaded.writer->wal().commits_logged();
-  const uint64_t wal_flushes_before = loaded.writer->wal().flushes();
+  const Wal& wal = loaded.writer->wal();
+  const uint64_t wal_commits_before = wal.commits_logged();
+  const uint64_t wal_flushes_before = wal.flushes();
 
-  struct ThreadResult {
-    std::vector<double> read_ms, create_ms, update_ms, delete_ms;
-    uint64_t reads_ok = 0;
-    uint64_t writes_ok = 0;
-    uint64_t failures = 0;
+  // Where each op class's latency lands: reads, then the write
+  // categories.
+  static constexpr LatencyStats ClientsMeasurement::*kClassLatency[] = {
+      &ClientsMeasurement::read_latency, &ClientsMeasurement::create_latency,
+      &ClientsMeasurement::update_latency,
+      &ClientsMeasurement::delete_latency};
+  constexpr size_t kClasses = std::size(kClassLatency);
+  // Per-client result slots, indexed by thread: no locks on the hot path,
+  // no sharing until after the join.
+  struct Client {
+    std::vector<double> ms[kClasses];
     Status status;
     OutcomeCounters outcomes;
   };
-  std::vector<ThreadResult> results(static_cast<size_t>(threads));
+  std::vector<Client> clients(static_cast<size_t>(threads));
+  // Per-client workloads: same dataset, disjoint parameter streams.
   std::vector<std::unique_ptr<datasets::Workload>> workloads;
   workloads.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
@@ -425,11 +315,11 @@ Result<MixedMeasurement> Runner::RunMixed(
 
   Timer wall;
   {
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<size_t>(threads));
+    std::vector<std::thread> running;
+    running.reserve(static_cast<size_t>(threads));
     for (int t = 0; t < threads; ++t) {
-      clients.emplace_back([&, t] {
-        ThreadResult& slot = results[static_cast<size_t>(t)];
+      running.emplace_back([&, t] {
+        Client& client = clients[static_cast<size_t>(t)];
         // A coin stream independent of the workload parameter streams, so
         // the read/write interleaving does not perturb victim selection.
         Rng coin(options_.workload_seed ^
@@ -437,109 +327,67 @@ Result<MixedMeasurement> Runner::RunMixed(
         QueryContext ctx;
         ctx.engine = loaded.engine.get();
         ctx.workload = workloads[static_cast<size_t>(t)].get();
+        // The prepared-plan cache is shared across clients by design:
+        // lowering happens once, every client runs the same plan through
+        // its own session scratch.
         ctx.prepared = loaded.prepared.get();
         ctx.writer = loaded.writer.get();
+        std::unique_ptr<QuerySession> session =
+            writes ? nullptr : loaded.engine->CreateSession();
         size_t next_read = 0;
         size_t next_write = 0;
-        Timer client_timer;
-        bool stop = false;
-        for (int it = 0; it < iterations_per_thread && !stop; ++it) {
+        Timer budget;
+        for (int op = 0; op < ops_per_thread; ++op) {
           // Victim streams must be globally disjoint: Q.18's delete pool
-          // is indexed by iteration, and two threads sharing an index
-          // would race to the same victim every round.
-          ctx.iteration = t * iterations_per_thread + it;
+          // is indexed by iteration, and two clients sharing an index
+          // would race to the same victim.
+          ctx.iteration = t * ops_per_thread + op;
           const bool is_write = coin.Chance(write_ratio);
           const QuerySpec* spec =
               is_write ? write_specs[next_write++ % write_specs.size()]
                        : read_specs[next_read++ % read_specs.size()];
-          std::chrono::nanoseconds remaining =
-              RemainingNanos(options_.deadline, client_timer.ElapsedMillis());
-          if (remaining.count() <= 0) {
-            if (slot.status.ok()) {
-              slot.status = Status::DeadlineExceeded(
-                  "client deadline budget spent mid-loop");
-            }
-            ++slot.outcomes.timeout;
-            ++slot.failures;
-            break;
+          // Writes never touch a session: the spec stages a WriteBatch
+          // and commits through the shared writer. An injected commit
+          // fault aborts with the store and epoch gate intact, which is
+          // what makes the retry safe. Amid writes each read opens its
+          // own session, which pins the read's snapshot and lets the
+          // writer drain; retries reuse it (same snapshot).
+          std::unique_ptr<QuerySession> op_session;
+          if (!is_write && writes) op_session = loaded.engine->CreateSession();
+          ctx.session = is_write ? nullptr
+                        : writes ? op_session.get()
+                                 : session.get();
+          OpStep step = RunOp(*spec, ctx, options_, budget,
+                              static_cast<uint64_t>(ctx.iteration),
+                              &client.outcomes, &client.status);
+          if (step.completed) {
+            const size_t c = !is_write ? 0
+                             : spec->category == Category::kCreate ? 1
+                             : spec->category == Category::kUpdate ? 2
+                                                                    : 3;
+            client.ms[c].push_back(step.millis);
           }
-          query::ResourceGovernor governor(
-              {remaining, options_.governor_memory_budget_bytes});
-          ctx.cancel = governor.token();
-          uint64_t stream_key = static_cast<uint64_t>(ctx.iteration);
-          Timer op_timer;
-          Result<QueryResult> r = QueryResult{};
-          if (is_write) {
-            // Writes never touch a session: the spec stages a WriteBatch
-            // and commits through the shared writer. An injected commit
-            // fault aborts with the store and epoch gate intact, which is
-            // what makes the retry here safe.
-            ctx.session = nullptr;
-            r = RunAttempts(*spec, ctx, nullptr, options_, stream_key,
-                            &slot.outcomes);
-          } else {
-            // One session per read op. Sessions pin their epoch for life,
-            // so short-lived sessions are what lets the writer drain; the
-            // pin also makes the read's snapshot explicit. Retries reuse
-            // the op's session (same snapshot, BeginQuery per attempt).
-            std::unique_ptr<QuerySession> session =
-                loaded.engine->CreateSession();
-            ctx.session = session.get();
-            r = RunAttempts(*spec, ctx, session.get(), options_, stream_key,
-                            &slot.outcomes);
-          }
-          if (!r.ok()) {
-            ++slot.failures;
-            stop = ClassifyFailure(r.status(), &slot.outcomes, &slot.status);
-            continue;
-          }
-          const double ms = op_timer.ElapsedMillis();
-          if (!is_write) {
-            ++slot.reads_ok;
-            slot.read_ms.push_back(ms);
-          } else {
-            ++slot.writes_ok;
-            switch (spec->category) {
-              case Category::kCreate:
-                slot.create_ms.push_back(ms);
-                break;
-              case Category::kUpdate:
-                slot.update_ms.push_back(ms);
-                break;
-              default:
-                slot.delete_ms.push_back(ms);
-                break;
-            }
-          }
+          if (step.stop) break;
         }
       });
     }
-    for (std::thread& c : clients) c.join();
+    for (std::thread& c : running) c.join();
   }
   out.wall_millis = wall.ElapsedMillis();
-  loaded.session = loaded.engine->CreateSession();
+  if (writes) loaded.session = loaded.engine->CreateSession();
 
-  std::vector<double> read_ms, create_ms, update_ms, delete_ms;
-  for (ThreadResult& slot : results) {
-    out.reads_ok += slot.reads_ok;
-    out.writes_ok += slot.writes_ok;
-    out.failures += slot.failures;
-    out.outcomes.Merge(slot.outcomes);
-    read_ms.insert(read_ms.end(), slot.read_ms.begin(), slot.read_ms.end());
-    create_ms.insert(create_ms.end(), slot.create_ms.begin(),
-                     slot.create_ms.end());
-    update_ms.insert(update_ms.end(), slot.update_ms.begin(),
-                     slot.update_ms.end());
-    delete_ms.insert(delete_ms.end(), slot.delete_ms.begin(),
-                     slot.delete_ms.end());
-    if (out.status.ok() && !slot.status.ok()) out.status = slot.status;
+  std::vector<double> ms[kClasses];
+  for (Client& client : clients) {
+    out.outcomes.Merge(client.outcomes);
+    for (size_t c = 0; c < kClasses; ++c) {
+      ms[c].insert(ms[c].end(), client.ms[c].begin(), client.ms[c].end());
+    }
+    if (out.status.ok() && !client.status.ok()) out.status = client.status;
   }
-  out.read_latency = LatencyStats::FromSamples(std::move(read_ms));
-  out.create_latency = LatencyStats::FromSamples(std::move(create_ms));
-  out.update_latency = LatencyStats::FromSamples(std::move(update_ms));
-  out.delete_latency = LatencyStats::FromSamples(std::move(delete_ms));
+  for (size_t c = 0; c < kClasses; ++c) {
+    out.*kClassLatency[c] = LatencyStats::FromSamples(std::move(ms[c]));
+  }
   out.epochs_published = loaded.engine->epochs().current() - epochs_before;
-  const Wal& wal = loaded.writer->wal();
   out.wal_commits = wal.commits_logged() - wal_commits_before;
   out.wal_flushes = wal.flushes() - wal_flushes_before;
   out.wal_bytes = wal.bytes_logged();

@@ -26,10 +26,8 @@ struct RunnerOptions {
   /// Per-test deadline (single run or whole batch). The paper used 2 hours
   /// at 20x our default dataset scale.
   std::chrono::milliseconds deadline{10000};
-  /// Batch size (the paper ran batches of 10).
+  /// Batch size (the paper ran batches of 10); 0 runs single mode only.
   int batch_iterations = 10;
-  /// Run batch mode in addition to single mode.
-  bool run_batch = true;
   /// Enable the engines' out-of-process cost models (see cost_model.h).
   bool enable_cost_model = true;
   /// Per-query working-memory budget enforced by engines that track it
@@ -90,7 +88,7 @@ struct OutcomeCounters {
 };
 
 /// Latency distribution over a set of per-iteration (batch mode) or
-/// per-query (concurrent mode) samples, in milliseconds. `samples == 0`
+/// per-op (client mode) samples, in milliseconds. `samples == 0`
 /// means no distribution was recorded (single mode, or a failed run).
 struct LatencyStats {
   uint64_t samples = 0;
@@ -131,10 +129,10 @@ struct Measurement {
 /// A loaded engine + its workload, reusable across query runs. The mapping
 /// is heap-allocated because the workload keeps a pointer into it and the
 /// struct is returned by value. `session` is the sequential runner's own
-/// read session; RunConcurrent ignores it and gives each client thread a
-/// session of its own. `prepared` caches the catalog's lowered plans:
-/// prepared plans are immutable, so the one cache serves the sequential
-/// runner and every RunConcurrent client thread alike.
+/// read session; RunClients gives each client thread sessions of its own.
+/// `prepared` caches the catalog's lowered plans: prepared plans are
+/// immutable, so the one cache serves the sequential runner and every
+/// RunClients client thread alike.
 struct LoadedEngine {
   std::unique_ptr<GraphEngine> engine;
   std::unique_ptr<LoadMapping> mapping;
@@ -142,52 +140,20 @@ struct LoadedEngine {
   std::unique_ptr<QuerySession> session;
   std::unique_ptr<PreparedQueryCache> prepared;
   /// The engine's single-writer WAL commit path (see src/graph/writer.h).
-  /// The sequential runner leaves it idle; RunMixed routes every mutating
-  /// spec through it.
+  /// The sequential runner leaves it idle; RunClients routes every
+  /// mutating spec through it.
   std::unique_ptr<GraphWriter> writer;
   Measurement load_measurement;  // the Q.1 data point
 };
 
-/// Result of one closed-loop concurrent run: `threads` client threads,
-/// each with its own QuerySession and its own Workload parameter stream
-/// (seeded workload_seed + thread index), repeatedly issuing the given
-/// read-only query specs against one shared loaded engine.
-struct ConcurrentMeasurement {
-  std::string engine;
-  std::string dataset;
-  int threads = 0;
-  int iterations_per_thread = 0;  // closed-loop rounds over the spec list
-  uint64_t queries = 0;           // query executions that returned OK
-  uint64_t failures = 0;          // query executions that did not
-  double wall_millis = 0;         // first thread started -> last joined
-  LatencyStats latency;           // per-query latency across all threads
-  Status status;                  // first non-OK status observed, else OK
-  OutcomeCounters outcomes;       // per-class accounting across threads
-
-  double QueriesPerSec() const {
-    return wall_millis > 0 ? static_cast<double>(queries) /
-                                 (wall_millis / 1000.0)
-                           : 0.0;
-  }
-};
-
-/// Result of one mixed read/write run: client threads issue reads through
-/// epoch-pinned sessions and, with probability `write_ratio`, commit a
-/// CUD batch through the shared GraphWriter instead. Latency is recorded
-/// per query class (the Fig. 3 C/R/U/D decomposition, now measured under
-/// concurrency).
-struct MixedMeasurement {
-  std::string engine;
-  std::string dataset;
-  int threads = 0;                // client threads (each reads AND writes)
-  int iterations_per_thread = 0;  // closed-loop rounds over the spec lists
-  double write_ratio = 0;         // probability an op is a write
-  uint64_t reads_ok = 0;
-  uint64_t writes_ok = 0;
-  uint64_t failures = 0;
-  double wall_millis = 0;
-  /// Latency distributions per query class. Reads land in `read_latency`
-  /// (R and T specs alike); writes split by their catalog category.
+/// Result of one closed-loop client run (Runner::RunClients). Latency is
+/// recorded per query class: reads (R and T specs alike) land in
+/// `read_latency`, writes split by their catalog category (the Fig. 3
+/// C/R/U/D decomposition, measured under concurrency). Completed ops are
+/// outcomes.Completed(), the sum of the classes' samples; the rest of
+/// outcomes.Issued() failed.
+struct ClientsMeasurement {
+  double wall_millis = 0;  // first client started -> last joined
   LatencyStats read_latency;
   LatencyStats create_latency;
   LatencyStats update_latency;
@@ -199,14 +165,13 @@ struct MixedMeasurement {
   uint64_t wal_flushes = 0;
   uint64_t wal_bytes = 0;
   uint64_t values_separated = 0;
-  Status status;  // first non-OK status observed, else OK
-  OutcomeCounters outcomes;  // per-class accounting across threads
+  Status status;             // first non-OK status observed, else OK
+  OutcomeCounters outcomes;  // per-class accounting across clients
 
-  uint64_t Ops() const { return reads_ok + writes_ok; }
   double OpsPerSec() const {
-    return wall_millis > 0
-               ? static_cast<double>(Ops()) / (wall_millis / 1000.0)
-               : 0.0;
+    return wall_millis > 0 ? static_cast<double>(outcomes.Completed()) /
+                                 (wall_millis / 1000.0)
+                           : 0.0;
   }
 };
 
@@ -225,34 +190,24 @@ class Runner {
                                     const GraphData& data,
                                     const QuerySpec& spec) const;
 
-  /// Closed-loop concurrent mode: `threads` client threads each create
-  /// their own QuerySession and Workload (seed = workload_seed + thread
-  /// index) and loop `iterations_per_thread` times over `specs` against
-  /// the shared loaded engine, recording every query's latency. All specs
-  /// must be read-only (`mutates == false`) — the engine is an immutable
-  /// snapshot under concurrency (see engine.h). Each thread runs under
-  /// its own deadline token; the first failure stops that thread's loop
-  /// but not the others.
-  Result<ConcurrentMeasurement> RunConcurrent(
-      LoadedEngine& loaded, const GraphData& data,
-      const std::vector<const QuerySpec*>& specs, int threads,
-      int iterations_per_thread) const;
-
-  /// Mixed read/write mode: `threads` client threads loop
-  /// `iterations_per_thread` times; each op is a write with probability
-  /// `write_ratio` (a CUD spec committed through loaded.writer, which
-  /// serializes writers internally) and a read otherwise (a read spec
-  /// through a session created for the op — sessions are per-op so the
-  /// writer's epoch gate always drains; a session pinned before a commit
-  /// publishes observes the pre-commit snapshot for its whole lifetime).
-  /// `read_specs` must be read-only and `write_specs` mutating. The
-  /// loaded engine's long-lived `session` is recycled around the run (it
-  /// would otherwise pin its epoch forever and deadlock the writer).
-  Result<MixedMeasurement> RunMixed(
+  /// Closed-loop client mode: `threads` client threads, each with its own
+  /// Workload (seed = workload_seed + thread index), issue
+  /// `ops_per_thread` ops against the shared loaded engine and record
+  /// every op's latency. Each op is a write with probability
+  /// `write_ratio` (a mutating spec from `write_specs`, committed through
+  /// loaded.writer, which serializes writers) and a read otherwise (a
+  /// read-only spec from `read_specs`); each list is walked round robin.
+  /// A client keeps one session for its whole loop when `write_ratio` is
+  /// 0; otherwise each read opens its own, because a session pins its
+  /// epoch for life and would park every commit (see engine.h), and the
+  /// loaded engine's own `session` is recycled around the run for the
+  /// same reason. Each client runs under one deadline budget: a timeout
+  /// stops that client, other failures are counted and the loop goes on.
+  Result<ClientsMeasurement> RunClients(
       LoadedEngine& loaded, const GraphData& data,
       const std::vector<const QuerySpec*>& read_specs,
       const std::vector<const QuerySpec*>& write_specs, int threads,
-      int iterations_per_thread, double write_ratio) const;
+      int ops_per_thread, double write_ratio) const;
 
   /// Full sweep: load once, run all `specs`. Read/traversal queries run
   /// before mutating ones so they observe the pristine dataset (the

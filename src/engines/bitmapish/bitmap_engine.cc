@@ -460,16 +460,11 @@ Result<EdgeEnds> BitmapEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) 
 
 // --- index / persistence ---------------------------------------------------------
 
-Status BitmapEngine::CreateVertexPropertyIndex(std::string_view prop) {
+Status BitmapEngine::CreateVertexPropertyIndex(std::string_view) {
   // Accepted, but the Gremlin-level search path does not exploit it
   // (paper §6.4: "Sparksee and Neo4J (v.3.0) are not able to take
   // advantage of such indexes").
-  declared_indexes_.insert(std::string(prop));
   return Status::OK();
-}
-
-bool BitmapEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return declared_indexes_.count(std::string(prop)) != 0;
 }
 
 Status BitmapEngine::Checkpoint(const std::string& dir) const {

@@ -21,7 +21,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -108,7 +107,6 @@ class BitmapEngine : public GraphEngine {
   /// is accepted as a no-op — and, exactly as the paper observes (§6.4),
   /// the Gremlin-level property search does not exploit it.
   Status CreateVertexPropertyIndex(std::string_view prop) override;
-  bool HasVertexPropertyIndex(std::string_view prop) const override;
 
   Status Checkpoint(const std::string& dir) const override;
   uint64_t MemoryBytes() const override;
@@ -161,7 +159,6 @@ class BitmapEngine : public GraphEngine {
   std::vector<Bitmap> vertices_by_label_;  // label id -> vertices
   Dictionary labels_;
   std::map<std::string, AttrColumn, std::less<>> columns_;
-  std::set<std::string> declared_indexes_;
 };
 
 std::unique_ptr<GraphEngine> MakeBitmapEngine();

@@ -469,10 +469,6 @@ Status ColEngine::CreateVertexPropertyIndex(std::string_view prop) {
   return Status::OK();
 }
 
-bool ColEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return indexes_.find(prop) != indexes_.end();
-}
-
 void ColEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
                             VertexId id) {
   auto it = indexes_.find(prop);

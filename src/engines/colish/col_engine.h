@@ -43,11 +43,14 @@ namespace gdbmicro {
 /// is no staleness to manage.
 class ColSession : public QuerySession {
  public:
-  ColSession(const GraphEngine* engine, uint64_t row_cache_entries)
+  /// Capacity (entries) of the v1.0 row cache.
+  static constexpr uint64_t kRowCacheEntries = 4096;
+
+  ColSession(const GraphEngine* engine, bool with_row_cache)
       : QuerySession(engine),
-        row_cache(row_cache_entries > 0
+        row_cache(with_row_cache
                       ? std::make_unique<LruCache<VertexId, uint64_t>>(
-                            row_cache_entries)
+                            kRowCacheEntries)
                       : nullptr) {}
 
  private:
@@ -65,8 +68,7 @@ class ColEngine : public GraphEngine {
   Status Open(const EngineOptions& options) override;
 
   std::unique_ptr<QuerySession> CreateSession() const override {
-    return std::make_unique<ColSession>(
-        this, v10_ ? options().row_cache_entries : 0);
+    return std::make_unique<ColSession>(this, /*with_row_cache=*/v10_);
   }
 
   Result<VertexId> AddVertex(std::string_view label,
@@ -114,7 +116,6 @@ class ColEngine : public GraphEngine {
                                 const CancelToken& cancel) const override;
 
   Status CreateVertexPropertyIndex(std::string_view prop) override;
-  bool HasVertexPropertyIndex(std::string_view prop) const override;
 
   Status Checkpoint(const std::string& dir) const override;
   uint64_t MemoryBytes() const override;

@@ -578,15 +578,10 @@ Result<EdgeEnds> DocEngine::GetEdgeEnds(QuerySession& session,
 
 // --- index / persistence -------------------------------------------------------------
 
-Status DocEngine::CreateVertexPropertyIndex(std::string_view prop) {
+Status DocEngine::CreateVertexPropertyIndex(std::string_view) {
   // Accepted; search path unaffected (paper §6.4: "ArangoDB showed no
   // difference in running times").
-  declared_indexes_.insert(std::string(prop));
   return Status::OK();
-}
-
-bool DocEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return declared_indexes_.count(std::string(prop)) != 0;
 }
 
 Status DocEngine::Checkpoint(const std::string& dir) const {

@@ -20,7 +20,6 @@
 #define GDBMICRO_ENGINES_DOCISH_DOC_ENGINE_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,7 +132,6 @@ class DocEngine : public GraphEngine {
   uint64_t VertexIdUpperBound() const override { return next_vertex_; }
 
   Status CreateVertexPropertyIndex(std::string_view prop) override;
-  bool HasVertexPropertyIndex(std::string_view prop) const override;
 
   Status Checkpoint(const std::string& dir) const override;
   uint64_t MemoryBytes() const override;
@@ -171,7 +169,6 @@ class DocEngine : public GraphEngine {
   HashIndex<uint64_t, std::string> edge_docs_;
   HashIndex<uint64_t, std::vector<EdgeId>> out_index_;  // endpoint hash index
   HashIndex<uint64_t, std::vector<EdgeId>> in_index_;
-  std::set<std::string> declared_indexes_;
   uint64_t next_vertex_ = 0;
   uint64_t next_edge_ = 0;
 };

@@ -935,10 +935,6 @@ Status NeoEngine::CreateVertexPropertyIndex(std::string_view prop) {
   });
 }
 
-bool NeoEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return indexes_.find(prop) != indexes_.end();
-}
-
 Status NeoEngine::Checkpoint(const std::string& dir) const {
   std::string buf;
   node_store_.Serialize(&buf);

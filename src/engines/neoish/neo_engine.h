@@ -84,7 +84,6 @@ class NeoEngine : public GraphEngine {
   }
 
   Status CreateVertexPropertyIndex(std::string_view prop) override;
-  bool HasVertexPropertyIndex(std::string_view prop) const override;
 
   Status Checkpoint(const std::string& dir) const override;
   uint64_t MemoryBytes() const override;

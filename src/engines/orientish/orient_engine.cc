@@ -606,10 +606,6 @@ Status OrientEngine::CreateVertexPropertyIndex(std::string_view prop) {
   });
 }
 
-bool OrientEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return indexes_.find(prop) != indexes_.end();
-}
-
 void OrientEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
                                VertexId id) {
   auto it = indexes_.find(prop);

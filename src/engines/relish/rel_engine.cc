@@ -571,10 +571,6 @@ Status RelEngine::CreateVertexPropertyIndex(std::string_view prop) {
   });
 }
 
-bool RelEngine::HasVertexPropertyIndex(std::string_view prop) const {
-  return indexes_.find(prop) != indexes_.end();
-}
-
 void RelEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
                             VertexId id) {
   auto it = indexes_.find(prop);

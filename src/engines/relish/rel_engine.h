@@ -81,7 +81,6 @@ class RelEngine : public GraphEngine {
   // 64-bit keys, so flat visited arrays would be pathologically large.
 
   Status CreateVertexPropertyIndex(std::string_view prop) override;
-  bool HasVertexPropertyIndex(std::string_view prop) const override;
 
   Status Checkpoint(const std::string& dir) const override;
   uint64_t MemoryBytes() const override;

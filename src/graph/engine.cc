@@ -211,18 +211,6 @@ Result<std::vector<VertexId>> GraphEngine::NeighborsOf(
   return out;
 }
 
-Result<uint64_t> GraphEngine::DegreeOf(QuerySession& session, VertexId v,
-                                       Direction dir,
-                                       const CancelToken& cancel) const {
-  uint64_t n = 0;
-  GDB_RETURN_IF_ERROR(
-      ForEachEdgeOf(session, v, dir, nullptr, cancel, [&](EdgeId) {
-    ++n;
-    return true;
-  }));
-  return n;
-}
-
 Result<uint64_t> GraphEngine::CountEdgesOf(QuerySession& session, VertexId v,
                                            Direction dir,
                                            const CancelToken& cancel) const {
@@ -239,10 +227,6 @@ Status GraphEngine::CreateVertexPropertyIndex(std::string_view prop) {
   (void)prop;
   return Status::Unimplemented(std::string(name()) +
                                " does not support user attribute indexes");
-}
-
-bool GraphEngine::HasVertexPropertyIndex(std::string_view) const {
-  return false;
 }
 
 Status GraphEngine::WriteFile(const std::string& dir, const std::string& name,

@@ -108,10 +108,6 @@ struct EngineOptions {
   /// it off.
   bool enable_cost_model = false;
 
-  /// Capacity (entries) of the optional row cache used by engines that
-  /// model a caching backend (colish "titan10").
-  uint64_t row_cache_entries = 4096;
-
   /// Which ingest path BulkLoad runs (see BulkLoadMode).
   BulkLoadMode bulk_load_mode = BulkLoadMode::kNative;
 
@@ -499,12 +495,6 @@ class GraphEngine {
   /// a hash set.
   virtual uint64_t VertexIdUpperBound() const { return 0; }
 
-  /// Number of incident edges. Default: streamed count via ForEachEdgeOf
-  /// (no materialization).
-  virtual Result<uint64_t> DegreeOf(QuerySession& session, VertexId v,
-                                    Direction dir,
-                                    const CancelToken& cancel) const;
-
   /// The `it.inE.count()` primitive of the degree-filter queries
   /// (Q.28-Q.31 inner step). Default: streamed count. The Sparksee-like
   /// engine overrides it to model its Gremlin adapter's defect: the
@@ -520,7 +510,6 @@ class GraphEngine {
   /// Creates a user attribute index on a vertex property. Default:
   /// kUnimplemented (BlazeGraph offers no such control, paper §6.4).
   virtual Status CreateVertexPropertyIndex(std::string_view prop);
-  virtual bool HasVertexPropertyIndex(std::string_view prop) const;
 
   // --- Persistence / space (paper Fig. 1) --------------------------------
 

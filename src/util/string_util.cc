@@ -55,6 +55,7 @@ std::string HumanBytes(uint64_t bytes) {
 }
 
 std::string HumanMillis(double ms) {
+  if (ms < 0.001) return StrFormat("%.0f ns", ms * 1e6);
   if (ms < 1.0) return StrFormat("%.0f us", ms * 1000.0);
   if (ms < 1000.0) return StrFormat("%.2f ms", ms);
   double s = ms / 1000.0;

@@ -29,7 +29,7 @@ std::string StrFormat(const char* fmt, ...)
 std::string HumanBytes(uint64_t bytes);
 
 /// Formats a duration given in milliseconds with adaptive units
-/// ("850 us", "12.3 ms", "4.5 s", "2.1 min").
+/// ("420 ns", "850 us", "12.3 ms", "4.5 s", "2.1 min").
 std::string HumanMillis(double ms);
 
 }  // namespace gdbmicro

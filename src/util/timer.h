@@ -9,7 +9,8 @@
 
 namespace gdbmicro {
 
-/// Monotonic stopwatch with microsecond resolution.
+/// Monotonic stopwatch. ElapsedMillis keeps the clock's nanoseconds, so
+/// sub-microsecond operations do not read as zero.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
@@ -27,7 +28,8 @@ class Timer {
         .count();
   }
   double ElapsedMillis() const {
-    return static_cast<double>(ElapsedMicros()) / 1000.0;
+    return std::chrono::duration<double, std::milli>(Clock::now() - start_)
+        .count();
   }
 
  private:

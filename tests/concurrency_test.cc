@@ -78,7 +78,7 @@ Observation Observe(const GraphEngine& engine, QuerySession& session_ref,
       obs.neighbors.emplace_back(nbrs->begin(), nbrs->end());
     }
     session->BeginQuery();
-    auto deg = engine.DegreeOf(*session, v, Direction::kBoth, never);
+    auto deg = engine.CountEdgesOf(*session, v, Direction::kBoth, never);
     if (!deg.ok()) return obs;
     obs.degrees.push_back(*deg);
   }

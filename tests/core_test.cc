@@ -138,7 +138,7 @@ TEST(RunnerTest, DeadlineProducesTimeoutMeasurement) {
   GraphData data = datasets::GenerateMiCo(TinyScale());
   RunnerOptions options = FastRunner();
   options.deadline = std::chrono::milliseconds(0);  // everything times out
-  options.run_batch = false;
+  options.batch_iterations = 0;
   Runner runner(options);
   auto specs = core::QueriesByNumber({31});
   auto results = runner.RunEngine("neo19", data, specs);
@@ -152,7 +152,7 @@ TEST(RunnerTest, MemoryBudgetProducesResourceExhausted) {
   GraphData data = datasets::GenerateMiCo(TinyScale());
   RunnerOptions options = FastRunner();
   options.memory_budget_bytes = 16 * 1024;  // tiny arena
-  options.run_batch = false;
+  options.batch_iterations = 0;
   Runner runner(options);
   auto specs = core::QueriesByNumber({30});
   auto results = runner.RunEngine("sparksee", data, specs);
@@ -199,7 +199,7 @@ TEST(RunnerTest, PropertyIndexOptionSpeedsUpSearch) {
   gen.scale = 0.02;
   GraphData data = datasets::GenerateMiCo(gen);
   RunnerOptions options = FastRunner();
-  options.run_batch = false;
+  options.batch_iterations = 0;
   auto specs = core::QueriesByNumber({11});
 
   Runner plain(options);
@@ -217,6 +217,98 @@ TEST(RunnerTest, PropertyIndexOptionSpeedsUpSearch) {
   EXPECT_LT(t_indexed, t_plain) << "index should accelerate Q11";
   // Same result cardinality either way.
   EXPECT_EQ(unindexed->back().items, with_index->back().items);
+}
+
+// Runner::RunClients: the closed-loop client mode behind the concurrency
+// and robustness scenarios.
+TEST(RunClientsTest, ReadOnlyClientsCompleteEveryOp) {
+  GraphData data = datasets::GenerateMiCo(TinyScale());
+  Runner runner(FastRunner());
+  auto loaded = runner.Load("neo19", data);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto reads = core::QueriesByNumber({14, 15, 22, 23, 24});
+  auto result = runner.RunClients(*loaded, data, reads, {}, /*threads=*/2,
+                                  /*ops_per_thread=*/25, /*write_ratio=*/0);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  EXPECT_EQ(result->outcomes.Issued(), 50u);
+  EXPECT_EQ(result->outcomes.Completed(), 50u);
+  EXPECT_EQ(result->read_latency.samples, 50u);
+  EXPECT_EQ(result->create_latency.samples + result->update_latency.samples +
+                result->delete_latency.samples,
+            0u);
+  EXPECT_EQ(result->epochs_published, 0u);
+  // A point read can take under a microsecond; a clock that keeps
+  // nanoseconds still never reads it as zero.
+  EXPECT_GT(result->read_latency.min_ms, 0.0);
+}
+
+TEST(RunClientsTest, EveryCompletedWritePublishesOneEpoch) {
+  GraphData data = datasets::GenerateMiCo(TinyScale());
+  Runner runner(FastRunner());
+  auto loaded = runner.Load("neo19", data);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto reads = core::QueriesByNumber({14, 22});
+  auto writes = core::QueriesByNumber({2, 16, 18});  // one C, U and D each
+  auto result = runner.RunClients(*loaded, data, reads, writes,
+                                  /*threads=*/1, /*ops_per_thread=*/40,
+                                  /*write_ratio=*/0.5);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  const uint64_t writes_done = result->create_latency.samples +
+                               result->update_latency.samples +
+                               result->delete_latency.samples;
+  EXPECT_GT(result->create_latency.samples, 0u);
+  EXPECT_GT(result->update_latency.samples, 0u);
+  EXPECT_GT(result->delete_latency.samples, 0u);
+  EXPECT_GT(result->read_latency.samples, 0u);
+  EXPECT_EQ(result->outcomes.Issued(), 40u);
+  EXPECT_EQ(result->outcomes.Completed(),
+            result->read_latency.samples + writes_done);
+  EXPECT_EQ(result->epochs_published, writes_done);
+  EXPECT_EQ(result->wal_commits, writes_done);
+
+  // The runner's own session was recycled around the run: it is live
+  // again, on the snapshot the last commit published, and runs queries.
+  ASSERT_NE(loaded->session, nullptr);
+  EXPECT_EQ(loaded->session->epoch(), loaded->engine->epochs().current());
+  std::vector<Measurement> after = runner.RunQuery(*loaded, data, *reads[0]);
+  ASSERT_FALSE(after.empty());
+  EXPECT_TRUE(after[0].ok()) << after[0].status;
+}
+
+TEST(RunClientsTest, SpentDeadlineStopsEachClientAfterOneTimeout) {
+  GraphData data = datasets::GenerateMiCo(TinyScale());
+  RunnerOptions options = FastRunner();
+  options.deadline = std::chrono::milliseconds(0);
+  Runner runner(options);
+  auto loaded = runner.Load("neo19", data);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto reads = core::QueriesByNumber({14});
+  auto result = runner.RunClients(*loaded, data, reads, {}, /*threads=*/3,
+                                  /*ops_per_thread=*/10, /*write_ratio=*/0);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->status.IsDeadlineExceeded()) << result->status;
+  EXPECT_EQ(result->outcomes.timeout, 3u);
+  EXPECT_EQ(result->outcomes.Issued(), 3u);
+  EXPECT_EQ(result->read_latency.samples, 0u);
+}
+
+TEST(RunClientsTest, RejectsSpecsInTheWrongList) {
+  GraphData data = datasets::GenerateMiCo(TinyScale());
+  Runner runner(FastRunner());
+  auto loaded = runner.Load("neo19", data);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto reads = core::QueriesByNumber({14});
+  auto writes = core::QueriesByNumber({2});
+  auto code = [&](const auto& r, const auto& w, double ratio) {
+    return runner.RunClients(*loaded, data, r, w, 1, 1, ratio).status().code();
+  };
+  EXPECT_EQ(code(writes, reads, 0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(reads, reads, 0.5), StatusCode::kInvalidArgument);
+  // Writes in the mix need a write spec to draw from.
+  EXPECT_EQ(code(reads, std::vector<const core::QuerySpec*>{}, 0.5),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SpaceTest, MeasureSpaceReportsBytes) {
@@ -247,7 +339,7 @@ TEST(ComplexTest, CatalogHasThirteenQueries) {
 RunnerOptions ComplexRunner() {
   RunnerOptions options = FastRunner();
   options.deadline = std::chrono::seconds(30);
-  options.run_batch = false;
+  options.batch_iterations = 0;
   return options;
 }
 

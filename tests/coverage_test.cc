@@ -114,6 +114,7 @@ TEST(MetricsOptionsTest, DiameterCanBeSkipped) {
 }
 
 TEST(FormattingTest, HumanMillisBands) {
+  EXPECT_EQ(HumanMillis(0.00042), "420 ns");
   EXPECT_EQ(HumanMillis(0.5), "500 us");
   EXPECT_EQ(HumanMillis(12.345), "12.35 ms");
   EXPECT_EQ(HumanMillis(2500.0), "2.50 s");

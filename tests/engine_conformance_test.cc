@@ -202,9 +202,9 @@ TEST_P(EngineTest, DirectionalTraversal) {
   std::set<VertexId> both_set(both->begin(), both->end());
   EXPECT_EQ(both_set, (std::set<VertexId>{*b, *c}));
 
-  EXPECT_EQ(engine_->DegreeOf(*session_, *a, Direction::kOut, never_).value(), 1u);
-  EXPECT_EQ(engine_->DegreeOf(*session_, *a, Direction::kIn, never_).value(), 1u);
-  EXPECT_EQ(engine_->DegreeOf(*session_, *a, Direction::kBoth, never_).value(), 2u);
+  EXPECT_EQ(engine_->CountEdgesOf(*session_, *a, Direction::kOut, never_).value(), 1u);
+  EXPECT_EQ(engine_->CountEdgesOf(*session_, *a, Direction::kIn, never_).value(), 1u);
+  EXPECT_EQ(engine_->CountEdgesOf(*session_, *a, Direction::kBoth, never_).value(), 2u);
 }
 
 TEST_P(EngineTest, LabelFilteredTraversal) {

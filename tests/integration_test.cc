@@ -79,7 +79,7 @@ TEST(IntegrationTest, RunnerOverAllDatasets) {
   // architecturally distant engines.
   core::RunnerOptions options;
   options.enable_cost_model = false;
-  options.run_batch = false;
+  options.batch_iterations = 0;
   options.deadline = std::chrono::seconds(30);
   core::Runner runner(options);
   datasets::GenOptions gen;
@@ -171,7 +171,7 @@ TEST(IntegrationTest, EnginesAgreeOnMicrobenchmarkResults) {
   GraphData data = datasets::GenerateLdbc(gen);
   core::RunnerOptions options;
   options.enable_cost_model = false;
-  options.run_batch = false;
+  options.batch_iterations = 0;
   options.deadline = std::chrono::seconds(60);
   core::Runner runner(options);
   auto specs = core::QueriesByNumber(

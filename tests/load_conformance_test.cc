@@ -264,7 +264,7 @@ TEST_P(LoadConformanceTest, MutationsAfterNativeLoadWork) {
   ASSERT_TRUE(added.ok()) << added.status();
   auto e = engine.AddEdge(*added, ids[0], "knows", {});
   ASSERT_TRUE(e.ok()) << e.status();
-  auto deg = engine.DegreeOf(session, *added, Direction::kBoth, never_);
+  auto deg = engine.CountEdgesOf(session, *added, Direction::kBoth, never_);
   ASSERT_TRUE(deg.ok());
   EXPECT_EQ(*deg, 1u);
 

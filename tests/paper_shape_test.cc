@@ -1,5 +1,6 @@
 // Paper-shape tests: robust qualitative assertions of the findings the
-// reproduction targets (see EXPERIMENTS.md). These deliberately avoid
+// reproduction targets (the "paper shape" note of each gdbmicro_suite
+// report in bench/suite.cc). These deliberately avoid
 // tight timing margins — each asserts an effect the paper reports that is
 // either structural (failures, space ratios, result sets) or separated by
 // an order of magnitude.
