@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/storage/hash_index.h"
-#include "src/util/result.h"
 #include "src/util/varint.h"
 
 namespace gdbmicro {
@@ -61,20 +60,6 @@ class Dictionary {
       PutVarint64(out, s.size());
       out->append(s);
     }
-  }
-
-  static Result<Dictionary> Deserialize(const std::string& in, size_t* pos) {
-    Dictionary d;
-    GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
-    for (uint64_t i = 0; i < n; ++i) {
-      GDB_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in, pos));
-      if (*pos + len > in.size()) {
-        return Status::Corruption("truncated dictionary");
-      }
-      d.Intern(std::string_view(in.data() + *pos, len));
-      *pos += len;
-    }
-    return d;
   }
 
  private:

@@ -26,22 +26,11 @@ std::string_view QueryExecutionToString(QueryExecution q) {
   return "?";
 }
 
-std::string_view BulkLoadModeToString(BulkLoadMode m) {
-  switch (m) {
-    case BulkLoadMode::kNative:
-      return "native";
-    case BulkLoadMode::kPerElement:
-      return "per-element";
-  }
-  return "?";
-}
-
 Status GraphEngine::BuildPathIndex(const CancelToken& cancel) {
   // Drop any stale index first: a failed rebuild must not leave a live
   // index describing an older snapshot.
   path_index_.reset();
-  Result<std::unique_ptr<PathIndex>> built =
-      PathIndex::Build(*this, PathIndexOptions{}, cancel);
+  Result<std::unique_ptr<PathIndex>> built = PathIndex::Build(*this, cancel);
   if (!built.ok()) {
     path_index_status_ = built.status();
     return built.status();

@@ -22,8 +22,7 @@
 //    snapshot for its entire lifetime; destroying the session unpins it.
 //    A committing writer drains pinned readers before mutating, applies
 //    in place with exclusive access, then atomically publishes the next
-//    epoch — sessions created afterwards see the updated graph. Retired
-//    epochs run their reclaim callbacks only once unpinned.
+//    epoch — sessions created afterwards see the updated graph.
 //  * Write surface. Concurrent-safe writes go through GraphWriter
 //    (src/graph/writer.h): batches are WAL-logged (framed, checksummed,
 //    group-committed) before being applied under the epoch gate, so a
@@ -94,8 +93,6 @@ enum class BulkLoadMode : uint8_t {
   /// round trips, wrapper charges under the cost model) paid per element.
   kPerElement,
 };
-
-std::string_view BulkLoadModeToString(BulkLoadMode m);
 
 /// Tunables shared by all engines.
 struct EngineOptions {
@@ -186,8 +183,8 @@ struct TraversalScratch {
   /// PathIndex ordinal minus the first ordinal of the searched component
   /// (a search never leaves its start's component, and a component is
   /// one contiguous ordinal range), so the arrays grow to the largest
-  /// component searched. Slot 2 * i + side serves side 0 (the one-sided
-  /// searches, and the bidirectional search from its source) or side 1
+  /// component searched. Slot 2 * i + side serves side 0 (the BFS, and
+  /// the bidirectional search from its source) or side 1
   /// (from its target). index_stamp[slot] == index_epoch means the side
   /// reached the vertex this query; index_hops[slot] records how.
   struct IndexHop {
@@ -197,8 +194,8 @@ struct TraversalScratch {
   std::vector<uint8_t> index_stamp;
   std::vector<IndexHop> index_hops;
   uint8_t index_epoch = 0;
-  /// The bidirectional search's two frontiers; the one-sided searches
-  /// use index_frontier[0] as their level-partitioned queue.
+  /// The bidirectional search's two frontiers; the BFS uses
+  /// index_frontier[0] as its level-partitioned queue.
   std::vector<uint32_t> index_frontier[2];
   std::vector<uint32_t> index_next;
 };
@@ -349,9 +346,9 @@ class GraphEngine {
   /// methods, this is a load-phase operation: call it single-threaded,
   /// after BulkLoad, not concurrently with sessions. Off until called:
   /// the paper's workloads run frontier-at-a-time, and the index is the
-  /// explicitly-opt-in workload-conscious tier (BFS/SP consult it when
-  /// present; see src/query/algorithms.h). PathIndexStats::build_millis
-  /// times the build.
+  /// explicitly-opt-in workload-conscious tier (label-free BFS and
+  /// shortest path consult it when present; see src/query/algorithms.h).
+  /// PathIndexStats::build_millis times the build.
   Status BuildPathIndex(const CancelToken& cancel);
 
   /// Drops the live index (no-op when none), recording `reason` as the

@@ -10,16 +10,11 @@ uint64_t EpochManager::Pin() {
 }
 
 void EpochManager::Unpin(uint64_t epoch) {
-  std::vector<std::function<void()>> eligible;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = pins_.find(epoch);
-    if (it == pins_.end()) return;  // double-unpin guard
-    if (--it->second == 0) pins_.erase(it);
-    eligible = TakeEligibleLocked();
-    if (pins_.empty()) writer_cv_.notify_all();
-  }
-  for (auto& fn : eligible) fn();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pins_.find(epoch);
+  if (it == pins_.end()) return;  // double-unpin guard
+  if (--it->second == 0) pins_.erase(it);
+  if (pins_.empty()) writer_cv_.notify_all();
 }
 
 void EpochManager::BeginApply() {
@@ -29,50 +24,11 @@ void EpochManager::BeginApply() {
 }
 
 uint64_t EpochManager::EndApply() {
-  std::vector<std::function<void()>> eligible;
-  uint64_t published;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    published = ++current_;
-    applying_ = false;
-    eligible = TakeEligibleLocked();
-    reader_cv_.notify_all();
-  }
-  for (auto& fn : eligible) fn();
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t published = ++current_;
+  applying_ = false;
+  reader_cv_.notify_all();
   return published;
-}
-
-void EpochManager::Retire(uint64_t epoch, std::function<void()> reclaim) {
-  bool run_now = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t min_pinned =
-        pins_.empty() ? ~uint64_t{0} : pins_.begin()->first;
-    if (min_pinned > epoch) {
-      run_now = true;
-      ++reclaimed_;
-    } else {
-      retired_.emplace_back(epoch, std::move(reclaim));
-    }
-  }
-  if (run_now) reclaim();
-}
-
-std::vector<std::function<void()>> EpochManager::TakeEligibleLocked() {
-  std::vector<std::function<void()>> eligible;
-  if (retired_.empty()) return eligible;
-  uint64_t min_pinned = pins_.empty() ? ~uint64_t{0} : pins_.begin()->first;
-  auto keep = retired_.begin();
-  for (auto& [epoch, fn] : retired_) {
-    if (min_pinned > epoch) {
-      eligible.push_back(std::move(fn));
-      ++reclaimed_;
-    } else {
-      *keep++ = {epoch, std::move(fn)};
-    }
-  }
-  retired_.erase(keep, retired_.end());
-  return eligible;
 }
 
 uint64_t EpochManager::current() const {
@@ -85,11 +41,6 @@ uint64_t EpochManager::pinned() const {
   uint64_t n = 0;
   for (const auto& [epoch, count] : pins_) n += count;
   return n;
-}
-
-uint64_t EpochManager::reclaimed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reclaimed_;
 }
 
 bool EpochManager::writer_waiting() const {

@@ -8,10 +8,7 @@
 // time: BeginApply() closes the gate (new pins block) and drains the
 // pinned readers of the current epoch; the writer then mutates the store
 // in place with exclusive access; EndApply() publishes the next epoch and
-// reopens the gate. Retired epochs carry reclaim callbacks that run only
-// once no reader pins an epoch <= the retired one — with drain-on-publish
-// they usually run immediately, but the deferral is real and is what a
-// multi-version store would hang old-version garbage off.
+// reopens the gate.
 //
 // The manager is a synchronization object only: it never touches graph
 // data. Engines expose one via GraphEngine::epochs().
@@ -21,11 +18,8 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <utility>
-#include <vector>
 
 namespace gdbmicro {
 
@@ -42,8 +36,7 @@ class EpochManager {
   /// new readers cannot starve the writer).
   uint64_t Pin();
 
-  /// Releases one pin on `epoch`. Runs any retirement callbacks that
-  /// became eligible.
+  /// Releases one pin on `epoch`.
   void Unpin(uint64_t epoch);
 
   // --- writer side --------------------------------------------------------
@@ -56,34 +49,22 @@ class EpochManager {
   /// current epoch. Must follow BeginApply() on the same thread.
   uint64_t EndApply();
 
-  /// Registers `reclaim` to run once no reader pins any epoch <= `epoch`.
-  /// Runs immediately when that already holds.
-  void Retire(uint64_t epoch, std::function<void()> reclaim);
-
   // --- observers ----------------------------------------------------------
 
   uint64_t current() const;
   /// Total outstanding pins across epochs.
   uint64_t pinned() const;
-  /// Retirement callbacks that have run.
-  uint64_t reclaimed() const;
   /// True while a writer sits in BeginApply() waiting for readers to
   /// drain (the window the concurrency golden inspects).
   bool writer_waiting() const;
 
  private:
-  /// Moves eligible retirement callbacks out of retired_. Caller runs
-  /// them after dropping `mu_`.
-  std::vector<std::function<void()>> TakeEligibleLocked();
-
   mutable std::mutex mu_;
   std::condition_variable reader_cv_;  // waits: gate open
   std::condition_variable writer_cv_;  // waits: pins drained
   uint64_t current_ = 0;
   bool applying_ = false;
   std::map<uint64_t, uint64_t> pins_;  // epoch -> pin count
-  std::vector<std::pair<uint64_t, std::function<void()>>> retired_;
-  uint64_t reclaimed_ = 0;
 };
 
 }  // namespace gdbmicro

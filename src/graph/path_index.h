@@ -1,29 +1,19 @@
-// PathIndex: an optional post-load reachability / shortest-path index
-// tier for the paper's Fig. 6/7 traversal workloads (BFS, k-hop
-// reachability, unweighted shortest path).
+// PathIndex: an optional post-load shortest-path index tier for the
+// paper's Fig. 6/7 traversal workloads (Q.32-Q.35: breadth-first search
+// and unweighted shortest path over both()).
 //
 // The paper measures those workloads frontier-at-a-time: every query
 // re-walks the engine's adjacency from scratch, O(V+E) per probe. The
-// index spends bounded build time once, after load, to turn most probes
-// into near-constant work (the workload-conscious-indexing move of the
-// RDF-3X / FERRARI lineage):
+// index spends bounded build time once, after load, so that most probes
+// walk flat arrays or need no search at all (the workload-conscious-
+// indexing move of the RDF-3X lineage):
 //
-//  * SCC condensation — the directed graph is condensed to its strongly
-//    connected components (iterative Kosaraju), so cycles collapse and
-//    directed reachability becomes a DAG question: same SCC => reachable.
-//  * Interval labels — each condensation node carries k interval labels
-//    [begin, rank] assigned by randomized DFS passes (FERRARI-style
-//    approximate intervals in the GRAIL formulation): if any labeling
-//    fails to nest target inside source, the target is *certainly* not
-//    reachable — a negative certificate in O(k) integer compares. Nesting
-//    in every labeling is only "maybe"; the exact fallback is a DFS over
-//    the condensation DAG pruned by the same intervals.
 //  * Components + landmarks — the undirected view (the both() direction
 //    every Q.32-Q.35 query traverses) gets exact connected components and
 //    16 high-degree landmarks with precomputed BFS distances.
-//    |d(s,l) - d(t,l)| <= d(s,t) <= d(s,l) + d(t,l) bounds any distance
-//    in O(landmarks), answering negative/positive k-hop questions without
-//    touching a frontier and pruning bidirectional shortest-path search.
+//    |d(s,l) - d(t,l)| <= d(s,t) bounds any distance in O(landmarks),
+//    answering shortest-path negatives without touching a frontier and
+//    pruning the bidirectional search.
 //  * CSR snapshot — the index keeps its own compressed adjacency, so
 //    indexed searches that do need expansion walk flat arrays instead of
 //    paying the engine's per-hop storage costs.
@@ -55,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -67,26 +56,12 @@ namespace gdbmicro {
 
 class GraphEngine;
 
-struct PathIndexOptions {
-  /// High-degree landmarks with precomputed distances, 0..16 (0 disables
-  /// the distance-bound tier; 16 fill a vertex's 64-byte landmark row).
-  int landmarks = 16;
-  /// Randomized interval labelings per condensation node. More labelings
-  /// sharpen the negative-reachability certificate at k extra integer
-  /// compares per probe.
-  int labelings = 3;
-  /// Seed of the randomized DFS passes (deterministic builds).
-  uint64_t seed = 0x5eed;
-};
-
 /// Build-time measurements and structure sizes of one PathIndex.
 struct PathIndexStats {
   uint64_t vertices = 0;
   uint64_t edges = 0;
-  uint64_t sccs = 0;        // condensation nodes
   uint64_t components = 0;  // undirected connected components
   int landmarks = 0;
-  int labelings = 0;
   double build_millis = 0;
   uint64_t bytes = 0;  // resident bytes of the index structures
 };
@@ -96,15 +71,10 @@ class PathIndex {
   /// Distance value meaning "unreachable" in landmark vectors.
   static constexpr uint32_t kUnreachable = 0xFFFFFFFFu;
 
-  /// Tri-state probe answer: certain (kNo/kYes) answers need no search;
-  /// kMaybe sends the caller to the exact fallback.
-  enum class Answer : uint8_t { kNo, kYes, kMaybe };
-
   /// Builds the index over `engine`'s current snapshot through its own
   /// read primitives (a private session is created for the scan).
   /// Governor-cooperative via `cancel` (see the file comment).
   static Result<std::unique_ptr<PathIndex>> Build(const GraphEngine& engine,
-                                                  const PathIndexOptions& options,
                                                   const CancelToken& cancel);
 
   // --- id mapping ---------------------------------------------------------
@@ -123,20 +93,6 @@ class PathIndex {
   VertexId IdOf(uint32_t ord) const { return ord_to_id_[ord]; }
   uint32_t NumVertices() const { return static_cast<uint32_t>(ord_to_id_.size()); }
 
-  // --- directed reachability (SCC + interval labels) ----------------------
-
-  /// Interval probe for "is t reachable from s" (directed, any number of
-  /// hops): kYes when s and t share an SCC, kNo when any labeling refutes
-  /// containment (the near-constant negative certificate), else kMaybe.
-  Answer Reachable(uint32_t s_ord, uint32_t t_ord) const;
-
-  /// Exact directed reachability: the interval probe, falling back to a
-  /// DFS over the condensation DAG pruned by the same intervals. `probes`
-  /// (optional) accumulates DAG nodes expanded by the fallback.
-  Result<bool> ReachableExact(uint32_t s_ord, uint32_t t_ord,
-                              const CancelToken& cancel,
-                              uint64_t* probes = nullptr) const;
-
   // --- undirected distance bounds (components + landmarks) ----------------
 
   bool SameComponent(uint32_t s_ord, uint32_t t_ord) const {
@@ -154,8 +110,8 @@ class PathIndex {
 
   /// One vertex's hop distance to each landmark: kUnreachable for a
   /// landmark in another component and in the lanes past the landmark
-  /// count (all lanes when the index has no landmarks). Aligned so a row
-  /// is exactly one cache line.
+  /// count (a graph with fewer than kMaxLandmarks vertices). Aligned so a
+  /// row is exactly one cache line.
   static constexpr int kMaxLandmarks = 16;
   struct alignas(64) LandmarkRow {
     uint32_t dist[kMaxLandmarks];
@@ -183,13 +139,6 @@ class PathIndex {
     }
     return best;
   }
-  /// min_l d(s,l) + d(t,l); kUnreachable when no landmark covers the pair.
-  uint32_t DistanceUpperBound(uint32_t s_ord, uint32_t t_ord) const;
-
-  /// Tri-state "is t within k undirected hops of s": kNo across
-  /// components or when the landmark lower bound exceeds k, kYes when the
-  /// landmark upper bound fits, else kMaybe (bounded search required).
-  Answer WithinHops(uint32_t s_ord, uint32_t t_ord, uint64_t k) const;
 
   // --- CSR adjacency snapshot (for index-side searches) --------------------
   //
@@ -218,30 +167,16 @@ class PathIndex {
 
   const PathIndexStats& stats() const { return stats_; }
 
-  /// One-line description for Explain-style output.
-  std::string Describe() const;
-
  private:
   PathIndex() = default;
-
-  /// [begin, rank] interval of one labeling, per condensation node.
-  struct Interval {
-    uint32_t begin = 0;
-    uint32_t rank = 0;
-  };
 
   NeighborRange Slots(size_t from, size_t to) const {
     return {adj_.data() + adj_off_[from], adj_.data() + adj_off_[to]};
   }
 
-  Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel,
-                        std::vector<uint32_t>* ord_by_id);
-  Status BuildSccs(const std::vector<uint32_t>& ord_by_id,
-                   const CancelToken& cancel);
-  Status BuildIntervals(const CancelToken& cancel);
+  Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel);
   Status BuildLandmarks(const CancelToken& cancel);
 
-  PathIndexOptions options_;
   PathIndexStats stats_;
 
   // Id mapping: dense stamp array when the engine exposes a dense id
@@ -254,16 +189,6 @@ class PathIndex {
   // adj_off_[2v+1]) and its in-sources adj_[adj_off_[2v+1], adj_off_[2v+2]).
   std::vector<uint64_t> adj_off_;
   std::vector<uint32_t> adj_;
-
-  // SCC condensation: scc_of_[ord] -> condensation node; DAG CSR over
-  // condensation nodes (cross-SCC edges, deduplicated).
-  std::vector<uint32_t> scc_of_;
-  uint32_t num_sccs_ = 0;
-  std::vector<uint64_t> dag_off_;
-  std::vector<uint32_t> dag_tgt_;
-
-  // Interval labels: labelings x condensation nodes, row-major.
-  std::vector<Interval> intervals_;
 
   // Undirected components: component c is the ordinal range
   // [comp_begin_[c], comp_begin_[c + 1]).

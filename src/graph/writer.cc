@@ -119,7 +119,6 @@ Result<CommitReceipt> GraphWriter::Commit(const WriteBatch& batch) {
   // apply error is a hard fault of this in-memory emulation, not a state
   // we can roll back).
   receipt.epoch = epochs.EndApply();
-  epochs.Retire(retiring, [] {});
   GDB_RETURN_IF_ERROR(applied);
   commits_.fetch_add(1, std::memory_order_relaxed);
   return receipt;

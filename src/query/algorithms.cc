@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 
 #include "src/graph/path_index.h"
 
@@ -69,9 +68,9 @@ class VisitedSet {
 
 // Per-query marks of the index routes over one connected component,
 // backed by the session's TraversalScratch (see index_stamp there) and
-// epoch-stamped like VisitedSet. Side 0 serves the one-sided searches;
-// the bidirectional search grows side 0 from its source and side 1 from
-// its target.
+// epoch-stamped like VisitedSet. Side 0 serves the BFS; the
+// bidirectional search grows side 0 from its source and side 1 from its
+// target.
 class ComponentMarks {
  public:
   ComponentMarks(const PathIndex& index, uint32_t member,
@@ -146,13 +145,12 @@ const PathIndex* UsableIndex(const GraphEngine& engine,
   return index;
 }
 
-/// The frontier route of BreadthFirst, ShortestPath and KHopReachable:
-/// level-synchronous expansion through the engine's neighbor visitor,
-/// charging `charge_bytes` per newly reached vertex. `visited` receives
-/// every reached vertex in visit order, `parent` each one's discoverer,
-/// and reaching `target` ends the search.
+/// The frontier route of BreadthFirst and ShortestPath: level-synchronous
+/// both() expansion through the engine's neighbor visitor, charging
+/// `charge_bytes` per newly reached vertex. `visited` receives every
+/// reached vertex in visit order, `parent` each one's discoverer, and
+/// reaching `target` ends the search.
 struct FrontierSearch {
-  Direction dir = Direction::kBoth;
   uint64_t max_depth = 0;
   uint64_t charge_bytes = kVisitedVertexBytes;
   std::optional<VertexId> target;
@@ -212,8 +210,8 @@ Result<bool> RunFrontier(const GraphEngine& engine, QuerySession& session,
       GDB_CHECK_CANCEL(cancel);
       ++stats->expanded;
       walk.from = v;
-      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(session, v, search.dir,
-                                                 label_ptr, cancel, visit));
+      GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(
+          session, v, Direction::kBoth, label_ptr, cancel, visit));
       GDB_RETURN_IF_ERROR(walk.charge_error);
       if (walk.found) return true;
     }
@@ -225,18 +223,13 @@ Result<bool> RunFrontier(const GraphEngine& engine, QuerySession& session,
   return false;
 }
 
-/// The one-sided searches over the index CSR: level-synchronous BFS from
-/// `root`, expanding each vertex through `Neighbors` (`BothNeighbors`,
-/// the paper's both() expansion of Q.32, or `OutNeighbors`, the bounded
-/// directed residue of KHopReachable), for at most `max_depth` levels.
-/// Same visited/depth semantics as RunFrontier. Returns whether `target`
-/// (kNoOrd: none; never the root) was reached, which ends the search. A
-/// search without a target also stops at the level boundary where the
-/// root's whole connected component is stored, since later levels
-/// cannot add a vertex (with a target in the component, storing all of
-/// it means it was found). `visited`, when non-null, receives every
-/// reached vertex in visit order; `depth_reached`, when non-null, the
-/// last level that reached one.
+/// Q.32's BFS over the index CSR: level-synchronous expansion from
+/// `root` through `BothNeighbors` for at most `max_depth` levels, with
+/// RunFrontier's visited/depth semantics. The search also stops at the
+/// level boundary where the root's whole connected component is stored,
+/// since later levels cannot add a vertex. `visited` receives every
+/// reached vertex in visit order and `depth_reached` the last level that
+/// reached one.
 ///
 /// No data-dependent branch decides whether a slot is stored (the
 /// no-branch selection of Ross, PODS 2002): each slot writes its stamp
@@ -246,63 +239,43 @@ Result<bool> RunFrontier(const GraphEngine& engine, QuerySession& session,
 /// partitioned by level (level d + 1 follows level d) and sized to the
 /// component plus that spare slot. Charges are one per expanded vertex,
 /// for the vertices it stored.
-template <PathIndex::NeighborRange (PathIndex::*Neighbors)(uint32_t) const>
-Result<bool> RunIndexed(const PathIndex& index, TraversalScratch& scratch,
-                        uint32_t root, uint64_t max_depth, uint32_t target,
-                        const CancelToken& cancel, PathSearchStats* stats,
-                        std::vector<VertexId>* visited = nullptr,
-                        int* depth_reached = nullptr) {
+Status RunIndexed(const PathIndex& index, TraversalScratch& scratch,
+                  uint32_t root, uint64_t max_depth, const CancelToken& cancel,
+                  PathSearchStats* stats, std::vector<VertexId>* visited,
+                  int* depth_reached) {
   ComponentMarks stored(index, root, &scratch);
   stored.Stamp(0, root);
   const uint64_t component = index.ComponentSize(root);
-  const bool seek =
-      target != PathIndex::kNoOrd && index.SameComponent(root, target);
-  // The tail never passes the component size, so only a search without a
-  // target stops on it.
-  const uint64_t stop = target == PathIndex::kNoOrd ? component
-                                                    : component + 1;
   std::vector<uint32_t>& queue = scratch.index_frontier[0];
   if (queue.size() < component + 1) queue.resize(component + 1);
   uint32_t* const q = queue.data();
   q[0] = root;
   size_t level = 0, tail = 1;
-  for (uint64_t depth = 0; depth < max_depth && level < tail && tail < stop;
-       ++depth) {
+  for (uint64_t depth = 0;
+       depth < max_depth && level < tail && tail < component; ++depth) {
     const size_t level_end = tail;
     for (; level < level_end; ++level) {
       GDB_CHECK_CANCEL(cancel);
       const size_t mark = tail;
-      for (uint32_t w : (index.*Neighbors)(q[level])) {
+      for (uint32_t w : index.BothNeighbors(q[level])) {
         q[tail] = w;
         tail += stored.Stamp(0, w);
       }
-      if (seek && stored.Has(0, target)) {
-        // Charge what was stored up to the target, as a slot-at-a-time
-        // walk stopping there would have.
-        const size_t upto = std::find(q + mark, q + tail, target) - q + 1;
-        GDB_CHECK_CHARGE(cancel, (upto - mark) * kVisitedVertexBytes);
-        stats->expanded += level + 1;
-        return true;
-      }
       GDB_CHECK_CHARGE(cancel, (tail - mark) * kVisitedVertexBytes);
     }
-    if (depth_reached != nullptr && tail > level_end) {
-      *depth_reached = static_cast<int>(depth + 1);
-    }
+    if (tail > level_end) *depth_reached = static_cast<int>(depth + 1);
   }
   // The queue's first `level` entries are exactly the expanded vertices.
   stats->expanded += level;
-  if (visited != nullptr) {
-    visited->reserve(visited->size() + tail - 1);
-    for (size_t i = 1; i < tail; ++i) visited->push_back(index.IdOf(q[i]));
-  }
-  return false;
+  visited->reserve(visited->size() + tail - 1);
+  for (size_t i = 1; i < tail; ++i) visited->push_back(index.IdOf(q[i]));
+  return Status::OK();
 }
 
 /// Landmark-pruned bidirectional level-synchronous BFS over the index
 /// CSR between two vertices of one component. Returns the minimum-hop
-/// distance (<= limit) and fills `out_path` when non-null; kUnreachable
-/// when no path of <= limit hops exists.
+/// distance (<= limit) and fills `out_path` with a path of that length;
+/// kUnreachable when no path of <= limit hops exists.
 /// Exactness: a side's level is always expanded in full, and the search
 /// only stops once depth_s + depth_t covers the best confirmed meeting —
 /// every shorter path would already have produced a meeting vertex. The
@@ -366,23 +339,21 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
   }
 
   if (best > limit) return PathIndex::kUnreachable;
-  if (out_path != nullptr) {
-    // meet -> s along side 0's parents (reversed), then meet -> t along
-    // side 1's.
-    out_path->clear();
-    for (uint32_t cur = meet;;) {
-      out_path->push_back(index.IdOf(cur));
-      uint32_t p = sides.Hop(0, cur).parent;
-      if (p == cur) break;
-      cur = p;
-    }
-    std::reverse(out_path->begin(), out_path->end());
-    for (uint32_t cur = meet;;) {
-      uint32_t p = sides.Hop(1, cur).parent;
-      if (p == cur) break;
-      cur = p;
-      out_path->push_back(index.IdOf(cur));
-    }
+  // meet -> s along side 0's parents (reversed), then meet -> t along
+  // side 1's.
+  out_path->clear();
+  for (uint32_t cur = meet;;) {
+    out_path->push_back(index.IdOf(cur));
+    uint32_t p = sides.Hop(0, cur).parent;
+    if (p == cur) break;
+    cur = p;
+  }
+  std::reverse(out_path->begin(), out_path->end());
+  for (uint32_t cur = meet;;) {
+    uint32_t p = sides.Hop(1, cur).parent;
+    if (p == cur) break;
+    cur = p;
+    out_path->push_back(index.IdOf(cur));
   }
   return best;
 }
@@ -405,11 +376,9 @@ Result<BfsResult> BreadthFirst(const GraphEngine& engine,
       result.stats.used_index = true;
       result.stats.route = "index-bfs";
       ++result.stats.index_probes;
-      Result<bool> walked = RunIndexed<&PathIndex::BothNeighbors>(
-          *index, session.traversal_scratch(), ord, depth_budget,
-          PathIndex::kNoOrd, cancel, &result.stats, &result.visited,
-          &result.depth_reached);
-      if (!walked.ok()) return walked.status();
+      GDB_RETURN_IF_ERROR(RunIndexed(*index, session.traversal_scratch(),
+                                     ord, depth_budget, cancel, &result.stats,
+                                     &result.visited, &result.depth_reached));
       return result;
     }
     // Unknown start id: the engine is the authority (missing-vertex
@@ -502,107 +471,6 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
     result.found = true;
   }
   return result;  // unreachable within max_depth unless found
-}
-
-Result<ReachResult> KHopReachable(const GraphEngine& engine,
-                                  QuerySession& session, VertexId src,
-                                  VertexId dst, Direction dir, int max_hops,
-                                  const std::optional<std::string>& label,
-                                  const CancelToken& cancel, PathMode mode) {
-  ReachResult result;
-  result.stats.index_available = engine.path_index() != nullptr;
-  if (src == dst) {
-    result.reachable = true;
-    result.stats.route = "trivial";
-    return result;
-  }
-  if (max_hops == 0) {
-    result.stats.route = "trivial";
-    return result;  // 0 hops reaches only src itself
-  }
-  const uint64_t hop_budget = max_hops < 0
-                                  ? std::numeric_limits<uint64_t>::max()
-                                  : static_cast<uint64_t>(max_hops);
-  if (const PathIndex* index =
-          UsableIndex(engine, label, mode, &result.stats)) {
-    uint32_t s = index->OrdOf(src), t = index->OrdOf(dst);
-    if (s != PathIndex::kNoOrd && t != PathIndex::kNoOrd) {
-      cancel.set_position("KHopReachable(index)");
-      result.stats.used_index = true;
-      if (dir == Direction::kBoth) {
-        ++result.stats.index_probes;
-        switch (index->WithinHops(s, t, hop_budget)) {
-          case PathIndex::Answer::kYes:
-            result.stats.route = "index-landmark";
-            result.reachable = true;
-            return result;
-          case PathIndex::Answer::kNo:
-            result.stats.route = index->SameComponent(s, t)
-                                     ? "index-landmark"
-                                     : "index-component";
-            return result;
-          case PathIndex::Answer::kMaybe:
-            break;
-        }
-        // Residue: bounded distance needed. The bidirectional search
-        // answers it without path materialization.
-        result.stats.route = "index-bidir";
-        uint32_t limit = static_cast<uint32_t>(
-            std::min<uint64_t>(hop_budget, PathIndex::kUnreachable - 1));
-        Result<uint32_t> dist =
-            IndexedBidirDistance(*index, session.traversal_scratch(), s, t,
-                                 limit, cancel, &result.stats, nullptr);
-        if (!dist.ok()) return dist.status();
-        result.reachable = *dist != PathIndex::kUnreachable;
-        return result;
-      }
-      // Directed: phrase kIn as out-reachability from the far end.
-      uint32_t a = dir == Direction::kOut ? s : t;
-      uint32_t b = dir == Direction::kOut ? t : s;
-      ++result.stats.index_probes;
-      PathIndex::Answer quick = index->Reachable(a, b);
-      if (quick == PathIndex::Answer::kNo) {
-        // The near-O(1) negative certificate: some labeling refuted
-        // interval containment.
-        result.stats.route = "index-interval";
-        return result;
-      }
-      if (max_hops < 0) {
-        if (quick == PathIndex::Answer::kYes) {
-          result.stats.route = "index-interval";
-          result.reachable = true;
-          return result;
-        }
-        result.stats.route = "index-dag-dfs";
-        Result<bool> exact = index->ReachableExact(
-            a, b, cancel, &result.stats.index_probes);
-        if (!exact.ok()) return exact.status();
-        result.reachable = *exact;
-        return result;
-      }
-      // Bounded directed: reachability is certain or refuted above, but
-      // the hop count still needs a bounded CSR walk.
-      result.stats.route = "index-csr-bfs";
-      Result<bool> within = RunIndexed<&PathIndex::OutNeighbors>(
-          *index, session.traversal_scratch(), a, hop_budget, b, cancel,
-          &result.stats);
-      if (!within.ok()) return within.status();
-      result.reachable = *within;
-      return result;
-    }
-  }
-
-  // Frontier fallback: direction-aware BFS with early target exit.
-  cancel.set_position("KHopReachable");
-  FrontierSearch search;
-  search.dir = dir;
-  search.max_depth = hop_budget;
-  search.target = dst;
-  Result<bool> found =
-      RunFrontier(engine, session, src, label, search, cancel, &result.stats);
-  if (!found.ok()) return found.status();
-  result.reachable = *found;
-  return result;
 }
 
 }  // namespace query

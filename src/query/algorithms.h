@@ -29,20 +29,18 @@ enum class PathMode { kAuto, kFrontierOnly };
 /// string naming the decisive tier:
 ///   "frontier"           engine-visitor expansion (index absent/unusable)
 ///   "index-bfs"          level-synchronous BFS over the index CSR
-///   "index-component"    certain answer from connected components
-///   "index-landmark"     certain answer from landmark distance bounds
-///   "index-interval"     certain answer from SCC/interval labels
+///   "index-component"    certain negative from connected components
+///   "index-landmark"     certain negative from landmark distance bounds
 ///   "index-bidir"        landmark-pruned bidirectional search on the CSR
-///   "index-dag-dfs"      interval-pruned DFS over the condensation DAG
-///   "index-csr-bfs"      bounded directed BFS over the index CSR
+///   "trivial"            shortest path with src == dst, no search
 struct PathSearchStats {
   /// A live PathIndex existed on the engine when the query ran.
   bool index_available = false;
   /// The answer came from the index tier (any index-* route).
   bool used_index = false;
   const char* route = "frontier";
-  /// Index probe operations consulted (interval containments, landmark
-  /// bound evaluations, component lookups).
+  /// Index probe operations consulted (landmark bound evaluations,
+  /// component lookups).
   uint64_t index_probes = 0;
   /// Vertices expanded by whichever search ultimately ran (0 when a
   /// certain probe answered without expansion).
@@ -109,27 +107,6 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
                                 const std::optional<std::string>& label,
                                 int max_depth, const CancelToken& cancel,
                                 PathMode mode = PathMode::kAuto);
-
-struct ReachResult {
-  bool reachable = false;
-  PathSearchStats stats;
-};
-
-/// Reachability probe: is `dst` reachable from `src` within `max_hops`
-/// edges traversed in direction `dir` (kBoth = the paper's both()
-/// semantics; kOut/kIn = directed), optionally restricted to `label`?
-/// `max_hops < 0` means unbounded. `src == dst` is reachable in 0 hops.
-/// This is the probe shape the PathIndex answers near-O(1): certain
-/// negatives from interval labels (directed) or components/landmarks
-/// (undirected), certain positives from landmark upper bounds, with
-/// index-CSR search only for the residue — and a frontier BFS with early
-/// target exit as the exact fallback (always, under kFrontierOnly).
-Result<ReachResult> KHopReachable(const GraphEngine& engine,
-                                  QuerySession& session, VertexId src,
-                                  VertexId dst, Direction dir, int max_hops,
-                                  const std::optional<std::string>& label,
-                                  const CancelToken& cancel,
-                                  PathMode mode = PathMode::kAuto);
 
 }  // namespace query
 }  // namespace gdbmicro

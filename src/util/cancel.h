@@ -100,13 +100,6 @@ class CancelToken {
     return true;
   }
 
-  /// Returns previously charged bytes to the budget (a structure shrank
-  /// or was handed back). Never untrips.
-  void Release(uint64_t bytes) const {
-    if (state_->budget_bytes == 0) return;
-    state_->charged_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
   /// Marks the pipeline position for diagnostics (an operator name, an
   /// engine scan entry point). `pos` must outlive the query — operator
   /// names and engine literals qualify. Relaxed store: attribution, not

@@ -1,10 +1,9 @@
-// PathIndex conformance across all nine engines: every indexed
-// reachability / BFS / shortest-path answer must equal the reference
-// frontier answer on a cyclic multi-component graph (SCC condensation,
-// interval labels, components, and landmarks all exercised) and on the
-// repository benchmark's fragmented Freebase-like graph, the indexed
-// one-sided searches must match a plain reference walk over the index
-// CSR in visit order, counters and charges, the index's layout
+// PathIndex conformance across all nine engines: every indexed BFS /
+// shortest-path answer must equal the reference frontier answer on a
+// cyclic multi-component graph (components and landmarks both exercised)
+// and on the repository benchmark's fragmented Freebase-like graph, the
+// indexed BFS must match a plain reference walk over the index CSR in
+// visit order, counters and charges, the index's layout
 // invariants must hold, the index must invalidate with a typed status
 // when a commit publishes a new epoch, and a governor trip during build
 // must leave the engine fully usable on the frontier path. The
@@ -33,7 +32,6 @@ namespace gdbmicro {
 namespace {
 
 using query::BreadthFirst;
-using query::KHopReachable;
 using query::PathMode;
 using query::ShortestPath;
 
@@ -95,17 +93,17 @@ void ExpectLayoutInvariants(const PathIndex& index) {
 
 // Fixture graph — three undirected components, cycles and tendrils:
 //
-//   A:  r0 -> r1 -> r2 -> r3 -> r0   (directed 4-cycle: one SCC)
+//   A:  r0 -> r1 -> r2 -> r3 -> r0   (directed 4-cycle)
 //       r0 -> r2                     (chord)
 //       r0 -> r1                     (parallel edge)
 //       r2 -> r2                     (self-loop)
-//       r1 -> a0 -> a1               (DAG tail)
-//   B:  b0 -> b1 -> b2, b2 -> b1     ({b1, b2} is an SCC)
+//       r1 -> a0 -> a1               (tail)
+//   B:  b0 -> b1 -> b2, b2 -> b1     (2-cycle)
 //   C:  c0                           (isolated)
 //
-// 10 vertices, 6 SCCs, 3 components — small enough that the
-// cost-model-on ctest leg stays fast, rich enough that every index tier
-// (condensation, intervals, components, landmarks) decides something.
+// 10 vertices, 3 components — small enough that the cost-model-on ctest
+// leg stays fast, rich enough that every index tier (components,
+// landmarks, bidirectional search) decides something.
 class PathIndexTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -186,11 +184,9 @@ TEST_P(PathIndexTest, BuildStatsDescribeTheGraph) {
   const PathIndexStats& st = index->stats();
   EXPECT_EQ(st.vertices, 10u);
   EXPECT_EQ(st.edges, 12u);
-  EXPECT_EQ(st.sccs, 6u);  // {r0..r3}, {a0}, {a1}, {b0}, {b1,b2}, {c0}
   EXPECT_EQ(st.components, 3u);
   EXPECT_GT(st.landmarks, 0);
   EXPECT_GT(st.bytes, 0u);
-  EXPECT_FALSE(index->Describe().empty());
 }
 
 TEST_P(PathIndexTest, LayoutInvariantsHold) {
@@ -206,18 +202,16 @@ TEST_P(PathIndexTest, LayoutInvariantsHold) {
   EXPECT_EQ(ids, std::set<VertexId>(all_.begin(), all_.end()));
 
   // Resident bytes are exactly the live arrays: id map, ordinal -> id,
-  // the single CSR (2V+1 offsets, one slot per edge and direction), SCC
-  // ids, the condensation DAG (3 cross-SCC edges here), 3 labelings of
-  // intervals, component ids and offsets, landmark ordinals, and one
-  // 64-byte landmark row per vertex.
+  // the single CSR (2V+1 offsets, one slot per edge and direction),
+  // component ids and offsets, landmark ordinals, and one 64-byte
+  // landmark row per vertex.
   const PathIndexStats& st = index->stats();
-  const uint64_t v = st.vertices, e = st.edges, sccs = st.sccs;
+  const uint64_t v = st.vertices, e = st.edges;
   const uint64_t dense_bound = engine_->VertexIdUpperBound();
   const uint64_t id_map = dense_bound > 0 ? dense_bound * sizeof(uint32_t)
                                           : v * (sizeof(VertexId) + 4);
   const uint64_t want =
       id_map + v * sizeof(VertexId) + (2 * v + 1) * 8 + 2 * e * 4 + v * 4 +
-      (sccs + 1) * 8 + 3 * 4 + 3 * sccs * 8 + v * 4 +
       (st.components + 1) * 4 + st.landmarks * 4 + v * 64;
   EXPECT_EQ(st.bytes, want);
   EXPECT_EQ(sizeof(PathIndex::LandmarkRow), 64u);
@@ -282,52 +276,30 @@ TEST_P(PathIndexTest, IndexedShortestPathAgreesOnAllPairs) {
   }
 }
 
-TEST_P(PathIndexTest, KHopReachableAgreesAcrossDirectionsAndBudgets) {
-  for (VertexId src : all_) {
-    for (VertexId dst : all_) {
-      for (Direction dir :
-           {Direction::kBoth, Direction::kOut, Direction::kIn}) {
-        for (int k : {0, 1, 2, 3, -1}) {
-          auto indexed = KHopReachable(*engine_, *session_, src, dst, dir, k,
-                                       std::nullopt, never_, PathMode::kAuto);
-          auto frontier =
-              KHopReachable(*engine_, *session_, src, dst, dir, k,
-                            std::nullopt, never_, PathMode::kFrontierOnly);
-          ASSERT_TRUE(indexed.ok()) << indexed.status();
-          ASSERT_TRUE(frontier.ok()) << frontier.status();
-          EXPECT_EQ(indexed->reachable, frontier->reachable)
-              << src << " -> " << dst << " dir " << static_cast<int>(dir)
-              << " k " << k << " (route " << indexed->stats.route << ")";
-        }
-      }
-    }
-  }
-}
+TEST_P(PathIndexTest, LandmarkBoundsAnswerShortPathNegatives) {
+  // r0 - r1 - a0 - a1 is the shortest undirected path. The landmark at a1
+  // bounds the distance at 3, which exceeds a depth budget of 1: a
+  // certain negative without a search.
+  auto bounded = ShortestPath(*engine_, *session_, r_[0], a_[1], std::nullopt,
+                              1, never_, PathMode::kAuto);
+  ASSERT_TRUE(bounded.ok()) << bounded.status();
+  EXPECT_FALSE(bounded->found);
+  EXPECT_STREQ(bounded->stats.route, "index-landmark");
+  EXPECT_EQ(bounded->stats.expanded, 0u);
+  auto frontier = ShortestPath(*engine_, *session_, r_[0], a_[1],
+                               std::nullopt, 1, never_,
+                               PathMode::kFrontierOnly);
+  ASSERT_TRUE(frontier.ok()) << frontier.status();
+  EXPECT_FALSE(frontier->found);
 
-TEST_P(PathIndexTest, DirectedCertainAnswersComeFromTheIndex) {
-  // a1 cannot reach the ring (all its edges point away from it): the
-  // interval labels refute containment without any search.
-  auto neg = KHopReachable(*engine_, *session_, a_[1], r_[0], Direction::kOut,
-                           -1, std::nullopt, never_);
-  ASSERT_TRUE(neg.ok());
-  EXPECT_FALSE(neg->reachable);
-  EXPECT_TRUE(neg->stats.used_index);
-  EXPECT_EQ(neg->stats.expanded, 0u);
-
-  // Same-SCC pairs are a certain yes.
-  auto pos = KHopReachable(*engine_, *session_, r_[0], r_[3], Direction::kOut,
-                           -1, std::nullopt, never_);
-  ASSERT_TRUE(pos.ok());
-  EXPECT_TRUE(pos->reachable);
-  EXPECT_STREQ(pos->stats.route, "index-interval");
-
-  // Cross-component shortest path: certain negative from components.
-  auto cross = ShortestPath(*engine_, *session_, r_[0], b_[0], std::nullopt,
-                            30, never_);
-  ASSERT_TRUE(cross.ok());
-  EXPECT_FALSE(cross->found);
-  EXPECT_STREQ(cross->stats.route, "index-component");
-  EXPECT_EQ(cross->stats.expanded, 0u);
+  // With room for the three hops the bidirectional search finds it.
+  auto found = ShortestPath(*engine_, *session_, r_[0], a_[1], std::nullopt,
+                            3, never_, PathMode::kAuto);
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_TRUE(found->found);
+  EXPECT_STREQ(found->stats.route, "index-bidir");
+  EXPECT_EQ(found->path.size(), 4u);
+  ExpectValidPath(found->path, r_[0], a_[1]);
 }
 
 TEST_P(PathIndexTest, EdgeCaseSemanticsAgree) {
@@ -356,6 +328,10 @@ TEST_P(PathIndexTest, EdgeCaseSemanticsAgree) {
     ASSERT_TRUE(un.ok());
     EXPECT_FALSE(un->found);
     EXPECT_TRUE(un->path.empty());
+    if (mode == PathMode::kAuto) {
+      EXPECT_STREQ(un->stats.route, "index-component");
+      EXPECT_EQ(un->stats.expanded, 0u);
+    }
   }
   // Unknown start id: the indexed route must defer to the engine's
   // missing-vertex semantics (whatever they are, both modes agree).
@@ -513,12 +489,6 @@ TEST_P(PathIndexTest, ConcurrentSessionsShareOneIndex) {
         if (!sp.ok() || !sp->found || sp->path.size() != want_sp_len) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
-        auto reach = KHopReachable(*engine_, *session, b_[0], c_,
-                                   Direction::kBoth, -1, std::nullopt, never,
-                                   PathMode::kAuto);
-        if (!reach.ok() || reach->reachable) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
       }
     });
   }
@@ -542,7 +512,6 @@ TEST_P(PathIndexTest, ConcurrentSessionsShareOneIndex) {
 struct PairAnswers {
   std::vector<std::set<uint64_t>> bfs;  // per pair, depths 2..5
   std::vector<int> sp_hops;             // per pair; -1 when not found
-  std::vector<bool> reach;              // per pair, 3 directions x 2 budgets
   std::map<std::string, int> sp_routes;
 };
 
@@ -595,15 +564,6 @@ void CollectAnswers(const GraphEngine& engine, QuerySession& session,
     } else {
       ASSERT_TRUE(sp->path.empty());
     }
-
-    for (Direction dir : {Direction::kBoth, Direction::kOut, Direction::kIn}) {
-      for (int hops : {3, -1}) {
-        auto reach = KHopReachable(engine, session, src, dst, dir, hops,
-                                   std::nullopt, never, mode);
-        ASSERT_TRUE(reach.ok()) << reach.status();
-        out->reach.push_back(reach->reachable);
-      }
-    }
   }
 }
 
@@ -647,58 +607,45 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
             << "BFS depth " << d + 2;
       }
       ASSERT_EQ(indexed.sp_hops[i], reference.sp_hops[i]);
-      for (int k = 0; k < 6; ++k) {
-        ASSERT_EQ(indexed.reach[i * 6 + k], reference.reach[i * 6 + k])
-            << "direction " << k / 2
-            << (k % 2 == 0 ? ", 3 hops" : ", unbounded");
-      }
     }
   }
 }
 
-// Reference walks for the indexed one-sided searches: a plain
-// level-synchronous BFS over the index's own CSR, written out here slot by
-// slot, which the indexed BreadthFirst and the bounded directed
-// KHopReachable must match in everything they report — visit order,
-// depth reached, vertices expanded and governor charges — on the `reach`
-// graph shape. The indexed kernels stamp and queue every slot without
+// Reference walks for the indexed BFS: a plain level-synchronous BFS over
+// the index's own CSR, written out here slot by slot, which the indexed
+// BreadthFirst must match in everything it reports — visit order, depth
+// reached, vertices expanded and governor charges — on the `reach` graph
+// shape. The indexed kernel stamps and queues every slot without
 // branching on whether it is new, so a slot read once the whole component
 // is stored is written one past the component (the queue's spare slot);
 // the sweep covers such starts, and reruns each on a fresh session, whose
 // queue is allocated to exactly the size the search asks for, so an
 // undersized queue shows under ASan.
 
-/// What a one-sided search over the index CSR reports.
+/// What a BFS over the index CSR reports.
 struct ReferenceWalk {
   std::vector<VertexId> visited;  // reached vertices, in visit order
   int depth_reached = 0;
   uint64_t expanded = 0;
-  bool found = false;
   uint64_t spare_slot_writes = 0;  // slots read with the component stored
 };
 
-/// BFS from `root` through `neighbors` for at most `max_depth` levels.
-/// Without a target it stops at the level boundary where the root's
-/// whole component is stored; with one, at the target's first sighting.
-template <typename Neighbors>
-ReferenceWalk WalkIndex(const PathIndex& index, uint32_t root, int max_depth,
-                        uint32_t target, Neighbors neighbors) {
+/// BFS from `root` through `BothNeighbors` for at most `max_depth`
+/// levels; it stops at the level boundary where the root's whole
+/// component is stored.
+ReferenceWalk WalkIndex(const PathIndex& index, uint32_t root, int max_depth) {
   ReferenceWalk walk;
   std::set<uint32_t> stored{root};
   std::vector<uint32_t> frontier{root};
   const uint64_t component = index.ComponentSize(root);
   for (int depth = 0; depth < max_depth && !frontier.empty(); ++depth) {
-    if (target == PathIndex::kNoOrd && stored.size() == component) break;
+    if (stored.size() == component) break;
     std::vector<uint32_t> next;
     for (uint32_t v : frontier) {
       ++walk.expanded;
-      for (uint32_t w : neighbors(v)) {
+      for (uint32_t w : index.BothNeighbors(v)) {
         if (stored.size() == component) ++walk.spare_slot_writes;
         if (!stored.insert(w).second) continue;
-        if (w == target) {
-          walk.found = true;
-          return walk;
-        }
         next.push_back(w);
         walk.visited.push_back(index.IdOf(w));
       }
@@ -730,25 +677,21 @@ TEST(PathIndexWorkloadTest, IndexedSearchesMatchReferenceWalks) {
     ASSERT_TRUE(mapping.ok()) << mapping.status();
     ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
     const PathIndex& index = *(*engine)->path_index();
-    auto both = [&](uint32_t v) { return index.BothNeighbors(v); };
-    auto out = [&](uint32_t v) { return index.OutNeighbors(v); };
     auto session = (*engine)->CreateSession();
     datasets::Workload workload(&*data, &*mapping, /*seed=*/42);
     CancelToken never;
 
-    int spare_slot_searches = 0, directed_walks = 0;
+    int spare_slot_searches = 0;
     VertexId budget_start = kInvalidId;
     ReferenceWalk budget_golden;
     for (int i = 0; i < kPairs; ++i) {
-      auto [src, dst] = workload.PathEndpoints(i);
+      const VertexId src = workload.PathEndpoints(i).first;
       SCOPED_TRACE(::testing::Message() << "pair " << i);
-      const uint32_t s = index.OrdOf(src), t = index.OrdOf(dst);
+      const uint32_t s = index.OrdOf(src);
       ASSERT_NE(s, PathIndex::kNoOrd);
-      ASSERT_NE(t, PathIndex::kNoOrd);
       for (int depth = 0; depth <= 6; ++depth) {
         SCOPED_TRACE(::testing::Message() << "depth " << depth);
-        const ReferenceWalk want =
-            WalkIndex(index, s, depth, PathIndex::kNoOrd, both);
+        const ReferenceWalk want = WalkIndex(index, s, depth);
         CancelToken ledger =
             CancelToken::WithLimits(std::chrono::nanoseconds(0), kAmpleBudget);
         auto bfs = BreadthFirst(**engine, *session, src, depth, std::nullopt,
@@ -773,30 +716,8 @@ TEST(PathIndexWorkloadTest, IndexedSearchesMatchReferenceWalks) {
           budget_golden = want;
         }
       }
-      for (Direction dir : {Direction::kOut, Direction::kIn}) {
-        // KHopReachable phrases kIn as out-reachability from the far end.
-        const uint32_t a = dir == Direction::kOut ? s : t;
-        const uint32_t b = dir == Direction::kOut ? t : s;
-        for (int hops = 1; hops <= 6; ++hops) {
-          SCOPED_TRACE(::testing::Message() << "direction "
-                                            << static_cast<int>(dir)
-                                            << ", hops " << hops);
-          auto reach = KHopReachable(**engine, *session, src, dst, dir, hops,
-                                     std::nullopt, never,
-                                     PathMode::kAuto);
-          ASSERT_TRUE(reach.ok()) << reach.status();
-          const bool trivial = src == dst;
-          const ReferenceWalk want = WalkIndex(index, a, hops, b, out);
-          EXPECT_EQ(reach->reachable, trivial || want.found);
-          if (std::string(reach->stats.route) == "index-csr-bfs") {
-            ++directed_walks;
-            EXPECT_EQ(reach->stats.expanded, want.expanded);
-          }
-        }
-      }
     }
     EXPECT_GT(spare_slot_searches, 0) << "no search wrote the spare slot";
-    EXPECT_GT(directed_walks, 0) << "no bounded directed walk ran";
 
     // A budget one vertex short of the BFS's total trips on both routes,
     // and the session then still returns the golden answer.

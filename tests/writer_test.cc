@@ -46,25 +46,6 @@ TEST(EpochManagerTest, PublishAdvancesTheEpoch) {
   epochs.Unpin(1);
 }
 
-TEST(EpochManagerTest, RetireRunsImmediatelyWhenUnpinned) {
-  EpochManager epochs;
-  bool ran = false;
-  epochs.Retire(0, [&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(epochs.reclaimed(), 1u);
-}
-
-TEST(EpochManagerTest, RetireDefersUntilLastPinDrops) {
-  EpochManager epochs;
-  uint64_t e = epochs.Pin();
-  std::atomic<bool> ran{false};
-  epochs.Retire(e, [&] { ran = true; });
-  EXPECT_FALSE(ran.load());  // a reader still pins the epoch
-  epochs.Unpin(e);
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(epochs.reclaimed(), 1u);
-}
-
 TEST(EpochManagerTest, WriterWaitsForPinnedReadersToDrain) {
   EpochManager epochs;
   uint64_t e = epochs.Pin();
