@@ -241,11 +241,13 @@ std::vector<QuerySpec> BuildComplexCatalog() {
              query::BreadthFirst(*ctx.engine, *ctx.session, p, 3, std::string("knows"),
                                  ctx.cancel));
          std::vector<std::pair<std::string, VertexId>> named;
+         PropertyValue last;
          for (VertexId v : bfs.visited) {
-           GDB_ASSIGN_OR_RETURN(VertexRecord rec, ctx.engine->GetVertex(*ctx.session, v));
-           const PropertyValue* last = FindProperty(rec.properties, "lastName");
-           named.emplace_back(last != nullptr ? last->ToString() : "",
-                              v);
+           GDB_ASSIGN_OR_RETURN(
+               bool has_last,
+               ctx.engine->ReadVertexProperty(*ctx.session, v, "lastName",
+                                              &last));
+           named.emplace_back(has_last ? last.ToString() : "", v);
          }
          std::sort(named.begin(), named.end());
          uint64_t top = std::min<uint64_t>(10, named.size());

@@ -71,8 +71,9 @@ bool BitmapEngine::EraseAttr(uint64_t oid, std::string_view name) {
 }
 
 PropertyMap BitmapEngine::MaterializeAttrs(uint64_t oid) const {
-  // Attribute storage is columnar: materializing an object probes every
-  // attribute structure (the architectural cost of this layout).
+  // Attribute storage is columnar: materializing a whole object probes
+  // every attribute structure (the architectural cost of this layout for
+  // GetVertex/GetEdge). A one-key read probes one column (ReadAttr).
   PropertyMap props;
   for (const auto& [name, col] : columns_) {
     if (const PropertyValue* v = col.values.Get(oid)) {
@@ -80,6 +81,16 @@ PropertyMap BitmapEngine::MaterializeAttrs(uint64_t oid) const {
     }
   }
   return props;
+}
+
+bool BitmapEngine::ReadAttr(uint64_t oid, std::string_view name,
+                            PropertyValue* out) const {
+  auto col = columns_.find(name);
+  if (col == columns_.end()) return false;
+  const PropertyValue* v = col->second.values.Get(oid);
+  if (v == nullptr) return false;
+  *out = *v;
+  return true;
 }
 
 // --- CRUD ---------------------------------------------------------------------
@@ -229,6 +240,20 @@ Result<EdgeRecord> BitmapEngine::GetEdge(QuerySession& /*session*/, EdgeId id) c
   rec.label = labels_.Get(*edge_label_.Get(id));
   rec.properties = MaterializeAttrs(id);
   return rec;
+}
+
+Result<bool> BitmapEngine::ReadVertexProperty(QuerySession& /*session*/,
+                                              VertexId id, std::string_view key,
+                                              PropertyValue* out) const {
+  if (!vertices_.Contains(id)) return Status::NotFound("vertex not found");
+  return ReadAttr(id, key, out);
+}
+
+Result<bool> BitmapEngine::ReadEdgeProperty(QuerySession& /*session*/,
+                                            EdgeId id, std::string_view key,
+                                            PropertyValue* out) const {
+  if (!edges_.Contains(id)) return Status::NotFound("edge not found");
+  return ReadAttr(id, key, out);
 }
 
 Result<uint64_t> BitmapEngine::CountVertices(QuerySession& /*session*/, const CancelToken&) const {

@@ -72,6 +72,14 @@ class BitmapEngine : public GraphEngine {
 
   Result<VertexRecord> GetVertex(QuerySession& session, VertexId id) const override;
   Result<EdgeRecord> GetEdge(QuerySession& session, EdgeId id) const override;
+  /// One probe of the key's attribute column (oid -> value); the other
+  /// columns are not touched.
+  Result<bool> ReadVertexProperty(QuerySession& session, VertexId id,
+                                  std::string_view key,
+                                  PropertyValue* out) const override;
+  Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                std::string_view key,
+                                PropertyValue* out) const override;
   Result<uint64_t> CountVertices(QuerySession& session, const CancelToken& cancel) const override;
   Result<uint64_t> CountEdges(QuerySession& session, const CancelToken& cancel) const override;
 
@@ -142,6 +150,9 @@ class BitmapEngine : public GraphEngine {
   void SetAttr(uint64_t oid, std::string_view name, const PropertyValue& v);
   bool EraseAttr(uint64_t oid, std::string_view name);
   PropertyMap MaterializeAttrs(uint64_t oid) const;
+  // The value of attribute `name` of `oid` copied into *out; false when
+  // the object does not carry it.
+  bool ReadAttr(uint64_t oid, std::string_view name, PropertyValue* out) const;
 
   Status RemoveEdgeInternal(EdgeId e);
 

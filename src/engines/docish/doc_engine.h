@@ -104,6 +104,15 @@ class DocEngine : public GraphEngine {
 
   Result<VertexRecord> GetVertex(QuerySession& session, VertexId id) const override;
   Result<EdgeRecord> GetEdge(QuerySession& session, EdgeId id) const override;
+  /// The REST round trip and fault intercept of GetVertex/GetEdge, then
+  /// the document read in place and validated whole, with only the key's
+  /// value decoded.
+  Result<bool> ReadVertexProperty(QuerySession& session, VertexId id,
+                                  std::string_view key,
+                                  PropertyValue* out) const override;
+  Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                std::string_view key,
+                                PropertyValue* out) const override;
   Result<uint64_t> CountVertices(QuerySession& session, const CancelToken& cancel) const override;
   // CountEdges intentionally uses the default (scan + parse every
   // document): the paper's Gremlin adapter materialized all edges.
@@ -150,6 +159,11 @@ class DocEngine : public GraphEngine {
   // DecodeEdgeDoc): every byte is read and validated, and the properties
   // are materialized only into a non-null `props`.
   Status ReadEdgeDoc(EdgeId id, EdgeDocFields* out, PropertyMap* props) const;
+
+  // The REST round trip of one GetVertex/GetEdge call, which the probes
+  // pay in its place: the call charge, then the call's fault intercept.
+  Status GetVertexCall() const;
+  Status GetEdgeCall() const;
 
   // Edge removal without the REST charge (shared by RemoveVertex).
   Status RemoveEdgeNoCharge_(EdgeId e);

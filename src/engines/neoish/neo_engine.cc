@@ -412,6 +412,29 @@ PropertyMap NeoEngine::MaterializeProps(uint64_t head) const {
   return props;
 }
 
+bool NeoEngine::ChainProperty(uint64_t head, uint32_t key_id,
+                              PropertyValue* out) const {
+  if (key_id == Dictionary::kNoId) return false;
+  uint64_t rec_id = head;
+  while (rec_id != kNilLink) {
+    auto payload = prop_store_.Read(rec_id);
+    if (!payload.ok()) break;
+    PropRecView v = ParsePropRec(*payload);
+    if (v.key == key_id) {
+      std::string_view encoded;
+      if (!v.overflow) {
+        encoded = std::string_view(v.inline_data, v.len);
+      } else if (auto blob = string_store_.Read(v.overflow_id); blob.ok()) {
+        encoded = *blob;
+      }
+      size_t pos = 0;
+      if (PropertyValue::DecodeInto(encoded, &pos, out).ok()) return true;
+    }
+    rec_id = v.next;
+  }
+  return false;
+}
+
 void NeoEngine::FreePropChain(uint64_t head) {
   uint64_t rec_id = head;
   while (rec_id != kNilLink) {
@@ -496,11 +519,10 @@ Status NeoEngine::SetVertexProperty(VertexId v, std::string_view name,
   if (!node_store_.IsLive(v)) return Status::NotFound("vertex not found");
   NodeRec n = ReadNode(v);
   // Maintain any index on this property.
-  if (!indexes_.empty()) {
-    PropertyMap old = MaterializeProps(n.first_prop);
-    if (const PropertyValue* prev = FindProperty(old, name)) {
-      IndexErase(name, *prev, v);
-    }
+  PropertyValue prev;
+  if (!indexes_.empty() &&
+      ChainProperty(n.first_prop, keys_.Lookup(name), &prev)) {
+    IndexErase(name, prev, v);
   }
   GDB_RETURN_IF_ERROR(ChainSetProperty(&n.first_prop, name, value));
   WriteNode(v, n);
@@ -660,6 +682,22 @@ Result<EdgeRecord> NeoEngine::GetEdge(QuerySession& /*session*/, EdgeId id) cons
   return rec;
 }
 
+Result<bool> NeoEngine::ReadVertexProperty(QuerySession& /*session*/,
+                                           VertexId id, std::string_view key,
+                                           PropertyValue* out) const {
+  wrapper_cost_.ChargeCall();
+  if (!node_store_.IsLive(id)) return Status::NotFound("vertex not found");
+  return ChainProperty(ReadNode(id).first_prop, keys_.Lookup(key), out);
+}
+
+Result<bool> NeoEngine::ReadEdgeProperty(QuerySession& /*session*/, EdgeId id,
+                                         std::string_view key,
+                                         PropertyValue* out) const {
+  wrapper_cost_.ChargeCall();
+  if (!edge_store_.IsLive(id)) return Status::NotFound("edge not found");
+  return ChainProperty(ReadEdge(id).first_prop, keys_.Lookup(key), out);
+}
+
 Result<uint64_t> NeoEngine::CountVertices(QuerySession& session, const CancelToken& cancel) const {
   if (v30_) return node_store_.LiveCount();  // 3.x count store
   return GraphEngine::CountVertices(session, cancel);
@@ -691,16 +729,18 @@ Result<std::vector<VertexId>> NeoEngine::FindVerticesByProperty(QuerySession& se
     if (cancelled) return cancel.ToStatus();
     return out;
   }
-  // Unindexed: one scan over the node store with in-engine property
-  // materialization (the wrapper charge applies once per query, not per
+  // Unindexed: one scan over the node store, each node's property chain
+  // walked to the key (the wrapper charge applies once per query, not per
   // record — the scan runs inside the server).
   wrapper_cost_.ChargeCall();
+  const uint32_t key_id = keys_.Lookup(prop);
   std::vector<VertexId> out;
+  PropertyValue probe;
   GDB_RETURN_IF_ERROR(ScanVertices(session, cancel, [&](VertexId id) {
-    NodeRec n = ReadNode(id);
-    PropertyMap props = MaterializeProps(n.first_prop);
-    const PropertyValue* p = FindProperty(props, prop);
-    if (p != nullptr && *p == value) out.push_back(id);
+    if (ChainProperty(ReadNode(id).first_prop, key_id, &probe) &&
+        probe == value) {
+      out.push_back(id);
+    }
     return true;
   }));
   return out;
@@ -710,14 +750,16 @@ Result<std::vector<EdgeId>> NeoEngine::FindEdgesByProperty(QuerySession& /*sessi
     std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
   wrapper_cost_.ChargeCall();
+  const uint32_t key_id = keys_.Lookup(prop);
   std::vector<EdgeId> out;
+  PropertyValue probe;
   for (uint64_t id = 0; id < edge_store_.SlotCount(); ++id) {
     GDB_CHECK_CANCEL(cancel);
     if (!edge_store_.IsLive(id)) continue;
-    EdgeRec e = ReadEdge(id);
-    PropertyMap props = MaterializeProps(e.first_prop);
-    const PropertyValue* p = FindProperty(props, prop);
-    if (p != nullptr && *p == value) out.push_back(id);
+    if (ChainProperty(ReadEdge(id).first_prop, key_id, &probe) &&
+        probe == value) {
+      out.push_back(id);
+    }
   }
   return out;
 }
@@ -806,11 +848,10 @@ Status NeoEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   wrapper_cost_.ChargeWrite();
   if (!node_store_.IsLive(v)) return Status::NotFound("vertex not found");
   NodeRec n = ReadNode(v);
-  if (!indexes_.empty()) {
-    PropertyMap old = MaterializeProps(n.first_prop);
-    if (const PropertyValue* prev = FindProperty(old, name)) {
-      IndexErase(name, *prev, v);
-    }
+  PropertyValue prev;
+  if (!indexes_.empty() &&
+      ChainProperty(n.first_prop, keys_.Lookup(name), &prev)) {
+    IndexErase(name, prev, v);
   }
   GDB_RETURN_IF_ERROR(ChainRemoveProperty(&n.first_prop, name));
   WriteNode(v, n);
@@ -925,11 +966,11 @@ Status NeoEngine::CreateVertexPropertyIndex(std::string_view prop) {
   BTree<PropertyValue, VertexId>& index = indexes_[key];
   CancelToken never;
   std::unique_ptr<QuerySession> session = CreateSession();
+  const uint32_t key_id = keys_.Lookup(prop);
+  PropertyValue value;
   return ScanVertices(*session, never, [&](VertexId id) {
-    NodeRec n = ReadNode(id);
-    PropertyMap props = MaterializeProps(n.first_prop);
-    if (const PropertyValue* v = FindProperty(props, prop)) {
-      index.Insert(*v, id);
+    if (ChainProperty(ReadNode(id).first_prop, key_id, &value)) {
+      index.Insert(value, id);
     }
     return true;
   });

@@ -53,6 +53,14 @@ class NeoEngine : public GraphEngine {
 
   Result<VertexRecord> GetVertex(QuerySession& session, VertexId id) const override;
   Result<EdgeRecord> GetEdge(QuerySession& session, EdgeId id) const override;
+  /// Walks the element's property chain to the key: key ids are compared
+  /// per record and only the matching record is decoded.
+  Result<bool> ReadVertexProperty(QuerySession& session, VertexId id,
+                                  std::string_view key,
+                                  PropertyValue* out) const override;
+  Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                std::string_view key,
+                                PropertyValue* out) const override;
   Result<uint64_t> CountVertices(QuerySession& session, const CancelToken& cancel) const override;
   Result<uint64_t> CountEdges(QuerySession& session, const CancelToken& cancel) const override;
   Result<std::vector<VertexId>> FindVerticesByProperty(QuerySession& session, 
@@ -168,6 +176,11 @@ class NeoEngine : public GraphEngine {
                           const PropertyValue& value);
   Status ChainRemoveProperty(uint64_t* head, std::string_view name);
   PropertyMap MaterializeProps(uint64_t head) const;
+  // Walks the chain at `head` to the first record of key `key_id` and
+  // decodes only that record's value into *out; false when no record
+  // carries the key (always for Dictionary::kNoId). A record whose value
+  // does not decode is passed over, as MaterializeProps drops it.
+  bool ChainProperty(uint64_t head, uint32_t key_id, PropertyValue* out) const;
   void FreePropChain(uint64_t head);
 
   // Attribute index maintenance.

@@ -372,6 +372,25 @@ Result<EdgeRecord> OrientEngine::GetEdge(QuerySession& /*session*/, EdgeId id) c
   return rec;
 }
 
+Result<bool> OrientEngine::ReadVertexProperty(QuerySession& /*session*/,
+                                              VertexId id, std::string_view key,
+                                              PropertyValue* out) const {
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, vertex_store_.Read(id));
+  size_t pos = 0;
+  GDB_RETURN_IF_ERROR(GetVarint64(blob, &pos).status());  // label
+  return ReadEncodedProperty(blob, &pos, key, out);
+}
+
+Result<bool> OrientEngine::ReadEdgeProperty(QuerySession& /*session*/,
+                                            EdgeId id, std::string_view key,
+                                            PropertyValue* out) const {
+  GDB_ASSIGN_OR_RETURN(std::string_view blob, ReadEdgeRecord(id));
+  size_t pos = 0;
+  GDB_RETURN_IF_ERROR(GetVarint64(blob, &pos).status());  // src
+  GDB_RETURN_IF_ERROR(GetVarint64(blob, &pos).status());  // dst
+  return ReadEncodedProperty(blob, &pos, key, out);
+}
+
 Result<std::vector<std::string>> OrientEngine::DistinctEdgeLabels(QuerySession& /*session*/, 
     const CancelToken& cancel) const {
   // Edge classes are schema objects: one per cluster. Still cooperative —

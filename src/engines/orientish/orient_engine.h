@@ -49,6 +49,14 @@ class OrientEngine : public GraphEngine {
 
   Result<VertexRecord> GetVertex(QuerySession& session, VertexId id) const override;
   Result<EdgeRecord> GetEdge(QuerySession& session, EdgeId id) const override;
+  /// Reads the record in place and skip-walks its property map to the
+  /// key; only the key's value is decoded.
+  Result<bool> ReadVertexProperty(QuerySession& session, VertexId id,
+                                  std::string_view key,
+                                  PropertyValue* out) const override;
+  Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                std::string_view key,
+                                PropertyValue* out) const override;
   Result<std::vector<std::string>> DistinctEdgeLabels(QuerySession& session, 
       const CancelToken& cancel) const override;
   Result<std::vector<EdgeId>> FindEdgesByLabel(QuerySession& session, 

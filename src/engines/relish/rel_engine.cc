@@ -248,6 +248,17 @@ Result<EdgeRecord> RelEngine::GetEdge(QuerySession& /*session*/, EdgeId id) cons
   return rec;
 }
 
+Result<bool> RelEngine::ReadEdgeProperty(QuerySession& /*session*/, EdgeId id,
+                                         std::string_view key,
+                                         PropertyValue* out) const {
+  if (TableOf(id) >= etables_.size()) return Status::NotFound("edge not found");
+  const ETable& t = etables_[TableOf(id)];
+  if (RowOf(id) >= t.rows.size() || !t.rows[RowOf(id)].live) {
+    return Status::NotFound("edge not found");
+  }
+  return CopyProperty(t.rows[RowOf(id)].props, key, out);
+}
+
 Result<std::vector<std::string>> RelEngine::DistinctEdgeLabels(QuerySession& /*session*/,
     const CancelToken& cancel) const {
   // Labels are schema: DISTINCT over table names, a catalog query. Still

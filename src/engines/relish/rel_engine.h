@@ -49,6 +49,12 @@ class RelEngine : public GraphEngine {
 
   Result<VertexRecord> GetVertex(QuerySession& session, VertexId id) const override;
   Result<EdgeRecord> GetEdge(QuerySession& session, EdgeId id) const override;
+  /// Finds the key's column in the row and copies only its value: the
+  /// default Q12 scan probes every edge with it. (Q11 has its own search
+  /// below, so vertices keep the default probe.)
+  Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                std::string_view key,
+                                PropertyValue* out) const override;
   Result<std::vector<std::string>> DistinctEdgeLabels(QuerySession& session, 
       const CancelToken& cancel) const override;
   Result<std::vector<EdgeId>> FindEdgesByLabel(QuerySession& session, 

@@ -374,8 +374,9 @@ Result<std::vector<VertexId>> TripleEngine::FindVerticesByProperty(QuerySession&
   // The Gremlin graph API cannot push the predicate into the SPARQL
   // engine (paper §6.5: "this graph API implementation does not allow it
   // to exploit any of the optimization implemented by the SPARQL query
-  // engine"), so the adapter iterates every vertex and materializes its
-  // statements, paying the journal access layers per batch.
+  // engine"), so the adapter iterates every vertex and probes its one
+  // (vertex, key, value) statement, paying the journal access layers per
+  // batch.
   std::string wanted = "x:";
   value.EncodeTo(&wanted);
   uint64_t kt = LookupTerm("k:" + std::string(prop));

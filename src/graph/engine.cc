@@ -127,19 +127,33 @@ Result<std::vector<std::string>> GraphEngine::DistinctEdgeLabels(
   return std::vector<std::string>(labels.begin(), labels.end());
 }
 
+Result<bool> GraphEngine::ReadVertexProperty(QuerySession& session,
+                                             VertexId id, std::string_view key,
+                                             PropertyValue* out) const {
+  GDB_ASSIGN_OR_RETURN(VertexRecord rec, GetVertex(session, id));
+  return CopyProperty(rec.properties, key, out);
+}
+
+Result<bool> GraphEngine::ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                           std::string_view key,
+                                           PropertyValue* out) const {
+  GDB_ASSIGN_OR_RETURN(EdgeRecord rec, GetEdge(session, id));
+  return CopyProperty(rec.properties, key, out);
+}
+
 Result<std::vector<VertexId>> GraphEngine::FindVerticesByProperty(
     QuerySession& session, std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
   std::vector<VertexId> out;
+  PropertyValue probe;
   Status scan_status = Status::OK();
   GDB_RETURN_IF_ERROR(ScanVertices(session, cancel, [&](VertexId id) {
-    auto rec = GetVertex(session, id);
-    if (!rec.ok()) {
-      scan_status = rec.status();
+    Result<bool> found = ReadVertexProperty(session, id, prop, &probe);
+    if (!found.ok()) {
+      scan_status = found.status();
       return false;
     }
-    const PropertyValue* p = FindProperty(rec->properties, prop);
-    if (p != nullptr && *p == value) out.push_back(id);
+    if (*found && probe == value) out.push_back(id);
     return true;
   }));
   GDB_RETURN_IF_ERROR(scan_status);
@@ -150,15 +164,15 @@ Result<std::vector<EdgeId>> GraphEngine::FindEdgesByProperty(
     QuerySession& session, std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
   std::vector<EdgeId> out;
+  PropertyValue probe;
   Status scan_status = Status::OK();
   GDB_RETURN_IF_ERROR(ScanEdges(session, cancel, [&](const EdgeEnds& e) {
-    auto rec = GetEdge(session, e.id);
-    if (!rec.ok()) {
-      scan_status = rec.status();
+    Result<bool> found = ReadEdgeProperty(session, e.id, prop, &probe);
+    if (!found.ok()) {
+      scan_status = found.status();
       return false;
     }
-    const PropertyValue* p = FindProperty(rec->properties, prop);
-    if (p != nullptr && *p == value) out.push_back(e.id);
+    if (*found && probe == value) out.push_back(e.id);
     return true;
   }));
   GDB_RETURN_IF_ERROR(scan_status);

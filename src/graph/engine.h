@@ -374,6 +374,42 @@ class GraphEngine {
   virtual Result<EdgeRecord> GetEdge(QuerySession& session,
                                      EdgeId id) const = 0;
 
+  // --- Property probes (the has(k, v) / values(k) primitive) -------------
+  //
+  // Reads one property of one element, for every path that tests or
+  // fetches a single key: the default property searches, neo's unindexed
+  // searches, the plan's PropertyFilter and ValuesMap. Contract:
+  //
+  //  * One key: returns true and stores the value of `key` in *out when
+  //    the element carries it — the value FindProperty would find in the
+  //    element's GetVertex/GetEdge record — and false when it does not
+  //    (*out is then unspecified). Keys the layout reserves for itself
+  //    (the document engine's '_' members) are never properties here
+  //    either.
+  //  * A value the caller owns: *out is decoded in place, and a string
+  //    value reuses the buffer *out already holds (see
+  //    PropertyValue::AssignString), so a scan that reuses one value
+  //    allocates only when a string outgrows every earlier one.
+  //  * The charges of the Get* call it replaces: every cost-model charge,
+  //    governor charge and fault-injector intercept GetVertex/GetEdge
+  //    makes for the element, and the same status for a missing element
+  //    (kNotFound). Only in-process work differs: an override reads the
+  //    one key where its layout allows (a property chain walked to the
+  //    key, one attribute column, a record or document read in place)
+  //    instead of building the whole record. The bytes an override reads
+  //    are checked as GetVertex/GetEdge checks them; bytes it does not
+  //    read are not (orient stops at the key's pair, so a record
+  //    truncated after it passes the probe and fails GetVertex/GetEdge).
+  //
+  // The defaults are GetVertex/GetEdge + FindProperty.
+
+  virtual Result<bool> ReadVertexProperty(QuerySession& session, VertexId id,
+                                          std::string_view key,
+                                          PropertyValue* out) const;
+  virtual Result<bool> ReadEdgeProperty(QuerySession& session, EdgeId id,
+                                        std::string_view key,
+                                        PropertyValue* out) const;
+
   /// Q.8 / Q.9. Defaults scan; engines with cheap cardinality override.
   virtual Result<uint64_t> CountVertices(QuerySession& session,
                                          const CancelToken& cancel) const;
@@ -384,8 +420,9 @@ class GraphEngine {
   virtual Result<std::vector<std::string>> DistinctEdgeLabels(
       QuerySession& session, const CancelToken& cancel) const;
 
-  /// Q.11 / Q.12: property equality search. Defaults scan (or use the
-  /// property index when one exists).
+  /// Q.11 / Q.12: property equality search. The defaults scan, probing
+  /// each element with ReadVertexProperty/ReadEdgeProperty; overrides
+  /// use a property index when one exists.
   virtual Result<std::vector<VertexId>> FindVerticesByProperty(
       QuerySession& session, std::string_view prop, const PropertyValue& value,
       const CancelToken& cancel) const;

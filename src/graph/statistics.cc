@@ -146,11 +146,6 @@ GraphStatistics GraphStatistics::Collect(const GraphData& data) {
     s.degrees.in.Add(in);
     s.degrees.both.Add(out + in);
     ++s.degrees.vertices;
-    DegreeStats& per_label = s.label_degrees[v.label];
-    per_label.out.Add(out);
-    per_label.in.Add(in);
-    per_label.both.Add(out + in);
-    ++per_label.vertices;
     for (const auto& [key, value] : v.properties) {
       vprops[key].push_back(value);
     }

@@ -9,9 +9,8 @@
 // through the const GraphEngine::statistics() surface. It holds:
 //
 //  * vertex/edge totals and per-label cardinalities,
-//  * per-direction degree distributions (log2-bucketed), overall and per
-//    vertex label — the expand-fanout and degree-filter selectivity
-//    inputs,
+//  * per-direction degree distributions (log2-bucketed) over all
+//    vertices — the expand-fanout and degree-filter selectivity inputs,
 //  * per-property-key equi-depth histograms over the value domain with a
 //    bounded bucket count — the has(k, v) equality-selectivity input.
 //
@@ -66,8 +65,8 @@ struct PropertyKeyStats {
 };
 
 /// Log2-bucketed degree distribution: bucket 0 counts degree-0 elements,
-/// bucket i >= 1 counts degrees in [2^(i-1), 2^i - 1]. Compact enough to
-/// keep per vertex label, precise enough for degree-filter selectivity.
+/// bucket i >= 1 counts degrees in [2^(i-1), 2^i - 1]. Compact, and
+/// precise enough for degree-filter selectivity.
 struct DegreeHistogram {
   static constexpr int kBuckets = 32;
   std::array<uint64_t, kBuckets> buckets{};
@@ -83,9 +82,9 @@ struct DegreeHistogram {
   double FractionAtLeast(uint64_t k) const;
 };
 
-/// Degree distributions of one vertex label (or of all vertices), split
-/// by direction. kBoth is its own histogram (out + in per vertex), not a
-/// derived sum — degree-filter queries ask for it directly.
+/// Degree distributions of all vertices, split by direction. kBoth is
+/// its own histogram (out + in per vertex), not a derived sum —
+/// degree-filter queries ask for it directly.
 struct DegreeStats {
   uint64_t vertices = 0;
   DegreeHistogram out;
@@ -103,9 +102,8 @@ struct GraphStatistics {
   std::unordered_map<std::string, uint64_t> vertex_label_counts;
   std::unordered_map<std::string, uint64_t> edge_label_counts;
 
-  /// Degree distributions over all vertices and per vertex label.
+  /// Degree distributions over all vertices.
   DegreeStats degrees;
-  std::unordered_map<std::string, DegreeStats> label_degrees;
 
   /// Per-property-key value histograms, separately for vertices/edges.
   std::unordered_map<std::string, PropertyKeyStats> vertex_properties;

@@ -107,7 +107,7 @@ Status DecodeValue(std::string_view in, size_t* pos, PropertyValue* out) {
     case 4: {
       GDB_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in, pos));
       if (*pos + len > in.size()) return Status::Corruption("truncated string");
-      if (out != nullptr) *out = PropertyValue(std::string(in.substr(*pos, len)));
+      if (out != nullptr) out->AssignString(in.substr(*pos, len));
       *pos += len;
       return Status::OK();
     }
@@ -138,11 +138,24 @@ Status DecodeMap(std::string_view in, size_t* pos, PropertyMap* out) {
 
 }  // namespace
 
+void PropertyValue::AssignString(std::string_view s) {
+  if (std::string* held = std::get_if<std::string>(&v_)) {
+    held->assign(s);
+  } else {
+    v_.emplace<std::string>(s);
+  }
+}
+
 Result<PropertyValue> PropertyValue::DecodeFrom(std::string_view in,
                                                 size_t* pos) {
   PropertyValue v;
   GDB_RETURN_IF_ERROR(DecodeValue(in, pos, &v));
   return v;
+}
+
+Status PropertyValue::DecodeInto(std::string_view in, size_t* pos,
+                                 PropertyValue* out) {
+  return DecodeValue(in, pos, out);
 }
 
 Status PropertyValue::SkipEncoded(std::string_view in, size_t* pos) {
@@ -173,16 +186,23 @@ PropertyValue PropertyValue::FromJson(const Json& j) {
   return PropertyValue();
 }
 
-PropertyValue PropertyValue::FromJson(const JsonReader::Value& v) {
+void PropertyValue::FromJson(const JsonReader::Value& v, PropertyValue* out) {
   switch (v.kind) {
     case JsonReader::Kind::kBool:
-      return PropertyValue(v.boolean);
+      out->v_ = v.boolean;
+      return;
     case JsonReader::Kind::kNumber:
-      return v.is_double ? PropertyValue(v.real) : PropertyValue(v.integer);
+      if (v.is_double) {
+        out->v_ = v.real;
+      } else {
+        out->v_ = v.integer;
+      }
+      return;
     case JsonReader::Kind::kString:
-      return PropertyValue(std::string(v.string));
+      out->AssignString(v.string);
+      return;
     default:
-      return PropertyValue();
+      out->v_ = std::monostate{};
   }
 }
 
@@ -192,6 +212,14 @@ const PropertyValue* FindProperty(const PropertyMap& props,
     if (k == name) return &v;
   }
   return nullptr;
+}
+
+bool CopyProperty(const PropertyMap& props, std::string_view name,
+                  PropertyValue* out) {
+  const PropertyValue* p = FindProperty(props, name);
+  if (p == nullptr) return false;
+  *out = *p;
+  return true;
 }
 
 bool SetProperty(PropertyMap* props, std::string_view name,
@@ -223,6 +251,20 @@ Result<PropertyMap> DecodePropertyMap(std::string_view in, size_t* pos) {
 
 Status SkipPropertyMap(std::string_view in, size_t* pos) {
   return DecodeMap(in, pos, nullptr);
+}
+
+Result<bool> ReadEncodedProperty(std::string_view in, size_t* pos,
+                                 std::string_view key, PropertyValue* out) {
+  GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
+  for (uint64_t i = 0; i < n; ++i) {
+    GDB_ASSIGN_OR_RETURN(uint64_t klen, GetVarint64(in, pos));
+    if (*pos + klen > in.size()) return Status::Corruption("truncated key");
+    const bool match = in.substr(*pos, klen) == key;
+    *pos += klen;
+    GDB_RETURN_IF_ERROR(DecodeValue(in, pos, match ? out : nullptr));
+    if (match) return true;
+  }
+  return false;
 }
 
 bool EraseProperty(PropertyMap* props, std::string_view name) {

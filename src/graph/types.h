@@ -62,17 +62,27 @@ class PropertyValue {
   /// Stable hash (used by hash indexes on property values).
   uint64_t Hash() const;
 
+  /// Stores the string `s`. A value that already holds a string keeps its
+  /// buffer, so one value reused across a scan allocates only when a
+  /// string outgrows every earlier one.
+  void AssignString(std::string_view s);
+
   /// Encodes into a compact binary representation (type tag + payload).
   void EncodeTo(std::string* out) const;
   static Result<PropertyValue> DecodeFrom(std::string_view in, size_t* pos);
+  /// DecodeFrom into a caller's value (see AssignString). On an error
+  /// *out is unchanged.
+  static Status DecodeInto(std::string_view in, size_t* pos,
+                           PropertyValue* out);
   /// Skip mode of DecodeFrom: the same tag and truncation checks, and
   /// *pos ends where DecodeFrom's would, but nothing is materialized.
   static Status SkipEncoded(std::string_view in, size_t* pos);
 
   Json ToJson() const;
-  /// Arrays and objects become null.
+  /// Arrays and objects become null. The JsonReader form stores into a
+  /// caller's value (see AssignString).
   static PropertyValue FromJson(const Json& j);
-  static PropertyValue FromJson(const JsonReader::Value& v);
+  static void FromJson(const JsonReader::Value& v, PropertyValue* out);
 
   /// Appends this value's compact JSON rendering to *out — byte-identical
   /// to ToJson().Dump(), but strings stream straight into the buffer
@@ -92,6 +102,11 @@ using PropertyMap = std::vector<std::pair<std::string, PropertyValue>>;
 const PropertyValue* FindProperty(const PropertyMap& props,
                                   std::string_view name);
 
+/// Copies the value FindProperty finds into *out (a string reuses the
+/// buffer *out holds); false when `props` has no `name`.
+bool CopyProperty(const PropertyMap& props, std::string_view name,
+                  PropertyValue* out);
+
 /// Sets (insert-or-overwrite) `name` in `props`. Returns true if inserted.
 bool SetProperty(PropertyMap* props, std::string_view name,
                  PropertyValue value);
@@ -108,6 +123,14 @@ Result<PropertyMap> DecodePropertyMap(std::string_view in, size_t* pos);
 /// Skip mode of DecodePropertyMap: the same truncation and tag checks,
 /// and *pos ends where DecodePropertyMap's would, with no map built.
 Status SkipPropertyMap(std::string_view in, size_t* pos);
+
+/// Probe mode of DecodePropertyMap: walks the encoded map to the first
+/// pair named `key` (the one FindProperty would return), decodes only
+/// its value into *out (see PropertyValue::DecodeInto) and returns true;
+/// false when no pair has that name. The pairs walked are checked as
+/// DecodePropertyMap checks them; the pairs after a match are not read.
+Result<bool> ReadEncodedProperty(std::string_view in, size_t* pos,
+                                 std::string_view key, PropertyValue* out);
 
 /// Fully materialized vertex (what a search-by-id query returns).
 struct VertexRecord {

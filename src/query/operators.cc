@@ -74,6 +74,23 @@ size_t InternPayloadBytes(const ExecContext& ctx, const PropertyValue& v) {
   return ctx.scratch.value_buf.size();
 }
 
+/// Reads property `key` of a vertex or edge row into the session's probe
+/// value: true when the element carries the key, false when it does not
+/// or the row is a value row (which carries no properties).
+Result<bool> ReadRowProperty(const ExecContext& ctx, RowKind kind,
+                             uint64_t row, const std::string& key) {
+  PropertyValue* out = &ctx.scratch.probe_value;
+  switch (kind) {
+    case RowKind::kVertex:
+      return ctx.engine.ReadVertexProperty(ctx.session, row, key, out);
+    case RowKind::kEdge:
+      return ctx.engine.ReadEdgeProperty(ctx.session, row, key, out);
+    case RowKind::kValue:
+      break;
+  }
+  return false;
+}
+
 }  // namespace
 
 Status Operator::Produce(const ExecContext& ctx, OpScratch& state,
@@ -249,18 +266,9 @@ Result<bool> PropertyFilter::Process(const ExecContext& ctx, OpScratch& state,
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   const PropertyValue& value = bound_ ? ctx.params->value : value_;
-  PropertyMap props;
-  if (input_kind() == RowKind::kVertex) {
-    GDB_ASSIGN_OR_RETURN(VertexRecord rec, ctx.engine.GetVertex(ctx.session, row));
-    props = std::move(rec.properties);
-  } else if (input_kind() == RowKind::kEdge) {
-    GDB_ASSIGN_OR_RETURN(EdgeRecord rec, ctx.engine.GetEdge(ctx.session, row));
-    props = std::move(rec.properties);
-  } else {
-    return true;  // value rows carry no properties
-  }
-  const PropertyValue* v = FindProperty(props, key_);
-  if (v != nullptr && *v == value) return sink(row);
+  GDB_ASSIGN_OR_RETURN(bool found,
+                       ReadRowProperty(ctx, input_kind(), row, key_));
+  if (found && ctx.scratch.probe_value == value) return sink(row);
   return true;
 }
 
@@ -330,24 +338,14 @@ Result<bool> ValuesMap::Process(const ExecContext& ctx, OpScratch& state,
                                 uint64_t row, const RowSink& sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
-  PropertyMap props;
-  if (input_kind() == RowKind::kVertex) {
-    GDB_ASSIGN_OR_RETURN(VertexRecord rec, ctx.engine.GetVertex(ctx.session, row));
-    props = std::move(rec.properties);
-  } else if (input_kind() == RowKind::kEdge) {
-    GDB_ASSIGN_OR_RETURN(EdgeRecord rec, ctx.engine.GetEdge(ctx.session, row));
-    props = std::move(rec.properties);
-  } else {
-    return true;
-  }
-  if (const PropertyValue* v = FindProperty(props, key_)) {
-    size_t before = ctx.scratch.pool.size();
-    uint64_t id = InternValue(ctx, *v);
-    GDB_RETURN_IF_ERROR(
-        ChargePoolGrowth(ctx, before, InternPayloadBytes(ctx, *v)));
-    return sink(id);
-  }
-  return true;
+  GDB_ASSIGN_OR_RETURN(bool found,
+                       ReadRowProperty(ctx, input_kind(), row, key_));
+  if (!found) return true;
+  const PropertyValue& v = ctx.scratch.probe_value;
+  size_t before = ctx.scratch.pool.size();
+  uint64_t id = InternValue(ctx, v);
+  GDB_RETURN_IF_ERROR(ChargePoolGrowth(ctx, before, InternPayloadBytes(ctx, v)));
+  return sink(id);
 }
 
 Result<bool> Dedup::Process(const ExecContext& ctx, OpScratch& state,

@@ -167,6 +167,9 @@ struct PlanScratch final : public SessionState {
   ValuePool pool;
   /// Reused render buffer for non-string property values.
   std::string value_buf;
+  /// Reused value PropertyFilter and ValuesMap read one property into
+  /// (GraphEngine::ReadVertexProperty / ReadEdgeProperty).
+  PropertyValue probe_value;
   /// Reused output for count-only consumers (PreparedPlan::RunCount).
   TraversalOutput count_out;
 

@@ -93,11 +93,21 @@ double CardinalityEstimator::Fanout(const LogicalStep& s) const {
     default:
       return 1.0;
   }
-  // A label bound at Run time is unknown here: price at the mean fanout
-  // of a uniformly chosen edge label.
+  // A label bound at Run time is unknown here. The catalog draws it from
+  // the edges (Workload::EdgeLabel), so label l, carried by c_l of the
+  // edges, comes up with probability c_l / sum(c) and then keeps that
+  // share of the mean fanout: the expected fanout is
+  // AvgDegree * sum(c^2) / sum(c)^2.
   if (s.bound) {
-    size_t labels = std::max<size_t>(stats_.edge_label_counts.size(), 1);
-    return stats_.AvgDegree(dir) / static_cast<double>(labels);
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (const auto& [label, count] : stats_.edge_label_counts) {
+      double c = static_cast<double>(count);
+      sum += c;
+      sum_sq += c * c;
+    }
+    if (sum <= 0.0) return 0.0;
+    return stats_.AvgDegree(dir) * sum_sq / (sum * sum);
   }
   if (s.label.has_value()) return stats_.AvgDegree(dir, *s.label);
   return stats_.AvgDegree(dir);

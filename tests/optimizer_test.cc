@@ -305,7 +305,7 @@ const CatalogPlanGolden kCatalogPlanGoldens[] = {
      "    VertexLookup(id=?) ~rows=1\n"},
     {"mico", 24,
      "CountSink ~rows=1\n"
-     "  Expand(both, label=?) ~rows=0\n"
+     "  Expand(both, label=?) ~rows=4\n"
      "    VertexLookup(id=?) ~rows=1\n"},
     {"mico", 25,
      "CountSink ~rows=1\n"
@@ -352,7 +352,7 @@ const CatalogPlanGolden kCatalogPlanGoldens[] = {
      "    VertexLookup(id=?) ~rows=1\n"},
     {"ldbc", 24,
      "CountSink ~rows=1\n"
-     "  Expand(both, label=?) ~rows=1\n"
+     "  Expand(both, label=?) ~rows=2\n"
      "    VertexLookup(id=?) ~rows=1\n"},
     {"ldbc", 25,
      "CountSink ~rows=1\n"
@@ -502,6 +502,48 @@ TEST(CardinalityEstimatorTest, DegreeFractionWithinFactorTwo) {
   EXPECT_DOUBLE_EQ(stats.FractionDegreeAtLeast(Direction::kOut, 1000), 0.0);
   EXPECT_DOUBLE_EQ(stats.AvgDegree(Direction::kOut),
                    static_cast<double>(data.edges.size()) / 100.0);
+}
+
+TEST(CardinalityEstimatorTest, BoundLabelFanoutWeighsLabelsByFrequency) {
+  // A label bound at Run time is drawn from the edges (the catalog's
+  // Workload::EdgeLabel), so a frequent label comes up often and fans
+  // out wide. 10 vertices, 100 edges: 90 "hot", 10 "cold".
+  GraphData data;
+  data.name = "skew";
+  for (int i = 0; i < 10; ++i) data.vertices.push_back({"n", {}});
+  for (uint64_t i = 0; i < 100; ++i) {
+    GraphData::Edge e;
+    e.src = i % 10;
+    e.dst = (i + 1) % 10;
+    e.label = i < 90 ? "hot" : "cold";
+    data.edges.push_back(std::move(e));
+  }
+  GraphStatistics stats = GraphStatistics::Collect(data);
+  CardinalityEstimator est(stats, /*supports_property_index=*/true);
+
+  // both(): 20 edge ends per vertex, 18 "hot" and 2 "cold"; the expected
+  // fanout of a drawn label is 0.9 * 18 + 0.1 * 2 = 16.4, where a
+  // uniformly chosen label would price (18 + 2) / 2 = 10.
+  query::LogicalStep both(query::LogicalOp::kBoth);
+  both.bound = true;
+  EXPECT_DOUBLE_EQ(est.Fanout(both), 16.4);
+  query::LogicalStep out(query::LogicalOp::kOut);
+  out.bound = true;
+  EXPECT_DOUBLE_EQ(est.Fanout(out), 8.2);
+  // A fixed label prices its own fanout.
+  query::LogicalStep hot(query::LogicalOp::kBoth);
+  hot.label = "hot";
+  EXPECT_DOUBLE_EQ(est.Fanout(hot), 18.0);
+
+  // One label: the drawn label is always it. No edges: 0, not 0 / 0.
+  for (GraphData::Edge& e : data.edges) e.label = "only";
+  GraphStatistics one_label = GraphStatistics::Collect(data);
+  CardinalityEstimator one(one_label, /*supports_property_index=*/true);
+  EXPECT_DOUBLE_EQ(one.Fanout(both), 20.0);
+  data.edges.clear();
+  GraphStatistics no_edges = GraphStatistics::Collect(data);
+  CardinalityEstimator none(no_edges, /*supports_property_index=*/true);
+  EXPECT_DOUBLE_EQ(none.Fanout(both), 0.0);
 }
 
 TEST(CardinalityEstimatorTest, ZeroElementLabelsAreTotal) {
