@@ -126,8 +126,6 @@ Json::Object RunMixedSweep(MicroRun& run, const std::vector<int>& sweep,
             {"wal_commits", Json(static_cast<int64_t>(result->wal_commits))},
             {"wal_flushes", Json(static_cast<int64_t>(result->wal_flushes))},
             {"wal_bytes", Json(static_cast<int64_t>(result->wal_bytes))},
-            {"values_separated",
-             Json(static_cast<int64_t>(result->values_separated))},
         });
       }
     }

@@ -391,7 +391,6 @@ Result<ClientsMeasurement> Runner::RunClients(
   out.wal_commits = wal.commits_logged() - wal_commits_before;
   out.wal_flushes = wal.flushes() - wal_flushes_before;
   out.wal_bytes = wal.bytes_logged();
-  out.values_separated = wal.values_separated();
   return out;
 }
 

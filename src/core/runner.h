@@ -164,7 +164,6 @@ struct ClientsMeasurement {
   uint64_t wal_commits = 0;
   uint64_t wal_flushes = 0;
   uint64_t wal_bytes = 0;
-  uint64_t values_separated = 0;
   Status status;             // first non-OK status observed, else OK
   OutcomeCounters outcomes;  // per-class accounting across clients
 

@@ -25,8 +25,9 @@
 //    epoch — sessions created afterwards see the updated graph.
 //  * Write surface. Concurrent-safe writes go through GraphWriter
 //    (src/graph/writer.h): batches are WAL-logged (framed, checksummed,
-//    group-committed) before being applied under the epoch gate, so a
-//    crash mid-commit always recovers to a consistent batch boundary.
+//    one durable write per commit) before being applied under the epoch
+//    gate, so a crash mid-commit always recovers to a consistent batch
+//    boundary.
 //    The raw virtual write methods (AddVertex/AddEdge/Set*/Remove*)
 //    remain the engine primitive layer that GraphWriter and the bulk
 //    loaders drive; calling them directly is legal only when no read

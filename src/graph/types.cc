@@ -93,7 +93,7 @@ Status DecodeValue(std::string_view in, size_t* pos, PropertyValue* out) {
       return Status::OK();
     }
     case 3: {
-      if (*pos + sizeof(double) > in.size()) {
+      if (sizeof(double) > in.size() - *pos) {
         return Status::Corruption("truncated double");
       }
       if (out != nullptr) {
@@ -106,7 +106,7 @@ Status DecodeValue(std::string_view in, size_t* pos, PropertyValue* out) {
     }
     case 4: {
       GDB_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in, pos));
-      if (*pos + len > in.size()) return Status::Corruption("truncated string");
+      if (len > in.size() - *pos) return Status::Corruption("truncated string");
       if (out != nullptr) out->AssignString(in.substr(*pos, len));
       *pos += len;
       return Status::OK();
@@ -124,7 +124,7 @@ Status DecodeMap(std::string_view in, size_t* pos, PropertyMap* out) {
   if (out != nullptr) out->reserve(std::min<uint64_t>(n, in.size() - *pos));
   for (uint64_t i = 0; i < n; ++i) {
     GDB_ASSIGN_OR_RETURN(uint64_t klen, GetVarint64(in, pos));
-    if (*pos + klen > in.size()) return Status::Corruption("truncated key");
+    if (klen > in.size() - *pos) return Status::Corruption("truncated key");
     PropertyValue* value = nullptr;
     if (out != nullptr) {
       out->emplace_back(std::string(in.substr(*pos, klen)), PropertyValue());
@@ -258,7 +258,7 @@ Result<bool> ReadEncodedProperty(std::string_view in, size_t* pos,
   GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
   for (uint64_t i = 0; i < n; ++i) {
     GDB_ASSIGN_OR_RETURN(uint64_t klen, GetVarint64(in, pos));
-    if (*pos + klen > in.size()) return Status::Corruption("truncated key");
+    if (klen > in.size() - *pos) return Status::Corruption("truncated key");
     const bool match = in.substr(*pos, klen) == key;
     *pos += klen;
     GDB_RETURN_IF_ERROR(DecodeValue(in, pos, match ? out : nullptr));

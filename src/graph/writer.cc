@@ -68,9 +68,13 @@ Status ApplyWriteBatch(GraphEngine& engine, const WriteBatch& batch,
                        std::vector<VertexId>* vertex_ids,
                        std::vector<EdgeId>* edge_ids) {
   GDB_RETURN_IF_ERROR(batch.Validate());
-  engine.InvalidatePathIndex(Status::Unavailable(
-      "path index invalidated by direct write (ApplyWriteBatch); rebuild "
-      "via GraphEngine::BuildPathIndex"));
+  // As in GraphWriter::Commit, the reason is only formatted for a live
+  // index: with none, InvalidatePathIndex would discard it.
+  if (engine.path_index() != nullptr) {
+    engine.InvalidatePathIndex(Status::Unavailable(
+        "path index invalidated by direct write (ApplyWriteBatch); rebuild "
+        "via GraphEngine::BuildPathIndex"));
+  }
   std::vector<VertexId> local_vertices;
   std::vector<EdgeId> local_edges;
   return ApplyBatchOps(engine, batch.ops(),
@@ -78,8 +82,7 @@ Status ApplyWriteBatch(GraphEngine& engine, const WriteBatch& batch,
                        edge_ids != nullptr ? edge_ids : &local_edges);
 }
 
-GraphWriter::GraphWriter(GraphEngine* engine, WalOptions options)
-    : engine_(engine), wal_(options) {}
+GraphWriter::GraphWriter(GraphEngine* engine) : engine_(engine) {}
 
 Result<CommitReceipt> GraphWriter::Commit(const WriteBatch& batch) {
   std::lock_guard<std::mutex> lock(commit_mu_);
@@ -124,19 +127,12 @@ Result<CommitReceipt> GraphWriter::Commit(const WriteBatch& batch) {
   return receipt;
 }
 
-Status GraphWriter::Flush() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return wal_.Sync();
-}
-
-Result<RecoveryStats> GraphWriter::Replay(Journal& log, const Journal& values,
-                                          GraphEngine& engine) {
-  return Wal::Recover(
-      log, values, [&engine](const Wal::RecoveredBatch& batch) {
-        std::vector<VertexId> vertex_ids;
-        std::vector<EdgeId> edge_ids;
-        return ApplyBatchOps(engine, batch.ops, &vertex_ids, &edge_ids);
-      });
+Result<RecoveryStats> GraphWriter::Replay(Journal& log, GraphEngine& engine) {
+  return Wal::Recover(log, [&engine](const Wal::RecoveredBatch& batch) {
+    std::vector<VertexId> vertex_ids;
+    std::vector<EdgeId> edge_ids;
+    return ApplyBatchOps(engine, batch.ops, &vertex_ids, &edge_ids);
+  });
 }
 
 }  // namespace gdbmicro

@@ -4,10 +4,10 @@
 // A commit takes a WriteBatch through two phases:
 //
 //   1. Log — the batch is encoded into the WAL (framed, checksummed,
-//      group-committed; see src/storage/wal.h). This runs concurrently
-//      with reader sessions: the store is untouched, so nothing needs to
-//      drain. An IOError here (injected device failure) aborts the commit
-//      with the store unchanged.
+//      appended in one durable write; see src/storage/wal.h). This runs
+//      concurrently with reader sessions: the store is untouched, so
+//      nothing needs to drain. An IOError here (injected device failure)
+//      aborts the commit with the store unchanged.
 //   2. Apply — EpochManager::BeginApply() closes the pin gate and drains
 //      current readers; the ops are applied to the engine in place with
 //      exclusive access, binding the batch's pending handles to real ids;
@@ -62,7 +62,7 @@ Status ApplyWriteBatch(GraphEngine& engine, const WriteBatch& batch,
 
 class GraphWriter {
  public:
-  explicit GraphWriter(GraphEngine* engine, WalOptions options = {});
+  explicit GraphWriter(GraphEngine* engine);
 
   /// Logs and applies `batch` atomically (see the phases above). Remove
   /// ops are idempotent: removing an element that no longer exists is a
@@ -78,14 +78,10 @@ class GraphWriter {
     fault_injector_ = injector;
   }
 
-  /// Flushes staged group-commit frames to the log journal.
-  Status Flush();
-
-  /// Re-applies every complete committed batch in `log` to `engine`,
-  /// resolving separated values from `values`. The engine is mutated
-  /// directly (recovery precedes serving; no epoch gate).
-  static Result<RecoveryStats> Replay(Journal& log, const Journal& values,
-                                      GraphEngine& engine);
+  /// Re-applies every complete committed batch in `log` to `engine`.
+  /// The engine is mutated directly (recovery precedes serving; no epoch
+  /// gate).
+  static Result<RecoveryStats> Replay(Journal& log, GraphEngine& engine);
 
   GraphEngine* engine() const { return engine_; }
   Wal& wal() { return wal_; }

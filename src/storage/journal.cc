@@ -163,13 +163,6 @@ void Journal::EncodeRecord(WalRecordType type, std::string_view payload,
   out->append(payload);
 }
 
-uint64_t Journal::AppendRecord(WalRecordType type, std::string_view payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 16);
-  EncodeRecord(type, payload, &frame);
-  return Append(frame);
-}
-
 Result<std::string_view> Journal::Read(uint64_t offset, uint64_t len) const {
   // Guard against unsigned wrap: `offset + len > used_` admits any
   // `offset` within 2^64 - len of overflow.
@@ -226,7 +219,7 @@ Result<RecoveryStats> Journal::Recover(const RecordVisitor& visit) {
       break;
     }
     if (raw_type < static_cast<uint8_t>(WalRecordType::kMutation) ||
-        raw_type > static_cast<uint8_t>(WalRecordType::kNoop)) {
+        raw_type > static_cast<uint8_t>(WalRecordType::kCommit)) {
       tail = Status::Corruption("unknown record type at offset " +
                                 std::to_string(frame_start));
       break;
@@ -234,7 +227,6 @@ Result<RecoveryStats> Journal::Recover(const RecordVisitor& visit) {
     WalRecordType type = static_cast<WalRecordType>(raw_type);
     pos += kFrameTypeBytes + kFrameCrcBytes + *len;
 
-    if (type == WalRecordType::kNoop) continue;
     if (type != WalRecordType::kCommit) {
       batch.push_back(Span{type, pos - *len, *len});
       continue;
@@ -251,9 +243,9 @@ Result<RecoveryStats> Journal::Recover(const RecordVisitor& visit) {
     }
     if (!delivered.ok()) {
       if (delivered.code() == StatusCode::kCorruption) {
-        // The batch's payload is bad (e.g. a separated-value reference
-        // failed its checksum): keep the prefix up to the previous
-        // commit and type the tail.
+        // The batch's payload is bad (e.g. a mutation record that does
+        // not decode): keep the prefix up to the previous commit and
+        // type the tail.
         tail = std::move(delivered);
         break;
       }

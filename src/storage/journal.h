@@ -12,10 +12,11 @@
 //            | payload
 //
 // The checksum covers type+payload, so any torn tail, short write, or bit
-// flip inside a frame is detected. A kCommit frame seals everything since
-// the previous commit into one atomic batch; Recover() replays complete
-// committed batches only, truncates the journal to the last valid commit,
-// and reports what it cut in a typed RecoveryStats.
+// flip inside a frame is detected. A kCommit frame seals every kMutation
+// frame since the previous commit into one atomic batch, and a frame of
+// any other type is corruption; Recover() replays complete committed
+// batches only, truncates the journal to the last valid commit, and
+// reports what it cut in a typed RecoveryStats.
 //
 // Durability faults are injected below the frame layer: AppendDurable()
 // routes bytes through an optional FaultInjector that can fail, shorten,
@@ -47,10 +48,6 @@ enum class WalRecordType : uint8_t {
   kMutation = 1,
   /// Seals every record since the previous commit into an atomic batch.
   kCommit = 2,
-  /// A separated large value (value log frames, see wal.h).
-  kValue = 3,
-  /// Padding/no-op, skipped by recovery.
-  kNoop = 4,
 };
 
 /// What Recover() found and did. `tail` is OK when the log ended exactly
@@ -121,19 +118,13 @@ class Journal {
   uint64_t Append(std::string_view data);
 
   /// The durable-write path: routes the bytes through the installed
-  /// FaultInjector (if any) and fails once the device has died. This is
-  /// what the WAL's group-commit flush calls — one AppendDurable per
-  /// flushed group models one disk write.
+  /// FaultInjector (if any) and fails once the device has died. The WAL
+  /// calls it once per commit — one AppendDurable models one disk write.
   Result<uint64_t> AppendDurable(std::string_view data);
 
-  /// Appends one framed record (see the format at the top of this file).
-  /// Returns the frame's offset. Framing only — durability is the
-  /// caller's flush policy (the WAL stages frames and AppendDurable()s
-  /// whole groups).
-  uint64_t AppendRecord(WalRecordType type, std::string_view payload);
-
-  /// Encodes a frame into `out` without touching the journal (the WAL
-  /// stages frames in a group buffer before flushing them in one write).
+  /// Appends one framed record (see the format at the top of this file)
+  /// to `out` without touching the journal: the WAL encodes a batch's
+  /// frames into one buffer and appends them in one write.
   static void EncodeRecord(WalRecordType type, std::string_view payload,
                            std::string* out);
 
@@ -147,7 +138,8 @@ class Journal {
   /// of a batch followed by its kCommit frame. A visit returning
   /// kCorruption invalidates that whole batch (the prefix keeps the
   /// previous commit); any other visit error aborts recovery as a hard
-  /// failure. kNoop frames are validated and skipped.
+  /// failure. A frame that is neither kMutation nor kCommit is a
+  /// kCorruption tail.
   using RecordVisitor =
       std::function<Status(WalRecordType, std::string_view payload)>;
   Result<RecoveryStats> Recover(const RecordVisitor& visit);

@@ -1,26 +1,19 @@
-// Write-ahead log for graph mutations: framed, checksummed, group-committed.
+// Write-ahead log for graph mutations: framed, checksummed, one durable
+// write per commit.
 //
 // The Wal turns a WriteBatch (a staged sequence of graph mutations, with
 // forward references to elements created earlier in the same batch) into
 // framed kMutation records sealed by one kCommit record — the atomic unit
-// recovery replays. Records are staged in a group buffer and reach the
-// log journal in one AppendDurable per flush (group commit): with
-// `group_commits == 1` every commit is durable when LogBatch returns;
-// larger groups trade a bounded window of recent commits for fewer
-// device writes, exactly the knob real engines expose.
-//
-// Value separation (BVLSM's WAL-time key/value separation): string
-// property values at or above `value_separation_threshold` bytes are
-// appended to a separate value journal and the mutation record carries a
-// checksummed {offset, len, crc} reference — large payloads never travel
-// through the log hot path twice, and a corrupt value region is detected
-// at recovery time like any torn log frame.
+// recovery replays. Property values and maps inside a record use the
+// store's own codec (PropertyValue::EncodeTo / EncodePropertyMap, see
+// src/graph/types.h). A batch's frames reach the log journal in one
+// AppendDurable, so every commit is durable when LogBatch returns.
 //
 // Recovery (`Wal::Recover`) drives Journal::Recover over a crashed log:
 // complete committed batches are decoded and handed to the applier in
-// order; a torn tail, checksum mismatch, op-count mismatch, or failed
-// value-reference resolution truncates the log to the last valid commit
-// and surfaces a typed kCorruption tail in RecoveryStats — never a crash,
+// order; a torn tail, checksum mismatch, op-count mismatch, or a record
+// that fails to decode truncates the log to the last valid commit and
+// surfaces a typed kCorruption tail in RecoveryStats — never a crash,
 // never a partially applied batch.
 
 #ifndef GDBMICRO_STORAGE_WAL_H_
@@ -37,25 +30,6 @@
 #include "src/util/result.h"
 
 namespace gdbmicro {
-
-/// Group-commit and value-separation tunables.
-struct WalOptions {
-  /// Flush the staged group to the log after this many commits. 1 =
-  /// durable on every commit (the safe default); N > 1 = group commit
-  /// with at most N-1 recent commits lost on a crash.
-  uint64_t group_commits = 1;
-  /// Also flush once the staged group reaches this many bytes (0 = no
-  /// byte trigger).
-  uint64_t group_bytes = 0;
-  /// String property values at or above this many bytes are written to
-  /// the value journal and referenced from the log record instead of
-  /// being inlined. 0 disables separation.
-  uint64_t value_separation_threshold = 64;
-  /// Extent sizes of the backing journals (small: the WAL is its own
-  /// file, not the BlazeGraph store journal).
-  uint64_t log_extent_bytes = 256 << 10;
-  uint64_t value_extent_bytes = 256 << 10;
-};
 
 /// Handle to a vertex created earlier in the same WriteBatch.
 struct PendingVertex {
@@ -144,18 +118,13 @@ class WriteBatch {
 /// not thread-safe by itself.
 class Wal {
  public:
-  explicit Wal(WalOptions options = {});
+  Wal();
 
-  const WalOptions& options() const { return options_; }
-
-  /// Encodes `batch` as kMutation records sealed by a kCommit record,
-  /// stages the frames, and flushes per the group-commit policy. Returns
-  /// the batch's sequence number. An IOError (injected device failure)
-  /// loses the staged group; the caller must treat the log as dead.
+  /// Encodes `batch` as kMutation records sealed by a kCommit record and
+  /// appends them to the log in one durable write. Returns the batch's
+  /// sequence number. An IOError (injected device failure) loses the
+  /// batch; the caller must treat the log as dead.
   Result<uint64_t> LogBatch(const WriteBatch& batch);
-
-  /// Force-flushes staged commits to the log journal.
-  Status Sync();
 
   /// A batch decoded back out of the log by Recover.
   struct RecoveredBatch {
@@ -165,48 +134,32 @@ class Wal {
   using BatchApplier = std::function<Status(const RecoveredBatch&)>;
 
   /// Replays `log` (as left behind by a crash) in commit order into
-  /// `apply`, resolving separated values from `values`, truncating `log`
-  /// to the longest valid committed prefix. See the contract at the top
-  /// of this file.
-  static Result<RecoveryStats> Recover(Journal& log, const Journal& values,
+  /// `apply`, truncating `log` to the longest valid committed prefix. See
+  /// the contract at the top of this file.
+  static Result<RecoveryStats> Recover(Journal& log,
                                        const BatchApplier& apply);
 
-  /// Convenience: recover this Wal's own journals.
+  /// Convenience: recover this Wal's own log.
   Result<RecoveryStats> Recover(const BatchApplier& apply) {
-    return Recover(log_, values_, apply);
+    return Recover(log_, apply);
   }
 
   Journal& log() { return log_; }
   const Journal& log() const { return log_; }
-  Journal& values() { return values_; }
-  const Journal& values() const { return values_; }
 
   // --- stats -------------------------------------------------------------
   uint64_t commits_logged() const { return commits_logged_; }
-  /// Commits whose group has reached the log journal.
-  uint64_t durable_commits() const { return durable_commits_; }
-  /// Commits staged but not yet flushed (lost if the process dies now).
-  uint64_t staged_commits() const { return staged_commits_; }
+  /// Durable writes to the log: one per commit whose write did not fail.
   uint64_t flushes() const { return flushes_; }
   uint64_t bytes_logged() const { return log_.UsedBytes(); }
-  uint64_t values_separated() const { return values_separated_; }
-  uint64_t value_bytes() const { return values_.UsedBytes(); }
 
  private:
-  /// Encodes one op, separating large values into the value journal.
-  void EncodeOp(const WriteOp& op, std::string* payload);
-  void EncodeValue(const PropertyValue& v, std::string* out);
-
-  WalOptions options_;
   Journal log_;
-  Journal values_;
-  std::string group_buf_;
-  uint64_t staged_commits_ = 0;
+  std::string frames_;   // the batch's frames; capacity reused
+  std::string payload_;  // one record's payload; capacity reused
   uint64_t next_sequence_ = 1;
   uint64_t commits_logged_ = 0;
-  uint64_t durable_commits_ = 0;
   uint64_t flushes_ = 0;
-  uint64_t values_separated_ = 0;
 };
 
 }  // namespace gdbmicro

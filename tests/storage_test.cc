@@ -435,9 +435,10 @@ TEST(JournalTest, Crc32cKnownVectorAndChaining) {
 
 TEST(JournalTest, FramedRecordRoundTrip) {
   Journal j(1024, 1);
-  j.AppendRecord(WalRecordType::kMutation, "payload-one");
-  j.AppendRecord(WalRecordType::kNoop, "");
-  j.AppendRecord(WalRecordType::kCommit, "seal");
+  std::string frames;
+  Journal::EncodeRecord(WalRecordType::kMutation, "payload-one", &frames);
+  Journal::EncodeRecord(WalRecordType::kCommit, "seal", &frames);
+  j.Append(frames);
   std::vector<std::pair<WalRecordType, std::string>> seen;
   auto stats = j.Recover([&](WalRecordType t, std::string_view p) {
     seen.emplace_back(t, std::string(p));
@@ -447,12 +448,36 @@ TEST(JournalTest, FramedRecordRoundTrip) {
   EXPECT_TRUE(stats->tail.ok());
   EXPECT_EQ(stats->truncated_bytes, 0u);
   EXPECT_EQ(stats->commits_applied, 1u);
-  // kNoop frames are validated but never delivered.
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].first, WalRecordType::kMutation);
   EXPECT_EQ(seen[0].second, "payload-one");
   EXPECT_EQ(seen[1].first, WalRecordType::kCommit);
   EXPECT_EQ(seen[1].second, "seal");
+}
+
+// A well-checksummed frame of a type the journal does not know (3 and 4
+// once named separated-value and padding frames) is a corrupt tail: the
+// commit before it survives, nothing after it is delivered.
+TEST(JournalTest, UnknownRecordTypeIsACorruptTail) {
+  for (int raw_type : {0, 3, 4, 255}) {
+    Journal j(1024, 1);
+    std::string frames;
+    Journal::EncodeRecord(WalRecordType::kCommit, "first", &frames);
+    const uint64_t first_end = frames.size();
+    Journal::EncodeRecord(static_cast<WalRecordType>(raw_type), "", &frames);
+    Journal::EncodeRecord(WalRecordType::kCommit, "second", &frames);
+    j.Append(frames);
+    uint64_t visits = 0;
+    auto stats = j.Recover([&](WalRecordType, std::string_view) {
+      ++visits;
+      return Status::OK();
+    });
+    ASSERT_TRUE(stats.ok()) << raw_type;
+    EXPECT_EQ(stats->commits_applied, 1u) << raw_type;
+    EXPECT_EQ(visits, 1u) << raw_type;
+    EXPECT_EQ(stats->valid_bytes, first_end) << raw_type;
+    EXPECT_EQ(stats->tail.code(), StatusCode::kCorruption) << raw_type;
+  }
 }
 
 TEST(JournalTest, FaultInjectorIsDeterministicPerSeed) {

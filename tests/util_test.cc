@@ -570,6 +570,71 @@ TEST(PropertyCodecTest, SkipModeMatchesEveryValueTag) {
             StatusCode::kCorruption);
 }
 
+// A length varint near 2^64 must not wrap the bounds check: every decoder
+// fails with kCorruption and leaves the cursor at or past the length it
+// read, never behind it.
+TEST(PropertyCodecTest, WrappingLengthsAreCorruption) {
+  const uint64_t kWrapping = ~uint64_t{0} - 1;  // 2^64 - 2
+  // A string value (tag 4) whose length wraps, followed by "abc".
+  std::string value(1, '\x04');
+  PutVarint64(&value, kWrapping);
+  const size_t value_len_end = value.size();
+  value += "abc";
+  {
+    size_t pos = 0;
+    auto decoded = PropertyValue::DecodeFrom(value, &pos);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_GE(pos, value_len_end);
+    EXPECT_LE(pos, value.size());
+  }
+  {
+    size_t pos = 0;
+    EXPECT_EQ(PropertyValue::SkipEncoded(value, &pos).code(),
+              StatusCode::kCorruption);
+    EXPECT_GE(pos, value_len_end);
+    EXPECT_LE(pos, value.size());
+  }
+
+  // One-pair maps: one whose key length wraps, one whose value does.
+  std::string wrapping_key;
+  PutVarint64(&wrapping_key, 1);
+  PutVarint64(&wrapping_key, kWrapping);
+  const size_t key_len_end = wrapping_key.size();
+  wrapping_key += "abc";
+  std::string wrapping_value;
+  PutVarint64(&wrapping_value, 1);
+  PutVarint64(&wrapping_value, 1);
+  wrapping_value += "k";
+  const size_t value_offset = wrapping_value.size();
+  wrapping_value += value;
+  struct Case {
+    std::string_view bytes;
+    size_t len_end;        // where the wrapping length varint ends
+    std::string_view key;  // the key a probe asks for
+  };
+  for (const Case& c :
+       {Case{wrapping_key, key_len_end, "abc"},
+        Case{wrapping_value, value_offset + value_len_end, "k"}}) {
+    size_t pos = 0;
+    EXPECT_EQ(DecodePropertyMap(c.bytes, &pos).status().code(),
+              StatusCode::kCorruption)
+        << c.key;
+    EXPECT_GE(pos, c.len_end) << c.key;
+    EXPECT_LE(pos, c.bytes.size()) << c.key;
+    pos = 0;
+    EXPECT_EQ(SkipPropertyMap(c.bytes, &pos).code(), StatusCode::kCorruption)
+        << c.key;
+    EXPECT_GE(pos, c.len_end) << c.key;
+    pos = 0;
+    PropertyValue out;
+    EXPECT_EQ(ReadEncodedProperty(c.bytes, &pos, c.key, &out).status().code(),
+              StatusCode::kCorruption)
+        << c.key;
+    EXPECT_GE(pos, c.len_end) << c.key;
+    EXPECT_LE(pos, c.bytes.size()) << c.key;
+  }
+}
+
 TEST(StringUtilTest, JoinAndSplit) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");

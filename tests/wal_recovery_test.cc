@@ -7,9 +7,9 @@
 // exactly the longest valid committed prefix, reports the cut in a typed
 // kCorruption tail, and never crashes or applies a partial batch.
 //
-// Also covered: group-commit durability windows, value separation round
-// trips (including a corrupted value journal), and the FaultInjector
-// end-to-end through Wal::LogBatch.
+// Also covered: the FaultInjector end-to-end through Wal::LogBatch, and
+// the record encoding (every op kind and value type round trips, and the
+// log's bytes stay fixed).
 
 #include <gtest/gtest.h>
 
@@ -35,19 +35,16 @@ WriteBatch MakeBatch(int i) {
   return batch;
 }
 
-// Logs `k` batches through a fresh durable-on-every-commit Wal and
-// returns the log bytes plus the end offset of each commit (the valid
-// prefix boundaries a recovery may land on).
+// Logs `k` batches through a fresh Wal and returns the log bytes plus the
+// end offset of each commit (the valid prefix boundaries a recovery may
+// land on).
 struct LoggedTail {
   std::string bytes;
   std::vector<uint64_t> commit_ends;
 };
 
 LoggedTail LogBatches(int k) {
-  WalOptions options;
-  options.group_commits = 1;
-  options.value_separation_threshold = 0;  // keep every byte in the log
-  Wal wal(options);
+  Wal wal;
   LoggedTail out;
   for (int i = 0; i < k; ++i) {
     auto seq = wal.LogBatch(MakeBatch(i));
@@ -67,9 +64,8 @@ struct RecoveryOutcome {
 RecoveryOutcome RecoverBytes(std::string_view bytes) {
   Journal log(1 << 16, 1);
   if (!bytes.empty()) log.Append(bytes);
-  Journal values(1 << 16, 1);
   RecoveryOutcome out;
-  auto stats = Wal::Recover(log, values, [&](const Wal::RecoveredBatch& b) {
+  auto stats = Wal::Recover(log, [&](const Wal::RecoveredBatch& b) {
     out.batches.push_back(b);
     return Status::OK();
   });
@@ -182,9 +178,7 @@ TEST(WalCrashMatrixTest, EmptyLogRecoversCleanly) {
 // --- FaultInjector end-to-end through the Wal ------------------------------
 
 TEST(WalFaultTest, FailedAppendAbortsCommitAndKillsDevice) {
-  WalOptions options;
-  options.group_commits = 1;
-  Wal wal(options);
+  Wal wal;
   FaultInjector fault(FaultMode::kFailAppend, 2);
   wal.log().set_fault_injector(&fault);
   ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
@@ -208,9 +202,7 @@ TEST(WalFaultTest, FailedAppendAbortsCommitAndKillsDevice) {
 // the invariants, not byte counts.
 TEST(WalFaultTest, ShortAndTornWritesRecoverToLastDurableCommit) {
   for (FaultMode mode : {FaultMode::kShortWrite, FaultMode::kTornWrite}) {
-    WalOptions options;
-    options.group_commits = 1;
-    Wal wal(options);
+    Wal wal;
     FaultInjector fault(mode, 3, /*seed=*/99);
     wal.log().set_fault_injector(&fault);
     ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
@@ -228,9 +220,7 @@ TEST(WalFaultTest, ShortAndTornWritesRecoverToLastDurableCommit) {
 }
 
 TEST(WalFaultTest, BitFlipIsSilentUntilRecovery) {
-  WalOptions options;
-  options.group_commits = 1;
-  Wal wal(options);
+  Wal wal;
   FaultInjector fault(FaultMode::kBitFlip, 2, /*seed=*/7);
   wal.log().set_fault_injector(&fault);
   uint64_t first_end = 0;
@@ -247,123 +237,12 @@ TEST(WalFaultTest, BitFlipIsSilentUntilRecovery) {
   EXPECT_EQ(out.stats.tail.code(), StatusCode::kCorruption);
 }
 
-// --- Group commit ----------------------------------------------------------
-
-TEST(WalGroupCommitTest, StagedCommitsAreLostUntilFlushed) {
-  WalOptions options;
-  options.group_commits = 3;
-  Wal wal(options);
-  ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
-  ASSERT_TRUE(wal.LogBatch(MakeBatch(1)).ok());
-  EXPECT_EQ(wal.staged_commits(), 2u);
-  EXPECT_EQ(wal.durable_commits(), 0u);
-  EXPECT_EQ(wal.flushes(), 0u);
-  // A crash now loses the whole staged window: the log journal is empty.
-  RecoveryOutcome lost = RecoverBytes(wal.log().Bytes());
-  EXPECT_EQ(lost.stats.commits_applied, 0u);
-  // The third commit fills the group and flushes all three in one write.
-  ASSERT_TRUE(wal.LogBatch(MakeBatch(2)).ok());
-  EXPECT_EQ(wal.staged_commits(), 0u);
-  EXPECT_EQ(wal.durable_commits(), 3u);
-  EXPECT_EQ(wal.flushes(), 1u);
-  RecoveryOutcome out = RecoverBytes(wal.log().Bytes());
-  EXPECT_EQ(out.stats.commits_applied, 3u);
-}
-
-TEST(WalGroupCommitTest, SyncFlushesAPartialGroup) {
-  WalOptions options;
-  options.group_commits = 8;
-  Wal wal(options);
-  ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
-  EXPECT_EQ(wal.durable_commits(), 0u);
-  ASSERT_TRUE(wal.Sync().ok());
-  EXPECT_EQ(wal.durable_commits(), 1u);
-  EXPECT_EQ(wal.staged_commits(), 0u);
-  ASSERT_TRUE(wal.Sync().ok());  // idempotent on an empty group
-  EXPECT_EQ(wal.flushes(), 1u);  // no second device write
-}
-
-TEST(WalGroupCommitTest, ByteTriggerFlushesEarly) {
-  WalOptions options;
-  options.group_commits = 1000;
-  options.group_bytes = 1;  // any staged byte forces a flush
-  Wal wal(options);
-  ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
-  EXPECT_EQ(wal.durable_commits(), 1u);
-  EXPECT_EQ(wal.staged_commits(), 0u);
-}
-
-// --- Value separation ------------------------------------------------------
-
-TEST(WalValueSeparationTest, LargeValuesRoundTripThroughValueJournal) {
-  WalOptions options;
-  options.value_separation_threshold = 32;
-  Wal wal(options);
-  std::string big(200, 'v');
-  WriteBatch batch;
-  PendingVertex v = batch.AddVertex("node", {{"blob", PropertyValue(big)}});
-  batch.SetVertexProperty(v, "small", PropertyValue(std::string("tiny")));
-  ASSERT_TRUE(wal.LogBatch(batch).ok());
-  EXPECT_EQ(wal.values_separated(), 1u);
-  EXPECT_GE(wal.value_bytes(), big.size());
-
-  std::vector<Wal::RecoveredBatch> batches;
-  auto stats = wal.Recover([&](const Wal::RecoveredBatch& b) {
-    batches.push_back(b);
-    return Status::OK();
-  });
-  ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(batches.size(), 1u);
-  const PropertyValue* blob = FindProperty(batches[0].ops[0].props, "blob");
-  ASSERT_NE(blob, nullptr);
-  EXPECT_EQ(blob->string_value(), big);  // resolved from the value journal
-  const PropertyValue* small =
-      FindProperty(batches[0].ops[1].props, "small");
-  ASSERT_EQ(small, nullptr);  // SetVertexProperty carries `value`, not props
-  EXPECT_EQ(batches[0].ops[1].value.string_value(), "tiny");  // inlined
-}
-
-TEST(WalValueSeparationTest, CorruptValueJournalInvalidatesTheBatch) {
-  WalOptions options;
-  options.value_separation_threshold = 16;
-  Wal wal(options);
-  WriteBatch small;
-  small.AddVertex("node", {});
-  ASSERT_TRUE(wal.LogBatch(small).ok());
-  WriteBatch batch;
-  batch.AddVertex("node",
-                  {{"blob", PropertyValue(std::string(100, 'z'))}});
-  ASSERT_TRUE(wal.LogBatch(batch).ok());
-
-  // Flip a bit inside the separated value region, not the log.
-  std::string mangled_values(wal.values().Bytes());
-  mangled_values[50] = static_cast<char>(mangled_values[50] ^ 0x01);
-  Journal log(1 << 16, 1);
-  log.Append(wal.log().Bytes());
-  Journal values(1 << 16, 1);
-  values.Append(mangled_values);
-
-  std::vector<Wal::RecoveredBatch> batches;
-  auto stats = Wal::Recover(log, values, [&](const Wal::RecoveredBatch& b) {
-    batches.push_back(b);
-    return Status::OK();
-  });
-  ASSERT_TRUE(stats.ok());
-  // The first (value-free) batch survives; the batch whose value crc
-  // fails is invalidated like any torn frame.
-  EXPECT_EQ(stats->commits_applied, 1u);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(stats->tail.code(), StatusCode::kCorruption);
-}
-
 // --- Encoding fidelity -----------------------------------------------------
 
 // Every op kind and every property value type survives a log round trip.
 TEST(WalEncodingTest, AllOpKindsAndValueTypesRoundTrip) {
-  WalOptions options;
-  options.value_separation_threshold = 64;
-  Wal wal(options);
-  std::string separated(128, 's');
+  Wal wal;
+  std::string long_string(128, 's');
   WriteBatch batch;
   PendingVertex v = batch.AddVertex(
       "person", {{"null", PropertyValue()},
@@ -371,7 +250,7 @@ TEST(WalEncodingTest, AllOpKindsAndValueTypesRoundTrip) {
                  {"count", PropertyValue(static_cast<int64_t>(-42))},
                  {"score", PropertyValue(2.75)},
                  {"name", PropertyValue(std::string("inline"))},
-                 {"bio", PropertyValue(separated)}});
+                 {"bio", PropertyValue(long_string)}});
   PendingEdge e = batch.AddEdge(v, VertexRef(7), "knows", {});
   batch.SetVertexProperty(VertexRef(9), "age",
                           PropertyValue(static_cast<int64_t>(33)));
@@ -407,6 +286,23 @@ TEST(WalEncodingTest, AllOpKindsAndValueTypesRoundTrip) {
       EXPECT_EQ(out[i].props[p].second, in[i].props[p].second);
     }
   }
+}
+
+// The log's bytes are its format: a change to the frame layout, the op
+// encoding or the property codec fails here before any recovery test.
+TEST(WalEncodingTest, LogBytesAreStable) {
+  Wal wal;
+  ASSERT_TRUE(wal.LogBatch(MakeBatch(0)).ok());
+  std::string hex;
+  for (char c : wal.log().Bytes()) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xF]);
+  }
+  EXPECT_EQ(hex,
+            "0d01dd26fef301046e6f6465010373657102001b0150e18b5902010001000473"
+            "656c66010677656967687403000000000000e03f0d01334037c503010007746f"
+            "756368656401010202f49af92f0103");
 }
 
 TEST(WalEncodingTest, EmptyBatchIsRejected) {

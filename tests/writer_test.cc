@@ -136,7 +136,7 @@ TEST_P(WriterTest, EachCommitPublishesOneEpoch) {
   }
   EXPECT_EQ(engine_->epochs().current(), 3u);
   EXPECT_EQ(writer.commits(), 3u);
-  EXPECT_EQ(writer.wal().durable_commits(), 3u);  // group_commits = 1
+  EXPECT_EQ(writer.wal().flushes(), 3u);  // one durable write per commit
 }
 
 TEST_P(WriterTest, RemovesAreIdempotent) {
@@ -181,8 +181,7 @@ TEST_P(WriterTest, ReplayReconstructsTheGraph) {
   EngineOptions options;
   auto fresh = OpenEngine(GetParam(), options);
   ASSERT_TRUE(fresh.ok());
-  auto stats = GraphWriter::Replay(writer.wal().log(), writer.wal().values(),
-                                   **fresh);
+  auto stats = GraphWriter::Replay(writer.wal().log(), **fresh);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->commits_applied, 5u);
   EXPECT_TRUE(stats->tail.ok());
