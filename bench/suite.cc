@@ -330,8 +330,9 @@ void PrintTable4(ReportRun& run) {
   std::printf("\n%s", core::FormatTable4(table, run.flags.engines).c_str());
 }
 
-/// Fig. 1(a,b): each engine bulk loads the dataset and checkpoints it to a
-/// scratch directory, whose size is measured against the raw GraphSON.
+/// Fig. 1(a,b): each engine bulk loads the dataset and counts the bytes of
+/// its checkpoint image (GraphEngine::CheckpointBytes), against the size of
+/// the dataset's GraphSON text (WriteGraphSON).
 void PrintSpace(ReportRun& run) {
   const std::vector<std::string>& engines = run.flags.engines;
   std::printf("%-7s %12s", "dataset", "raw-json");
@@ -339,7 +340,7 @@ void PrintSpace(ReportRun& run) {
   std::printf("\n");
   run.ForEachDataset([&](const Panel&, const GraphData& data) {
     std::printf("%-7s %12s", data.name.c_str(),
-                HumanBytes(data.EstimatedJsonBytes()).c_str());
+                HumanBytes(WriteGraphSON(data).size()).c_str());
     std::fflush(stdout);
     for (const std::string& engine : engines) {
       auto loaded = run.runner.Load(engine, data);
@@ -347,10 +348,8 @@ void PrintSpace(ReportRun& run) {
         std::printf(" %12s", "load-err");
         continue;
       }
-      auto bytes = core::MeasureSpace(*loaded->engine,
-                                      "/tmp/gdbmicro_space_scratch");
       std::printf(" %12s",
-                  bytes.ok() ? HumanBytes(*bytes).c_str() : "ckpt-err");
+                  HumanBytes(loaded->engine->CheckpointBytes()).c_str());
       std::fflush(stdout);
     }
     std::printf("\n");

@@ -4,13 +4,13 @@
 //   2. create a tiny property graph,
 //   3. run point reads, searches and traversals,
 //   4. run a Gremlin-style Traversal and a BFS,
-//   5. checkpoint to disk and measure the footprint.
+//   5. measure the footprint of the engine's checkpoint image.
 //
 // Build & run:  ./build/examples/example_quickstart [engine-name]
 
 #include <cstdio>
+#include <cstdlib>
 
-#include "src/core/runner.h"
 #include "src/graph/registry.h"
 #include "src/query/algorithms.h"
 #include "src/query/traversal.h"
@@ -81,10 +81,8 @@ int main(int argc, char** argv) {
   std::printf("reachable from ada within 2 hops: %zu vertices\n",
               bfs.visited.size());
 
-  // 5. Persist and measure.
-  auto bytes = core::MeasureSpace(*engine, "/tmp/gdbmicro_quickstart");
-  if (bytes.ok()) {
-    std::printf("checkpointed footprint: %s\n", HumanBytes(*bytes).c_str());
-  }
+  // 5. Space: the bytes of the engine's checkpoint image.
+  std::printf("checkpoint footprint: %s\n",
+              HumanBytes(engine->CheckpointBytes()).c_str());
   return 0;
 }

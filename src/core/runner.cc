@@ -1,7 +1,6 @@
 #include "src/core/runner.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <numeric>
 #include <thread>
 
@@ -435,30 +434,6 @@ std::vector<Measurement> Runner::RunAll(
     }
   }
   return all;
-}
-
-Result<uint64_t> DirectoryBytes(const std::string& dir) {
-  std::error_code ec;
-  uint64_t total = 0;
-  std::filesystem::recursive_directory_iterator it(dir, ec), end;
-  if (ec) return Status::IOError("cannot iterate " + dir);
-  for (; it != end; it.increment(ec)) {
-    if (ec) return Status::IOError("cannot iterate " + dir);
-    if (it->is_regular_file(ec)) {
-      total += it->file_size(ec);
-    }
-  }
-  return total;
-}
-
-Result<uint64_t> MeasureSpace(const GraphEngine& engine,
-                              const std::string& scratch_dir) {
-  std::error_code ec;
-  std::filesystem::remove_all(scratch_dir, ec);
-  GDB_RETURN_IF_ERROR(engine.Checkpoint(scratch_dir));
-  GDB_ASSIGN_OR_RETURN(uint64_t bytes, DirectoryBytes(scratch_dir));
-  std::filesystem::remove_all(scratch_dir, ec);
-  return bytes;
 }
 
 }  // namespace core

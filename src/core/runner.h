@@ -226,14 +226,6 @@ class Runner {
   RunnerOptions options_;
 };
 
-/// Measures checkpointed on-disk size: engine.Checkpoint(tmp dir) + du.
-/// The directory is removed afterwards.
-Result<uint64_t> MeasureSpace(const GraphEngine& engine,
-                              const std::string& scratch_dir);
-
-/// Recursive directory size in bytes.
-Result<uint64_t> DirectoryBytes(const std::string& dir);
-
 }  // namespace core
 }  // namespace gdbmicro
 

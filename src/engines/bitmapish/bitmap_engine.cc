@@ -492,14 +492,12 @@ Status BitmapEngine::CreateVertexPropertyIndex(std::string_view) {
   return Status::OK();
 }
 
-Status BitmapEngine::Checkpoint(const std::string& dir) const {
+uint64_t BitmapEngine::CheckpointBytes() const {
   std::string buf;
   vertices_.Serialize(&buf);
   edges_.Serialize(&buf);
   PutVarint64(&buf, next_oid_);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "objects.sdb", buf));
 
-  buf.clear();
   auto serialize_map = [&buf](const HashIndex<uint64_t, uint64_t>& m) {
     PutVarint64(&buf, m.size());
     m.ForEach([&buf](const uint64_t& k, const uint64_t& v) {
@@ -516,9 +514,7 @@ Status BitmapEngine::Checkpoint(const std::string& dir) const {
     PutVarint64(&buf, v);
     return true;
   });
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "relationships.sdb", buf));
 
-  buf.clear();
   PutVarint64(&buf, out_edges_.size());
   out_edges_.ForEach([&buf](const uint64_t& v, const Bitmap& bm) {
     PutVarint64(&buf, v);
@@ -531,22 +527,17 @@ Status BitmapEngine::Checkpoint(const std::string& dir) const {
     bm.Serialize(&buf);
     return true;
   });
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "adjacency.sdb", buf));
 
-  buf.clear();
   labels_.Serialize(&buf);
   PutVarint64(&buf, edges_by_label_.size());
   for (const Bitmap& bm : edges_by_label_) bm.Serialize(&buf);
   PutVarint64(&buf, vertices_by_label_.size());
   for (const Bitmap& bm : vertices_by_label_) bm.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "labels.sdb", buf));
 
-  // One file per attribute: value dictionary + bitmap per value. Values
+  // One image per attribute: value dictionary + bitmap per value. Values
   // are stored once (deduplicated), which is why this layout wins on
   // text-heavy datasets (paper Fig. 1, ldbc).
-  int attr_file = 0;
   for (const auto& [name, col] : columns_) {
-    buf.clear();
     PutVarint64(&buf, name.size());
     buf.append(name);
     PutVarint64(&buf, col.by_value.size());
@@ -554,10 +545,8 @@ Status BitmapEngine::Checkpoint(const std::string& dir) const {
       value.EncodeTo(&buf);
       bm.Serialize(&buf);
     }
-    GDB_RETURN_IF_ERROR(
-        WriteFile(dir, StrFormat("attr_%04d.sdb", attr_file++), buf));
   }
-  return Status::OK();
+  return buf.size();
 }
 
 uint64_t BitmapEngine::MemoryBytes() const {

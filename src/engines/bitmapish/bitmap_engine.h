@@ -116,7 +116,7 @@ class BitmapEngine : public GraphEngine {
   /// the Gremlin-level property search does not exploit it.
   Status CreateVertexPropertyIndex(std::string_view prop) override;
 
-  Status Checkpoint(const std::string& dir) const override;
+  uint64_t CheckpointBytes() const override;
   uint64_t MemoryBytes() const override;
 
  protected:

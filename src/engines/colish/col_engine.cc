@@ -481,7 +481,7 @@ void ColEngine::IndexErase(std::string_view prop, const PropertyValue& v,
   if (it != indexes_.end()) it->second.Erase(v, id);
 }
 
-Status ColEngine::Checkpoint(const std::string& dir) const {
+uint64_t ColEngine::CheckpointBytes() const {
   // SSTable-style dump: rows sorted by key, adjacency compacted
   // (tombstones dropped) and neighbor ids delta+varint encoded per
   // (label, direction) run — Titan's compact adjacency representation.
@@ -523,13 +523,7 @@ Status ColEngine::Checkpoint(const std::string& dir) const {
     PutVarint64(&buf, eprop_count);
     buf.append(eprops);
   }
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "edgestore.sst", buf));
-
-  buf.clear();
   labels_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "schema.sst", buf));
-
-  buf.clear();
   PutVarint64(&buf, indexes_.size());
   for (const auto& [prop, index] : indexes_) {
     PutVarint64(&buf, prop.size());
@@ -541,7 +535,7 @@ Status ColEngine::Checkpoint(const std::string& dir) const {
       return true;
     });
   }
-  return WriteFile(dir, "graphindex.sst", buf);
+  return buf.size();
 }
 
 uint64_t ColEngine::MemoryBytes() const {

@@ -673,10 +673,9 @@ Status DocEngine::CreateVertexPropertyIndex(std::string_view) {
   return Status::OK();
 }
 
-Status DocEngine::Checkpoint(const std::string& dir) const {
-  auto dump_collection = [this, &dir](const HashIndex<uint64_t, std::string>& c,
-                                      const std::string& file) {
-    std::string buf;
+uint64_t DocEngine::CheckpointBytes() const {
+  std::string buf;
+  auto dump_collection = [&buf](const HashIndex<uint64_t, std::string>& c) {
     PutVarint64(&buf, c.size());
     c.ForEach([&buf](const uint64_t& id, const std::string& doc) {
       PutVarint64(&buf, id);
@@ -684,12 +683,9 @@ Status DocEngine::Checkpoint(const std::string& dir) const {
       buf.append(doc);
       return true;
     });
-    return WriteFile(dir, file, buf);
   };
-  GDB_RETURN_IF_ERROR(dump_collection(vertex_docs_, "vertices.collection"));
-  GDB_RETURN_IF_ERROR(dump_collection(edge_docs_, "edges.collection"));
-
-  std::string buf;
+  dump_collection(vertex_docs_);
+  dump_collection(edge_docs_);
   auto dump_index = [&buf](const HashIndex<uint64_t, std::vector<EdgeId>>& idx) {
     PutVarint64(&buf, idx.size());
     idx.ForEach([&buf](const uint64_t& v, const std::vector<EdgeId>& ids) {
@@ -701,7 +697,7 @@ Status DocEngine::Checkpoint(const std::string& dir) const {
   };
   dump_index(out_index_);
   dump_index(in_index_);
-  return WriteFile(dir, "edge_index.db", buf);
+  return buf.size();
 }
 
 uint64_t DocEngine::MemoryBytes() const {

@@ -976,30 +976,15 @@ Status NeoEngine::CreateVertexPropertyIndex(std::string_view prop) {
   });
 }
 
-Status NeoEngine::Checkpoint(const std::string& dir) const {
+uint64_t NeoEngine::CheckpointBytes() const {
   std::string buf;
   node_store_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.nodestore.db", buf));
-  buf.clear();
   edge_store_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.relationshipstore.db", buf));
-  if (v30_) {
-    buf.clear();
-    group_store_.Serialize(&buf);
-    GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.relationshipgroupstore.db", buf));
-  }
-  buf.clear();
+  if (v30_) group_store_.Serialize(&buf);
   prop_store_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.propertystore.db", buf));
-  buf.clear();
   string_store_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.propertystore.db.strings", buf));
-  buf.clear();
   labels_.Serialize(&buf);
   keys_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "neostore.labeltokenstore.db", buf));
-  // Indexes.
-  buf.clear();
   PutVarint64(&buf, indexes_.size());
   for (const auto& [prop, index] : indexes_) {
     PutVarint64(&buf, prop.size());
@@ -1011,7 +996,7 @@ Status NeoEngine::Checkpoint(const std::string& dir) const {
       return true;
     });
   }
-  return WriteFile(dir, "schema.index.db", buf);
+  return buf.size();
 }
 
 uint64_t NeoEngine::MemoryBytes() const {

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/util/string_util.h"
 #include "src/util/timer.h"
 #include "src/util/varint.h"
 
@@ -594,48 +593,42 @@ void RelEngine::IndexErase(std::string_view prop, const PropertyValue& v,
   if (it != indexes_.end()) it->second.Erase(v, id);
 }
 
-Status RelEngine::Checkpoint(const std::string& dir) const {
+uint64_t RelEngine::CheckpointBytes() const {
   // Postgres-style storage: 8 KiB pages, 24-byte tuple headers. Each
-  // table is written page-padded; FK indexes are written page-granular.
+  // table is page-padded, and an edge table carries its page-granular FK
+  // indexes. Tuple headers, index pages and padding are counted, not built.
   static constexpr uint64_t kPageBytes = 8192;
   static constexpr uint64_t kTupleHeader = 24;
-
-  auto pad_to_page = [](std::string* buf) {
-    uint64_t rem = buf->size() % kPageBytes;
-    if (rem != 0) buf->append(kPageBytes - rem, '\0');
+  auto page_padded = [](uint64_t bytes) {
+    return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
   };
 
-  int file_no = 0;
+  uint64_t total = 0;
+  std::string buf;
   for (const VTable& t : vtables_) {
-    std::string buf;
+    buf.clear();
     PutVarint64(&buf, t.rows.size());
     for (const VRow& row : t.rows) {
-      buf.append(kTupleHeader, '\0');
       buf.push_back(row.live ? 1 : 0);
       EncodePropertyMap(row.props, &buf);
     }
-    pad_to_page(&buf);
-    GDB_RETURN_IF_ERROR(WriteFile(dir, StrFormat("v_table_%04d.pg", file_no++), buf));
+    total += page_padded(buf.size() + t.rows.size() * kTupleHeader);
   }
-  file_no = 0;
   for (const ETable& t : etables_) {
-    std::string buf;
+    buf.clear();
     PutVarint64(&buf, t.rows.size());
     for (const ERow& row : t.rows) {
-      buf.append(kTupleHeader, '\0');
       buf.push_back(row.live ? 1 : 0);
       PutVarint64(&buf, row.src);
       PutVarint64(&buf, row.dst);
       EncodePropertyMap(row.props, &buf);
     }
-    // FK indexes, page-granular.
-    buf.append(t.src_index.SerializedBytes(16), '\0');
-    buf.append(t.dst_index.SerializedBytes(16), '\0');
-    pad_to_page(&buf);
-    GDB_RETURN_IF_ERROR(WriteFile(dir, StrFormat("e_table_%04d.pg", file_no++), buf));
+    total += page_padded(buf.size() + t.rows.size() * kTupleHeader +
+                         t.src_index.SerializedBytes(16) +
+                         t.dst_index.SerializedBytes(16));
   }
   // Catalog.
-  std::string buf;
+  buf.clear();
   PutVarint64(&buf, vtables_.size());
   for (const VTable& t : vtables_) {
     PutVarint64(&buf, t.label.size());
@@ -646,7 +639,7 @@ Status RelEngine::Checkpoint(const std::string& dir) const {
     PutVarint64(&buf, t.label.size());
     buf.append(t.label);
   }
-  return WriteFile(dir, "pg_catalog.pg", buf);
+  return total + buf.size();
 }
 
 uint64_t RelEngine::MemoryBytes() const {

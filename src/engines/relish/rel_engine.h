@@ -88,7 +88,7 @@ class RelEngine : public GraphEngine {
 
   Status CreateVertexPropertyIndex(std::string_view prop) override;
 
-  Status Checkpoint(const std::string& dir) const override;
+  uint64_t CheckpointBytes() const override;
   uint64_t MemoryBytes() const override;
 
  protected:

@@ -651,40 +651,36 @@ Result<EdgeEnds> TripleEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) 
   return ends;
 }
 
-// --- persistence -----------------------------------------------------------------
+// --- space (paper Fig. 1) --------------------------------------------------------
 
-Status TripleEngine::Checkpoint(const std::string& dir) const {
+uint64_t TripleEngine::CheckpointBytes() const {
   // Journal file, extent-granular (this is the 3x space story of Fig. 1).
   std::string buf;
   journal_.Serialize(&buf);
-  GDB_RETURN_IF_ERROR(WriteFile(dir, "blazegraph.jnl", buf));
+  uint64_t total = buf.size();
 
-  // The three statement indexes, page-granular.
-  auto dump_index = [this, &dir](const BTree<Triple, uint8_t>& index,
-                                 const std::string& file) {
-    std::string out;
-    index.ScanAll([&out](const Triple& t, const uint8_t&) {
-      PutVarint64(&out, t[0]);
-      PutVarint64(&out, t[1]);
-      PutVarint64(&out, t[2]);
+  // The three statement indexes, page-granular: an index occupies its
+  // pages even where its statements fill less.
+  auto index_bytes = [&buf](const BTree<Triple, uint8_t>& index) {
+    buf.clear();
+    index.ScanAll([&buf](const Triple& t, const uint8_t&) {
+      PutVarint64(&buf, t[0]);
+      PutVarint64(&buf, t[1]);
+      PutVarint64(&buf, t[2]);
       return true;
     });
-    uint64_t page_bytes = index.SerializedBytes(25);
-    if (out.size() < page_bytes) out.append(page_bytes - out.size(), '\0');
-    return WriteFile(dir, file, out);
+    return std::max<uint64_t>(buf.size(), index.SerializedBytes(25));
   };
-  GDB_RETURN_IF_ERROR(dump_index(spo_, "index.spo.db"));
-  GDB_RETURN_IF_ERROR(dump_index(pos_, "index.pos.db"));
-  GDB_RETURN_IF_ERROR(dump_index(osp_, "index.osp.db"));
+  total += index_bytes(spo_) + index_bytes(pos_) + index_bytes(osp_);
 
   // Term dictionary.
-  std::string terms;
-  PutVarint64(&terms, terms_.size());
+  buf.clear();
+  PutVarint64(&buf, terms_.size());
   for (const std::string& t : terms_) {
-    PutVarint64(&terms, t.size());
-    terms.append(t);
+    PutVarint64(&buf, t.size());
+    buf.append(t);
   }
-  return WriteFile(dir, "lexicon.db", terms);
+  return total + buf.size();
 }
 
 uint64_t TripleEngine::MemoryBytes() const {

@@ -86,7 +86,7 @@ class TripleEngine : public GraphEngine {
   // CreateVertexPropertyIndex: inherited default (kUnimplemented) — the
   // paper: "BlazeGraph provides no such capability".
 
-  Status Checkpoint(const std::string& dir) const override;
+  uint64_t CheckpointBytes() const override;
   uint64_t MemoryBytes() const override;
 
  protected:

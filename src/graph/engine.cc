@@ -1,8 +1,6 @@
 #include "src/graph/engine.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <set>
 
 #include "src/graph/path_index.h"
@@ -230,18 +228,6 @@ Status GraphEngine::CreateVertexPropertyIndex(std::string_view prop) {
   (void)prop;
   return Status::Unimplemented(std::string(name()) +
                                " does not support user attribute indexes");
-}
-
-Status GraphEngine::WriteFile(const std::string& dir, const std::string& name,
-                              const std::string& content) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::IOError("cannot create directory " + dir);
-  std::ofstream out(dir + "/" + name, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + dir + "/" + name);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!out) return Status::IOError("short write to " + name);
-  return Status::OK();
 }
 
 }  // namespace gdbmicro

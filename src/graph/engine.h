@@ -276,9 +276,6 @@ class GraphEngine {
     return Status::OK();
   }
 
-  /// Releases resources. The engine may not be reused after Close().
-  virtual Status Close() { return Status::OK(); }
-
   /// Creates a read session bound to this engine (one per client thread;
   /// see the concurrency contract at the top of this file). Engines with
   /// per-connection state override this to return their own session type.
@@ -546,11 +543,13 @@ class GraphEngine {
   /// kUnimplemented (BlazeGraph offers no such control, paper §6.4).
   virtual Status CreateVertexPropertyIndex(std::string_view prop);
 
-  // --- Persistence / space (paper Fig. 1) --------------------------------
+  // --- Space (paper Fig. 1) ----------------------------------------------
 
-  /// Serializes the store into files under `dir` (created if needed).
-  /// The files' total size is the engine's space-occupancy measurement.
-  virtual Status Checkpoint(const std::string& dir) const = 0;
+  /// Bytes of the store's checkpoint image: each engine builds the image
+  /// its system writes to disk (pages, headers, extents and indexes
+  /// included) and counts it. Nothing is written; this is the engine's
+  /// space-occupancy measurement.
+  virtual uint64_t CheckpointBytes() const = 0;
 
   /// Approximate resident bytes of the store's data structures.
   virtual uint64_t MemoryBytes() const = 0;
@@ -571,11 +570,6 @@ class GraphEngine {
   Result<LoadMapping> BulkLoadPerElement(const GraphData& data);
 
   BulkLoadStats* mutable_load_stats() { return &load_stats_; }
-
-  /// Helper shared by checkpoint implementations: writes `content` to
-  /// dir/name, creating dir if needed.
-  static Status WriteFile(const std::string& dir, const std::string& name,
-                          const std::string& content);
 
   EngineOptions options_;
 

@@ -4,35 +4,6 @@
 
 namespace gdbmicro {
 
-namespace {
-
-uint64_t PropsJsonBytes(const PropertyMap& props) {
-  uint64_t n = 2;  // braces
-  for (const auto& [k, v] : props) {
-    n += k.size() + 4;  // quotes + colon + comma
-    if (v.is_string()) {
-      n += v.string_value().size() + 2;
-    } else {
-      n += 8;  // average numeric/bool literal width
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-uint64_t GraphData::EstimatedJsonBytes() const {
-  uint64_t total = 64;
-  for (const auto& v : vertices) {
-    // {"id":N,"label":"...","properties":{...}},
-    total += 24 + v.label.size() + PropsJsonBytes(v.properties);
-  }
-  for (const auto& e : edges) {
-    total += 44 + e.label.size() + PropsJsonBytes(e.properties);
-  }
-  return total;
-}
-
 Status GraphData::Validate() const {
   const uint64_t n = vertices.size();
   for (size_t i = 0; i < edges.size(); ++i) {

@@ -35,10 +35,6 @@ struct GraphData {
   uint64_t VertexCount() const { return vertices.size(); }
   uint64_t EdgeCount() const { return edges.size(); }
 
-  /// Estimated raw JSON footprint (the paper's "Raw Data / JSON" baseline
-  /// in Fig. 1); computed without materializing the serialized text.
-  uint64_t EstimatedJsonBytes() const;
-
   /// Validates endpoint indexes; returns an error describing the first
   /// dangling edge if any.
   Status Validate() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/hash.h"
 #include "src/util/string_util.h"
 #include "src/util/varint.h"
 
@@ -34,20 +33,6 @@ void PropertyValue::AppendTo(std::string* out) const {
   } else {
     out->append(ToString());
   }
-}
-
-uint64_t PropertyValue::Hash() const {
-  if (is_null()) return 0x6e756c6cULL;
-  if (is_bool()) return HashInt(bool_value() ? 3 : 5);
-  if (is_int()) return HashInt(static_cast<uint64_t>(int_value()));
-  if (is_double()) {
-    double d = double_value();
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    return HashInt(bits ^ 0xD0D0D0D0ULL);
-  }
-  return HashBytes(string_value());
 }
 
 void PropertyValue::EncodeTo(std::string* out) const {

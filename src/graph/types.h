@@ -59,9 +59,6 @@ class PropertyValue {
   /// the traverser-row value path renders into a reused buffer.
   void AppendTo(std::string* out) const;
 
-  /// Stable hash (used by hash indexes on property values).
-  uint64_t Hash() const;
-
   /// Stores the string `s`. A value that already holds a string keeps its
   /// buffer, so one value reused across a scan allocates only when a
   /// string outgrows every earlier one.

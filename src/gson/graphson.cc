@@ -13,7 +13,6 @@ std::string WriteGraphSON(const GraphData& data) {
   // Streaming serialization: datasets can be large, so we avoid building
   // one giant Json tree.
   std::string out;
-  out.reserve(data.EstimatedJsonBytes());
   out += "{\"mode\":\"NORMAL\",\"vertices\":[";
   auto append_props = [&out](const PropertyMap& props) {
     for (const auto& [k, v] : props) {

@@ -39,21 +39,6 @@ Result<std::string_view> AppendStore::Read(uint64_t id) const {
   return std::string_view(log_.data() + pos, len);
 }
 
-void AppendStore::Compact() {
-  std::string new_log;
-  new_log.reserve(log_.size() / 2);
-  for (uint64_t id = 0; id < positions_.size(); ++id) {
-    if (positions_[id] == kTombstone) continue;
-    auto data = Read(id);
-    if (!data.ok()) continue;
-    uint64_t offset = new_log.size();
-    PutVarint64(&new_log, data.value().size());
-    new_log.append(data.value());
-    positions_[id] = offset;
-  }
-  log_ = std::move(new_log);
-}
-
 void AppendStore::Serialize(std::string* out) const {
   PutVarint64(out, positions_.size());
   for (uint64_t p : positions_) {
@@ -88,23 +73,6 @@ void AppendStore::SerializeCompacted(std::string* out) const {
   }
   PutVarint64(out, log.size());
   out->append(log);
-}
-
-Result<AppendStore> AppendStore::Deserialize(const std::string& in,
-                                             size_t* pos) {
-  AppendStore store;
-  GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
-  store.positions_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    GDB_ASSIGN_OR_RETURN(uint64_t p, GetVarint64(in, pos));
-    store.positions_.push_back(p == 0 ? kTombstone : p - 1);
-    if (p != 0) ++store.live_count_;
-  }
-  GDB_ASSIGN_OR_RETURN(uint64_t log_len, GetVarint64(in, pos));
-  if (*pos + log_len > in.size()) return Status::Corruption("truncated log");
-  store.log_.assign(in, *pos, log_len);
-  *pos += log_len;
-  return store;
 }
 
 }  // namespace gdbmicro

@@ -20,8 +20,9 @@ namespace gdbmicro {
 
 /// Variable-length records in an append-only log. Updating a record appends
 /// a new version and repoints the logical map; the old bytes remain in the
-/// log until Compact(). Space reports therefore include dead versions,
-/// mirroring the real system's disk behaviour.
+/// log for the store's lifetime, so LogBytes() includes dead versions.
+/// SerializeCompacted() writes the live versions only, as a checkpoint
+/// reclaims the space of superseded ones.
 class AppendStore {
  public:
   static constexpr uint64_t kTombstone = ~0ULL;
@@ -39,7 +40,7 @@ class AppendStore {
   /// Replaces the record's content (appends a new version).
   Status Update(uint64_t id, std::string_view data);
 
-  /// Marks the record deleted. Its log bytes stay until Compact().
+  /// Marks the record deleted. Its log bytes stay in the log.
   Status Delete(uint64_t id);
 
   bool IsLive(uint64_t id) const {
@@ -54,16 +55,11 @@ class AppendStore {
   /// Log footprint in bytes, including dead versions.
   uint64_t LogBytes() const { return log_.size(); }
 
-  /// Rewrites the log keeping only live versions.
-  void Compact();
-
   void Serialize(std::string* out) const;
 
   /// Serializes a compacted image (live versions only) without mutating
   /// the store — what a checkpoint writes to disk after space reclaim.
   void SerializeCompacted(std::string* out) const;
-
-  static Result<AppendStore> Deserialize(const std::string& in, size_t* pos);
 
  private:
   // Physical record layout in log: varint length, then payload.

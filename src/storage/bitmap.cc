@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "src/util/varint.h"
 
@@ -149,15 +148,6 @@ void Bitmap::UnionWith(const Bitmap& other) {
   });
 }
 
-void Bitmap::IntersectWith(const Bitmap& other) {
-  std::vector<uint64_t> to_remove;
-  ForEach([&](uint64_t id) {
-    if (!other.Contains(id)) to_remove.push_back(id);
-    return true;
-  });
-  for (uint64_t id : to_remove) Remove(id);
-}
-
 uint64_t Bitmap::MemoryBytes() const {
   uint64_t total = sizeof(Bitmap);
   for (const auto& [chunk, c] : containers_) {
@@ -181,48 +171,6 @@ void Bitmap::Serialize(std::string* out) const {
                   c.array.size() * sizeof(uint16_t));
     }
   }
-}
-
-Result<Bitmap> Bitmap::Deserialize(const std::string& in, size_t* pos) {
-  Bitmap bm;
-  GDB_ASSIGN_OR_RETURN(uint64_t n_containers, GetVarint64(in, pos));
-  for (uint64_t i = 0; i < n_containers; ++i) {
-    GDB_ASSIGN_OR_RETURN(uint64_t chunk, GetVarint64(in, pos));
-    if (*pos >= in.size()) return Status::Corruption("truncated bitmap");
-    bool dense = in[(*pos)++] != 0;
-    Container c;
-    c.dense = dense;
-    if (dense) {
-      size_t bytes = kBitsetWords * sizeof(uint64_t);
-      if (*pos + bytes > in.size()) return Status::Corruption("truncated bitmap");
-      c.bits.resize(kBitsetWords);
-      std::memcpy(c.bits.data(), in.data() + *pos, bytes);
-      *pos += bytes;
-    } else {
-      GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, pos));
-      size_t bytes = n * sizeof(uint16_t);
-      if (*pos + bytes > in.size()) return Status::Corruption("truncated bitmap");
-      c.array.resize(n);
-      std::memcpy(c.array.data(), in.data() + *pos, bytes);
-      *pos += bytes;
-    }
-    bm.cardinality_ += c.Cardinality();
-    bm.containers_.emplace(static_cast<uint32_t>(chunk), std::move(c));
-  }
-  return bm;
-}
-
-bool Bitmap::operator==(const Bitmap& other) const {
-  if (cardinality_ != other.cardinality_) return false;
-  bool equal = true;
-  ForEach([&](uint64_t id) {
-    if (!other.Contains(id)) {
-      equal = false;
-      return false;
-    }
-    return true;
-  });
-  return equal;
 }
 
 }  // namespace gdbmicro

@@ -12,16 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "src/util/result.h"
-
 namespace gdbmicro {
 
 /// A dynamic set of uint64 ids with compressed storage.
 ///
 /// Containers switch representation at 4096 entries: below that a sorted
 /// uint16 array, above a 8 KiB fixed bitset. Membership, insertion and
-/// removal are O(log k) / O(1); union and intersection operate
-/// container-by-container.
+/// removal are O(log k) / O(1).
 class Bitmap {
  public:
   Bitmap() = default;
@@ -46,20 +43,12 @@ class Bitmap {
   /// In-place union.
   void UnionWith(const Bitmap& other);
 
-  /// In-place intersection.
-  void IntersectWith(const Bitmap& other);
-
   /// Approximate heap bytes used (for the engine memory budget).
   uint64_t MemoryBytes() const;
 
-  /// Serializes into `out` (appended); stable, versionless format.
+  /// Appends the bitmap's checkpoint image to `out`: per container its
+  /// chunk id, then the array entries or the raw bitset words.
   void Serialize(std::string* out) const;
-
-  /// Parses a bitmap previously produced by Serialize, starting at
-  /// in[*pos]; advances *pos.
-  static Result<Bitmap> Deserialize(const std::string& in, size_t* pos);
-
-  bool operator==(const Bitmap& other) const;
 
  private:
   static constexpr size_t kArrayLimit = 4096;

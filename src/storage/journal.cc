@@ -163,15 +163,6 @@ void Journal::EncodeRecord(WalRecordType type, std::string_view payload,
   out->append(payload);
 }
 
-Result<std::string_view> Journal::Read(uint64_t offset, uint64_t len) const {
-  // Guard against unsigned wrap: `offset + len > used_` admits any
-  // `offset` within 2^64 - len of overflow.
-  if (len > used_ || offset > used_ - len) {
-    return Status::OutOfRange("journal read past end");
-  }
-  return std::string_view(data_.data() + offset, len);
-}
-
 void Journal::Truncate(uint64_t used) {
   if (used >= used_) return;
   data_.resize(used);
@@ -278,21 +269,6 @@ void Journal::Serialize(std::string* out) const {
   // Pad to the allocated extent boundary: the journal file on disk has
   // fixed-size extents regardless of content.
   if (allocated_ > used_) out->append(allocated_ - used_, '\0');
-}
-
-Result<Journal> Journal::Deserialize(const std::string& in, size_t* pos) {
-  GDB_ASSIGN_OR_RETURN(uint64_t extent, GetVarint64(in, pos));
-  GDB_ASSIGN_OR_RETURN(uint64_t allocated, GetVarint64(in, pos));
-  GDB_ASSIGN_OR_RETURN(uint64_t used, GetVarint64(in, pos));
-  if (*pos + allocated > in.size()) {
-    return Status::Corruption("truncated journal");
-  }
-  Journal j(extent, 0);
-  j.allocated_ = allocated;
-  j.used_ = used;
-  j.data_.assign(in, *pos, used);
-  *pos += allocated;
-  return j;
 }
 
 }  // namespace gdbmicro

@@ -128,9 +128,6 @@ class Journal {
   static void EncodeRecord(WalRecordType type, std::string_view payload,
                            std::string* out);
 
-  /// Reads `len` bytes at `offset`.
-  Result<std::string_view> Read(uint64_t offset, uint64_t len) const;
-
   /// Scans the journal's framed records, replays complete committed
   /// batches into `visit`, and truncates the journal to the last valid
   /// commit. Records of an uncommitted or corrupt tail are never
@@ -166,8 +163,9 @@ class Journal {
   /// power loss).
   std::string_view Bytes() const { return data_; }
 
+  /// Appends the journal's on-disk image to `out`: a header, the used
+  /// bytes, then zeros up to the allocated extent boundary.
   void Serialize(std::string* out) const;
-  static Result<Journal> Deserialize(const std::string& in, size_t* pos);
 
  private:
   uint64_t extent_bytes_;

@@ -68,19 +68,4 @@ void RecordFile::Serialize(std::string* out) const {
   out->append(buffer_);
 }
 
-Result<RecordFile> RecordFile::Deserialize(const std::string& in, size_t* pos) {
-  GDB_ASSIGN_OR_RETURN(uint64_t record_size, GetVarint64(in, pos));
-  if (record_size < 9) return Status::Corruption("bad record size");
-  RecordFile rf(static_cast<uint32_t>(record_size));
-  GDB_ASSIGN_OR_RETURN(rf.slot_count_, GetVarint64(in, pos));
-  GDB_ASSIGN_OR_RETURN(rf.live_count_, GetVarint64(in, pos));
-  GDB_ASSIGN_OR_RETURN(uint64_t head, GetVarint64(in, pos));
-  rf.free_head_ = head == 0 ? kNoRecord : head - 1;
-  uint64_t bytes = rf.slot_count_ * record_size;
-  if (*pos + bytes > in.size()) return Status::Corruption("truncated record file");
-  rf.buffer_.assign(in, *pos, bytes);
-  *pos += bytes;
-  return rf;
-}
-
 }  // namespace gdbmicro

@@ -65,8 +65,6 @@ class RecordFile {
   /// Serializes the whole file (header + buffer).
   void Serialize(std::string* out) const;
 
-  static Result<RecordFile> Deserialize(const std::string& in, size_t* pos);
-
  private:
   // Slot layout: [0] = flags (1 = live), [1..8] = free-list next when free,
   // payload when live.

@@ -10,7 +10,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace gdbmicro {
 
@@ -108,21 +107,6 @@ class ZipfSampler {
   double h_x1_;
   double h_n_;
   double dist_range_;
-};
-
-/// Weighted discrete sampler (alias method). O(n) setup, O(1) sampling.
-class AliasSampler {
- public:
-  explicit AliasSampler(const std::vector<double>& weights);
-
-  /// Index in [0, weights.size()).
-  uint64_t Sample(Rng& rng) const;
-
-  size_t size() const { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
 };
 
 }  // namespace gdbmicro

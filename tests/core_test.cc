@@ -311,15 +311,12 @@ TEST(RunClientsTest, RejectsSpecsInTheWrongList) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SpaceTest, MeasureSpaceReportsBytes) {
+TEST(SpaceTest, LoadedEngineReportsCheckpointBytes) {
   GraphData data = datasets::GenerateYeast(TinyScale());
   Runner runner(FastRunner());
   auto loaded = runner.Load("neo19", data);
   ASSERT_TRUE(loaded.ok());
-  std::string scratch = ::testing::TempDir() + "/gdbmicro_space_test";
-  auto bytes = core::MeasureSpace(*loaded->engine, scratch);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  EXPECT_GT(*bytes, 1000u);
+  EXPECT_GT(loaded->engine->CheckpointBytes(), 1000u);
 }
 
 TEST(ComplexTest, CatalogHasThirteenQueries) {

@@ -9,7 +9,6 @@
 #include "src/engines/neoish/neo_engine.h"
 #include "src/graph/registry.h"
 #include "src/query/traversal.h"
-#include "src/storage/bitmap.h"
 #include "src/storage/btree.h"
 #include "src/util/string_util.h"
 
@@ -132,17 +131,6 @@ TEST(FormattingTest, PivotWithoutDatasetFilterPrefixesRows) {
   EXPECT_NE(table.find("yeast Q8"), std::string::npos);
 }
 
-TEST(BitmapCoverageTest, EmptySerializeRoundTrip) {
-  Bitmap empty;
-  std::string buf;
-  empty.Serialize(&buf);
-  size_t pos = 0;
-  auto round = Bitmap::Deserialize(buf, &pos);
-  ASSERT_TRUE(round.ok());
-  EXPECT_TRUE(round->Empty());
-  EXPECT_FALSE(Bitmap::Deserialize("\x05", &(pos = 0)).ok());  // truncated
-}
-
 TEST(BTreeCoverageTest, ClearResetsEverything) {
   BTree<uint64_t, uint64_t> tree;
   for (uint64_t i = 0; i < 1000; ++i) tree.Insert(i, i);
@@ -160,7 +148,6 @@ TEST(EngineLifecycleTest, OpenCloseAllEngines) {
     auto engine = OpenEngine(name, EngineOptions{});
     ASSERT_TRUE(engine.ok()) << name;
     EXPECT_TRUE((*engine)->AddVertex("n", {}).ok()) << name;
-    EXPECT_TRUE((*engine)->Close().ok()) << name;
   }
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <queue>
 #include <set>
@@ -16,6 +15,7 @@
 #include <unordered_set>
 
 #include "src/datasets/generators.h"
+#include "src/datasets/workload.h"
 #include "src/graph/registry.h"
 #include "src/query/algorithms.h"
 
@@ -372,26 +372,12 @@ TEST_P(EngineTest, ScanCancellation) {
   EXPECT_EQ(visited, 0u);
 }
 
-TEST_P(EngineTest, CheckpointWritesFiles) {
+TEST_P(EngineTest, CheckpointImageIsNotEmpty) {
   auto a = engine_->AddVertex("n", {{{"k", PropertyValue("v")}}});
   auto b = engine_->AddVertex("n", {});
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(engine_->AddEdge(*a, *b, "l", {}).ok());
-
-  std::string dir = ::testing::TempDir() + "/gdbmicro_ckpt_" + GetParam();
-  std::filesystem::remove_all(dir);
-  Status s = engine_->Checkpoint(dir);
-  ASSERT_TRUE(s.ok()) << s;
-  uint64_t files = 0, bytes = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) {
-      ++files;
-      bytes += entry.file_size();
-    }
-  }
-  EXPECT_GT(files, 0u);
-  EXPECT_GT(bytes, 0u);
-  std::filesystem::remove_all(dir);
+  EXPECT_GT(engine_->CheckpointBytes(), 0u);
 }
 
 TEST_P(EngineTest, MemoryBytesIsPositiveAfterLoad) {
@@ -399,6 +385,41 @@ TEST_P(EngineTest, MemoryBytesIsPositiveAfterLoad) {
   auto b = engine_->AddVertex("n", {});
   ASSERT_TRUE(engine_->AddEdge(*a, *b, "l", {}).ok());
   EXPECT_GT(engine_->MemoryBytes(), 0u);
+}
+
+// --- checkpoint image (paper Fig. 1) --------------------------------------
+
+// Pins every engine's Fig. 1 number. ldbc 0.005 (properties on vertices
+// and on edges) is loaded natively and gets the Q11 property index where
+// the engine has one. Then one vertex property is overwritten by an
+// 80-byte string (orient's superseded version, neo's overflow string),
+// one edge is removed and one vertex is removed (neo's freed slots,
+// titan's tombstones). The literals were recorded as the summed sizes of
+// the checkpoint files the engines wrote before the images were counted in
+// memory; a change that moves one moves Fig. 1.
+using CheckpointBytesTest = EngineTest;
+
+TEST_P(CheckpointBytesTest, LdbcAfterWritesMatchesRecordedBytes) {
+  static const std::map<std::string, uint64_t> kRecorded = {
+      {"arango", 154171}, {"blaze", 8981906},  {"neo19", 325263},
+      {"neo30", 360917},  {"orient", 252749},  {"sparksee", 72494},
+      {"sqlg", 295036},   {"titan05", 69408},  {"titan10", 69408}};
+  datasets::GenOptions gen;
+  gen.scale = 0.005;
+  GraphData data = datasets::GenerateLdbc(gen);
+  auto mapping = engine_->BulkLoad(data);
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+  datasets::Workload workload(&data, &*mapping, 42);
+  const std::string key = workload.VertexProperty(0).first;
+  Status indexed = engine_->CreateVertexPropertyIndex(key);
+  EXPECT_TRUE(indexed.ok() || indexed.IsUnimplemented()) << indexed;
+  ASSERT_TRUE(engine_
+                  ->SetVertexProperty(mapping->vertex_ids[0], key,
+                                      PropertyValue(std::string(80, 'u')))
+                  .ok());
+  ASSERT_TRUE(engine_->RemoveEdge(mapping->edge_ids[0]).ok());
+  ASSERT_TRUE(engine_->RemoveVertex(mapping->vertex_ids[1]).ok());
+  EXPECT_EQ(engine_->CheckpointBytes(), kRecorded.at(GetParam()));
 }
 
 // --- adjacency visitors ---------------------------------------------------
@@ -795,13 +816,15 @@ TEST_P(EngineTest, ReservedPropertyNamesNeverCorruptElements) {
   EXPECT_EQ(bfs->visited, std::vector<VertexId>{*b});
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, EngineTest,
+const auto kAllEngines =
     ::testing::Values("arango", "blaze", "neo19", "neo30", "orient",
-                      "sparksee", "sqlg", "titan05", "titan10"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
-    });
+                      "sparksee", "sqlg", "titan05", "titan10");
+const auto kParamName = [](const ::testing::TestParamInfo<std::string>& info) {
+  return info.param;
+};
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest, kAllEngines, kParamName);
+INSTANTIATE_TEST_SUITE_P(AllEngines, CheckpointBytesTest, kAllEngines,
+                         kParamName);
 
 }  // namespace
 }  // namespace gdbmicro

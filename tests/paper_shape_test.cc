@@ -7,9 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "src/core/runner.h"
 #include "src/datasets/generators.h"
 #include "src/graph/registry.h"
 #include "src/query/algorithms.h"
@@ -25,11 +22,6 @@ GraphData HubGraph() {
   return datasets::GenerateFreebase(datasets::FreebaseKind::kTopic, gen);
 }
 
-Result<uint64_t> CheckpointBytes(GraphEngine& engine, const std::string& tag) {
-  return core::MeasureSpace(engine,
-                            ::testing::TempDir() + "/gdbmicro_shape_" + tag);
-}
-
 // Fig. 1(a): Titan's delta-encoded adjacency lists are the most compact
 // representation of a hub-heavy graph; BlazeGraph's journal + three
 // statement indexes are the least compact, by a wide margin.
@@ -40,9 +32,7 @@ TEST(PaperShapeTest, TitanSmallestBlazeLargestOnHubGraphs) {
     auto engine = OpenEngine(name, EngineOptions{});
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE((*engine)->BulkLoad(data).ok());
-    auto b = CheckpointBytes(**engine, name);
-    ASSERT_TRUE(b.ok()) << name << ": " << b.status();
-    bytes[name] = *b;
+    bytes[name] = (*engine)->CheckpointBytes();
   }
   EXPECT_LT(bytes["titan10"], bytes["neo19"]);
   EXPECT_GT(bytes["blaze"], 2 * bytes["titan10"]);
@@ -65,9 +55,7 @@ TEST(PaperShapeTest, OrientFootprintGrowsWithLabelCardinality) {
                     "label_" + std::to_string(i % labels), {})
           .value();
     }
-    auto b = CheckpointBytes(**engine, "orient_labels");
-    EXPECT_TRUE(b.ok());
-    return b.value_or(0);
+    return (*engine)->CheckpointBytes();
   };
   uint64_t few = build(4);
   uint64_t many = build(400);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -63,25 +62,9 @@ TEST(BitmapTest, UnionIntersection) {
   for (uint64_t i = 0; i < 100; i += 3) b.Add(i);
   Bitmap u = a;
   u.UnionWith(b);
-  Bitmap x = a;
-  x.IntersectWith(b);
   for (uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(u.Contains(i), i % 2 == 0 || i % 3 == 0) << i;
-    EXPECT_EQ(x.Contains(i), i % 6 == 0) << i;
   }
-}
-
-TEST(BitmapTest, SerializeRoundTrip) {
-  Bitmap bm;
-  Rng rng(99);
-  for (int i = 0; i < 6000; ++i) bm.Add(rng.Uniform(1 << 22));
-  std::string buf;
-  bm.Serialize(&buf);
-  size_t pos = 0;
-  auto round = Bitmap::Deserialize(buf, &pos);
-  ASSERT_TRUE(round.ok()) << round.status();
-  EXPECT_EQ(pos, buf.size());
-  EXPECT_TRUE(*round == bm);
 }
 
 TEST(BitmapTest, ForEachEarlyStop) {
@@ -317,31 +300,6 @@ TEST(RecordFileTest, PayloadTooLargeRejected) {
   EXPECT_FALSE(rf.Write(a, big).ok());
 }
 
-TEST(RecordFileTest, SerializeRoundTrip) {
-  RecordFile rf(24);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 100; ++i) ids.push_back(rf.Allocate());
-  for (int i = 0; i < 100; i += 3) ASSERT_TRUE(rf.Free(ids[i]).ok());
-  for (int i = 1; i < 100; i += 3) {
-    ASSERT_TRUE(rf.Write(ids[i], "abc").ok());
-  }
-  std::string buf;
-  rf.Serialize(&buf);
-  size_t pos = 0;
-  auto round = RecordFile::Deserialize(buf, &pos);
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->LiveCount(), rf.LiveCount());
-  EXPECT_EQ(round->SlotCount(), rf.SlotCount());
-  for (int i = 1; i < 100; i += 3) {
-    auto data = round->Read(ids[i]);
-    ASSERT_TRUE(data.ok());
-    EXPECT_EQ(data->substr(0, 3), "abc");
-  }
-  // Free list still works after deserialization.
-  uint64_t reused = round->Allocate();
-  EXPECT_LT(reused, round->SlotCount());
-}
-
 // --- AppendStore -----------------------------------------------------------------
 
 TEST(AppendStoreTest, AppendUpdateDelete) {
@@ -357,32 +315,26 @@ TEST(AppendStoreTest, AppendUpdateDelete) {
   EXPECT_FALSE(store.Update(a, "zombie").ok());
 }
 
+// The compacted image keeps one version per live record: 50 superseded
+// versions and a deleted record's bytes are dropped from it, and the store
+// itself is left as it was.
 TEST(AppendStoreTest, CompactDropsDeadVersions) {
   AppendStore store;
   uint64_t a = store.Append("aaaa");
   uint64_t b = store.Append("bbbb");
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(store.Update(a, "update").ok());
   ASSERT_TRUE(store.Delete(b).ok());
-  uint64_t before = store.LogBytes();
-  store.Compact();
-  EXPECT_LT(store.LogBytes(), before);
+  const uint64_t log_before = store.LogBytes();
+  std::string full, compacted;
+  store.Serialize(&full);
+  store.SerializeCompacted(&compacted);
+  EXPECT_LT(compacted.size(), full.size());
+  // The record count, a's position, b's tombstone, the log length, then
+  // the one live version: "update" behind its length byte.
+  EXPECT_EQ(compacted.size(), 1u + 1u + 1u + 1u + (1u + 6u));
+  EXPECT_EQ(store.LogBytes(), log_before);
   EXPECT_EQ(store.Read(a).value(), "update");
   EXPECT_FALSE(store.IsLive(b));
-}
-
-TEST(AppendStoreTest, SerializeRoundTrip) {
-  AppendStore store;
-  uint64_t a = store.Append("one");
-  uint64_t b = store.Append("two");
-  ASSERT_TRUE(store.Delete(a).ok());
-  std::string buf;
-  store.Serialize(&buf);
-  size_t pos = 0;
-  auto round = AppendStore::Deserialize(buf, &pos);
-  ASSERT_TRUE(round.ok());
-  EXPECT_FALSE(round->IsLive(a));
-  EXPECT_EQ(round->Read(b).value(), "two");
-  EXPECT_EQ(round->LiveCount(), 1u);
 }
 
 // --- Journal ---------------------------------------------------------------------
@@ -390,8 +342,8 @@ TEST(AppendStoreTest, SerializeRoundTrip) {
 TEST(JournalTest, AppendAndRead) {
   Journal j(1024, 1);
   uint64_t off = j.Append("hello");
-  EXPECT_EQ(j.Read(off, 5).value(), "hello");
-  EXPECT_FALSE(j.Read(off, 100).ok());
+  EXPECT_EQ(j.Bytes().substr(off), "hello");
+  EXPECT_EQ(j.UsedBytes(), 5u);
 }
 
 TEST(JournalTest, ExtentGranularAllocation) {
@@ -404,21 +356,6 @@ TEST(JournalTest, ExtentGranularAllocation) {
   std::string buf;
   j.Serialize(&buf);
   EXPECT_GE(buf.size(), j.AllocatedBytes());  // slack serialized too
-}
-
-// Regression: the bounds check used to be `offset + len > used_`, which
-// wraps for huge len/offset and "succeeds" — reading past the extent. The
-// rewritten check (`len > used_ || offset > used_ - len`) cannot overflow.
-TEST(JournalTest, ReadBoundsCheckDoesNotOverflow) {
-  Journal j(1024, 1);
-  uint64_t off = j.Append("hello");
-  uint64_t huge = std::numeric_limits<uint64_t>::max();
-  EXPECT_FALSE(j.Read(off, huge).ok());            // off + huge wraps
-  EXPECT_FALSE(j.Read(huge, 5).ok());              // huge + 5 wraps
-  EXPECT_FALSE(j.Read(huge, huge).ok());           // both wrap
-  EXPECT_FALSE(j.Read(1, j.UsedBytes()).ok());     // one past the end
-  EXPECT_TRUE(j.Read(0, j.UsedBytes()).ok());      // exact extent is fine
-  EXPECT_TRUE(j.Read(j.UsedBytes(), 0).ok());      // empty read at the end
 }
 
 TEST(JournalTest, Crc32cKnownVectorAndChaining) {
@@ -511,19 +448,7 @@ TEST(JournalTest, BitFlipLeavesDeviceAliveButMangled) {
   ASSERT_TRUE(j.AppendDurable(payload).ok());
   EXPECT_FALSE(j.dead());                        // silent corruption
   EXPECT_TRUE(j.AppendDurable("more").ok());     // later writes still land
-  EXPECT_NE(j.Read(0, 16).value(), payload);     // exactly one bit differs
-}
-
-TEST(JournalTest, SerializeRoundTrip) {
-  Journal j(256, 1);
-  uint64_t off = j.Append("data!");
-  std::string buf;
-  j.Serialize(&buf);
-  size_t pos = 0;
-  auto round = Journal::Deserialize(buf, &pos);
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->Read(off, 5).value(), "data!");
-  EXPECT_EQ(round->AllocatedBytes(), j.AllocatedBytes());
+  EXPECT_NE(j.Bytes().substr(0, 16), payload);   // exactly one bit differs
 }
 
 // --- LruCache ---------------------------------------------------------------------

@@ -173,17 +173,6 @@ TEST(ZipfTest, SkewedTowardsSmallRanks) {
   for (const auto& [k, v] : counts) EXPECT_LT(k, 1000u);
 }
 
-TEST(AliasSamplerTest, MatchesWeights) {
-  Rng rng(4);
-  AliasSampler sampler({1.0, 0.0, 3.0});
-  int counts[3] = {0, 0, 0};
-  const int kSamples = 40000;
-  for (int i = 0; i < kSamples; ++i) counts[sampler.Sample(rng)]++;
-  EXPECT_EQ(counts[1], 0);
-  double ratio = static_cast<double>(counts[2]) / counts[0];
-  EXPECT_NEAR(ratio, 3.0, 0.5);
-}
-
 TEST(JsonTest, ParsePrimitives) {
   auto v = Json::Parse("  true ");
   ASSERT_TRUE(v.ok());
