@@ -1,6 +1,7 @@
 #include "src/graph/path_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <numeric>
 #include <utility>
@@ -199,26 +200,56 @@ Status PathIndex::BuildLandmarks(const CancelToken& cancel) {
                     });
   landmark_ords_.assign(order.begin(), order.begin() + want);
 
-  std::vector<uint32_t> frontier, next;
-  uint32_t polls = 0;
+  // One level-synchronous BFS from every landmark at once (MS-BFS, Then
+  // et al., PVLDB 2014): bit l of a vertex's lane masks stands for
+  // landmark l. `visit` holds the lanes whose frontier the vertex is on,
+  // `next` the lanes that reach it from this level's frontiers and `seen`
+  // the lanes that reached it before, so a vertex on several frontiers is
+  // expanded once for all of them. A level walks its frontier's edges and
+  // the vertices they touched, never a whole component, so the build
+  // stays within the per-landmark searches' O(landmarks x (V + E)) on a
+  // long, thin component. `touched` is appended without a branch, as in
+  // RunIndexed: each slot is written, and the tail advances when the
+  // vertex's `next` was still empty, so it holds every vertex once plus
+  // one spare slot.
+  using Lanes = uint16_t;
+  static_assert(kMaxLandmarks <= 16, "one lane bit per landmark");
+  GDB_CHECK_CHARGE(cancel, 3 * uint64_t{n} * sizeof(Lanes) +
+                               (2 * uint64_t{n} + 1) * sizeof(uint32_t));
+  std::vector<Lanes> seen(n, 0), visit(n, 0), next(n, 0);
+  std::vector<uint32_t> frontier, touched(size_t{n} + 1);
+  frontier.reserve(n);
   for (uint32_t li = 0; li < want; ++li) {
-    frontier.assign(1, landmark_ords_[li]);
-    landmark_rows_[landmark_ords_[li]].dist[li] = 0;
-    uint32_t depth = 0;
-    while (!frontier.empty()) {
-      ++depth;
-      next.clear();
-      for (uint32_t v : frontier) {
-        if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-        for (uint32_t w : BothNeighbors(v)) {
-          uint32_t& dist = landmark_rows_[w].dist[li];
-          if (dist == kUnreachable) {
-            dist = depth;
-            next.push_back(w);
-          }
-        }
+    const uint32_t l = landmark_ords_[li];
+    seen[l] = visit[l] = static_cast<Lanes>(1u << li);
+    landmark_rows_[l].dist[li] = 0;
+    frontier.push_back(l);
+  }
+
+  uint32_t polls = 0;
+  for (uint32_t depth = 1; !frontier.empty(); ++depth) {
+    size_t tail = 0;
+    for (uint32_t v : frontier) {
+      if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
+      const Lanes lanes = visit[v];
+      for (uint32_t w : BothNeighbors(v)) {
+        touched[tail] = w;
+        tail += next[w] == 0;
+        next[w] |= lanes;
       }
-      frontier.swap(next);
+    }
+    frontier.clear();
+    for (size_t t = 0; t < tail; ++t) {
+      const uint32_t w = touched[t];
+      const Lanes fresh = static_cast<Lanes>(next[w] & ~seen[w]);
+      next[w] = 0;
+      visit[w] = fresh;
+      if (fresh == 0) continue;
+      seen[w] |= fresh;
+      for (unsigned f = fresh; f != 0; f &= f - 1) {
+        landmark_rows_[w].dist[std::countr_zero(f)] = depth;
+      }
+      frontier.push_back(w);
     }
   }
   return Status::OK();

@@ -24,7 +24,8 @@
 // contiguous ordinal range. One CSR holds each vertex's out-targets
 // followed by its in-sources, so a both() expansion is a single range.
 // Landmark distances are stored vertex-major, one 64-byte row per vertex,
-// so a distance bound reads one cache line per endpoint.
+// so a distance bound reads one cache line per endpoint; the build fills
+// all of a row's lanes in one multi-source BFS from the landmarks.
 //
 // Consistency contract: the index describes exactly the snapshot it was
 // built from. GraphEngine::BuildPathIndex builds it after BulkLoad (off

@@ -1,7 +1,9 @@
 #include "src/graph/statistics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace gdbmicro {
 
@@ -10,12 +12,8 @@ namespace {
 /// Bucket index of a degree: 0 for degree 0, bit_width otherwise, capped
 /// at the last bucket (degrees beyond 2^30 share it).
 int DegreeBucket(uint64_t degree) {
-  int idx = 0;
-  while (degree > 0) {
-    ++idx;
-    degree >>= 1;
-  }
-  return std::min(idx, DegreeHistogram::kBuckets - 1);
+  return std::min(static_cast<int>(std::bit_width(degree)),
+                  DegreeHistogram::kBuckets - 1);
 }
 
 /// Inclusive [lo, hi] degree range of bucket i (see DegreeHistogram).
@@ -26,14 +24,63 @@ std::pair<uint64_t, uint64_t> BucketRange(int i) {
   return {lo, hi};
 }
 
-/// Builds the equi-depth histogram for one key from its gathered values
+/// A property value keyed for sorting in place of a copy: the index of
+/// its alternative in PropertyValue's variant (null, bool, int64, double,
+/// string, the order PropertyValue::operator< ranks types in), a 64-bit
+/// prefix whose unsigned order is the value order within the type, and
+/// the value itself. The prefix is the whole value for bool, int64 and
+/// double (with -0.0 folded into +0.0, which compare equal), and the
+/// first 8 bytes of a string, big-endian and zero-padded (a string's
+/// order is its unsigned byte order).
+struct SortKey {
+  uint64_t prefix;
+  const PropertyValue* value;
+  uint32_t tag;
+};
+
+constexpr uint32_t kNullTag = 0, kBoolTag = 1, kIntTag = 2, kDoubleTag = 3,
+                   kStringTag = 4;
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+SortKey KeyOf(const PropertyValue& v) {
+  if (v.is_string()) {
+    const std::string& s = v.string_value();
+    unsigned char head[8] = {};
+    std::memcpy(head, s.data(), std::min<size_t>(s.size(), sizeof(head)));
+    uint64_t prefix = 0;
+    for (unsigned char c : head) prefix = prefix << 8 | c;
+    return {prefix, &v, kStringTag};
+  }
+  if (v.is_int()) {
+    return {static_cast<uint64_t>(v.int_value()) ^ kSignBit, &v, kIntTag};
+  }
+  if (v.is_double()) {
+    double d = v.double_value();
+    if (d == 0.0) d = 0.0;
+    const uint64_t bits = std::bit_cast<uint64_t>(d);
+    return {bits & kSignBit ? ~bits : bits | kSignBit, &v, kDoubleTag};
+  }
+  if (v.is_bool()) return {v.bool_value() ? 1u : 0u, &v, kBoolTag};
+  return {0, &v, kNullTag};
+}
+
+/// Orders keys by (tag, prefix), then strings that share a prefix by the
+/// full string.
+bool KeyLess(const SortKey& a, const SortKey& b) {
+  if (a.tag != b.tag) return a.tag < b.tag;
+  if (a.prefix != b.prefix) return a.prefix < b.prefix;
+  return a.tag == kStringTag &&
+         a.value->string_value() < b.value->string_value();
+}
+
+/// Builds the equi-depth histogram for one key from its gathered keys
 /// (consumed: sorted in place). Runs of equal values never split across
 /// buckets, so EstimateEq's count/distinct is well-defined per bucket.
-PropertyKeyStats BuildKeyStats(std::vector<PropertyValue>& values) {
+PropertyKeyStats BuildKeyStats(std::vector<SortKey>& keys) {
   PropertyKeyStats stats;
-  stats.count = values.size();
-  if (values.empty()) return stats;
-  std::sort(values.begin(), values.end());
+  stats.count = keys.size();
+  if (keys.empty()) return stats;
+  std::sort(keys.begin(), keys.end(), KeyLess);
 
   uint64_t depth = (stats.count + PropertyKeyStats::kMaxBuckets - 1) /
                    PropertyKeyStats::kMaxBuckets;
@@ -41,21 +88,20 @@ PropertyKeyStats BuildKeyStats(std::vector<PropertyValue>& values) {
 
   HistogramBucket bucket;
   size_t i = 0;
-  while (i < values.size()) {
+  while (i < keys.size()) {
     // One run of equal values at a time.
     size_t j = i + 1;
-    while (j < values.size() && values[j] == values[i]) ++j;
+    while (j < keys.size() && !KeyLess(keys[i], keys[j])) ++j;
     bucket.count += j - i;
     ++bucket.distinct;
     ++stats.distinct;
-    bucket.upper = values[j - 1];
-    if (bucket.count >= depth) {
+    if (bucket.count >= depth || j == keys.size()) {
+      bucket.upper = *keys[j - 1].value;
       stats.buckets.push_back(std::move(bucket));
       bucket = HistogramBucket{};
     }
     i = j;
   }
-  if (bucket.count > 0) stats.buckets.push_back(std::move(bucket));
   return stats;
 }
 
@@ -128,14 +174,15 @@ GraphStatistics GraphStatistics::Collect(const GraphData& data) {
 
   std::vector<uint32_t> out_deg(data.vertices.size(), 0);
   std::vector<uint32_t> in_deg(data.vertices.size(), 0);
+  std::unordered_map<std::string, std::vector<SortKey>> vprops, eprops;
   for (const auto& e : data.edges) {
     ++out_deg[e.src];
     ++in_deg[e.dst];
     ++s.edge_label_counts[e.label];
+    for (const auto& [key, value] : e.properties) {
+      eprops[key].push_back(KeyOf(value));
+    }
   }
-
-  std::unordered_map<std::string, std::vector<PropertyValue>> vprops;
-  std::unordered_map<std::string, std::vector<PropertyValue>> eprops;
 
   for (size_t i = 0; i < data.vertices.size(); ++i) {
     const auto& v = data.vertices[i];
@@ -147,20 +194,15 @@ GraphStatistics GraphStatistics::Collect(const GraphData& data) {
     s.degrees.both.Add(out + in);
     ++s.degrees.vertices;
     for (const auto& [key, value] : v.properties) {
-      vprops[key].push_back(value);
-    }
-  }
-  for (const auto& e : data.edges) {
-    for (const auto& [key, value] : e.properties) {
-      eprops[key].push_back(value);
+      vprops[key].push_back(KeyOf(value));
     }
   }
 
-  for (auto& [key, values] : vprops) {
-    s.vertex_properties.emplace(key, BuildKeyStats(values));
+  for (auto& [key, keys] : vprops) {
+    s.vertex_properties.emplace(key, BuildKeyStats(keys));
   }
-  for (auto& [key, values] : eprops) {
-    s.edge_properties.emplace(key, BuildKeyStats(values));
+  for (auto& [key, keys] : eprops) {
+    s.edge_properties.emplace(key, BuildKeyStats(keys));
   }
   return s;
 }

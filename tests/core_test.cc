@@ -13,6 +13,7 @@
 #include "src/core/report.h"
 #include "src/core/runner.h"
 #include "src/datasets/generators.h"
+#include "tests/temp_file.h"
 
 namespace gdbmicro {
 namespace {
@@ -443,9 +444,9 @@ TEST(ReportTest, Table4SymbolsReflectPerformance) {
 }
 
 TEST(ReportTest, CsvExport) {
-  std::string path = ::testing::TempDir() + "/gdbmicro_results.csv";
-  ASSERT_TRUE(core::WriteCsv(FakeResults(), path).ok());
-  std::ifstream in(path);
+  TempFile file("gdbmicro_results.csv");
+  ASSERT_TRUE(core::WriteCsv(FakeResults(), file.path()).ok());
+  std::ifstream in(file.path());
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header,

@@ -6,6 +6,7 @@
 #include "src/graph/graph_data.h"
 #include "src/graph/types.h"
 #include "src/gson/graphson.h"
+#include "tests/temp_file.h"
 
 namespace gdbmicro {
 namespace {
@@ -130,9 +131,9 @@ TEST(GraphSONTest, RoundTrip) {
 
 TEST(GraphSONTest, FileRoundTrip) {
   GraphData data = SampleGraph();
-  std::string path = ::testing::TempDir() + "/gdbmicro_sample.graphson";
-  ASSERT_TRUE(WriteGraphSONFile(data, path).ok());
-  auto round = ReadGraphSONFile(path);
+  TempFile file("gdbmicro_sample.graphson");
+  ASSERT_TRUE(WriteGraphSONFile(data, file.path()).ok());
+  auto round = ReadGraphSONFile(file.path());
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->vertices.size(), data.vertices.size());
 }

@@ -6,14 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "src/core/queries.h"
 #include "src/core/runner.h"
 #include "src/datasets/generators.h"
 #include "src/graph/registry.h"
 #include "src/gson/graphson.h"
 #include "src/query/algorithms.h"
+#include "tests/temp_file.h"
 
 namespace gdbmicro {
 namespace {
@@ -23,10 +22,10 @@ TEST(IntegrationTest, GraphsonFileToEngineToQueries) {
   datasets::GenOptions gen;
   gen.scale = 0.005;
   GraphData original = datasets::GenerateLdbc(gen);
-  std::string path = ::testing::TempDir() + "/gdbmicro_integration.graphson";
-  ASSERT_TRUE(WriteGraphSONFile(original, path).ok());
+  TempFile file("gdbmicro_integration.graphson");
+  ASSERT_TRUE(WriteGraphSONFile(original, file.path()).ok());
 
-  auto reloaded = ReadGraphSONFile(path);
+  auto reloaded = ReadGraphSONFile(file.path());
   ASSERT_TRUE(reloaded.ok());
   ASSERT_EQ(reloaded->VertexCount(), original.VertexCount());
   ASSERT_EQ(reloaded->EdgeCount(), original.EdgeCount());
@@ -41,7 +40,6 @@ TEST(IntegrationTest, GraphsonFileToEngineToQueries) {
             original.VertexCount());
   EXPECT_EQ((*engine)->CountEdges(*session, never).value(),
             original.EdgeCount());
-  std::filesystem::remove(path);
 }
 
 TEST(IntegrationTest, GraphsonRoundTripPreservesQueryResults) {

@@ -2,6 +2,8 @@
 // shortest-path answer must equal the reference frontier answer on a
 // cyclic multi-component graph (components and landmarks both exercised)
 // and on the repository benchmark's fragmented Freebase-like graph, the
+// landmark rows must equal one plain BFS per landmark on both and on
+// graphs with fewer vertices than landmark lanes, the
 // indexed BFS must match a plain reference walk over the index CSR in
 // visit order, counters and charges, the index's layout
 // invariants must hold, the index must invalidate with a typed status
@@ -89,6 +91,48 @@ void ExpectLayoutInvariants(const PathIndex& index) {
     EXPECT_EQ(count, end - v) << "range at " << v << " is not connected";
   }
   EXPECT_EQ(components, index.stats().components);
+}
+
+/// The landmark rows against a per-landmark reference: the landmarks
+/// picked again by (total degree desc, engine id asc), then one plain BFS
+/// per landmark over the index CSR. Every row must equal it lane for
+/// lane, kUnreachable in the lanes of other components' landmarks and in
+/// the lanes past the landmark count.
+void ExpectLandmarkRowsMatchPerLandmarkBfs(const PathIndex& index) {
+  const uint32_t n = index.NumVertices();
+  std::vector<uint32_t> order(n);
+  for (uint32_t v = 0; v < n; ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    size_t da = index.BothNeighbors(a).size();
+    size_t db = index.BothNeighbors(b).size();
+    return da != db ? da > db : index.IdOf(a) < index.IdOf(b);
+  });
+  const uint32_t landmarks =
+      std::min<uint32_t>(PathIndex::kMaxLandmarks, n);
+  ASSERT_EQ(index.stats().landmarks, static_cast<int>(landmarks));
+
+  std::vector<std::vector<uint32_t>> dist(
+      PathIndex::kMaxLandmarks,
+      std::vector<uint32_t>(n, PathIndex::kUnreachable));
+  for (uint32_t l = 0; l < landmarks; ++l) {
+    std::vector<uint32_t>& d = dist[l];
+    std::vector<uint32_t> queue{order[l]};
+    d[order[l]] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const uint32_t v = queue[head];
+      for (uint32_t w : index.BothNeighbors(v)) {
+        if (d[w] != PathIndex::kUnreachable) continue;
+        d[w] = d[v] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  for (uint32_t v = 0; v < n; ++v) {
+    const PathIndex::LandmarkRow& row = index.LandmarkRowOf(v);
+    for (int l = 0; l < PathIndex::kMaxLandmarks; ++l) {
+      ASSERT_EQ(row.dist[l], dist[l][v]) << "ordinal " << v << " lane " << l;
+    }
+  }
 }
 
 // Fixture graph — three undirected components, cycles and tendrils:
@@ -215,6 +259,93 @@ TEST_P(PathIndexTest, LayoutInvariantsHold) {
       (st.components + 1) * 4 + st.landmarks * 4 + v * 64;
   EXPECT_EQ(st.bytes, want);
   EXPECT_EQ(sizeof(PathIndex::LandmarkRow), 64u);
+}
+
+TEST_P(PathIndexTest, LandmarkRowsMatchPerLandmarkBfs) {
+  const PathIndex* index = engine_->path_index();
+  ASSERT_NE(index, nullptr);
+  // Ten vertices: the lanes past the tenth landmark stay unreachable.
+  ExpectLandmarkRowsMatchPerLandmarkBfs(*index);
+}
+
+TEST_P(PathIndexTest, LandmarkRowsOnGraphsSmallerThanTheLanes) {
+  // An empty graph, one vertex with a self-loop, a star beside an
+  // isolated pair, and a triangle: every vertex is a landmark, in up to
+  // two components. On the triangle the first level touches all three
+  // vertices before its last edge slot, which lands in the touched list's
+  // spare slot (an overflow there shows under ASan).
+  for (uint64_t shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE(::testing::Message() << "shape " << shape);
+    GraphData data;
+    if (shape == 1) {
+      data.vertices.push_back({"n", {}});
+      data.edges.push_back({0, 0, "e", {}});
+    } else if (shape == 2) {
+      for (int i = 0; i < 6; ++i) data.vertices.push_back({"n", {}});
+      for (uint64_t leaf = 1; leaf < 4; ++leaf) {
+        data.edges.push_back({0, leaf, "e", {}});
+      }
+      data.edges.push_back({5, 4, "e", {}});
+    } else if (shape == 3) {
+      for (int i = 0; i < 3; ++i) data.vertices.push_back({"n", {}});
+      for (uint64_t v = 0; v < 3; ++v) {
+        data.edges.push_back({v, (v + 1) % 3, "e", {}});
+      }
+    }
+    auto engine = OpenEngine(GetParam(), EngineOptions{});
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->BulkLoad(data).ok());
+    ASSERT_TRUE((*engine)->BuildPathIndex(never_).ok());
+    const PathIndex* index = (*engine)->path_index();
+    ASSERT_NE(index, nullptr);
+    EXPECT_EQ(index->NumVertices(), data.vertices.size());
+    ExpectLandmarkRowsMatchPerLandmarkBfs(*index);
+  }
+}
+
+TEST_P(PathIndexTest, MemoryTripInsideLandmarksInstallsNoIndex) {
+  // The whole build's ledger, under a budget it cannot reach.
+  query::GovernorOptions ample;
+  ample.memory_budget_bytes = uint64_t{1} << 40;
+  query::ResourceGovernor ledger(ample);
+  ASSERT_TRUE(engine_->BuildPathIndex(ledger.token()).ok());
+  const uint64_t total = ledger.token().charged_bytes();
+
+  // The landmark kernel charges last: one 64-byte row per vertex, then
+  // three 16-bit lane masks per vertex and its frontier and touched lists
+  // (n and n + 1 ordinals). The rest of the ledger is the adjacency
+  // build's, so a budget of exactly that share trips inside the landmark
+  // kernel and one byte less trips before it.
+  const uint64_t n = engine_->path_index()->NumVertices();
+  const uint64_t landmark_bytes = n * sizeof(PathIndex::LandmarkRow) +
+                                  3 * n * sizeof(uint16_t) +
+                                  (2 * n + 1) * sizeof(uint32_t);
+  ASSERT_GT(total, landmark_bytes);
+  const struct {
+    uint64_t budget;
+    const char* position;
+  } trips[] = {{total - 1, "PathIndex::BuildLandmarks"},
+               {total - landmark_bytes, "PathIndex::BuildLandmarks"},
+               {total - landmark_bytes - 1, "PathIndex::BuildAdjacency"}};
+  for (const auto& trip : trips) {
+    SCOPED_TRACE(::testing::Message() << "budget " << trip.budget);
+    query::GovernorOptions short_budget;
+    short_budget.memory_budget_bytes = trip.budget;
+    query::ResourceGovernor governor(short_budget);
+    Status build = engine_->BuildPathIndex(governor.token());
+    EXPECT_TRUE(build.IsResourceExhausted()) << build;
+    EXPECT_NE(build.message().find(trip.position), std::string::npos)
+        << build;
+    EXPECT_EQ(engine_->path_index(), nullptr);
+    EXPECT_TRUE(engine_->path_index_status().IsResourceExhausted());
+  }
+
+  // The exact budget builds the same index again.
+  query::GovernorOptions exact;
+  exact.memory_budget_bytes = total;
+  query::ResourceGovernor exact_gov(exact);
+  ASSERT_TRUE(engine_->BuildPathIndex(exact_gov.token()).ok());
+  ExpectLandmarkRowsMatchPerLandmarkBfs(*engine_->path_index());
 }
 
 TEST_P(PathIndexTest, NotBuiltByDefault) {
@@ -586,6 +717,8 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
     ASSERT_TRUE(mapping.ok()) << mapping.status();
     ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
     ExpectLayoutInvariants(*(*engine)->path_index());
+    ExpectLandmarkRowsMatchPerLandmarkBfs(*(*engine)->path_index());
+    if (HasFatalFailure()) return;
     auto session = (*engine)->CreateSession();
     if (!have_reference) {
       CollectAnswers(**engine, *session, *data, *mapping,
