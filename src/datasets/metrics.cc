@@ -152,8 +152,7 @@ GraphStats ComputeStats(const GraphData& data, const MetricsOptions& options) {
   }
 
   // Diameter: sampled double-BFS lower bound within the largest component.
-  if (options.compute_diameter && options.diameter_samples > 0 &&
-      stats.edges > 0) {
+  if (options.diameter_samples > 0 && stats.edges > 0) {
     std::vector<uint64_t> members;
     for (uint64_t v = 0; v < stats.vertices; ++v) {
       if (uf.Find(v) == max_root) members.push_back(v);

@@ -30,10 +30,9 @@ struct GraphStats {
 struct MetricsOptions {
   /// BFS sources sampled inside the largest component for the diameter
   /// estimate (the exact diameter is intractable at Frb-L scale; the paper
-  /// reports Δ once per dataset, we report a sampled lower bound).
+  /// reports Δ once per dataset, we report a sampled lower bound). 0
+  /// skips the estimate.
   int diameter_samples = 8;
-  /// Skip the diameter estimate entirely (0 samples).
-  bool compute_diameter = true;
 };
 
 /// Computes Table 3's statistics for a dataset.

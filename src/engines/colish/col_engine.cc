@@ -1,6 +1,7 @@
 #include "src/engines/colish/col_engine.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/util/string_util.h"
 #include "src/util/varint.h"
@@ -105,7 +106,7 @@ Result<VertexId> ColEngine::AddVertex(std::string_view label,
   row.label = labels_.Intern(label);
   row.props = props;
   rows_.Put(id, std::move(row));
-  for (const auto& [k, v] : props) IndexInsert(k, v, id);
+  attribute_index_.InsertAll(props, id);
   return id;
 }
 
@@ -149,11 +150,7 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
     rows[i].adj.reserve(degree[i]);
     rows[i].edges.reserve(out_degree[i]);
     mapping.vertex_ids.push_back(base + i);
-    if (!indexes_.empty()) {
-      for (const auto& [k, val] : data.vertices[i].properties) {
-        IndexInsert(k, val, base + i);
-      }
-    }
+    attribute_index_.InsertAll(data.vertices[i].properties, base + i);
   }
   for (const auto& e : data.edges) {
     mapping.edge_ids.push_back(AppendEdge(rows[e.src], base + e.src,
@@ -182,10 +179,10 @@ Status ColEngine::SetVertexProperty(VertexId v, std::string_view name,
   Row* row = rows_.Get(v);
   if (row == nullptr) return Status::NotFound("vertex not found");
   if (const PropertyValue* prev = FindProperty(row->props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   SetProperty(&row->props, name, value);
-  IndexInsert(name, value, v);
+  attribute_index_.Insert(name, value, v);
   return Status::OK();
 }
 
@@ -225,22 +222,8 @@ Result<EdgeRecord> ColEngine::GetEdge(QuerySession& /*session*/, EdgeId id) cons
 Result<std::vector<VertexId>> ColEngine::FindVerticesByProperty(QuerySession& /*session*/, 
     std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) {
-    // Graph-centric index. The fast path stays cooperative: a hot key
-    // can fan out to a large posting list.
-    std::vector<VertexId> out;
-    bool cancelled = false;
-    it->second.ScanKey(value, [&](const VertexId& id) {
-      if (cancel.Expired()) {
-        cancelled = true;
-        return false;
-      }
-      out.push_back(id);
-      return true;
-    });
-    if (cancelled) return cancel.ToStatus();
-    return out;
+  if (attribute_index_.Covers(prop)) {
+    return attribute_index_.Lookup(prop, value, cancel);
   }
   // Unindexed: a full sliced scan of the row store (batched backend
   // reads), not a point fetch per vertex.
@@ -312,7 +295,7 @@ Status ColEngine::RemoveVertex(VertexId v) {
     if (entry.tombstone) continue;
     RemoveEdgeInternal(entry.edge, /*charge=*/false).ok();
   }
-  for (const auto& [k, val] : row->props) IndexErase(k, val, v);
+  attribute_index_.EraseAll(row->props, v);
   rows_.Erase(v);
   return Status::OK();
 }
@@ -326,7 +309,7 @@ Status ColEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   Row* row = rows_.Get(v);
   if (row == nullptr) return Status::NotFound("vertex not found");
   if (const PropertyValue* prev = FindProperty(row->props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   if (!EraseProperty(&row->props, name)) {
     return Status::NotFound("no such property");
@@ -457,28 +440,15 @@ Result<uint64_t> ColEngine::CountEdgesOf(QuerySession& /*session*/, VertexId v, 
 // --- index / persistence ----------------------------------------------------------
 
 Status ColEngine::CreateVertexPropertyIndex(std::string_view prop) {
-  std::string key(prop);
-  if (indexes_.count(key) != 0) return Status::OK();
-  BTree<PropertyValue, VertexId>& index = indexes_[key];
+  AttributeIndex::Tree* index = attribute_index_.Create(prop);
+  if (index == nullptr) return Status::OK();
   rows_.ForEach([&](const VertexId& id, const Row& row) {
     if (const PropertyValue* v = FindProperty(row.props, prop)) {
-      index.Insert(*v, id);
+      index->Insert(*v, id);
     }
     return true;
   });
   return Status::OK();
-}
-
-void ColEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
-                            VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Insert(v, id);
-}
-
-void ColEngine::IndexErase(std::string_view prop, const PropertyValue& v,
-                           VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Erase(v, id);
 }
 
 uint64_t ColEngine::CheckpointBytes() const {
@@ -524,17 +494,7 @@ uint64_t ColEngine::CheckpointBytes() const {
     buf.append(eprops);
   }
   labels_.Serialize(&buf);
-  PutVarint64(&buf, indexes_.size());
-  for (const auto& [prop, index] : indexes_) {
-    PutVarint64(&buf, prop.size());
-    buf.append(prop);
-    PutVarint64(&buf, index.size());
-    index.ScanAll([&buf](const PropertyValue& k, const VertexId& v) {
-      k.EncodeTo(&buf);
-      PutVarint64(&buf, v);
-      return true;
-    });
-  }
+  attribute_index_.Serialize(&buf);
   return buf.size();
 }
 
@@ -545,11 +505,7 @@ uint64_t ColEngine::MemoryBytes() const {
              row.edges.capacity() * sizeof(EdgeSlot);
     return true;
   });
-  for (const auto& [prop, index] : indexes_) {
-    (void)prop;
-    total += index.SerializedBytes(24);
-  }
-  return total;
+  return total + attribute_index_.MemoryBytes();
 }
 
 std::unique_ptr<GraphEngine> MakeColEngine(bool v10) {

@@ -19,14 +19,13 @@
 #ifndef GDBMICRO_ENGINES_COLISH_COL_ENGINE_H_
 #define GDBMICRO_ENGINES_COLISH_COL_ENGINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/engines/common/attribute_index.h"
 #include "src/engines/common/dictionary.h"
 #include "src/graph/engine.h"
-#include "src/storage/btree.h"
 #include "src/storage/hash_index.h"
 #include "src/storage/lru_cache.h"
 
@@ -191,8 +190,6 @@ class ColEngine : public GraphEngine {
                  const std::string* label, const CancelToken& cancel,
                  const std::function<bool(const AdjEntry&)>& fn) const;
 
-  void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
-  void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);
   Status RemoveEdgeInternal(EdgeId e, bool charge);
 
   bool v10_;
@@ -204,7 +201,7 @@ class ColEngine : public GraphEngine {
   uint64_t next_vertex_ = 0;
   uint64_t edge_count_ = 0;
 
-  std::map<std::string, BTree<PropertyValue, VertexId>, std::less<>> indexes_;
+  AttributeIndex attribute_index_;  // graph-centric indexes
 };
 
 std::unique_ptr<GraphEngine> MakeColEngine(bool v10);

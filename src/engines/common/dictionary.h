@@ -1,7 +1,7 @@
-// String dictionary: interns label and property-key strings to dense
-// uint32 ids. Several engines keep labels/types in a dedicated file
-// (paper §3.2: Neo4j has "one file for labels and types"); this is that
-// file's in-memory form plus its serialization.
+// String dictionary: interns strings to dense uint32 ids. Several engines
+// keep labels/types in a dedicated file (paper §3.2: Neo4j has "one file
+// for labels and types"); this is that file's in-memory form plus its
+// serialization. blaze interns its RDF terms in one.
 
 #ifndef GDBMICRO_ENGINES_COMMON_DICTIONARY_H_
 #define GDBMICRO_ENGINES_COMMON_DICTIONARY_H_

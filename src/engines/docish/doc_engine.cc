@@ -189,23 +189,94 @@ Result<bool> ProbeVertexDoc(std::string_view doc, std::string_view key,
   return probe.found;
 }
 
+// Appends the label member and the property members, then closes the
+// document. Each key is written at its first occurrence with the value
+// of its last, as Json::Set would have left the member.
+void AppendLabelAndProps(std::string_view label, const PropertyMap& props,
+                         std::string* out) {
+  out->append("\"_label\":");
+  AppendEscapedJsonString(label, out);
+  for (size_t i = 0; i < props.size(); ++i) {
+    const std::string& key = props[i].first;
+    size_t first = 0;
+    while (props[first].first != key) ++first;
+    if (first < i) continue;  // already written
+    size_t last = i;
+    for (size_t j = i + 1; j < props.size(); ++j) {
+      if (props[j].first == key) last = j;
+    }
+    out->push_back(',');
+    AppendEscapedJsonString(key, out);
+    out->push_back(':');
+    props[last].second.AppendJsonTo(out);
+  }
+  out->push_back('}');
+}
+
+// A vertex id as Json::Dump writes an integer.
+void AppendId(VertexId id, std::string* out) {
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(id))
+                  .ptr;
+  out->append(buf, end);
+}
+
+// The document writer: appends the vertex or edge document to *out.
+void AppendVertexDoc(std::string_view label, const PropertyMap& props,
+                     std::string* out) {
+  out->push_back('{');
+  AppendLabelAndProps(label, props, out);
+}
+
+void AppendEdgeDoc(VertexId src, VertexId dst, std::string_view label,
+                   const PropertyMap& props, std::string* out) {
+  out->append("{\"_from\":");
+  AppendId(src, out);
+  out->append(",\"_to\":");
+  AppendId(dst, out);
+  out->push_back(',');
+  AppendLabelAndProps(label, props, out);
+}
+
 }  // namespace
 
 std::string EncodeVertexDoc(std::string_view label, const PropertyMap& props) {
-  Json doc = Json::MakeObject();
-  doc.Set("_label", Json(std::string(label)));
-  for (const auto& [k, v] : props) doc.Set(k, v.ToJson());
-  return doc.Dump();
+  std::string out;
+  AppendVertexDoc(label, props, &out);
+  return out;
 }
 
 std::string EncodeEdgeDoc(VertexId src, VertexId dst, std::string_view label,
                           const PropertyMap& props) {
-  Json doc = Json::MakeObject();
-  doc.Set("_from", Json(src));
-  doc.Set("_to", Json(dst));
-  doc.Set("_label", Json(std::string(label)));
-  for (const auto& [k, v] : props) doc.Set(k, v.ToJson());
-  return doc.Dump();
+  std::string out;
+  AppendEdgeDoc(src, dst, label, props, &out);
+  return out;
+}
+
+Status EditDocProperty(std::string* doc, bool is_edge, std::string_view name,
+                       const PropertyValue* value) {
+  PropertyMap props;
+  std::string edited;
+  auto edit = [&]() {
+    if (value != nullptr) {
+      SetProperty(&props, name, *value);
+      return true;
+    }
+    return EraseProperty(&props, name);
+  };
+  if (is_edge) {
+    EdgeDocFields fields;
+    GDB_RETURN_IF_ERROR(DecodeEdgeDoc(*doc, &fields, &props));
+    if (!edit()) return Status::NotFound("no such property");
+    AppendEdgeDoc(fields.src, fields.dst, fields.label, props, &edited);
+  } else {
+    std::string label;
+    GDB_RETURN_IF_ERROR(DecodeVertexDoc(*doc, &label, &props));
+    if (!edit()) return Status::NotFound("no such property");
+    AppendVertexDoc(label, props, &edited);
+  }
+  *doc = std::move(edited);
+  return Status::OK();
 }
 
 Status DecodeEdgeDoc(std::string_view doc, EdgeDocFields* out,
@@ -282,40 +353,14 @@ Result<LoadMapping> DocEngine::BulkLoadNative(const GraphData& data) {
   vertex_docs_.Reserve(vertex_docs_.size() + nv);
   edge_docs_.Reserve(edge_docs_.size() + ne);
 
-  // Documents are emitted straight into a reused text buffer —
-  // byte-identical to EncodeVertexDoc/EncodeEdgeDoc's Json::Dump output,
-  // minus the per-document Json tree (one allocation per member).
-  // Append-order emission only matches Json::Set semantics when no key
-  // repeats, so such property maps (absent from every real dataset) take
-  // the tree-based encoder.
+  // Documents are written into one reused text buffer and stored as
+  // exact-size copies.
   std::string buf;
-  auto plain_keys = [](const PropertyMap& props) {
-    for (size_t i = 0; i < props.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (props[j].first == props[i].first) return false;
-      }
-    }
-    return true;
-  };
-  auto append_props = [&](const PropertyMap& props) {
-    for (const auto& [k, val] : props) {
-      buf.push_back(',');
-      AppendEscapedJsonString(k, &buf);
-      buf.push_back(':');
-      val.AppendJsonTo(&buf);
-    }
-  };
   for (const auto& v : data.vertices) {
     uint64_t id = next_vertex_++;
-    if (plain_keys(v.properties)) {
-      buf.assign("{\"_label\":");
-      AppendEscapedJsonString(v.label, &buf);
-      append_props(v.properties);
-      buf.push_back('}');
-      vertex_docs_.Put(id, buf);
-    } else {
-      vertex_docs_.Put(id, EncodeVertexDoc(v.label, v.properties));
-    }
+    buf.clear();
+    AppendVertexDoc(v.label, v.properties, &buf);
+    vertex_docs_.Put(id, buf);
     mapping.vertex_ids.push_back(id);
   }
 
@@ -331,30 +376,12 @@ Result<LoadMapping> DocEngine::BulkLoadNative(const GraphData& data) {
     out[i].reserve(out_deg[i]);
     in[i].reserve(in_deg[i]);
   }
-  char numbuf[24];
-  auto append_id = [&](VertexId id) {
-    char* end = std::to_chars(numbuf, numbuf + sizeof(numbuf),
-                              static_cast<long long>(id))
-                    .ptr;
-    buf.append(numbuf, end);
-  };
   for (const auto& e : data.edges) {
     uint64_t id = next_edge_++;
-    if (plain_keys(e.properties)) {
-      buf.assign("{\"_from\":");
-      append_id(mapping.vertex_ids[e.src]);
-      buf.append(",\"_to\":");
-      append_id(mapping.vertex_ids[e.dst]);
-      buf.append(",\"_label\":");
-      AppendEscapedJsonString(e.label, &buf);
-      append_props(e.properties);
-      buf.push_back('}');
-      edge_docs_.Put(id, buf);
-    } else {
-      edge_docs_.Put(id, EncodeEdgeDoc(mapping.vertex_ids[e.src],
-                                       mapping.vertex_ids[e.dst], e.label,
-                                       e.properties));
-    }
+    buf.clear();
+    AppendEdgeDoc(mapping.vertex_ids[e.src], mapping.vertex_ids[e.dst],
+                  e.label, e.properties, &buf);
+    edge_docs_.Put(id, buf);
     out[e.src].push_back(id);
     in[e.dst].push_back(id);
     mapping.edge_ids.push_back(id);
@@ -383,24 +410,18 @@ Status DocEngine::SetVertexProperty(VertexId v, std::string_view name,
                                     const PropertyValue& value) {
   rest_.ChargeCall();
   GDB_RETURN_IF_ERROR(CheckPropertyName(name));
-  const std::string* doc = vertex_docs_.Get(v);
+  std::string* doc = vertex_docs_.Get(v);
   if (doc == nullptr) return Status::NotFound("vertex not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  parsed.Set(std::string(name), value.ToJson());
-  vertex_docs_.Put(v, parsed.Dump());
-  return Status::OK();
+  return EditDocProperty(doc, /*is_edge=*/false, name, &value);
 }
 
 Status DocEngine::SetEdgeProperty(EdgeId e, std::string_view name,
                                   const PropertyValue& value) {
   rest_.ChargeCall();
   GDB_RETURN_IF_ERROR(CheckPropertyName(name));
-  const std::string* doc = edge_docs_.Get(e);
+  std::string* doc = edge_docs_.Get(e);
   if (doc == nullptr) return Status::NotFound("edge not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  parsed.Set(std::string(name), value.ToJson());
-  edge_docs_.Put(e, parsed.Dump());
-  return Status::OK();
+  return EditDocProperty(doc, /*is_edge=*/true, name, &value);
 }
 
 Status DocEngine::GetVertexCall() const {
@@ -512,33 +533,17 @@ Status DocEngine::RemoveEdge(EdgeId e) {
 Status DocEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   rest_.ChargeCall();
   GDB_RETURN_IF_ERROR(CheckPropertyName(name));
-  const std::string* doc = vertex_docs_.Get(v);
+  std::string* doc = vertex_docs_.Get(v);
   if (doc == nullptr) return Status::NotFound("vertex not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  Json::Object& obj = parsed.object();
-  auto it = std::find_if(obj.begin(), obj.end(), [&](const auto& kv) {
-    return kv.first == name;
-  });
-  if (it == obj.end()) return Status::NotFound("no such property");
-  obj.erase(it);
-  vertex_docs_.Put(v, parsed.Dump());
-  return Status::OK();
+  return EditDocProperty(doc, /*is_edge=*/false, name, /*value=*/nullptr);
 }
 
 Status DocEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
   rest_.ChargeCall();
   GDB_RETURN_IF_ERROR(CheckPropertyName(name));
-  const std::string* doc = edge_docs_.Get(e);
+  std::string* doc = edge_docs_.Get(e);
   if (doc == nullptr) return Status::NotFound("edge not found");
-  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(*doc));
-  Json::Object& obj = parsed.object();
-  auto it = std::find_if(obj.begin(), obj.end(), [&](const auto& kv) {
-    return kv.first == name;
-  });
-  if (it == obj.end()) return Status::NotFound("no such property");
-  obj.erase(it);
-  edge_docs_.Put(e, parsed.Dump());
-  return Status::OK();
+  return EditDocProperty(doc, /*is_edge=*/true, name, /*value=*/nullptr);
 }
 
 // --- scans / traversal --------------------------------------------------------------

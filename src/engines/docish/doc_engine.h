@@ -35,10 +35,24 @@ namespace gdbmicro {
 // {"_from":<src>,"_to":<dst>,"_label":<label>,<properties>...}. Members
 // whose names start with '_' are the layout's system members; every other
 // member is a property.
+//
+// One writer emits every stored document: AddVertex/AddEdge, the native
+// bulk loader and the property updates, which decode the document, edit
+// its PropertyMap and write it back. The text is streamed, with no Json
+// tree, and equals Json::Dump of the tree built member by member with
+// Json::Set: a key that repeats in `props` is written once, in its first
+// position, with its last value.
 
 std::string EncodeVertexDoc(std::string_view label, const PropertyMap& props);
 std::string EncodeEdgeDoc(VertexId src, VertexId dst, std::string_view label,
                           const PropertyMap& props);
+
+/// Rewrites the stored vertex (`is_edge` false) or edge document *doc
+/// with property `name` set to *value, or removed when `value` is null
+/// (kNotFound when it has no such property). A document that does not
+/// decode is kCorruption and stays as it was.
+Status EditDocProperty(std::string* doc, bool is_edge, std::string_view name,
+                       const PropertyValue* value);
 
 /// An edge document's envelope as DecodeEdgeDoc reads it. `label` views
 /// the document, or `label_buf` when the stored label has escapes; the

@@ -51,7 +51,8 @@ EngineInfo NeoEngine::info() const {
   info.edge_traversal = "Direct pointer";
   info.query_execution = QueryExecution::kStepWise;
   info.query_execution_display = "Step-wise (non-optimized)";
-  info.supports_property_index = true;
+  // Paper §6.4: Neo4j 3.0's search ignores a user attribute index.
+  info.supports_property_index = !v30_;
   return info;
 }
 
@@ -448,20 +449,6 @@ void NeoEngine::FreePropChain(uint64_t head) {
   }
 }
 
-// --- index maintenance -----------------------------------------------------
-
-void NeoEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
-                            VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Insert(v, id);
-}
-
-void NeoEngine::IndexErase(std::string_view prop, const PropertyValue& v,
-                           VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Erase(v, id);
-}
-
 // --- CRUD -------------------------------------------------------------------
 
 Result<VertexId> NeoEngine::AddVertex(std::string_view label,
@@ -473,7 +460,7 @@ Result<VertexId> NeoEngine::AddVertex(std::string_view label,
   n.first = kNilLink;
   n.first_prop = BuildPropChain(props);
   WriteNode(id, n);
-  for (const auto& [k, v] : props) IndexInsert(k, v, id);
+  attribute_index_.InsertAll(props, id);
   return id;
 }
 
@@ -520,13 +507,13 @@ Status NeoEngine::SetVertexProperty(VertexId v, std::string_view name,
   NodeRec n = ReadNode(v);
   // Maintain any index on this property.
   PropertyValue prev;
-  if (!indexes_.empty() &&
+  if (!attribute_index_.empty() &&
       ChainProperty(n.first_prop, keys_.Lookup(name), &prev)) {
-    IndexErase(name, prev, v);
+    attribute_index_.Erase(name, prev, v);
   }
   GDB_RETURN_IF_ERROR(ChainSetProperty(&n.first_prop, name, value));
   WriteNode(v, n);
-  IndexInsert(name, value, v);
+  attribute_index_.Insert(name, value, v);
   return Status::OK();
 }
 
@@ -562,11 +549,7 @@ Result<LoadMapping> NeoEngine::BulkLoadNative(const GraphData& data) {
     nodes[i].label = labels_.Intern(data.vertices[i].label);
     nodes[i].first_prop = BuildPropChain(data.vertices[i].properties);
     mapping.vertex_ids.push_back(id);
-    if (!indexes_.empty()) {
-      for (const auto& [k, val] : data.vertices[i].properties) {
-        IndexInsert(k, val, id);
-      }
-    }
+    attribute_index_.InsertAll(data.vertices[i].properties, id);
   }
   std::vector<EdgeRec> recs(ne);
   for (size_t i = 0; i < ne; ++i) {
@@ -711,23 +694,10 @@ Result<uint64_t> NeoEngine::CountEdges(QuerySession& session, const CancelToken&
 Result<std::vector<VertexId>> NeoEngine::FindVerticesByProperty(QuerySession& session, 
     std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) {
-    // The indexed fast path stays cooperative: a hot key can match a
-    // large fraction of the store, and a tripped token must stop the
-    // result copy promptly.
-    std::vector<VertexId> out;
-    bool cancelled = false;
-    it->second.ScanKey(value, [&](const VertexId& id) {
-      if (cancel.Expired()) {
-        cancelled = true;
-        return false;
-      }
-      out.push_back(id);
-      return true;
-    });
-    if (cancelled) return cancel.ToStatus();
-    return out;
+  // neo30 maintains the index but its search never consults it (paper
+  // §6.4: Neo4j 3.0 cannot use a user attribute index).
+  if (!v30_ && attribute_index_.Covers(prop)) {
+    return attribute_index_.Lookup(prop, value, cancel);
   }
   // Unindexed: one scan over the node store, each node's property chain
   // walked to the key (the wrapper charge applies once per query, not per
@@ -785,9 +755,8 @@ Status NeoEngine::RemoveVertex(VertexId v) {
     GDB_RETURN_IF_ERROR(RemoveEdgeInternal_(e));
   }
   NodeRec n = ReadNode(v);
-  if (!indexes_.empty()) {
-    PropertyMap props = MaterializeProps(n.first_prop);
-    for (const auto& [k, val] : props) IndexErase(k, val, v);
+  if (!attribute_index_.empty()) {
+    attribute_index_.EraseAll(MaterializeProps(n.first_prop), v);
   }
   FreePropChain(n.first_prop);
   if (v30_) {
@@ -849,9 +818,9 @@ Status NeoEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   if (!node_store_.IsLive(v)) return Status::NotFound("vertex not found");
   NodeRec n = ReadNode(v);
   PropertyValue prev;
-  if (!indexes_.empty() &&
+  if (!attribute_index_.empty() &&
       ChainProperty(n.first_prop, keys_.Lookup(name), &prev)) {
-    IndexErase(name, prev, v);
+    attribute_index_.Erase(name, prev, v);
   }
   GDB_RETURN_IF_ERROR(ChainRemoveProperty(&n.first_prop, name));
   WriteNode(v, n);
@@ -961,16 +930,15 @@ Result<EdgeEnds> NeoEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) con
 // --- index / persistence -----------------------------------------------------
 
 Status NeoEngine::CreateVertexPropertyIndex(std::string_view prop) {
-  std::string key(prop);
-  if (indexes_.count(key) != 0) return Status::OK();
-  BTree<PropertyValue, VertexId>& index = indexes_[key];
+  AttributeIndex::Tree* index = attribute_index_.Create(prop);
+  if (index == nullptr) return Status::OK();
   CancelToken never;
   std::unique_ptr<QuerySession> session = CreateSession();
   const uint32_t key_id = keys_.Lookup(prop);
   PropertyValue value;
   return ScanVertices(*session, never, [&](VertexId id) {
     if (ChainProperty(ReadNode(id).first_prop, key_id, &value)) {
-      index.Insert(value, id);
+      index->Insert(value, id);
     }
     return true;
   });
@@ -985,30 +953,15 @@ uint64_t NeoEngine::CheckpointBytes() const {
   string_store_.Serialize(&buf);
   labels_.Serialize(&buf);
   keys_.Serialize(&buf);
-  PutVarint64(&buf, indexes_.size());
-  for (const auto& [prop, index] : indexes_) {
-    PutVarint64(&buf, prop.size());
-    buf.append(prop);
-    PutVarint64(&buf, index.size());
-    index.ScanAll([&buf](const PropertyValue& k, const VertexId& v) {
-      k.EncodeTo(&buf);
-      PutVarint64(&buf, v);
-      return true;
-    });
-  }
+  attribute_index_.Serialize(&buf);
   return buf.size();
 }
 
 uint64_t NeoEngine::MemoryBytes() const {
-  uint64_t total = node_store_.FileBytes() + edge_store_.FileBytes() +
-                   group_store_.FileBytes() + prop_store_.FileBytes() +
-                   string_store_.LogBytes() + labels_.MemoryBytes() +
-                   keys_.MemoryBytes();
-  for (const auto& [prop, index] : indexes_) {
-    (void)prop;
-    total += index.SerializedBytes(24);
-  }
-  return total;
+  return node_store_.FileBytes() + edge_store_.FileBytes() +
+         group_store_.FileBytes() + prop_store_.FileBytes() +
+         string_store_.LogBytes() + labels_.MemoryBytes() +
+         keys_.MemoryBytes() + attribute_index_.MemoryBytes();
 }
 
 std::unique_ptr<GraphEngine> MakeNeoEngine(bool v30) {

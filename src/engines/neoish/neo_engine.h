@@ -18,15 +18,14 @@
 #ifndef GDBMICRO_ENGINES_NEOISH_NEO_ENGINE_H_
 #define GDBMICRO_ENGINES_NEOISH_NEO_ENGINE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "src/engines/common/attribute_index.h"
 #include "src/engines/common/dictionary.h"
 #include "src/graph/engine.h"
 #include "src/graph/registry.h"
 #include "src/storage/append_store.h"
-#include "src/storage/btree.h"
 #include "src/storage/record_file.h"
 
 namespace gdbmicro {
@@ -183,10 +182,6 @@ class NeoEngine : public GraphEngine {
   bool ChainProperty(uint64_t head, uint32_t key_id, PropertyValue* out) const;
   void FreePropChain(uint64_t head);
 
-  // Attribute index maintenance.
-  void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
-  void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);
-
   // Edge removal without the wrapper charge (shared by RemoveVertex).
   Status RemoveEdgeInternal_(EdgeId e);
 
@@ -202,7 +197,8 @@ class NeoEngine : public GraphEngine {
   Dictionary keys_;
   uint64_t edge_count_ = 0;
 
-  std::map<std::string, BTree<PropertyValue, VertexId>, std::less<>> indexes_;
+  // Maintained by both variants; only neo19's searches consult it.
+  AttributeIndex attribute_index_;
 };
 
 /// Factory used by RegisterBuiltinEngines().

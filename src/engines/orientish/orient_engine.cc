@@ -224,7 +224,7 @@ Result<VertexId> OrientEngine::AddVertex(std::string_view label,
   std::string blob;
   EncodeVertex(v, &blob);
   VertexId id = vertex_store_.Append(blob);
-  for (const auto& [k, val] : props) IndexInsert(k, val, id);
+  attribute_index_.InsertAll(props, id);
   return id;
 }
 
@@ -310,11 +310,7 @@ Result<LoadMapping> OrientEngine::BulkLoadNative(const GraphData& data) {
       bags_.emplace(id, ExternalBag{std::move(out[i]), std::move(in[i])});
     }
     mapping.vertex_ids.push_back(id);
-    if (!indexes_.empty()) {
-      for (const auto& [k, val] : data.vertices[i].properties) {
-        IndexInsert(k, val, id);
-      }
-    }
+    attribute_index_.InsertAll(data.vertices[i].properties, id);
   }
   // Edge pass: per-cluster append order matches the precomputed locals.
   for (size_t i = 0; i < ne; ++i) {
@@ -335,11 +331,11 @@ Status OrientEngine::SetVertexProperty(VertexId v, std::string_view name,
                                        const PropertyValue& value) {
   GDB_ASSIGN_OR_RETURN(VertexData data, LoadVertex(v));
   if (const PropertyValue* prev = FindProperty(data.props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   SetProperty(&data.props, name, value);
   GDB_RETURN_IF_ERROR(StoreVertex(v, data));
-  IndexInsert(name, value, v);
+  attribute_index_.Insert(name, value, v);
   return Status::OK();
 }
 
@@ -421,21 +417,8 @@ Result<std::vector<EdgeId>> OrientEngine::FindEdgesByLabel(QuerySession& /*sessi
 Result<std::vector<VertexId>> OrientEngine::FindVerticesByProperty(QuerySession& session, 
     std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) {
-    // Cooperative even on the indexed fast path (see FindEdgesByLabel).
-    std::vector<VertexId> out;
-    bool cancelled = false;
-    it->second.ScanKey(value, [&](const VertexId& id) {
-      if (cancel.Expired()) {
-        cancelled = true;
-        return false;
-      }
-      out.push_back(id);
-      return true;
-    });
-    if (cancelled) return cancel.ToStatus();
-    return out;
+  if (attribute_index_.Covers(prop)) {
+    return attribute_index_.Lookup(prop, value, cancel);
   }
   return GraphEngine::FindVerticesByProperty(session, prop, value, cancel);
 }
@@ -462,7 +445,7 @@ Status OrientEngine::RemoveVertex(VertexId v) {
     GDB_RETURN_IF_ERROR(RemoveEdgeInternal(e, v));
   }
   GDB_ASSIGN_OR_RETURN(VertexData data, LoadVertex(v));
-  for (const auto& [k, val] : data.props) IndexErase(k, val, v);
+  attribute_index_.EraseAll(data.props, v);
   bags_.erase(v);
   return vertex_store_.Delete(v);
 }
@@ -474,7 +457,7 @@ Status OrientEngine::RemoveEdge(EdgeId e) {
 Status OrientEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   GDB_ASSIGN_OR_RETURN(VertexData data, LoadVertex(v));
   if (const PropertyValue* prev = FindProperty(data.props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   if (!EraseProperty(&data.props, name)) {
     return Status::NotFound("no such property");
@@ -608,32 +591,19 @@ Result<EdgeEnds> OrientEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) 
 // --- index / persistence ------------------------------------------------------
 
 Status OrientEngine::CreateVertexPropertyIndex(std::string_view prop) {
-  std::string key(prop);
-  if (indexes_.count(key) != 0) return Status::OK();
-  BTree<PropertyValue, VertexId>& index = indexes_[key];  // SB-Tree
+  AttributeIndex::Tree* index = attribute_index_.Create(prop);
+  if (index == nullptr) return Status::OK();
   CancelToken never;
   std::unique_ptr<QuerySession> session = CreateSession();
   return ScanVertices(*session, never, [&](VertexId id) {
     auto data = LoadVertex(id);
     if (data.ok()) {
       if (const PropertyValue* v = FindProperty(data->props, prop)) {
-        index.Insert(*v, id);
+        index->Insert(*v, id);
       }
     }
     return true;
   });
-}
-
-void OrientEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
-                               VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Insert(v, id);
-}
-
-void OrientEngine::IndexErase(std::string_view prop, const PropertyValue& v,
-                              VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Erase(v, id);
 }
 
 uint64_t OrientEngine::CheckpointBytes() const {
@@ -663,17 +633,7 @@ uint64_t OrientEngine::CheckpointBytes() const {
     PutVarint64(&buf, c.label.size());
     buf.append(c.label);
   }
-  PutVarint64(&buf, indexes_.size());
-  for (const auto& [prop, index] : indexes_) {
-    PutVarint64(&buf, prop.size());
-    buf.append(prop);
-    PutVarint64(&buf, index.size());
-    index.ScanAll([&buf](const PropertyValue& k, const VertexId& v) {
-      k.EncodeTo(&buf);
-      PutVarint64(&buf, v);
-      return true;
-    });
-  }
+  attribute_index_.Serialize(&buf);
   return (1 + clusters_.size()) * kClusterHeaderBytes + buf.size();
 }
 
@@ -684,11 +644,7 @@ uint64_t OrientEngine::MemoryBytes() const {
     (void)v;
     total += (bag.out_edges.capacity() + bag.in_edges.capacity()) * 8 + 64;
   }
-  for (const auto& [prop, index] : indexes_) {
-    (void)prop;
-    total += index.SerializedBytes(24);
-  }
-  return total;
+  return total + attribute_index_.MemoryBytes();
 }
 
 std::unique_ptr<GraphEngine> MakeOrientEngine() {

@@ -16,16 +16,15 @@
 #ifndef GDBMICRO_ENGINES_ORIENTISH_ORIENT_ENGINE_H_
 #define GDBMICRO_ENGINES_ORIENTISH_ORIENT_ENGINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/engines/common/attribute_index.h"
 #include "src/engines/common/dictionary.h"
 #include "src/graph/engine.h"
 #include "src/storage/append_store.h"
-#include "src/storage/btree.h"
 #include "src/util/hash.h"
 
 namespace gdbmicro {
@@ -246,8 +245,6 @@ class OrientEngine : public GraphEngine {
       const CancelToken& cancel, bool want_other,
       const std::function<bool(EdgeId, VertexId other)>& fn) const;
 
-  void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
-  void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);
   Status RemoveEdgeInternal(EdgeId e, VertexId skip_endpoint);
 
   AppendStore vertex_store_;
@@ -259,7 +256,7 @@ class OrientEngine : public GraphEngine {
   Dictionary vertex_labels_;
   CostModel cost_;
 
-  std::map<std::string, BTree<PropertyValue, VertexId>, std::less<>> indexes_;
+  AttributeIndex attribute_index_;  // SB-Tree indexes
 };
 
 std::unique_ptr<GraphEngine> MakeOrientEngine();

@@ -76,7 +76,7 @@ Result<VertexId> RelEngine::AddVertex(std::string_view label,
   t.rows.push_back(VRow{true, props});
   ++t.live_count;
   VertexId id = Pack(table, row);
-  for (const auto& [k, v] : props) IndexInsert(k, v, id);
+  attribute_index_.InsertAll(props, id);
   return id;
 }
 
@@ -147,9 +147,7 @@ Result<LoadMapping> RelEngine::BulkLoadNative(const GraphData& data) {
     ++t.live_count;
     VertexId id = Pack(vtable_of[i], row);
     mapping.vertex_ids.push_back(id);
-    if (!indexes_.empty()) {
-      for (const auto& [k, val] : v.properties) IndexInsert(k, val, id);
-    }
+    attribute_index_.InsertAll(v.properties, id);
   }
   for (size_t i = 0; i < ne; ++i) {
     const auto& e = data.edges[i];
@@ -197,10 +195,10 @@ Status RelEngine::SetVertexProperty(VertexId v, std::string_view name,
   EnsureColumn(&t.columns, name);
   VRow& row = t.rows[RowOf(v)];
   if (const PropertyValue* prev = FindProperty(row.props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   SetProperty(&row.props, name, value);
-  IndexInsert(name, value, v);
+  attribute_index_.Insert(name, value, v);
   return Status::OK();
 }
 
@@ -289,23 +287,8 @@ Result<std::vector<EdgeId>> RelEngine::FindEdgesByLabel(QuerySession& /*session*
 Result<std::vector<VertexId>> RelEngine::FindVerticesByProperty(QuerySession& /*session*/, 
     std::string_view prop, const PropertyValue& value,
     const CancelToken& cancel) const {
-  auto idx = indexes_.find(prop);
-  if (idx != indexes_.end()) {
-    // Even the indexed fast path stays cooperative: a hot key can match
-    // a large fraction of the table, and a tripped token must stop the
-    // result copy promptly.
-    std::vector<VertexId> out;
-    bool cancelled = false;
-    idx->second.ScanKey(value, [&](const VertexId& id) {
-      if (cancel.Expired()) {
-        cancelled = true;
-        return false;
-      }
-      out.push_back(id);
-      return true;
-    });
-    if (cancelled) return cancel.ToStatus();
-    return out;
+  if (attribute_index_.Covers(prop)) {
+    return attribute_index_.Lookup(prop, value, cancel);
   }
   // UNION ALL of sequential scans; tight row loops, no per-row record
   // decode — the relational engine's strength on content filters.
@@ -366,7 +349,7 @@ Status RelEngine::RemoveVertex(VertexId v) {
       GDB_RETURN_IF_ERROR(RemoveEdgeInternal(Pack(table, r)));
     }
   }
-  for (const auto& [k, val] : t.rows[row].props) IndexErase(k, val, v);
+  attribute_index_.EraseAll(t.rows[row].props, v);
   t.rows[row].live = false;
   t.rows[row].props.clear();
   --t.live_count;
@@ -385,7 +368,7 @@ Status RelEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   }
   VRow& row = t.rows[RowOf(v)];
   if (const PropertyValue* prev = FindProperty(row.props, name)) {
-    IndexErase(name, *prev, v);
+    attribute_index_.Erase(name, *prev, v);
   }
   if (!EraseProperty(&row.props, name)) {
     return Status::NotFound("no such property");
@@ -567,30 +550,17 @@ Result<EdgeEnds> RelEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) con
 // --- index / persistence ----------------------------------------------------------
 
 Status RelEngine::CreateVertexPropertyIndex(std::string_view prop) {
-  std::string key(prop);
-  if (indexes_.count(key) != 0) return Status::OK();
+  AttributeIndex::Tree* index = attribute_index_.Create(prop);
+  if (index == nullptr) return Status::OK();
   ddl_cost_.ChargeWrite();  // CREATE INDEX
-  BTree<PropertyValue, VertexId>& index = indexes_[key];
   CancelToken never;
   std::unique_ptr<QuerySession> session = CreateSession();
   return ScanVertices(*session, never, [&](VertexId id) {
     const VTable& t = vtables_[TableOf(id)];
     const PropertyValue* v = FindProperty(t.rows[RowOf(id)].props, prop);
-    if (v != nullptr) index.Insert(*v, id);
+    if (v != nullptr) index->Insert(*v, id);
     return true;
   });
-}
-
-void RelEngine::IndexInsert(std::string_view prop, const PropertyValue& v,
-                            VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Insert(v, id);
-}
-
-void RelEngine::IndexErase(std::string_view prop, const PropertyValue& v,
-                           VertexId id) {
-  auto it = indexes_.find(prop);
-  if (it != indexes_.end()) it->second.Erase(v, id);
 }
 
 uint64_t RelEngine::CheckpointBytes() const {
@@ -652,11 +622,7 @@ uint64_t RelEngine::MemoryBytes() const {
              t.src_index.SerializedBytes(16) +
              t.dst_index.SerializedBytes(16);
   }
-  for (const auto& [prop, index] : indexes_) {
-    (void)prop;
-    total += index.SerializedBytes(24);
-  }
-  return total;
+  return total + attribute_index_.MemoryBytes();
 }
 
 std::unique_ptr<GraphEngine> MakeRelEngine() {

@@ -17,13 +17,13 @@
 #ifndef GDBMICRO_ENGINES_RELISH_REL_ENGINE_H_
 #define GDBMICRO_ENGINES_RELISH_REL_ENGINE_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/engines/common/attribute_index.h"
 #include "src/graph/engine.h"
 #include "src/storage/btree.h"
 #include "src/util/hash.h"
@@ -144,8 +144,6 @@ class RelEngine : public GraphEngine {
   void EnsureColumns(ColumnSet* columns, const PropertyMap& props);
   void EnsureColumn(ColumnSet* columns, std::string_view name);
 
-  void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
-  void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);
   Status RemoveEdgeInternal(EdgeId e);
 
   // The shared FK-index walk: streams (table, row) of every edge incident
@@ -160,7 +158,7 @@ class RelEngine : public GraphEngine {
   std::vector<ETable> etables_;
   LabelMap vtable_by_label_;
   LabelMap etable_by_label_;
-  std::map<std::string, BTree<PropertyValue, VertexId>, std::less<>> indexes_;
+  AttributeIndex attribute_index_;
   CostModel ddl_cost_;
 };
 

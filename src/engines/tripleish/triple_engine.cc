@@ -35,8 +35,8 @@ EngineInfo TripleEngine::info() const {
 
 Status TripleEngine::Open(const EngineOptions& options) {
   GDB_RETURN_IF_ERROR(GraphEngine::Open(options));
-  to_pred_ = InternTerm("g:to");
-  type_pred_ = InternTerm("g:type");
+  to_pred_ = terms_.Intern("g:to");
+  type_pred_ = terms_.Intern("g:type");
   // Out-of-process charges: commit + triple-index maintenance per mutating
   // call, journal/index access layers per point read and per traversal
   // step (each Gremlin step runs against the generic graph API).
@@ -45,19 +45,6 @@ Status TripleEngine::Open(const EngineOptions& options) {
   cost_.per_call_us = 2500;
   cost_.enabled = options.enable_cost_model;
   return Status::OK();
-}
-
-uint64_t TripleEngine::InternTerm(const std::string& s) {
-  if (const uint64_t* id = term_ids_.Get(s)) return *id;
-  uint64_t id = terms_.size();
-  terms_.push_back(s);
-  term_ids_.Put(s, id);
-  return id;
-}
-
-uint64_t TripleEngine::LookupTerm(const std::string& s) const {
-  const uint64_t* id = term_ids_.Get(s);
-  return id != nullptr ? *id : kNoTerm;
 }
 
 std::string TripleEngine::VertexTerm(VertexId v) {
@@ -128,13 +115,13 @@ Result<VertexId> TripleEngine::AddVertex(std::string_view label,
   cost_.ChargeWrite();
   VertexId id = next_vertex_++;
   ++live_vertices_;
-  uint64_t v = InternTerm(VertexTerm(id));
-  uint64_t l = InternTerm("l:" + std::string(label));
+  uint32_t v = terms_.Intern(VertexTerm(id));
+  uint32_t l = terms_.Intern("l:" + std::string(label));
   InsertStatement({v, type_pred_, l});
   for (const auto& [k, value] : props) {
     std::string encoded = "x:";
     value.EncodeTo(&encoded);
-    InsertStatement({v, InternTerm("k:" + k), InternTerm(encoded)});
+    InsertStatement({v, terms_.Intern("k:" + k), terms_.Intern(encoded)});
   }
   return id;
 }
@@ -143,21 +130,21 @@ Result<EdgeId> TripleEngine::AddEdge(VertexId src, VertexId dst,
                                      std::string_view label,
                                      const PropertyMap& props) {
   cost_.ChargeWrite();
-  uint64_t sv = LookupTerm(VertexTerm(src));
-  uint64_t dv = LookupTerm(VertexTerm(dst));
-  if (sv == kNoTerm || dv == kNoTerm) {
+  uint32_t sv = terms_.Lookup(VertexTerm(src));
+  uint32_t dv = terms_.Lookup(VertexTerm(dst));
+  if (sv == Dictionary::kNoId || dv == Dictionary::kNoId) {
     return Status::NotFound("edge endpoint not found");
   }
   EdgeId id = edge_stmts_.size();
-  uint64_t label_term = InternTerm("l:" + std::string(label));
+  uint32_t label_term = terms_.Intern("l:" + std::string(label));
   edge_stmts_.push_back(EdgeStmt{src, dst, label_term, true});
-  uint64_t e = InternTerm(EdgeTerm(id));
+  uint32_t e = terms_.Intern(EdgeTerm(id));
   InsertStatement({sv, label_term, e});
   InsertStatement({e, to_pred_, dv});
   for (const auto& [k, value] : props) {
     std::string encoded = "x:";
     value.EncodeTo(&encoded);
-    InsertStatement({e, InternTerm("k:" + k), InternTerm(encoded)});
+    InsertStatement({e, terms_.Intern("k:" + k), terms_.Intern(encoded)});
   }
   return id;
 }
@@ -180,8 +167,7 @@ Result<LoadMapping> TripleEngine::BulkLoadNative(const GraphData& data) {
   std::vector<Triple> stmts;
   stmts.reserve(nv + 2 * ne + nprops);
   edge_stmts_.reserve(edge_stmts_.size() + ne);
-  term_ids_.Reserve(term_ids_.size() + nv + ne + nprops / 2);
-  terms_.reserve(terms_.size() + nv + ne);
+  terms_.Reserve(static_cast<uint32_t>(terms_.size() + nv + ne + nprops / 2));
 
   // Raw statement pass: every statement is interned and journaled, but
   // index maintenance is deferred. Scratch buffers are reused and vertex
@@ -192,7 +178,7 @@ Result<LoadMapping> TripleEngine::BulkLoadNative(const GraphData& data) {
   auto term = [&](const char* prefix, std::string_view body) {
     scratch.assign(prefix);
     scratch.append(body);
-    return InternTerm(scratch);
+    return terms_.Intern(scratch);
   };
   // "v:<id>" / "e:<id>" terms via to_chars into the scratch buffer — the
   // StrFormat-based VertexTerm/EdgeTerm pay an snprintf per element.
@@ -201,12 +187,12 @@ Result<LoadMapping> TripleEngine::BulkLoadNative(const GraphData& data) {
     scratch.assign(prefix);
     char* end = std::to_chars(numbuf, numbuf + sizeof(numbuf), id).ptr;
     scratch.append(numbuf, end);
-    return InternTerm(scratch);
+    return terms_.Intern(scratch);
   };
   auto value_term = [&](const PropertyValue& value) {
     scratch.assign("x:");
     value.EncodeTo(&scratch);
-    return InternTerm(scratch);
+    return terms_.Intern(scratch);
   };
   auto add = [&](Triple t) {
     stmts.push_back(t);
@@ -231,7 +217,7 @@ Result<LoadMapping> TripleEngine::BulkLoadNative(const GraphData& data) {
   for (size_t i = 0; i < ne; ++i) {
     const GraphData::Edge& e = data.edges[i];
     EdgeId id = edge_stmts_.size();
-    uint64_t label_term = term("l:", e.label);
+    uint32_t label_term = term("l:", e.label);
     edge_stmts_.push_back(
         EdgeStmt{mapping.vertex_ids[e.src], mapping.vertex_ids[e.dst],
                  label_term, true});
@@ -283,9 +269,9 @@ Result<LoadMapping> TripleEngine::BulkLoadNative(const GraphData& data) {
 Status TripleEngine::SetVertexProperty(VertexId v, std::string_view name,
                                        const PropertyValue& value) {
   cost_.ChargeWrite();
-  uint64_t vt = LookupTerm(VertexTerm(v));
-  if (vt == kNoTerm) return Status::NotFound("vertex not found");
-  uint64_t kt = InternTerm("k:" + std::string(name));
+  uint32_t vt = terms_.Lookup(VertexTerm(v));
+  if (vt == Dictionary::kNoId) return Status::NotFound("vertex not found");
+  uint32_t kt = terms_.Intern("k:" + std::string(name));
   // Remove any existing statement for this key.
   spo_.ScanRange({vt, kt, 0}, {vt, kt, kMaxTerm},
                  [&](const Triple& key, const uint8_t&) {
@@ -294,7 +280,7 @@ Status TripleEngine::SetVertexProperty(VertexId v, std::string_view name,
                  });
   std::string encoded = "x:";
   value.EncodeTo(&encoded);
-  InsertStatement({vt, kt, InternTerm(encoded)});
+  InsertStatement({vt, kt, terms_.Intern(encoded)});
   return Status::OK();
 }
 
@@ -304,8 +290,8 @@ Status TripleEngine::SetEdgeProperty(EdgeId e, std::string_view name,
   if (e >= edge_stmts_.size() || !edge_stmts_[e].live) {
     return Status::NotFound("edge not found");
   }
-  uint64_t et = LookupTerm(EdgeTerm(e));
-  uint64_t kt = InternTerm("k:" + std::string(name));
+  uint32_t et = terms_.Lookup(EdgeTerm(e));
+  uint32_t kt = terms_.Intern("k:" + std::string(name));
   spo_.ScanRange({et, kt, 0}, {et, kt, kMaxTerm},
                  [&](const Triple& key, const uint8_t&) {
                    EraseStatement(key);
@@ -313,24 +299,24 @@ Status TripleEngine::SetEdgeProperty(EdgeId e, std::string_view name,
                  });
   std::string encoded = "x:";
   value.EncodeTo(&encoded);
-  InsertStatement({et, kt, InternTerm(encoded)});
+  InsertStatement({et, kt, terms_.Intern(encoded)});
   return Status::OK();
 }
 
 Result<VertexRecord> TripleEngine::GetVertex(QuerySession& /*session*/, VertexId id) const {
   cost_.ChargeRead();
-  uint64_t vt = LookupTerm(VertexTerm(id));
-  if (vt == kNoTerm) return Status::NotFound("vertex not found");
+  uint32_t vt = terms_.Lookup(VertexTerm(id));
+  if (vt == Dictionary::kNoId) return Status::NotFound("vertex not found");
   VertexRecord rec;
   rec.id = id;
   bool found = false;
   for (const Triple& t : StatementsWithSubject(vt)) {
-    const std::string& pred = terms_[t[1]];
+    const std::string& pred = terms_.Get(t[1]);
     if (t[1] == type_pred_) {
-      rec.label = terms_[t[2]].substr(2);
+      rec.label = terms_.Get(t[2]).substr(2);
       found = true;
     } else if (StartsWith(pred, "k:")) {
-      const std::string& obj = terms_[t[2]];
+      const std::string& obj = terms_.Get(t[2]);
       size_t pos = 2;
       auto value = PropertyValue::DecodeFrom(obj, &pos);
       if (value.ok()) {
@@ -352,12 +338,12 @@ Result<EdgeRecord> TripleEngine::GetEdge(QuerySession& /*session*/, EdgeId id) c
   rec.id = id;
   rec.src = stmt.src;
   rec.dst = stmt.dst;
-  rec.label = terms_[stmt.label_term].substr(2);
-  uint64_t et = LookupTerm(EdgeTerm(id));
+  rec.label = terms_.Get(stmt.label_term).substr(2);
+  uint32_t et = terms_.Lookup(EdgeTerm(id));
   for (const Triple& t : StatementsWithSubject(et)) {
-    const std::string& pred = terms_[t[1]];
+    const std::string& pred = terms_.Get(t[1]);
     if (StartsWith(pred, "k:")) {
-      const std::string& obj = terms_[t[2]];
+      const std::string& obj = terms_.Get(t[2]);
       size_t pos = 2;
       auto value = PropertyValue::DecodeFrom(obj, &pos);
       if (value.ok()) {
@@ -379,14 +365,15 @@ Result<std::vector<VertexId>> TripleEngine::FindVerticesByProperty(QuerySession&
   // batch.
   std::string wanted = "x:";
   value.EncodeTo(&wanted);
-  uint64_t kt = LookupTerm("k:" + std::string(prop));
-  uint64_t xt = LookupTerm(wanted);
+  uint32_t kt = terms_.Lookup("k:" + std::string(prop));
+  uint32_t xt = terms_.Lookup(wanted);
   std::vector<VertexId> out;
   uint64_t visited = 0;
   GDB_RETURN_IF_ERROR(ScanVertices(session, cancel, [&](VertexId id) {
     if (cost_.enabled && visited++ % 64 == 0) cost_.ChargeRead();
-    if (kt == kNoTerm || xt == kNoTerm) return true;  // still scans
-    uint64_t vt = LookupTerm(VertexTerm(id));
+    // Still scans.
+    if (kt == Dictionary::kNoId || xt == Dictionary::kNoId) return true;
+    uint32_t vt = terms_.Lookup(VertexTerm(id));
     if (spo_.Contains({vt, kt, xt}, 1)) out.push_back(id);
     return true;
   }));
@@ -398,15 +385,15 @@ Result<std::vector<EdgeId>> TripleEngine::FindEdgesByProperty(QuerySession& sess
     const CancelToken& cancel) const {
   std::string wanted = "x:";
   value.EncodeTo(&wanted);
-  uint64_t kt = LookupTerm("k:" + std::string(prop));
-  uint64_t xt = LookupTerm(wanted);
+  uint32_t kt = terms_.Lookup("k:" + std::string(prop));
+  uint32_t xt = terms_.Lookup(wanted);
   std::vector<EdgeId> out;
   uint64_t visited = 0;
   Status status = Status::OK();
   GDB_RETURN_IF_ERROR(ScanEdges(session, cancel, [&](const EdgeEnds& ends) {
     if (cost_.enabled && visited++ % 64 == 0) cost_.ChargeRead();
-    if (kt == kNoTerm || xt == kNoTerm) return true;
-    uint64_t et = LookupTerm(EdgeTerm(ends.id));
+    if (kt == Dictionary::kNoId || xt == Dictionary::kNoId) return true;
+    uint32_t et = terms_.Lookup(EdgeTerm(ends.id));
     if (spo_.Contains({et, kt, xt}, 1)) out.push_back(ends.id);
     return true;
   }));
@@ -416,18 +403,18 @@ Result<std::vector<EdgeId>> TripleEngine::FindEdgesByProperty(QuerySession& sess
 
 Status TripleEngine::RemoveVertex(VertexId v) {
   cost_.ChargeWrite();
-  uint64_t vt = LookupTerm(VertexTerm(v));
-  if (vt == kNoTerm) return Status::NotFound("vertex not found");
+  uint32_t vt = terms_.Lookup(VertexTerm(v));
+  if (vt == Dictionary::kNoId) return Status::NotFound("vertex not found");
   bool exists = false;
   // Outgoing edges + label + properties: statements with subject v.
   for (const Triple& t : StatementsWithSubject(vt)) {
-    const std::string& pred = terms_[t[1]];
+    const std::string& pred = terms_.Get(t[1]);
     if (t[1] == type_pred_) {
       exists = true;
       EraseStatement(t);
     } else if (StartsWith(pred, "l:")) {
       // Connectivity statement: object is a reified edge term.
-      GDB_RETURN_IF_ERROR(RemoveEdge(DecodeIdFromTerm(terms_[t[2]])));
+      GDB_RETURN_IF_ERROR(RemoveEdge(DecodeIdFromTerm(terms_.Get(t[2]))));
     } else {
       EraseStatement(t);  // property
     }
@@ -436,7 +423,7 @@ Status TripleEngine::RemoveVertex(VertexId v) {
   // Incoming edges: statements (e, g:to, v).
   for (const Triple& t : StatementsWithObject(vt)) {
     if (t[1] == to_pred_) {
-      GDB_RETURN_IF_ERROR(RemoveEdge(DecodeIdFromTerm(terms_[t[0]])));
+      GDB_RETURN_IF_ERROR(RemoveEdge(DecodeIdFromTerm(terms_.Get(t[0]))));
     }
   }
   --live_vertices_;
@@ -449,9 +436,9 @@ Status TripleEngine::RemoveEdge(EdgeId e) {
   }
   cost_.ChargeWrite();
   EdgeStmt& stmt = edge_stmts_[e];
-  uint64_t et = LookupTerm(EdgeTerm(e));
-  uint64_t sv = LookupTerm(VertexTerm(stmt.src));
-  uint64_t dv = LookupTerm(VertexTerm(stmt.dst));
+  uint32_t et = terms_.Lookup(EdgeTerm(e));
+  uint32_t sv = terms_.Lookup(VertexTerm(stmt.src));
+  uint32_t dv = terms_.Lookup(VertexTerm(stmt.dst));
   EraseStatement({sv, stmt.label_term, et});
   EraseStatement({et, to_pred_, dv});
   for (const Triple& t : StatementsWithSubject(et)) {
@@ -463,10 +450,10 @@ Status TripleEngine::RemoveEdge(EdgeId e) {
 
 Status TripleEngine::RemoveVertexProperty(VertexId v, std::string_view name) {
   cost_.ChargeWrite();
-  uint64_t vt = LookupTerm(VertexTerm(v));
-  if (vt == kNoTerm) return Status::NotFound("vertex not found");
-  uint64_t kt = LookupTerm("k:" + std::string(name));
-  if (kt == kNoTerm) return Status::NotFound("no such property");
+  uint32_t vt = terms_.Lookup(VertexTerm(v));
+  if (vt == Dictionary::kNoId) return Status::NotFound("vertex not found");
+  uint32_t kt = terms_.Lookup("k:" + std::string(name));
+  if (kt == Dictionary::kNoId) return Status::NotFound("no such property");
   std::vector<Triple> to_erase;
   spo_.ScanRange({vt, kt, 0}, {vt, kt, kMaxTerm},
                  [&](const Triple& key, const uint8_t&) {
@@ -483,9 +470,9 @@ Status TripleEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
   if (e >= edge_stmts_.size() || !edge_stmts_[e].live) {
     return Status::NotFound("edge not found");
   }
-  uint64_t et = LookupTerm(EdgeTerm(e));
-  uint64_t kt = LookupTerm("k:" + std::string(name));
-  if (kt == kNoTerm) return Status::NotFound("no such property");
+  uint32_t et = terms_.Lookup(EdgeTerm(e));
+  uint32_t kt = terms_.Lookup("k:" + std::string(name));
+  if (kt == Dictionary::kNoId) return Status::NotFound("no such property");
   std::vector<Triple> to_erase;
   spo_.ScanRange({et, kt, 0}, {et, kt, kMaxTerm},
                  [&](const Triple& key, const uint8_t&) {
@@ -510,7 +497,7 @@ Status TripleEngine::ScanVertices(QuerySession& /*session*/,
                      return false;
                    }
                    // key layout (p, o, s): s is the vertex term.
-                   return fn(DecodeIdFromTerm(terms_[key[2]]));
+                   return fn(DecodeIdFromTerm(terms_.Get(key[2])));
                  });
   return status;
 }
@@ -526,13 +513,13 @@ Status TripleEngine::ScanEdges(QuerySession& /*session*/,
                      status = cancel.ToStatus();
                      return false;
                    }
-                   EdgeId id = DecodeIdFromTerm(terms_[key[2]]);
+                   EdgeId id = DecodeIdFromTerm(terms_.Get(key[2]));
                    const EdgeStmt& stmt = edge_stmts_[id];
                    EdgeEnds ends;
                    ends.id = id;
                    ends.src = stmt.src;
                    ends.dst = stmt.dst;
-                   ends.label = terms_[stmt.label_term].substr(2);
+                   ends.label = terms_.Get(stmt.label_term).substr(2);
                    return fn(ends);
                  });
   return status;
@@ -543,13 +530,13 @@ Status TripleEngine::WalkIncident(VertexId v, Direction dir,
                                   const CancelToken& cancel,
                                   const std::function<bool(EdgeId)>& fn) const {
   cost_.ChargeCall();  // per-step graph API access
-  uint64_t label_term = kNoTerm;
+  uint32_t label_term = Dictionary::kNoId;
   if (label != nullptr) {
-    label_term = LookupTerm("l:" + *label);
-    if (label_term == kNoTerm) return Status::OK();
+    label_term = terms_.Lookup("l:" + *label);
+    if (label_term == Dictionary::kNoId) return Status::OK();
   }
-  uint64_t vt = LookupTerm(VertexTerm(v));
-  if (vt == kNoTerm) return Status::NotFound("vertex not found");
+  uint32_t vt = terms_.Lookup(VertexTerm(v));
+  if (vt == Dictionary::kNoId) return Status::NotFound("vertex not found");
   // Everything the scan callbacks touch sits behind one reference, so
   // each closure fits std::function's inline buffer and a walk allocates
   // nothing.
@@ -558,28 +545,27 @@ Status TripleEngine::WalkIncident(VertexId v, Direction dir,
     const CancelToken& cancel;
     const std::function<bool(EdgeId)>& fn;
     Direction dir;
-    uint64_t label_term;
+    uint32_t label_term;
     Status status = Status::OK();
     bool stop = false;
   } walk{*this, cancel, fn, dir, label_term};
   if (dir == Direction::kOut || dir == Direction::kBoth) {
     // Connectivity statements (v, l:<label>, e): SPO prefix scan. When a
     // label is given the scan range narrows to that one predicate.
-    uint64_t p_lo = label_term != kNoTerm ? label_term : 0;
-    uint64_t p_hi = label_term != kNoTerm ? label_term : kMaxTerm;
+    uint64_t p_lo = label_term != Dictionary::kNoId ? label_term : 0;
+    uint64_t p_hi = label_term != Dictionary::kNoId ? label_term : kMaxTerm;
     spo_.ScanRange({vt, p_lo, 0}, {vt, p_hi, kMaxTerm},
                    [&walk](const Triple& t, const uint8_t&) {
                      if (walk.cancel.Expired()) {
                        walk.status = walk.cancel.ToStatus();
                        return false;
                      }
-                     const std::vector<std::string>& terms =
-                         walk.engine.terms_;
-                     if (walk.label_term == kNoTerm &&
-                         !StartsWith(terms[t[1]], "l:")) {
+                     const Dictionary& terms = walk.engine.terms_;
+                     if (walk.label_term == Dictionary::kNoId &&
+                         !StartsWith(terms.Get(t[1]), "l:")) {
                        return true;
                      }
-                     if (!walk.fn(DecodeIdFromTerm(terms[t[2]]))) {
+                     if (!walk.fn(DecodeIdFromTerm(terms.Get(t[2])))) {
                        walk.stop = true;
                        return false;
                      }
@@ -599,13 +585,13 @@ Status TripleEngine::WalkIncident(VertexId v, Direction dir,
                      }
                      const TripleEngine& engine = walk.engine;
                      if (t[2] != engine.to_pred_) return true;
-                     EdgeId id = DecodeIdFromTerm(engine.terms_[t[1]]);
+                     EdgeId id = DecodeIdFromTerm(engine.terms_.Get(t[1]));
                      const EdgeStmt& stmt = engine.edge_stmts_[id];
                      // Self-loops already visited via the outgoing scan.
                      if (walk.dir == Direction::kBoth && stmt.src == stmt.dst) {
                        return true;
                      }
-                     if (walk.label_term != kNoTerm &&
+                     if (walk.label_term != Dictionary::kNoId &&
                          stmt.label_term != walk.label_term) {
                        return true;
                      }
@@ -647,7 +633,7 @@ Result<EdgeEnds> TripleEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) 
   ends.id = e;
   ends.src = stmt.src;
   ends.dst = stmt.dst;
-  ends.label = terms_[stmt.label_term].substr(2);
+  ends.label = terms_.Get(stmt.label_term).substr(2);
   return ends;
 }
 
@@ -675,21 +661,14 @@ uint64_t TripleEngine::CheckpointBytes() const {
 
   // Term dictionary.
   buf.clear();
-  PutVarint64(&buf, terms_.size());
-  for (const std::string& t : terms_) {
-    PutVarint64(&buf, t.size());
-    buf.append(t);
-  }
+  terms_.Serialize(&buf);
   return total + buf.size();
 }
 
 uint64_t TripleEngine::MemoryBytes() const {
-  uint64_t total = journal_.UsedBytes() + term_ids_.MemoryBytes() +
-                   spo_.SerializedBytes(25) + pos_.SerializedBytes(25) +
-                   osp_.SerializedBytes(25) +
-                   edge_stmts_.capacity() * sizeof(EdgeStmt);
-  for (const std::string& t : terms_) total += t.size() + sizeof(std::string);
-  return total;
+  return journal_.UsedBytes() + terms_.MemoryBytes() +
+         spo_.SerializedBytes(25) + pos_.SerializedBytes(25) +
+         osp_.SerializedBytes(25) + edge_stmts_.capacity() * sizeof(EdgeStmt);
 }
 
 std::unique_ptr<GraphEngine> MakeTripleEngine() {

@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "src/engines/common/dictionary.h"
 #include "src/graph/engine.h"
 #include "src/storage/btree.h"
-#include "src/storage/hash_index.h"
 #include "src/storage/journal.h"
 
 namespace gdbmicro {
@@ -101,14 +101,6 @@ class TripleEngine : public GraphEngine {
  private:
   using Triple = std::array<uint64_t, 3>;
 
-  // Term ids intern strings with a kind prefix:
-  //   "v:<id>"  vertex terms       "l:<label>"  label predicates
-  //   "k:<key>" property keys      "x:<bytes>"  encoded literal values
-  //   "e:<id>"  reified edge terms "g:to"       the connectivity predicate
-  uint64_t InternTerm(const std::string& s);
-  uint64_t LookupTerm(const std::string& s) const;  // kNoTerm if absent
-  static constexpr uint64_t kNoTerm = ~0ULL;
-
   static std::string VertexTerm(VertexId v);
   static std::string EdgeTerm(EdgeId e);
 
@@ -143,8 +135,11 @@ class TripleEngine : public GraphEngine {
 
   CostModel cost_;
 
-  HashIndex<std::string, uint64_t> term_ids_;
-  std::vector<std::string> terms_;
+  // The term dictionary. Terms are strings with a kind prefix:
+  //   "v:<id>"  vertex terms       "l:<label>"  label predicates
+  //   "k:<key>" property keys      "x:<bytes>"  encoded literal values
+  //   "e:<id>"  reified edge terms "g:to"       the connectivity predicate
+  Dictionary terms_;
   uint64_t to_pred_ = 0;    // term id of "g:to"
   uint64_t type_pred_ = 0;  // term id of "g:type"
 

@@ -539,8 +539,12 @@ class GraphEngine {
 
   // --- Indexing (paper §6.4 "Effect of Indexing") ------------------------
 
-  /// Creates a user attribute index on a vertex property. Default:
-  /// kUnimplemented (BlazeGraph offers no such control, paper §6.4).
+  /// Creates a user attribute index on a vertex property. neo19, orient,
+  /// sqlg and titan answer FindVerticesByProperty from it; neo30,
+  /// sparksee and arango accept it without effect on their searches, as
+  /// the paper found (EngineInfo::supports_property_index is false for
+  /// them). Default: kUnimplemented, which blaze keeps (BlazeGraph offers
+  /// no such control, paper §6.4).
   virtual Status CreateVertexPropertyIndex(std::string_view prop);
 
   // --- Space (paper Fig. 1) ----------------------------------------------

@@ -103,12 +103,9 @@ TEST(MetricsOptionsTest, DiameterCanBeSkipped) {
   data.vertices.push_back({"n", {}});
   data.vertices.push_back({"n", {}});
   data.edges.push_back({0, 1, "l", {}});
-  datasets::MetricsOptions options;
-  options.compute_diameter = false;
-  auto stats = datasets::ComputeStats(data, options);
+  auto stats = datasets::ComputeStats(data, {.diameter_samples = 0});
   EXPECT_EQ(stats.diameter, 0u);
-  options.compute_diameter = true;
-  stats = datasets::ComputeStats(data, options);
+  stats = datasets::ComputeStats(data);  // the default sample count
   EXPECT_EQ(stats.diameter, 1u);
 }
 

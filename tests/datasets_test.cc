@@ -82,7 +82,7 @@ TEST(GeneratorsTest, FreebaseSamplesShapes) {
   // Frb-O is the dense topic subgraph: E > 2V.
   EXPECT_GT(topic.EdgeCount(), 2 * topic.VertexCount());
 
-  GraphStats ss = ComputeStats(small, {.compute_diameter = false});
+  GraphStats ss = ComputeStats(small, {.diameter_samples = 0});
   // Extreme fragmentation: a large fraction of vertices form tiny comps.
   EXPECT_GT(ss.components, ss.vertices / 10);
   EXPECT_GT(ss.modularity, 0.5);
@@ -95,7 +95,7 @@ TEST(GeneratorsTest, FreebaseSamplesShapes) {
 
 TEST(GeneratorsTest, LdbcShape) {
   GraphData data = datasets::GenerateLdbc(TestScale());
-  GraphStats s = ComputeStats(data, {.compute_diameter = false});
+  GraphStats s = ComputeStats(data, {.diameter_samples = 0});
   // The paper's ldbc: ONE component, 15 labels, properties on nodes AND
   // edges, an order denser than the Freebase samples.
   EXPECT_EQ(s.components, 1u) << "ldbc must be a single connected component";
@@ -110,7 +110,7 @@ TEST(GeneratorsTest, LdbcShape) {
     }
   }
   EXPECT_TRUE(edge_props);
-  EXPECT_EQ(ComputeStats(data, {.compute_diameter = false}).modularity, 0.0);
+  EXPECT_EQ(ComputeStats(data, {.diameter_samples = 0}).modularity, 0.0);
 }
 
 TEST(MetricsTest, HandComputedGraph) {

@@ -327,6 +327,61 @@ TEST_P(EngineTest, PropertyIndexPreservesResults) {
   EXPECT_EQ(updated->size(), b.size() + 1);
 }
 
+// Every kind of vertex write keeps an index exact: after each write, the
+// search for every bucket value, including the one the write took away
+// and the one it added, equals a scan of the GetVertex records.
+TEST_P(EngineTest, PropertyIndexTracksWrites) {
+  std::vector<VertexId> v;
+  for (int i = 0; i < 12; ++i) {
+    PropertyMap props;
+    props.emplace_back("rank", PropertyValue(static_cast<int64_t>(i)));
+    if (i % 4 != 3) {
+      props.emplace_back("bucket", PropertyValue(static_cast<int64_t>(i % 3)));
+    }
+    auto id = engine_->AddVertex("n", props);
+    ASSERT_TRUE(id.ok()) << id.status();
+    v.push_back(*id);
+  }
+  Status s = engine_->CreateVertexPropertyIndex("bucket");
+  if (s.IsUnimplemented()) {
+    GTEST_SKIP() << GetParam() << " offers no user attribute indexes";
+  }
+  ASSERT_TRUE(s.ok()) << s;
+
+  auto expect_exact = [&](const std::string& after) {
+    for (int64_t bucket : {0, 1, 2, 7}) {
+      const PropertyValue value(bucket);
+      std::set<VertexId> want;
+      Status scanned = engine_->ScanVertices(*session_, never_, [&](VertexId id) {
+        auto rec = engine_->GetVertex(*session_, id);
+        EXPECT_TRUE(rec.ok()) << rec.status();
+        if (rec.ok()) {
+          const PropertyValue* p = FindProperty(rec->properties, "bucket");
+          if (p != nullptr && *p == value) want.insert(id);
+        }
+        return true;
+      });
+      ASSERT_TRUE(scanned.ok()) << scanned;
+      auto found =
+          engine_->FindVerticesByProperty(*session_, "bucket", value, never_);
+      ASSERT_TRUE(found.ok()) << found.status();
+      EXPECT_EQ(std::set<VertexId>(found->begin(), found->end()), want)
+          << "bucket=" << bucket << " after " << after;
+    }
+  };
+  // v[0] holds bucket 0, v[1] 1, v[2] 2, and v[3] has no bucket.
+  ASSERT_TRUE(
+      engine_->SetVertexProperty(v[0], "bucket", PropertyValue(int64_t{7})).ok());
+  expect_exact("overwriting 0 with 7");
+  ASSERT_TRUE(
+      engine_->SetVertexProperty(v[3], "bucket", PropertyValue(int64_t{0})).ok());
+  expect_exact("setting the key on a vertex without it");
+  ASSERT_TRUE(engine_->RemoveVertexProperty(v[1], "bucket").ok());
+  expect_exact("removing the property");
+  ASSERT_TRUE(engine_->RemoveVertex(v[2]).ok());
+  expect_exact("removing a vertex");
+}
+
 TEST_P(EngineTest, ScansVisitEverything) {
   constexpr int kV = 30, kE = 45;
   std::vector<VertexId> vertices;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -478,6 +479,116 @@ TEST(JsonReaderTest, StoredDocumentsDecodeInPlaceAsTheTreeDoes) {
   }
   EXPECT_GT(documents, 10000u);
   EXPECT_GE(shapes.size(), 4u);
+}
+
+// The document writer's reference: the tree built member by member with
+// Json::Set, then dumped.
+std::string TreeVertexDoc(std::string_view label, const PropertyMap& props) {
+  Json doc = Json::MakeObject();
+  doc.Set("_label", Json(std::string(label)));
+  for (const auto& [k, v] : props) doc.Set(k, v.ToJson());
+  return doc.Dump();
+}
+
+std::string TreeEdgeDoc(VertexId src, VertexId dst, std::string_view label,
+                        const PropertyMap& props) {
+  Json doc = Json::MakeObject();
+  doc.Set("_from", Json(src));
+  doc.Set("_to", Json(dst));
+  doc.Set("_label", Json(std::string(label)));
+  for (const auto& [k, v] : props) doc.Set(k, v.ToJson());
+  return doc.Dump();
+}
+
+// The property update's reference: parse, Json::Set or erase the first
+// member of that name, dump.
+Result<std::string> TreeEditDoc(std::string_view doc, std::string_view name,
+                                const PropertyValue* value) {
+  GDB_ASSIGN_OR_RETURN(Json parsed, Json::Parse(doc));
+  if (value != nullptr) {
+    parsed.Set(std::string(name), value->ToJson());
+  } else {
+    Json::Object& obj = parsed.object();
+    auto it = std::find_if(obj.begin(), obj.end(),
+                           [&](const auto& kv) { return kv.first == name; });
+    if (it == obj.end()) return Status::NotFound("no such property");
+    obj.erase(it);
+  }
+  return parsed.Dump();
+}
+
+// Edits `doc` with EditDocProperty and checks the result, status and
+// bytes, against the tree update.
+void ExpectSameEdit(const std::string& doc, bool is_edge,
+                    std::string_view name, const PropertyValue* value) {
+  SCOPED_TRACE(doc + (value != nullptr ? " set " : " remove ") +
+               std::string(name));
+  auto want = TreeEditDoc(doc, name, value);
+  std::string edited = doc;
+  Status got = EditDocProperty(&edited, is_edge, name, value);
+  ASSERT_EQ(got.code(), want.ok() ? StatusCode::kOk : want.status().code())
+      << got;
+  EXPECT_EQ(edited, want.ok() ? *want : doc);
+}
+
+// Every vertex and edge document of ldbc 0.05 and mico 0.05 is written
+// byte for byte as the tree encoded it, and so is each document after a
+// property update: an existing key overwritten, a new key added, an
+// existing key removed and an absent key removed (kNotFound, unchanged).
+TEST(JsonDocWriterTest, StoredDocumentsAndEditsMatchTheTree) {
+  const PropertyValue replaced(std::string("q\"uote\\d é\n"));
+  const PropertyValue added(-0.25);
+  size_t documents = 0;
+  auto check = [&](const std::string& doc, const std::string& want,
+                   bool is_edge, const PropertyMap& props) {
+    ++documents;
+    ASSERT_EQ(doc, want);
+    if (!props.empty()) {
+      ExpectSameEdit(doc, is_edge, props.front().first, &replaced);
+      ExpectSameEdit(doc, is_edge, props.front().first, nullptr);
+    }
+    ExpectSameEdit(doc, is_edge, "added", &added);
+    ExpectSameEdit(doc, is_edge, "absent", nullptr);
+  };
+  for (const char* name : {"ldbc", "mico"}) {
+    auto data = datasets::GenerateByName(name, datasets::GenOptions{0.05});
+    ASSERT_TRUE(data.ok()) << name;
+    for (const auto& v : data->vertices) {
+      check(EncodeVertexDoc(v.label, v.properties),
+            TreeVertexDoc(v.label, v.properties), false, v.properties);
+      if (HasFatalFailure()) return;
+    }
+    for (const auto& e : data->edges) {
+      check(EncodeEdgeDoc(e.src, e.dst, e.label, e.properties),
+            TreeEdgeDoc(e.src, e.dst, e.label, e.properties), true,
+            e.properties);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(documents, 10000u);
+}
+
+// Repeated keys keep Json::Set's rule, the last value in the first key's
+// position: the maps of DocishNativeLoadTest, and a longer interleaving
+// with every value type, escapes in keys and labels included.
+TEST(JsonDocWriterTest, RepeatedKeysMatchTheTree) {
+  const PropertyMap maps[] = {
+      {{"k", PropertyValue(int64_t{1})}, {"k", PropertyValue(int64_t{2})}},
+      {{"w", PropertyValue("a")}, {"w", PropertyValue("b")}},
+      {{"a", PropertyValue(int64_t{1})},
+       {"b\"\\", PropertyValue(true)},
+       {"a", PropertyValue(2.5)},
+       {"c", PropertyValue()},
+       {"b\"\\", PropertyValue("x\ty")},
+       {"a", PropertyValue(int64_t{-3})}},
+  };
+  for (const PropertyMap& props : maps) {
+    EXPECT_EQ(EncodeVertexDoc("re\"al", props), TreeVertexDoc("re\"al", props));
+    EXPECT_EQ(EncodeEdgeDoc(3, 4, "l", props), TreeEdgeDoc(3, 4, "l", props));
+  }
+  EXPECT_EQ(EncodeVertexDoc("real", maps[0]), R"({"_label":"real","k":2})");
+  EXPECT_EQ(EncodeEdgeDoc(0, 1, "l", maps[1]),
+            R"({"_from":0,"_to":1,"_label":"l","w":"b"})");
 }
 
 // An encoded property map with every value tag: null, bool, negative and
