@@ -5,7 +5,8 @@
 // (load-time statistics) — plus a hand-ordered BEST version of each shape
 // lowered rule-based, the oracle the optimizer is judged against.
 //
-// For each engine and shape it reports:
+// For each engine and shape it reports (each plan's fastest of --rounds
+// timed runs, so one slow run on a shared host does not move a ratio):
 //   rule ms   the adversarial ordering, rule-based lowering
 //   cost ms   the same adversarial traversal, cost-based lowering
 //   hand ms   the best hand-ordered traversal, rule-based lowering
@@ -69,7 +70,7 @@ GraphData SkewedData(double scale) {
 }
 
 struct PlanTiming {
-  double ms = 0;
+  double ms = 0;  // fastest round
   uint64_t rows = 0;
 };
 
@@ -77,13 +78,14 @@ Result<PlanTiming> MeasurePlan(const Plan& plan, const GraphEngine& engine,
                                QuerySession& session, int rounds,
                                const CancelToken& cancel) {
   PlanTiming m;
-  Timer timer;
   for (int r = 0; r < rounds; ++r) {
+    Timer timer;
     GDB_ASSIGN_OR_RETURN(query::TraversalOutput out,
                          plan.Run(engine, session, cancel));
+    double ms = timer.ElapsedMillis();
+    m.ms = r == 0 ? ms : std::min(m.ms, ms);
     m.rows = out.counted ? out.count : out.rows.size();
   }
-  m.ms = timer.ElapsedSeconds() * 1e3 / rounds;
   return m;
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/query/algorithms.h"
 #include "src/query/traversal.h"
+#include "src/storage/wal.h"
 #include "src/util/string_util.h"
 
 namespace gdbmicro {
@@ -68,7 +69,9 @@ Result<std::vector<VertexId>> Friends(QueryContext& ctx, VertexId person) {
 }
 
 /// A complex query as a QuerySpec: named after its Fig. 2 label, with no
-/// Table 2 number or Gremlin text. The two that mutate are creates.
+/// Table 2 number or Gremlin text. The two that mutate are creates; like
+/// every Table 2 write they stage a WriteBatch and apply it through
+/// QueryContext::Commit.
 QuerySpec Complex(std::string name, std::string description,
                   Category category,
                   std::function<Result<QueryResult>(QueryContext&)> run) {
@@ -103,36 +106,25 @@ std::vector<QuerySpec> BuildComplexCatalog() {
          props.emplace_back("firstName", PropertyValue(StrFormat(
                                              "newuser%d", ctx.iteration)));
          props.emplace_back("lastName", PropertyValue("benchmark"));
-         GDB_ASSIGN_OR_RETURN(VertexId p,
-                              ctx.engine->AddVertex("person", props));
          PropertyMap since;
          since.emplace_back("since", PropertyValue(int64_t{20180101}));
-         GDB_ASSIGN_OR_RETURN(
-             EdgeId e1, ctx.engine->AddEdge(
-                            p, SampleWithLabel(w, "city", ctx.iteration),
-                            "isLocatedIn", since));
-         GDB_ASSIGN_OR_RETURN(
-             EdgeId e2,
-             ctx.engine->AddEdge(p,
-                                 SampleWithLabel(w, "university",
-                                                 ctx.iteration),
-                                 "studyAt", since));
-         GDB_ASSIGN_OR_RETURN(
-             EdgeId e3, ctx.engine->AddEdge(
-                            p, SampleWithLabel(w, "company", ctx.iteration),
-                            "workAt", since));
-         (void)e1;
-         (void)e2;
-         (void)e3;
+         // One batch: the new person, then its profile and friendship
+         // edges through the batch's pending-handle forward reference.
+         WriteBatch batch;
+         PendingVertex p = batch.AddVertex("person", std::move(props));
+         batch.AddEdge(p, SampleWithLabel(w, "city", ctx.iteration),
+                       "isLocatedIn", since);
+         batch.AddEdge(p, SampleWithLabel(w, "university", ctx.iteration),
+                       "studyAt", since);
+         batch.AddEdge(p, SampleWithLabel(w, "company", ctx.iteration),
+                       "workAt", since);
          for (int i = 0; i < 3; ++i) {
-           GDB_ASSIGN_OR_RETURN(
-               EdgeId k,
-               ctx.engine->AddEdge(
-                   p, SampleWithLabel(w, "person", 10 * ctx.iteration + i),
-                   "knows", since));
-           (void)k;
+           batch.AddEdge(p,
+                         SampleWithLabel(w, "person", 10 * ctx.iteration + i),
+                         "knows", since);
          }
-         return QueryResult{7};
+         GDB_ASSIGN_OR_RETURN(uint64_t n, ctx.Commit(batch));
+         return QueryResult{n};
        }));
 
   auto members_of = [](QueryContext& ctx, const std::string& target_label,
@@ -218,17 +210,14 @@ std::vector<QuerySpec> BuildComplexCatalog() {
          if (posts.empty()) return QueryResult{0};
          PropertyMap weight;
          weight.emplace_back("weight", PropertyValue(int64_t{1}));
-         uint64_t added = 0;
+         WriteBatch batch;
          for (int i = 0; i < 2; ++i) {
            VertexId tag = SampleWithLabel(*ctx.workload, "tag",
                                           10 * ctx.iteration + i);
-           GDB_ASSIGN_OR_RETURN(
-               EdgeId e,
-               ctx.engine->AddEdge(posts.front(), tag, "hasTag", weight));
-           (void)e;
-           ++added;
+           batch.AddEdge(posts.front(), tag, "hasTag", weight);
          }
-         return QueryResult{added};
+         GDB_ASSIGN_OR_RETURN(uint64_t n, ctx.Commit(batch));
+         return QueryResult{n};
        }));
 
   catalog.push_back(Complex(

@@ -566,7 +566,8 @@ Status RelEngine::CreateVertexPropertyIndex(std::string_view prop) {
 uint64_t RelEngine::CheckpointBytes() const {
   // Postgres-style storage: 8 KiB pages, 24-byte tuple headers. Each
   // table is page-padded, and an edge table carries its page-granular FK
-  // indexes. Tuple headers, index pages and padding are counted, not built.
+  // indexes; the attribute index is page-padded too. Tuple headers, index
+  // pages and padding are counted, not built.
   static constexpr uint64_t kPageBytes = 8192;
   static constexpr uint64_t kTupleHeader = 24;
   auto page_padded = [](uint64_t bytes) {
@@ -596,6 +597,12 @@ uint64_t RelEngine::CheckpointBytes() const {
     total += page_padded(buf.size() + t.rows.size() * kTupleHeader +
                          t.src_index.SerializedBytes(16) +
                          t.dst_index.SerializedBytes(16));
+  }
+  // The user attribute index, a relation of its own.
+  if (!attribute_index_.empty()) {
+    buf.clear();
+    attribute_index_.Serialize(&buf);
+    total += page_padded(buf.size());
   }
   // Catalog.
   buf.clear();

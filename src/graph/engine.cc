@@ -12,7 +12,7 @@ QuerySession::QuerySession(const GraphEngine* engine) : engine_(engine) {
   epoch_ = engine_->epochs().Pin();
 }
 
-QuerySession::~QuerySession() { engine_->epochs().Unpin(epoch_); }
+QuerySession::~QuerySession() { engine_->epochs().Unpin(); }
 
 std::string_view QueryExecutionToString(QueryExecution q) {
   switch (q) {
@@ -28,23 +28,11 @@ Status GraphEngine::BuildPathIndex(const CancelToken& cancel) {
   // Drop any stale index first: a failed rebuild must not leave a live
   // index describing an older snapshot.
   path_index_.reset();
-  Result<std::unique_ptr<PathIndex>> built = PathIndex::Build(*this, cancel);
-  if (!built.ok()) {
-    path_index_status_ = built.status();
-    return built.status();
-  }
-  path_index_ = std::move(built).value();
-  path_index_status_ = Status::OK();
+  GDB_ASSIGN_OR_RETURN(path_index_, PathIndex::Build(*this, cancel));
   return Status::OK();
 }
 
-void GraphEngine::InvalidatePathIndex(const Status& reason) {
-  // Nothing live: keep the original status ("not built", or a build
-  // failure) — it is the more useful diagnostic.
-  if (path_index_ == nullptr) return;
-  path_index_.reset();
-  path_index_status_ = reason;
-}
+void GraphEngine::InvalidatePathIndex() { path_index_.reset(); }
 
 Result<LoadMapping> GraphEngine::BulkLoad(const GraphData& data) {
   GDB_RETURN_IF_ERROR(data.Validate());

@@ -324,18 +324,11 @@ class GraphEngine {
   // --- Path index (optional post-load tier; see path_index.h) -----------
 
   /// The PathIndex built over the current snapshot, or nullptr when none
-  /// is live (never built, build failed, or invalidated by a commit) —
-  /// consult path_index_status() for which. Probes on the returned index
-  /// are const and thread-safe; the pointer itself is stable for the
-  /// lifetime of any pinned session (commits invalidate only inside the
-  /// epoch gate's drained window).
+  /// is live (never built, build failed, or invalidated by a write).
+  /// Probes on the returned index are const and thread-safe; the pointer
+  /// itself is stable for the lifetime of any pinned session (commits
+  /// invalidate only inside the epoch gate's drained window).
   const PathIndex* path_index() const { return path_index_.get(); }
-
-  /// Why path_index() is null: kUnavailable("not built") before any
-  /// build, kUnavailable("invalidated by commit...") after a write
-  /// publishes a new epoch, the build's own error after a failed
-  /// BuildPathIndex, or OK when an index is live.
-  Status path_index_status() const { return path_index_status_; }
 
   /// Builds (or rebuilds) the PathIndex over the engine's current
   /// snapshot. Governor-cooperative via `cancel`: a deadline or memory
@@ -349,11 +342,10 @@ class GraphEngine {
   /// PathIndexStats::build_millis times the build.
   Status BuildPathIndex(const CancelToken& cancel);
 
-  /// Drops the live index (no-op when none), recording `reason` as the
-  /// typed status future probes see. GraphWriter::Commit calls this while
-  /// publishing a new epoch — inside the drained apply window, so no
-  /// pinned session can observe the swap.
-  void InvalidatePathIndex(const Status& reason);
+  /// Drops the live index (no-op when none). GraphWriter::Commit calls
+  /// this while publishing a new epoch — inside the drained apply window,
+  /// so no pinned session can observe the swap.
+  void InvalidatePathIndex();
 
   /// The snapshot-epoch manager sessions pin and GraphWriter publishes
   /// through (see the concurrency contract above). Mutable because
@@ -372,11 +364,11 @@ class GraphEngine {
   virtual Result<EdgeRecord> GetEdge(QuerySession& session,
                                      EdgeId id) const = 0;
 
-  // --- Property probes (the has(k, v) / values(k) primitive) -------------
+  // --- Property probes (the has(k, v) primitive) ------------------------
   //
   // Reads one property of one element, for every path that tests or
   // fetches a single key: the default property searches, neo's unindexed
-  // searches, the plan's PropertyFilter and ValuesMap. Contract:
+  // searches, the plan's PropertyFilter. Contract:
   //
   //  * One key: returns true and stores the value of `key` in *out when
   //    the element carries it — the value FindProperty would find in the
@@ -581,8 +573,6 @@ class GraphEngine {
   BulkLoadStats load_stats_;
   std::unique_ptr<GraphStatistics> statistics_;
   std::unique_ptr<PathIndex> path_index_;
-  Status path_index_status_ = Status::Unavailable(
-      "path index not built (GraphEngine::BuildPathIndex not called)");
   mutable EpochManager epochs_;
 };
 

@@ -5,22 +5,20 @@ namespace gdbmicro {
 uint64_t EpochManager::Pin() {
   std::unique_lock<std::mutex> lock(mu_);
   reader_cv_.wait(lock, [this] { return !applying_; });
-  ++pins_[current_];
+  ++pins_;
   return current_;
 }
 
-void EpochManager::Unpin(uint64_t epoch) {
+void EpochManager::Unpin() {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = pins_.find(epoch);
-  if (it == pins_.end()) return;  // double-unpin guard
-  if (--it->second == 0) pins_.erase(it);
-  if (pins_.empty()) writer_cv_.notify_all();
+  if (pins_ == 0) return;  // double-unpin guard
+  if (--pins_ == 0) writer_cv_.notify_all();
 }
 
 void EpochManager::BeginApply() {
   std::unique_lock<std::mutex> lock(mu_);
   applying_ = true;  // gate closed: new Pin() calls block from here on
-  writer_cv_.wait(lock, [this] { return pins_.empty(); });
+  writer_cv_.wait(lock, [this] { return pins_ == 0; });
 }
 
 uint64_t EpochManager::EndApply() {
@@ -38,14 +36,12 @@ uint64_t EpochManager::current() const {
 
 uint64_t EpochManager::pinned() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [epoch, count] : pins_) n += count;
-  return n;
+  return pins_;
 }
 
 bool EpochManager::writer_waiting() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return applying_ && !pins_.empty();
+  return applying_ && pins_ > 0;
 }
 
 }  // namespace gdbmicro

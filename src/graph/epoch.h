@@ -18,7 +18,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 
 namespace gdbmicro {
@@ -36,8 +35,8 @@ class EpochManager {
   /// new readers cannot starve the writer).
   uint64_t Pin();
 
-  /// Releases one pin on `epoch`.
-  void Unpin(uint64_t epoch);
+  /// Releases one pin (no-op when none is held).
+  void Unpin();
 
   // --- writer side --------------------------------------------------------
 
@@ -52,7 +51,9 @@ class EpochManager {
   // --- observers ----------------------------------------------------------
 
   uint64_t current() const;
-  /// Total outstanding pins across epochs.
+  /// Outstanding pins. Every pin holds the current epoch: a writer
+  /// publishes only once the pins have drained, and Pin() waits out a
+  /// publish.
   uint64_t pinned() const;
   /// True while a writer sits in BeginApply() waiting for readers to
   /// drain (the window the concurrency golden inspects).
@@ -64,7 +65,7 @@ class EpochManager {
   std::condition_variable writer_cv_;  // waits: pins drained
   uint64_t current_ = 0;
   bool applying_ = false;
-  std::map<uint64_t, uint64_t> pins_;  // epoch -> pin count
+  uint64_t pins_ = 0;
 };
 
 }  // namespace gdbmicro

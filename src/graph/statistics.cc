@@ -110,7 +110,7 @@ PropertyKeyStats BuildKeyStats(std::vector<SortKey>& keys) {
 double PropertyKeyStats::EstimateEq(const PropertyValue& v) const {
   if (count == 0 || buckets.empty()) return 0.0;
   if (v.is_null()) {
-    // Unknown probe (a prepared plan's unbound slot): key-wide average.
+    // A null probe: the key-wide average.
     return static_cast<double>(count) /
            static_cast<double>(std::max<uint64_t>(distinct, 1));
   }

@@ -59,8 +59,7 @@ struct PropertyKeyStats {
   /// Estimated number of elements with value == v: the containing
   /// bucket's count / distinct (uniform-within-bucket assumption).
   /// Values outside the observed domain estimate 0; a null (monostate)
-  /// probe — the "value unknown until Run time" case — estimates the
-  /// key-wide average count / distinct.
+  /// probe estimates the key-wide average count / distinct.
   double EstimateEq(const PropertyValue& v) const;
 };
 

@@ -27,14 +27,6 @@ std::string PropertyValue::ToString() const {
   return string_value();
 }
 
-void PropertyValue::AppendTo(std::string* out) const {
-  if (is_string()) {
-    out->append(string_value());
-  } else {
-    out->append(ToString());
-  }
-}
-
 void PropertyValue::EncodeTo(std::string* out) const {
   if (is_null()) {
     out->push_back(0);

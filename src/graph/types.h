@@ -55,10 +55,6 @@ class PropertyValue {
   /// Value rendered for reports and debugging.
   std::string ToString() const;
 
-  /// Appends the ToString() rendering to *out without the temporary —
-  /// the traverser-row value path renders into a reused buffer.
-  void AppendTo(std::string* out) const;
-
   /// Stores the string `s`. A value that already holds a string keeps its
   /// buffer, so one value reused across a scan allocates only when a
   /// string outgrows every earlier one.

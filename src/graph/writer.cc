@@ -68,13 +68,7 @@ Status ApplyWriteBatch(GraphEngine& engine, const WriteBatch& batch,
                        std::vector<VertexId>* vertex_ids,
                        std::vector<EdgeId>* edge_ids) {
   GDB_RETURN_IF_ERROR(batch.Validate());
-  // As in GraphWriter::Commit, the reason is only formatted for a live
-  // index: with none, InvalidatePathIndex would discard it.
-  if (engine.path_index() != nullptr) {
-    engine.InvalidatePathIndex(Status::Unavailable(
-        "path index invalidated by direct write (ApplyWriteBatch); rebuild "
-        "via GraphEngine::BuildPathIndex"));
-  }
+  engine.InvalidatePathIndex();
   std::vector<VertexId> local_vertices;
   std::vector<EdgeId> local_edges;
   return ApplyBatchOps(engine, batch.ops(),
@@ -103,18 +97,11 @@ Result<CommitReceipt> GraphWriter::Commit(const WriteBatch& batch) {
   receipt.vertex_ids.reserve(batch.pending_vertices());
   receipt.edge_ids.reserve(batch.pending_edges());
   EpochManager& epochs = engine_->epochs();
-  uint64_t retiring = epochs.current();
   epochs.BeginApply();
   // Inside the drained apply window (no pinned sessions), so no reader
   // can observe the index swap: the graph is about to change and any
-  // PathIndex describes the retiring snapshot. With no index live the
-  // reason would be discarded, so it is only formatted for a live one.
-  if (engine_->path_index() != nullptr) {
-    engine_->InvalidatePathIndex(Status::Unavailable(
-        "path index invalidated by commit (epoch " +
-        std::to_string(retiring + 1) + " published); rebuild via "
-        "GraphEngine::BuildPathIndex"));
-  }
+  // PathIndex describes the retiring snapshot.
+  engine_->InvalidatePathIndex();
   Status applied = ApplyBatchOps(*engine_, batch.ops(), &receipt.vertex_ids,
                                  &receipt.edge_ids);
   // Publish even on failure: the gate must reopen, and recovery replay is

@@ -8,10 +8,8 @@ namespace query {
 namespace {
 
 /// Renders a Has()-style predicate for Explain.
-std::string PredicateArgs(const std::string& key, const PropertyValue& value,
-                          bool bound) {
-  return StrFormat("%s == %s", key.c_str(),
-                   bound ? "?" : value.ToString().c_str());
+std::string PredicateArgs(const std::string& key, const PropertyValue& value) {
+  return StrFormat("%s == %s", key.c_str(), value.ToString().c_str());
 }
 
 /// Renders an adjacency step's arguments for Explain.
@@ -56,22 +54,6 @@ Status ChargePoolGrowth(const ExecContext& ctx, size_t size_before,
   if (ctx.scratch.pool.size() == size_before) return Status::OK();
   GDB_CHECK_CHARGE(ctx.cancel, kPoolEntryBytes + payload_bytes);
   return Status::OK();
-}
-
-/// Interns a rendered property value into the session pool without a
-/// per-row temporary: strings intern their payload directly, scalars
-/// render into the scratch's reused buffer first.
-uint64_t InternValue(const ExecContext& ctx, const PropertyValue& v) {
-  if (v.is_string()) return ctx.scratch.pool.Intern(v.string_value());
-  ctx.scratch.value_buf.clear();
-  v.AppendTo(&ctx.scratch.value_buf);
-  return ctx.scratch.pool.Intern(ctx.scratch.value_buf);
-}
-
-/// Payload size InternValue would intern for `v` (for the growth charge).
-size_t InternPayloadBytes(const ExecContext& ctx, const PropertyValue& v) {
-  if (v.is_string()) return v.string_value().size();
-  return ctx.scratch.value_buf.size();
 }
 
 /// Reads property `key` of a vertex or edge row into the session's probe
@@ -169,16 +151,15 @@ Status EdgeLookup::Produce(const ExecContext& ctx, OpScratch& state,
 }
 
 std::string PropertyIndexScan::args() const {
-  return PredicateArgs(key_, value_, bound_);
+  return PredicateArgs(key_, value_);
 }
 
 Status PropertyIndexScan::Produce(const ExecContext& ctx, OpScratch& state,
                                   const RowSink& sink) const {
   (void)state;
-  const PropertyValue& value = bound_ ? ctx.params->value : value_;
   GDB_ASSIGN_OR_RETURN(
       std::vector<VertexId> ids,
-      ctx.engine.FindVerticesByProperty(ctx.session, key_, value, ctx.cancel));
+      ctx.engine.FindVerticesByProperty(ctx.session, key_, value_, ctx.cancel));
   for (VertexId v : ids) {
     if (!sink(v)) break;
   }
@@ -258,17 +239,16 @@ Result<bool> LabelFilter::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 std::string PropertyFilter::args() const {
-  return PredicateArgs(key_, value_, bound_);
+  return PredicateArgs(key_, value_);
 }
 
 Result<bool> PropertyFilter::Process(const ExecContext& ctx, OpScratch& state,
                                      uint64_t row, const RowSink& sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
-  const PropertyValue& value = bound_ ? ctx.params->value : value_;
   GDB_ASSIGN_OR_RETURN(bool found,
                        ReadRowProperty(ctx, input_kind(), row, key_));
-  if (found && ctx.scratch.probe_value == value) return sink(row);
+  if (found && ctx.scratch.probe_value == value_) return sink(row);
   return true;
 }
 
@@ -304,15 +284,6 @@ Result<bool> ExpandE::Process(const ExecContext& ctx, OpScratch& state,
   return keep_going;
 }
 
-Result<bool> EndpointMap::Process(const ExecContext& ctx, OpScratch& state,
-                                  uint64_t row, const RowSink& sink) const {
-  (void)state;
-  GDB_CHECK_CANCEL(ctx.cancel);
-  if (input_kind() != RowKind::kEdge) return true;
-  GDB_ASSIGN_OR_RETURN(EdgeEnds ends, ctx.engine.GetEdgeEnds(ctx.session, row));
-  return sink(out_ ? ends.src : ends.dst);
-}
-
 Result<bool> LabelMap::Process(const ExecContext& ctx, OpScratch& state,
                                uint64_t row, const RowSink& sink) const {
   (void)state;
@@ -332,20 +303,6 @@ Result<bool> LabelMap::Process(const ExecContext& ctx, OpScratch& state,
     return sink(id);
   }
   return true;
-}
-
-Result<bool> ValuesMap::Process(const ExecContext& ctx, OpScratch& state,
-                                uint64_t row, const RowSink& sink) const {
-  (void)state;
-  GDB_CHECK_CANCEL(ctx.cancel);
-  GDB_ASSIGN_OR_RETURN(bool found,
-                       ReadRowProperty(ctx, input_kind(), row, key_));
-  if (!found) return true;
-  const PropertyValue& v = ctx.scratch.probe_value;
-  size_t before = ctx.scratch.pool.size();
-  uint64_t id = InternValue(ctx, v);
-  GDB_RETURN_IF_ERROR(ChargePoolGrowth(ctx, before, InternPayloadBytes(ctx, v)));
-  return sink(id);
 }
 
 Result<bool> Dedup::Process(const ExecContext& ctx, OpScratch& state,

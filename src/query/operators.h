@@ -18,10 +18,10 @@
 // that was never touched.
 //
 // Rows are flat uint64_t (plan.h): ids for vertex/edge positions, value
-// pool indexes for label/property-value positions. Each operator's input
-// kind is fixed at lowering (set_input_kind), so no per-row tag is
-// carried. RowSink is a non-owning function_ref: composing the chain and
-// pushing rows never allocates.
+// pool indexes for label positions. Each operator's input kind is fixed
+// at lowering (set_input_kind), so no per-row tag is carried. RowSink is
+// a non-owning function_ref: composing the chain and pushing rows never
+// allocates.
 //
 // Both executors drive these same implementations: the step-wise
 // executor feeds a materialized frontier row by row; the streaming
@@ -206,8 +206,6 @@ class PropertyIndexScan : public Operator {
  public:
   PropertyIndexScan(std::string key, PropertyValue value)
       : key_(std::move(key)), value_(std::move(value)) {}
-  PropertyIndexScan(std::string key, Bound)
-      : key_(std::move(key)), bound_(true) {}
   std::string_view name() const override { return "PropertyIndexScan"; }
   std::string args() const override;
   bool is_source() const override { return true; }
@@ -221,7 +219,6 @@ class PropertyIndexScan : public Operator {
  private:
   std::string key_;
   PropertyValue value_;
-  bool bound_ = false;
 };
 
 /// Conflated rewrite of E().HasLabel(l): the engine's native
@@ -289,8 +286,6 @@ class PropertyFilter : public Operator {
  public:
   PropertyFilter(std::string key, PropertyValue value)
       : key_(std::move(key)), value_(std::move(value)) {}
-  PropertyFilter(std::string key, Bound)
-      : key_(std::move(key)), bound_(true) {}
   std::string_view name() const override { return "PropertyFilter"; }
   std::string args() const override;
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
@@ -299,7 +294,6 @@ class PropertyFilter : public Operator {
  private:
   std::string key_;
   PropertyValue value_;
-  bool bound_ = false;
 };
 
 /// How an adjacency step restricts the edge label: any label, a label
@@ -337,7 +331,6 @@ class ExpandE : public Operator {
       : dir_(dir),
         mode_(label.has_value() ? LabelMode::kFixed : LabelMode::kAny),
         label_(label.has_value() ? std::move(*label) : std::string()) {}
-  ExpandE(Direction dir, Bound) : dir_(dir), mode_(LabelMode::kBound) {}
   std::string_view name() const override { return "ExpandE"; }
   std::string args() const override;
   RowKind OutputKind(RowKind) const override { return RowKind::kEdge; }
@@ -353,20 +346,6 @@ class ExpandE : public Operator {
   std::string label_;
 };
 
-/// outV()/inV(): maps edge traversers to an endpoint.
-class EndpointMap : public Operator {
- public:
-  explicit EndpointMap(bool out) : out_(out) {}
-  std::string_view name() const override { return "EndpointMap"; }
-  std::string args() const override { return out_ ? "out" : "in"; }
-  RowKind OutputKind(RowKind) const override { return RowKind::kVertex; }
-  Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
-
- private:
-  bool out_;
-};
-
 /// label(): maps elements to their (interned) label string.
 class LabelMap : public Operator {
  public:
@@ -374,21 +353,6 @@ class LabelMap : public Operator {
   RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
                        const RowSink& sink) const override;
-};
-
-/// values(k): maps elements to an (interned) property value; missing
-/// property drops the traverser (Gremlin semantics).
-class ValuesMap : public Operator {
- public:
-  explicit ValuesMap(std::string key) : key_(std::move(key)) {}
-  std::string_view name() const override { return "ValuesMap"; }
-  std::string args() const override { return key_; }
-  RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
-  Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
-
- private:
-  std::string key_;
 };
 
 /// dedup(): streaming hash-dedup over the flat rows. The row kind is

@@ -32,8 +32,6 @@ RowKind StepOutputKind(const LogicalStep& s, RowKind in) {
     case LogicalOp::kOut:
     case LogicalOp::kIn:
     case LogicalOp::kBoth:
-    case LogicalOp::kOutV:
-    case LogicalOp::kInV:
       return RowKind::kVertex;
     case LogicalOp::kSourceE:
     case LogicalOp::kSourceEId:
@@ -42,7 +40,6 @@ RowKind StepOutputKind(const LogicalStep& s, RowKind in) {
     case LogicalOp::kBothE:
       return RowKind::kEdge;
     case LogicalOp::kLabel:
-    case LogicalOp::kValues:
       return RowKind::kValue;
     default:
       return in;
@@ -262,14 +259,6 @@ std::unique_ptr<Operator> LowerLookup(const LogicalStep& s) {
   return std::make_unique<Op>(s.id);
 }
 
-/// Lowers a has(k, v) shape (filter or index-scan rewrite) whose value
-/// is either fixed or a Run-time PlanParams slot.
-template <typename Op>
-std::unique_ptr<Operator> LowerPredicate(const LogicalStep& s) {
-  if (s.bound) return std::make_unique<Op>(s.key, Bound{});
-  return std::make_unique<Op>(s.key, s.value);
-}
-
 }  // namespace
 
 PlanScratch& PlanScratch::For(QuerySession& session) {
@@ -319,7 +308,8 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
   switch (access.path) {
     case AccessPath::kPropertyIndex: {
       const LogicalStep& has = steps[access.has_step];
-      plan.ops_.push_back(LowerPredicate<PropertyIndexScan>(has));
+      plan.ops_.push_back(
+          std::make_unique<PropertyIndexScan>(has.key, has.value));
       if (est != nullptr) note(est->HasRows(has));
       i = 1;
       break;
@@ -348,10 +338,7 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
 
   auto adjacency = [](const LogicalStep& s, Direction dir, bool edges)
       -> std::unique_ptr<Operator> {
-    if (edges) {
-      if (s.bound) return std::make_unique<ExpandE>(dir, Bound{});
-      return std::make_unique<ExpandE>(dir, s.label);
-    }
+    if (edges) return std::make_unique<ExpandE>(dir, s.label);
     if (s.bound) return std::make_unique<Expand>(dir, Bound{});
     return std::make_unique<Expand>(dir, s.label);
   };
@@ -381,7 +368,7 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
         plan.ops_.push_back(std::make_unique<LabelFilter>(s.key));
         break;
       case LogicalOp::kHas:
-        plan.ops_.push_back(LowerPredicate<PropertyFilter>(s));
+        plan.ops_.push_back(std::make_unique<PropertyFilter>(s.key, s.value));
         break;
       case LogicalOp::kOut:
         plan.ops_.push_back(adjacency(s, Direction::kOut, /*edges=*/false));
@@ -401,17 +388,8 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
       case LogicalOp::kBothE:
         plan.ops_.push_back(adjacency(s, Direction::kBoth, /*edges=*/true));
         break;
-      case LogicalOp::kOutV:
-        plan.ops_.push_back(std::make_unique<EndpointMap>(true));
-        break;
-      case LogicalOp::kInV:
-        plan.ops_.push_back(std::make_unique<EndpointMap>(false));
-        break;
       case LogicalOp::kLabel:
         plan.ops_.push_back(std::make_unique<LabelMap>());
-        break;
-      case LogicalOp::kValues:
-        plan.ops_.push_back(std::make_unique<ValuesMap>(s.key));
         break;
       case LogicalOp::kDedup:
         plan.ops_.push_back(std::make_unique<Dedup>());
@@ -449,9 +427,6 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
         case LogicalOp::kBothE:
           r = rows * est->Fanout(s);
           break;
-        case LogicalOp::kValues:
-          r = rows * est->KeyPresence(s.key, ekind);
-          break;
         case LogicalOp::kDedup:
           if (ekind == RowKind::kVertex) {
             r = std::min(rows, static_cast<double>(est->stats().vertices));
@@ -465,7 +440,7 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
         case LogicalOp::kCount:
           r = 1.0;
           break;
-        default:  // kOutV / kInV / kLabel: row-preserving maps
+        default:  // kLabel: a row-preserving map
           break;
       }
       note(r);

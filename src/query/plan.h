@@ -33,20 +33,20 @@
 // Prepared execution (the RDF-3X compile-once/run-many discipline): a
 // Plan is immutable after Lower() and Run() is const — every per-run
 // mutable structure (dedup sets, limit counters, count accumulators,
-// step-wise frontier buffers, the rendered-value dictionary) lives in a
+// step-wise frontier buffers, the label dictionary) lives in a
 // per-session PlanScratch, so ONE lowered plan serves any number of
 // concurrent sessions with zero re-lowering and near-zero per-run
 // allocation. Traversal::Prepare(engine) wraps that in a PreparedPlan;
-// per-iteration query arguments (the vertex id of g.V(id), the value of
-// has(k, v), an adjacency label) are bound at Run time through
-// PlanParams slots instead of rebuilding and re-lowering the traversal.
+// per-iteration query arguments (the element id of g.V(id) / g.E(id), an
+// adjacency label) are bound at Run time through PlanParams slots
+// instead of rebuilding and re-lowering the traversal.
 //
 // Rows are flat: a traverser is one uint64_t — the vertex/edge id, or an
-// index into the session's interned value pool for label/property-value
-// rows. The row *kind* is a static property of each pipeline position
-// (computed at lowering), so step-wise barriers move POD columns instead
-// of vectors of string-carrying structs, and a value string is
-// materialized exactly once per distinct value per session.
+// index into the session's interned value pool for label rows. The row
+// *kind* is a static property of each pipeline position (computed at
+// lowering), so step-wise barriers move POD columns instead of vectors of
+// string-carrying structs, and a value string is materialized exactly
+// once per distinct value per session.
 
 #ifndef GDBMICRO_QUERY_PLAN_H_
 #define GDBMICRO_QUERY_PLAN_H_
@@ -74,8 +74,8 @@ class CardinalityEstimator;
 /// be a bare uint64_t).
 enum class RowKind : uint8_t { kVertex, kEdge, kValue };
 
-/// Session-lifetime dictionary of rendered value strings (labels,
-/// property values). Value rows carry an index into this pool; equal
+/// Session-lifetime dictionary of the label strings label() maps
+/// elements to. Value rows carry an index into this pool; equal
 /// strings intern to equal indexes, so Dedup over values is integer
 /// dedup and a repeated label costs zero allocation after its first
 /// appearance. Storage is a deque: views handed out stay valid for the
@@ -99,12 +99,11 @@ class ValuePool {
 };
 
 /// Per-run arguments for a plan with bound steps (Traversal::V(Bound{}),
-/// Has(key, Bound{}), Out(Bound{}) …). One slot per argument class is all
-/// the Table 2 shapes need; rebinding reuses the slots' storage.
+/// E(Bound{}), Out(Bound{}) …). One slot per argument class is all the
+/// Table 2 shapes need; rebinding reuses the slots' storage.
 struct PlanParams {
-  uint64_t id = 0;      // g.V(?) / g.E(?) source id
-  PropertyValue value;  // has(k, ?) comparison value
-  std::string label;    // adjacency label of out(?) / inE(?) / …
+  uint64_t id = 0;    // g.V(?) / g.E(?) source id
+  std::string label;  // adjacency label of out(?) / in(?) / both(?)
 };
 
 /// Marker selecting the bound-parameter overloads of the Traversal
@@ -114,7 +113,7 @@ struct Bound {};
 
 /// Output of a plan run, structure-of-arrays: a flat id column plus a
 /// value column that is materialized only when the plan ends in a
-/// Values()/Label() map. For value rows, rows[i] is the pool index and
+/// Label() map. For value rows, rows[i] is the pool index and
 /// values[i] the interned string (a view into the session's ValuePool —
 /// valid for the session's lifetime). Reused across runs via RunInto:
 /// Clear() drops rows, not capacity.
@@ -163,11 +162,9 @@ struct PlanScratch final : public SessionState {
   /// Step-wise barrier buffers (flat POD columns, swapped per barrier).
   std::vector<uint64_t> frontier;
   std::vector<uint64_t> next;
-  /// Interned label / property-value strings (session lifetime).
+  /// Interned label strings (session lifetime).
   ValuePool pool;
-  /// Reused render buffer for non-string property values.
-  std::string value_buf;
-  /// Reused value PropertyFilter and ValuesMap read one property into
+  /// Reused value PropertyFilter reads one property into
   /// (GraphEngine::ReadVertexProperty / ReadEdgeProperty).
   PropertyValue probe_value;
   /// Reused output for count-only consumers (PreparedPlan::RunCount).
@@ -191,10 +188,7 @@ enum class LogicalOp {
   kOutE,
   kInE,
   kBothE,
-  kOutV,
-  kInV,
   kLabel,
-  kValues,
   kDedup,
   kLimit,
   kDegreeFilter,
@@ -211,7 +205,7 @@ struct LogicalStep {
   std::optional<std::string> label;  // adjacency label filter
   Direction dir = Direction::kBoth;  // degree filter direction
   /// Step argument is a PlanParams slot bound at Run time (the id of
-  /// kSourceVId/kSourceEId, the value of kHas, an adjacency label).
+  /// kSourceVId/kSourceEId, the label of kOut/kIn/kBoth).
   bool bound = false;
 };
 
@@ -287,8 +281,6 @@ class Plan {
   size_t num_operators() const { return ops_.size(); }
   /// True when the chain has bound steps: RunInto then requires params.
   bool needs_params() const { return needs_params_; }
-  /// Kind of the rows the plan emits (meaningless for counted plans).
-  RowKind output_kind() const { return output_kind_; }
   /// Statically-known upper bound on the emitted row count, when the
   /// chain can bound it (lookup sources, Limit); lets RunInto reserve
   /// its sinks instead of growing them from empty.
@@ -319,8 +311,7 @@ class Plan {
 /// policy) and runnable from any of that engine's sessions — build with
 /// Traversal::Prepare(engine), run every iteration with fresh PlanParams.
 /// Immutable and therefore shareable across concurrent client threads;
-/// the engine must outlive it. A bound has(k, ?) is priced once, at the
-/// key-wide average, and every bound value runs that one plan.
+/// the engine must outlive it.
 class PreparedPlan {
  public:
   /// Executes into a caller-owned, capacity-reused output.

@@ -116,8 +116,6 @@ double CardinalityEstimator::Fanout(const LogicalStep& s) const {
 double CardinalityEstimator::HasRows(const LogicalStep& s) const {
   const PropertyKeyStats* key = stats_.VertexProperty(s.key);
   if (key == nullptr) return 0.0;
-  // s.value is the fixed predicate value, or null for a bound slot
-  // (EstimateEq then averages).
   return key->EstimateEq(s.value);
 }
 
@@ -128,23 +126,6 @@ double CardinalityEstimator::DistinctNeighbors(
                      : static_cast<double>(stats_.edges);
   double endpoints = dir == Direction::kBoth ? 2.0 * edges : edges;
   return std::min(static_cast<double>(stats_.vertices), endpoints);
-}
-
-double CardinalityEstimator::KeyPresence(const std::string& key,
-                                         RowKind in) const {
-  if (in == RowKind::kVertex) {
-    const PropertyKeyStats* stats = stats_.VertexProperty(key);
-    if (stats == nullptr) return 0.0;
-    return Ratio(static_cast<double>(stats->count),
-                 static_cast<double>(stats_.vertices));
-  }
-  if (in == RowKind::kEdge) {
-    const PropertyKeyStats* stats = stats_.EdgeProperty(key);
-    if (stats == nullptr) return 0.0;
-    return Ratio(static_cast<double>(stats->count),
-                 static_cast<double>(stats_.edges));
-  }
-  return 0.0;
 }
 
 }  // namespace query

@@ -11,10 +11,6 @@
 //    property/label predicates, a full neighborhood count for degree
 //    filters);
 //  * an adjacency step multiplies rows by Fanout().
-//
-// A bound has(k, ?) whose value is unknown at lowering prices at the
-// key-wide average, and its PreparedPlan runs that one plan for every
-// bound value.
 
 #ifndef GDBMICRO_QUERY_STATS_H_
 #define GDBMICRO_QUERY_STATS_H_
@@ -48,18 +44,13 @@ class CardinalityEstimator {
   /// Mean output rows per input row of an adjacency step.
   double Fanout(const LogicalStep& s) const;
 
-  /// Estimated vertices matching has(k, v). A bound step, whose value
-  /// is null, prices at the key-wide average.
+  /// Estimated vertices matching has(k, v).
   double HasRows(const LogicalStep& s) const;
 
   /// Estimated distinct vertices a V().expand(dir, label?).dedup()
   /// chain emits (the DistinctNeighborScan output estimate).
   double DistinctNeighbors(Direction dir,
                            const std::optional<std::string>& label) const;
-
-  /// Fraction of elements of kind `in` carrying property `key` (the
-  /// values(k) drop rate).
-  double KeyPresence(const std::string& key, RowKind in) const;
 
   bool supports_property_index() const { return supports_property_index_; }
   const GraphStatistics& stats() const { return stats_; }

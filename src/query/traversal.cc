@@ -64,14 +64,6 @@ Traversal& Traversal::Has(std::string key, PropertyValue value) {
   return *this;
 }
 
-Traversal& Traversal::Has(std::string key, Bound) {
-  LogicalStep s{LogicalOp::kHas};
-  s.key = std::move(key);
-  s.bound = true;
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
 Traversal& Traversal::Out(std::optional<std::string> label) {
   LogicalStep s{LogicalOp::kOut};
   s.label = std::move(label);
@@ -139,40 +131,8 @@ Traversal& Traversal::Both(Bound) {
   return *this;
 }
 
-Traversal& Traversal::OutE(Bound) {
-  steps_.push_back(BoundAdjacency(LogicalOp::kOutE));
-  return *this;
-}
-
-Traversal& Traversal::InE(Bound) {
-  steps_.push_back(BoundAdjacency(LogicalOp::kInE));
-  return *this;
-}
-
-Traversal& Traversal::BothE(Bound) {
-  steps_.push_back(BoundAdjacency(LogicalOp::kBothE));
-  return *this;
-}
-
-Traversal& Traversal::OutV() {
-  steps_.push_back(LogicalStep{LogicalOp::kOutV});
-  return *this;
-}
-
-Traversal& Traversal::InV() {
-  steps_.push_back(LogicalStep{LogicalOp::kInV});
-  return *this;
-}
-
 Traversal& Traversal::Label() {
   steps_.push_back(LogicalStep{LogicalOp::kLabel});
-  return *this;
-}
-
-Traversal& Traversal::Values(std::string key) {
-  LogicalStep s{LogicalOp::kValues};
-  s.key = std::move(key);
-  steps_.push_back(std::move(s));
   return *this;
 }
 

@@ -50,8 +50,6 @@ class Traversal {
   Traversal& HasLabel(std::string label);
   /// Filters elements by property equality (paper Q.11/Q.12 shape).
   Traversal& Has(std::string key, PropertyValue value);
-  /// has(k, ?) — the comparison value is bound through PlanParams.
-  Traversal& Has(std::string key, Bound);
   /// 1-hop adjacency (paper Q.22-24). Empty optional = any label; the
   /// Bound overloads read the label from PlanParams at Run time.
   Traversal& Out(std::optional<std::string> label = std::nullopt);
@@ -64,17 +62,8 @@ class Traversal {
   Traversal& OutE(std::optional<std::string> label = std::nullopt);
   Traversal& InE(std::optional<std::string> label = std::nullopt);
   Traversal& BothE(std::optional<std::string> label = std::nullopt);
-  Traversal& OutE(Bound);
-  Traversal& InE(Bound);
-  Traversal& BothE(Bound);
-  /// Endpoints of edge traversers.
-  Traversal& OutV();
-  Traversal& InV();
   /// Maps elements to their label string.
   Traversal& Label();
-  /// Maps elements to a property value (missing property drops the
-  /// traverser, Gremlin semantics).
-  Traversal& Values(std::string key);
   /// Removes duplicate traversers (paper Q.10/Q.31 shape).
   Traversal& Dedup();
   /// Keeps the first n traversers.
@@ -97,7 +86,7 @@ class Traversal {
 
   /// Lowers once under the engine's policy into a reusable PreparedPlan:
   /// immutable, shareable across that engine's sessions, with bound
-  /// steps (V(Bound{}), Has(k, Bound{}), Out(Bound{})) taking their
+  /// steps (V(Bound{}), E(Bound{}), Out(Bound{})) taking their
   /// per-iteration arguments from PlanParams at Run time.
   Result<PreparedPlan> Prepare(const GraphEngine& engine) const;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 
@@ -13,6 +14,7 @@
 #include "src/core/report.h"
 #include "src/core/runner.h"
 #include "src/datasets/generators.h"
+#include "src/query/algorithms.h"
 #include "tests/temp_file.h"
 
 namespace gdbmicro {
@@ -374,6 +376,67 @@ TEST(ComplexTest, ResultsAgreeAcrossEngines) {
         EXPECT_EQ(runs[0].items, it->second) << engine << " " << spec.name;
       }
     }
+  }
+}
+
+// Fig. 2's creating queries write through QueryContext::Commit, as every
+// Table 2 write does, so a path index built over the loaded graph is
+// dropped and a path search from any neighbour of the new person finds it.
+TEST(ComplexTest, CreatesDropThePathIndex) {
+  datasets::GenOptions gen;
+  gen.scale = 0.005;
+  GraphData data = datasets::GenerateLdbc(gen);
+  Runner runner(ComplexRunner());
+  auto spec_named = [](const std::string& name) -> const core::QuerySpec* {
+    for (const core::QuerySpec& spec : ComplexQueryCatalog()) {
+      if (spec.name == name) return &spec;
+    }
+    return nullptr;
+  };
+  const core::QuerySpec* create = spec_named("create");
+  const core::QuerySpec* add_tags = spec_named("add-tags");
+  ASSERT_NE(create, nullptr);
+  ASSERT_NE(add_tags, nullptr);
+  CancelToken never;
+  for (const char* engine : {"arango", "blaze", "neo19", "neo30", "orient",
+                             "sparksee", "sqlg", "titan05", "titan10"}) {
+    SCOPED_TRACE(engine);
+    auto loaded = runner.Load(engine, data);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    GraphEngine& g = *loaded->engine;
+    ASSERT_TRUE(g.BuildPathIndex(never).ok());
+    std::vector<Measurement> runs = runner.RunQuery(*loaded, data, *create);
+    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_TRUE(runs[0].ok()) << runs[0].status;
+    EXPECT_EQ(runs[0].items, 7u);
+    EXPECT_EQ(g.path_index(), nullptr);
+
+    std::unique_ptr<QuerySession> session = g.CreateSession();
+    auto person = g.FindVerticesByProperty(*session, "firstName",
+                                           PropertyValue("newuser0"), never);
+    ASSERT_TRUE(person.ok()) << person.status();
+    ASSERT_EQ(person->size(), 1u);
+    const VertexId added = person->front();
+    auto neighbours =
+        g.NeighborsOf(*session, added, Direction::kBoth, nullptr, never);
+    ASSERT_TRUE(neighbours.ok()) << neighbours.status();
+    EXPECT_EQ(neighbours->size(), 6u);
+    for (VertexId n : *neighbours) {
+      auto bfs = query::BreadthFirst(g, *session, n, 1, std::nullopt, never,
+                                     query::PathMode::kAuto);
+      ASSERT_TRUE(bfs.ok()) << bfs.status();
+      EXPECT_EQ(std::count(bfs->visited.begin(), bfs->visited.end(), added),
+                1)
+          << "from " << n;
+    }
+
+    // add-tags drops a rebuilt index too.
+    ASSERT_TRUE(g.BuildPathIndex(never).ok());
+    runs = runner.RunQuery(*loaded, data, *add_tags);
+    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_TRUE(runs[0].ok()) << runs[0].status;
+    EXPECT_EQ(runs[0].items, 2u);
+    EXPECT_EQ(g.path_index(), nullptr);
   }
 }
 

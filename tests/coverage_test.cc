@@ -37,25 +37,13 @@ class EdgeStepTest : public ::testing::Test {
   CancelToken never_;
 };
 
-TEST_F(EdgeStepTest, EdgeSourceAndEndpointSteps) {
-  auto out_v = Traversal::E(e_).OutV().ExecuteIds(*engine_, *session_, never_);
-  ASSERT_TRUE(out_v.ok());
-  EXPECT_EQ(*out_v, std::vector<uint64_t>{a_});
-  auto in_v = Traversal::E(e_).InV().ExecuteIds(*engine_, *session_, never_);
-  ASSERT_TRUE(in_v.ok());
-  EXPECT_EQ(*in_v, std::vector<uint64_t>{b_});
-}
-
-TEST_F(EdgeStepTest, EdgeHasAndValues) {
+TEST_F(EdgeStepTest, EdgeHas) {
   auto n = Traversal::E()
                .Has("w", PropertyValue(int64_t{9}))
                .Count()
                .ExecuteCount(*engine_, *session_, never_);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
-  auto values = Traversal::E(e_).Values("w").ExecuteValues(*engine_, *session_, never_);
-  ASSERT_TRUE(values.ok());
-  EXPECT_EQ(*values, std::vector<std::string>{"9"});
 }
 
 TEST_F(EdgeStepTest, MissingSourceIdYieldsEmpty) {

@@ -451,14 +451,15 @@ TEST_P(EngineTest, MemoryBytesIsPositiveAfterLoad) {
 // one edge is removed and one vertex is removed (neo's freed slots,
 // titan's tombstones). The literals were recorded as the summed sizes of
 // the checkpoint files the engines wrote before the images were counted in
-// memory; a change that moves one moves Fig. 1.
+// memory; sqlg's adds the page its attribute index fills (a 3,179-byte
+// section). A change that moves one moves Fig. 1.
 using CheckpointBytesTest = EngineTest;
 
 TEST_P(CheckpointBytesTest, LdbcAfterWritesMatchesRecordedBytes) {
   static const std::map<std::string, uint64_t> kRecorded = {
       {"arango", 154171}, {"blaze", 8981906},  {"neo19", 325263},
       {"neo30", 360917},  {"orient", 252749},  {"sparksee", 72494},
-      {"sqlg", 295036},   {"titan05", 69408},  {"titan10", 69408}};
+      {"sqlg", 303228},   {"titan05", 69408},  {"titan10", 69408}};
   datasets::GenOptions gen;
   gen.scale = 0.005;
   GraphData data = datasets::GenerateLdbc(gen);

@@ -125,7 +125,7 @@ std::vector<std::pair<std::string, Traversal>> Shapes() {
                       Traversal::V()
                           .Has("kind", PropertyValue("thing"))
                           .Has("tier", PropertyValue("rare"))
-                          .Values("tier"));
+                          .Label());
   shapes.emplace_back("limit-guard",
                       Traversal::V()
                           .Has("kind", PropertyValue("thing"))

@@ -188,8 +188,8 @@ class PathIndexTest : public ::testing::TestWithParam<std::string> {
     edge(b_[1], b_[2]);
     edge(b_[2], b_[1]);
 
-    ASSERT_TRUE(engine_->BuildPathIndex(never_).ok())
-        << engine_->path_index_status();
+    Status built = engine_->BuildPathIndex(never_);
+    ASSERT_TRUE(built.ok()) << built;
     session_ = engine_->CreateSession();
   }
 
@@ -224,7 +224,6 @@ class PathIndexTest : public ::testing::TestWithParam<std::string> {
 TEST_P(PathIndexTest, BuildStatsDescribeTheGraph) {
   const PathIndex* index = engine_->path_index();
   ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(engine_->path_index_status().ok());
   const PathIndexStats& st = index->stats();
   EXPECT_EQ(st.vertices, 10u);
   EXPECT_EQ(st.edges, 12u);
@@ -337,7 +336,6 @@ TEST_P(PathIndexTest, MemoryTripInsideLandmarksInstallsNoIndex) {
     EXPECT_NE(build.message().find(trip.position), std::string::npos)
         << build;
     EXPECT_EQ(engine_->path_index(), nullptr);
-    EXPECT_TRUE(engine_->path_index_status().IsResourceExhausted());
   }
 
   // The exact budget builds the same index again.
@@ -352,7 +350,6 @@ TEST_P(PathIndexTest, NotBuiltByDefault) {
   auto other = OpenEngine(GetParam(), EngineOptions{});
   ASSERT_TRUE(other.ok());
   EXPECT_EQ((*other)->path_index(), nullptr);
-  EXPECT_TRUE((*other)->path_index_status().IsUnavailable());
 }
 
 TEST_P(PathIndexTest, IndexedBfsMatchesFrontierEverywhere) {
@@ -487,7 +484,7 @@ TEST_P(PathIndexTest, LabelFilteredQueriesNeverUseTheIndex) {
   EXPECT_STREQ(bfs->stats.route, "frontier");
 }
 
-TEST_P(PathIndexTest, CommitInvalidatesWithTypedStatus) {
+TEST_P(PathIndexTest, CommitDropsTheIndex) {
   ASSERT_NE(engine_->path_index(), nullptr);
   // Sessions pin the snapshot epoch; the commit's apply phase drains them,
   // so release ours first (holding it would deadlock BeginApply — which is
@@ -502,10 +499,6 @@ TEST_P(PathIndexTest, CommitInvalidatesWithTypedStatus) {
   ASSERT_TRUE(receipt.ok()) << receipt.status();
 
   EXPECT_EQ(engine_->path_index(), nullptr);
-  Status st = engine_->path_index_status();
-  EXPECT_TRUE(st.IsUnavailable());
-  EXPECT_NE(st.message().find("invalidated by commit"), std::string::npos)
-      << st;
 
   // Queries still run (frontier fallback) and see the new vertex.
   session_ = engine_->CreateSession();
@@ -533,7 +526,6 @@ TEST_P(PathIndexTest, GovernorTripDuringBuildLeavesEngineUsable) {
   Status build = engine_->BuildPathIndex(memory_gov.token());
   EXPECT_TRUE(build.IsResourceExhausted()) << build;
   EXPECT_EQ(engine_->path_index(), nullptr);
-  EXPECT_TRUE(engine_->path_index_status().IsResourceExhausted());
 
   // Deadline trip: an already-spent deadline.
   query::GovernorOptions spent;

@@ -149,11 +149,6 @@ TEST_P(PlanEquivalenceTest, Table2ReadAndTraversalShapes) {
       {"Q31 g.V.out.dedup", Traversal::V().Out().Dedup().Count(), 4},
       {"2-hop out.out.dedup",
        Traversal::V(p_[0]).Out().Out().Dedup().Count(), 2},
-      {"edge endpoints outV",
-       Traversal::E().HasLabel(knows).OutV().Dedup().Count(), 3},
-      {"edge endpoints inV",
-       Traversal::E().HasLabel(knows).InV().Dedup().Count(), 3},
-      {"values(name)", Traversal::V().Values("name").Dedup().Count(), 5},
       {"limit(3)", Traversal::V().Limit(3).Count(), 3},
       {"limit(0)", Traversal::V().Limit(0).Count(), 0},
       {"has+limit",
@@ -177,7 +172,6 @@ TEST_P(PlanEquivalenceTest, Table2ReadAndTraversalShapes) {
       {"v.both", Traversal::V(p_[1]).Both()},
       {"v.outE(knows)", Traversal::V(p_[0]).OutE(knows)},
       {"labels", Traversal::V(post_).OutE().Label()},
-      {"values", Traversal::V(p_[3]).Values("name")},
       // Order-sensitive subsets: the Limit guard keeps the rewrites off,
       // so both policies must select the exact same elements.
       {"out.dedup.limit", Traversal::V().Out().Dedup().Limit(1)},

@@ -138,20 +138,6 @@ class PreparedPlanTest : public ::testing::TestWithParam<std::string> {
          },
          id_params({p_[1], p_[2], post_, p_[4]})});
     {
-      Shape has{"V().has(name,?).count",
-                Traversal::V().Has("name", Bound{}).Count(),
-                [](const PlanParams& p) {
-                  return Traversal::V().Has("name", p.value).Count();
-                },
-                {}};
-      for (const char* name : {"ada", "cyd", "nobody", "cyd"}) {
-        PlanParams p;
-        p.value = PropertyValue(name);
-        has.iterations.push_back(std::move(p));
-      }
-      shapes.push_back(std::move(has));
-    }
-    {
       Shape both{"V(?).both(?).count",
                  Traversal::V(Bound{}).Both(Bound{}).Count(),
                  [](const PlanParams& p) {
@@ -507,84 +493,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
-
-// --- Bound has(k, ?) --------------------------------------------------------
-
-// With statistics present, a prepared V().has(tier, ?) is priced once, at
-// the key-wide average, and every bound value runs that one plan. Values
-// whose cardinalities differ by three orders of magnitude must all return
-// the rebuild-golden results.
-TEST(PreparedPlanBoundHasTest, RebindingValuesOfAnySelectivityStaysCorrect) {
-  // Property "tier" spans three orders of magnitude: hot ~ 1200 rows,
-  // mid ~ 20, rare = 2.
-  GraphData data;
-  data.name = "repricing";
-  for (int i = 0; i < 1222; ++i) {
-    GraphData::Vertex v;
-    v.label = "n";
-    const char* tier = i < 1200 ? "hot" : (i < 1220 ? "mid" : "rare");
-    v.properties.emplace_back("tier", PropertyValue(tier));
-    data.vertices.push_back(std::move(v));
-  }
-  for (uint64_t i = 0; i + 1 < 1222; i += 2) {
-    GraphData::Edge e;
-    e.src = i;
-    e.dst = i + 1;
-    e.label = "pairs";
-    data.edges.push_back(std::move(e));
-  }
-  CancelToken never;
-  const char* kTiers[] = {"hot", "rare", "mid", "hot", "nobody", "rare"};
-
-  for (const char* name : {"arango", "blaze", "neo19", "neo30", "orient",
-                           "sparksee", "sqlg", "titan05", "titan10"}) {
-    auto engine = OpenEngine(name, EngineOptions{});
-    ASSERT_TRUE(engine.ok()) << name;
-    ASSERT_TRUE((*engine)->BulkLoad(data).ok()) << name;
-    auto session = (*engine)->CreateSession();
-
-    auto prepared =
-        Traversal::V().Has("tier", Bound{}).Count().Prepare(**engine);
-    ASSERT_TRUE(prepared.ok()) << name;
-
-    for (int round = 0; round < 2; ++round) {
-      for (const char* tier : kTiers) {
-        PlanParams params;
-        params.value = PropertyValue(tier);
-        auto n = prepared->RunCount(*session, never, params);
-        ASSERT_TRUE(n.ok()) << name << "/" << tier;
-        auto golden = Traversal::V()
-                          .Has("tier", PropertyValue(tier))
-                          .Count()
-                          .ExecuteCount(**engine, *session, never);
-        ASSERT_TRUE(golden.ok()) << name << "/" << tier;
-        EXPECT_EQ(*n, *golden) << name << "/" << tier;
-      }
-    }
-
-    // Concurrent rebinding from four sessions shares the one plan;
-    // results stay correct (TSan leg covers this).
-    constexpr int kThreads = 4;
-    std::vector<Status> failures(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        std::unique_ptr<QuerySession> worker = (*engine)->CreateSession();
-        for (int i = 0; i < 16; ++i) {
-          PlanParams params;
-          params.value = PropertyValue(kTiers[(t + i) % 6]);
-          auto n = prepared->RunCount(*worker, never, params);
-          if (!n.ok()) {
-            failures[static_cast<size_t>(t)] = n.status();
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const Status& s : failures) EXPECT_TRUE(s.ok()) << name;
-  }
-}
 
 }  // namespace
 }  // namespace gdbmicro

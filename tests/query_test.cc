@@ -145,17 +145,6 @@ TEST_P(QueryTest, LabelRestrictedHop) {
             (std::set<uint64_t>{p_[0], p_[2]}));
 }
 
-TEST_P(QueryTest, ValuesStep) {
-  auto names =
-      Traversal::V(p_[3]).Values("name").ExecuteValues(*engine_, *session_, never_);
-  ASSERT_TRUE(names.ok());
-  EXPECT_EQ(*names, std::vector<std::string>{"dee"});
-  // Missing property drops the traverser.
-  auto none = Traversal::V(post_).Values("name").ExecuteValues(*engine_, *session_, never_);
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-}
-
 TEST_P(QueryTest, DegreeFilter) {
   // Vertices with bothE degree >= 3: p1 (knows x3? p1: in from p0, out to
   // p2, in hasCreator = 3), p2 (in p1, in p0, out p3 = 3), p0 has 2,

@@ -32,8 +32,8 @@ TEST(EpochManagerTest, PinUnpinTracksCounts) {
   uint64_t e2 = epochs.Pin();
   EXPECT_EQ(e2, 0u);
   EXPECT_EQ(epochs.pinned(), 2u);
-  epochs.Unpin(e);
-  epochs.Unpin(e2);
+  epochs.Unpin();
+  epochs.Unpin();
   EXPECT_EQ(epochs.pinned(), 0u);
 }
 
@@ -43,12 +43,12 @@ TEST(EpochManagerTest, PublishAdvancesTheEpoch) {
   EXPECT_EQ(epochs.EndApply(), 1u);
   EXPECT_EQ(epochs.current(), 1u);
   EXPECT_EQ(epochs.Pin(), 1u);  // new readers see the new epoch
-  epochs.Unpin(1);
+  epochs.Unpin();
 }
 
 TEST(EpochManagerTest, WriterWaitsForPinnedReadersToDrain) {
   EpochManager epochs;
-  uint64_t e = epochs.Pin();
+  EXPECT_EQ(epochs.Pin(), 0u);
   std::atomic<bool> published{false};
   std::thread writer([&] {
     epochs.BeginApply();  // blocks: a reader pins epoch 0
@@ -60,7 +60,7 @@ TEST(EpochManagerTest, WriterWaitsForPinnedReadersToDrain) {
     std::this_thread::yield();
   }
   EXPECT_FALSE(published.load());
-  epochs.Unpin(e);  // drain -> writer proceeds
+  epochs.Unpin();  // drain -> writer proceeds
   writer.join();
   EXPECT_TRUE(published.load());
   EXPECT_EQ(epochs.current(), 1u);
@@ -83,7 +83,7 @@ TEST(EpochManagerTest, NewPinsBlockWhileWriterApplies) {
   // replaced — this is what makes a session's snapshot immutable.
   EXPECT_TRUE(pinned.load());
   EXPECT_EQ(seen, 1u);
-  epochs.Unpin(seen);
+  epochs.Unpin();
 }
 
 // --- GraphWriter ------------------------------------------------------------
