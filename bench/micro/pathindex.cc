@@ -8,9 +8,8 @@
 // a directed ring with chords, tendril chains hanging off it, a few
 // parallel edges and self-loops. Cross-island shortest paths are the
 // certain negatives the index answers from its component tier without
-// any search; in-island probes exercise the landmark-pruned
-// bidirectional search and the CSR BFS against the frontier's
-// engine-visitor expansion.
+// any search; in-island probes exercise the bidirectional search and
+// the CSR BFS against the frontier's engine-visitor expansion.
 //
 // Workloads (all label-free, cost model off — the index is the subject):
 //   sp-fig7    shortest path, max_depth=30 (the paper's Q.34/Q.35 bound),
@@ -260,9 +259,8 @@ Json::Object RunPathIndex(MicroRun& run) {
           {"index_bytes", Json(ist.bytes)},
       });
     }
-    std::printf("%-9s index: %llu components, %d landmarks\n",
-                name.c_str(), (unsigned long long)ist.components,
-                ist.landmarks);
+    std::printf("%-9s index: %llu components\n", name.c_str(),
+                (unsigned long long)ist.components);
   }
 
   return {

@@ -1,9 +1,6 @@
 #include "src/graph/path_index.h"
 
 #include <algorithm>
-#include <bit>
-#include <iterator>
-#include <numeric>
 #include <utility>
 
 #include "src/graph/engine.h"
@@ -61,20 +58,16 @@ Result<std::unique_ptr<PathIndex>> PathIndex::Build(
   Timer timer;
   std::unique_ptr<PathIndex> index(new PathIndex());
   if (Status s = index->BuildAdjacency(engine, cancel); !s.ok()) return s;
-  if (Status s = index->BuildLandmarks(cancel); !s.ok()) return s;
 
   PathIndexStats& st = index->stats_;
   st.vertices = index->ord_to_id_.size();
   st.edges = index->adj_.size() / 2;
   st.components = index->comp_begin_.size() - 1;
-  st.landmarks = static_cast<int>(index->landmark_ords_.size());
   st.bytes = VecBytes(index->dense_ids_) +
              index->sparse_ids_.size() * (sizeof(VertexId) + sizeof(uint32_t)) +
              index->ord_to_id_.capacity() * sizeof(VertexId) +
              VecBytes(index->adj_off_) + VecBytes(index->adj_) +
-             VecBytes(index->comp_of_) + VecBytes(index->comp_begin_) +
-             VecBytes(index->landmark_ords_) +
-             index->landmark_rows_.capacity() * sizeof(LandmarkRow);
+             VecBytes(index->comp_of_) + VecBytes(index->comp_begin_);
   st.build_millis = timer.ElapsedMillis();
   return index;
 }
@@ -174,85 +167,6 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
     t = ord_by_id[t];
   }
   return BuildCsr(n, edges, cancel, &adj_off_, &adj_);
-}
-
-Status PathIndex::BuildLandmarks(const CancelToken& cancel) {
-  cancel.set_position("PathIndex::BuildLandmarks");
-  const uint32_t n = NumVertices();
-  GDB_CHECK_CHARGE(cancel, uint64_t{n} * sizeof(LandmarkRow));
-  LandmarkRow unreached;
-  std::fill(std::begin(unreached.dist), std::end(unreached.dist),
-            kUnreachable);
-  landmark_rows_.assign(n, unreached);
-  const uint32_t want = std::min(static_cast<uint32_t>(kMaxLandmarks), n);
-
-  // Highest total degree first: hubs cover the most pairs, and the
-  // frontier datasets are heavy-tailed enough that 16 hubs see nearly
-  // every path. Ties go to the lower engine id, so the relabelling cannot
-  // change the set.
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::partial_sort(order.begin(), order.begin() + want, order.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      size_t da = BothNeighbors(a).size();
-                      size_t db = BothNeighbors(b).size();
-                      return da != db ? da > db : IdOf(a) < IdOf(b);
-                    });
-  landmark_ords_.assign(order.begin(), order.begin() + want);
-
-  // One level-synchronous BFS from every landmark at once (MS-BFS, Then
-  // et al., PVLDB 2014): bit l of a vertex's lane masks stands for
-  // landmark l. `visit` holds the lanes whose frontier the vertex is on,
-  // `next` the lanes that reach it from this level's frontiers and `seen`
-  // the lanes that reached it before, so a vertex on several frontiers is
-  // expanded once for all of them. A level walks its frontier's edges and
-  // the vertices they touched, never a whole component, so the build
-  // stays within the per-landmark searches' O(landmarks x (V + E)) on a
-  // long, thin component. `touched` is appended without a branch, as in
-  // RunIndexed: each slot is written, and the tail advances when the
-  // vertex's `next` was still empty, so it holds every vertex once plus
-  // one spare slot.
-  using Lanes = uint16_t;
-  static_assert(kMaxLandmarks <= 16, "one lane bit per landmark");
-  GDB_CHECK_CHARGE(cancel, 3 * uint64_t{n} * sizeof(Lanes) +
-                               (2 * uint64_t{n} + 1) * sizeof(uint32_t));
-  std::vector<Lanes> seen(n, 0), visit(n, 0), next(n, 0);
-  std::vector<uint32_t> frontier, touched(size_t{n} + 1);
-  frontier.reserve(n);
-  for (uint32_t li = 0; li < want; ++li) {
-    const uint32_t l = landmark_ords_[li];
-    seen[l] = visit[l] = static_cast<Lanes>(1u << li);
-    landmark_rows_[l].dist[li] = 0;
-    frontier.push_back(l);
-  }
-
-  uint32_t polls = 0;
-  for (uint32_t depth = 1; !frontier.empty(); ++depth) {
-    size_t tail = 0;
-    for (uint32_t v : frontier) {
-      if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-      const Lanes lanes = visit[v];
-      for (uint32_t w : BothNeighbors(v)) {
-        touched[tail] = w;
-        tail += next[w] == 0;
-        next[w] |= lanes;
-      }
-    }
-    frontier.clear();
-    for (size_t t = 0; t < tail; ++t) {
-      const uint32_t w = touched[t];
-      const Lanes fresh = static_cast<Lanes>(next[w] & ~seen[w]);
-      next[w] = 0;
-      visit[w] = fresh;
-      if (fresh == 0) continue;
-      seen[w] |= fresh;
-      for (unsigned f = fresh; f != 0; f &= f - 1) {
-        landmark_rows_[w].dist[std::countr_zero(f)] = depth;
-      }
-      frontier.push_back(w);
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace gdbmicro

@@ -8,12 +8,10 @@
 // walk flat arrays or need no search at all (the workload-conscious-
 // indexing move of the RDF-3X lineage):
 //
-//  * Components + landmarks — the undirected view (the both() direction
-//    every Q.32-Q.35 query traverses) gets exact connected components and
-//    16 high-degree landmarks with precomputed BFS distances.
-//    |d(s,l) - d(t,l)| <= d(s,t) bounds any distance in O(landmarks),
-//    answering shortest-path negatives without touching a frontier and
-//    pruning the bidirectional search.
+//  * Components — the undirected view (the both() direction every
+//    Q.32-Q.35 query traverses) gets exact connected components, which
+//    answer cross-component shortest paths without touching a frontier
+//    and bound every search to one component.
 //  * CSR snapshot — the index keeps its own compressed adjacency, so
 //    indexed searches that do need expansion walk flat arrays instead of
 //    paying the engine's per-hop storage costs.
@@ -23,9 +21,6 @@
 // BFS touches neighbouring ordinals and every connected component is one
 // contiguous ordinal range. One CSR holds each vertex's out-targets
 // followed by its in-sources, so a both() expansion is a single range.
-// Landmark distances are stored vertex-major, one 64-byte row per vertex,
-// so a distance bound reads one cache line per endpoint; the build fills
-// all of a row's lanes in one multi-source BFS from the landmarks.
 //
 // Consistency contract: the index describes exactly the snapshot it was
 // built from. GraphEngine::BuildPathIndex builds it after BulkLoad (off
@@ -62,16 +57,12 @@ struct PathIndexStats {
   uint64_t vertices = 0;
   uint64_t edges = 0;
   uint64_t components = 0;  // undirected connected components
-  int landmarks = 0;
   double build_millis = 0;
   uint64_t bytes = 0;  // resident bytes of the index structures
 };
 
 class PathIndex {
  public:
-  /// Distance value meaning "unreachable" in landmark vectors.
-  static constexpr uint32_t kUnreachable = 0xFFFFFFFFu;
-
   /// Builds the index over `engine`'s current snapshot through its own
   /// read primitives (a private session is created for the scan).
   /// Governor-cooperative via `cancel` (see the file comment).
@@ -94,7 +85,7 @@ class PathIndex {
   VertexId IdOf(uint32_t ord) const { return ord_to_id_[ord]; }
   uint32_t NumVertices() const { return static_cast<uint32_t>(ord_to_id_.size()); }
 
-  // --- undirected distance bounds (components + landmarks) ----------------
+  // --- undirected connected components ------------------------------------
 
   bool SameComponent(uint32_t s_ord, uint32_t t_ord) const {
     return comp_of_[s_ord] == comp_of_[t_ord];
@@ -107,38 +98,6 @@ class PathIndex {
   uint64_t ComponentSize(uint32_t ord) const {
     uint32_t c = comp_of_[ord];
     return comp_begin_[c + 1] - comp_begin_[c];
-  }
-
-  /// One vertex's hop distance to each landmark: kUnreachable for a
-  /// landmark in another component and in the lanes past the landmark
-  /// count (a graph with fewer than kMaxLandmarks vertices). Aligned so a
-  /// row is exactly one cache line.
-  static constexpr int kMaxLandmarks = 16;
-  struct alignas(64) LandmarkRow {
-    uint32_t dist[kMaxLandmarks];
-  };
-  const LandmarkRow& LandmarkRowOf(uint32_t ord) const {
-    return landmark_rows_[ord];
-  }
-
-  /// max_l |d(s,l) - d(t,l)| over landmarks covering both sides; 0 when
-  /// no landmark covers the pair.
-  uint32_t DistanceLowerBound(uint32_t s_ord, uint32_t t_ord) const {
-    return DistanceLowerBound(s_ord, LandmarkRowOf(t_ord));
-  }
-  /// The same bound against a row the caller already holds (a search
-  /// copies its far root's row once per level).
-  uint32_t DistanceLowerBound(uint32_t s_ord, const LandmarkRow& t) const {
-    const LandmarkRow& s = LandmarkRowOf(s_ord);
-    uint32_t best = 0;
-    for (int l = 0; l < kMaxLandmarks; ++l) {
-      uint32_t a = s.dist[l], b = t.dist[l];
-      uint32_t gap = a == kUnreachable || b == kUnreachable ? 0
-                     : a > b                                ? a - b
-                                                            : b - a;
-      best = gap > best ? gap : best;
-    }
-    return best;
   }
 
   // --- CSR adjacency snapshot (for index-side searches) --------------------
@@ -176,7 +135,6 @@ class PathIndex {
   }
 
   Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel);
-  Status BuildLandmarks(const CancelToken& cancel);
 
   PathIndexStats stats_;
 
@@ -195,10 +153,6 @@ class PathIndex {
   // [comp_begin_[c], comp_begin_[c + 1]).
   std::vector<uint32_t> comp_of_;
   std::vector<uint32_t> comp_begin_;
-
-  // Landmarks: ordinals plus one distance row per vertex (vertex-major).
-  std::vector<uint32_t> landmark_ords_;
-  std::vector<LandmarkRow> landmark_rows_;
 };
 
 }  // namespace gdbmicro

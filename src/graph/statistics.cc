@@ -109,11 +109,6 @@ PropertyKeyStats BuildKeyStats(std::vector<SortKey>& keys) {
 
 double PropertyKeyStats::EstimateEq(const PropertyValue& v) const {
   if (count == 0 || buckets.empty()) return 0.0;
-  if (v.is_null()) {
-    // A null probe: the key-wide average.
-    return static_cast<double>(count) /
-           static_cast<double>(std::max<uint64_t>(distinct, 1));
-  }
   auto it = std::lower_bound(
       buckets.begin(), buckets.end(), v,
       [](const HistogramBucket& b, const PropertyValue& probe) {

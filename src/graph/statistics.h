@@ -56,10 +56,11 @@ struct PropertyKeyStats {
   /// the benchmark datasets while keeping per-key footprint trivial.
   static constexpr size_t kMaxBuckets = 64;
 
-  /// Estimated number of elements with value == v: the containing
-  /// bucket's count / distinct (uniform-within-bucket assumption).
-  /// Values outside the observed domain estimate 0; a null (monostate)
-  /// probe estimates the key-wide average count / distinct.
+  /// Estimated number of elements with value == v: the count / distinct
+  /// of the first bucket whose upper bound is >= v (uniform-within-bucket
+  /// assumption). Only values above the largest bucket's upper bound
+  /// estimate 0; a value below the observed domain, or missing inside it,
+  /// takes its covering bucket's estimate.
   double EstimateEq(const PropertyValue& v) const;
 };
 

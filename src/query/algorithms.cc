@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "src/graph/path_index.h"
 
@@ -272,22 +273,19 @@ Status RunIndexed(const PathIndex& index, TraversalScratch& scratch,
   return Status::OK();
 }
 
-/// Landmark-pruned bidirectional level-synchronous BFS over the index
-/// CSR between two vertices of one component. Returns the minimum-hop
-/// distance (<= limit) and fills `out_path` with a path of that length;
-/// kUnreachable when no path of <= limit hops exists.
+/// Bidirectional level-synchronous BFS over the index CSR between two
+/// vertices of one component. Returns whether a path of <= limit hops
+/// exists and, when one does, fills `out_path` with a minimum-hop path.
 /// Exactness: a side's level is always expanded in full, and the search
-/// only stops once depth_s + depth_t covers the best confirmed meeting —
-/// every shorter path would already have produced a meeting vertex. The
-/// landmark bound only prunes vertices that cannot lie on any path
-/// shorter than the current best and within the limit, so it never
-/// changes the answer, only the expansion.
-Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
-                                      TraversalScratch& scratch, uint32_t s,
-                                      uint32_t t, uint32_t limit,
-                                      const CancelToken& cancel,
-                                      PathSearchStats* stats,
-                                      std::vector<VertexId>* out_path) {
+/// only stops once depth_s + depth_t covers the best confirmed meeting or
+/// reaches the limit — every shorter path would already have produced a
+/// meeting vertex.
+Result<bool> IndexedBidirPath(const PathIndex& index,
+                              TraversalScratch& scratch, uint32_t s,
+                              uint32_t t, uint32_t limit,
+                              const CancelToken& cancel,
+                              PathSearchStats* stats,
+                              std::vector<VertexId>* out_path) {
   ComponentMarks sides(index, s, &scratch);
   sides.Insert(0, s, 0, s);
   sides.Insert(1, t, 0, t);
@@ -296,7 +294,7 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
   frontiers[1].assign(1, t);
   std::vector<uint32_t>& next = scratch.index_next;
   uint32_t depth[2] = {0, 0};
-  uint32_t best = PathIndex::kUnreachable;
+  uint32_t best = std::numeric_limits<uint32_t>::max();
   uint32_t meet = PathIndex::kNoOrd;
 
   while (!frontiers[0].empty() && !frontiers[1].empty() &&
@@ -304,24 +302,13 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
     const int side = frontiers[0].size() <= frontiers[1].size() ? 0 : 1;
     const int other = 1 - side;
     std::vector<uint32_t>& frontier = frontiers[side];
-    // The far root's landmark row, read once for the whole level.
-    const PathIndex::LandmarkRow far = index.LandmarkRowOf(side == 0 ? t : s);
     const uint32_t new_depth = depth[side] + 1;
-    // Paths must beat the best confirmed meeting and fit the limit.
-    uint32_t cap = std::min(best == PathIndex::kUnreachable
-                                ? limit
-                                : best - 1,
-                            limit);
     next.clear();
     for (uint32_t v : frontier) {
       GDB_CHECK_CANCEL(cancel);
       ++stats->expanded;
       for (uint32_t w : index.BothNeighbors(v)) {
         if (sides.Has(side, w)) continue;
-        ++stats->index_probes;
-        if (new_depth + index.DistanceLowerBound(w, far) > cap) {
-          continue;  // cannot lie on a useful path — prune
-        }
         GDB_CHECK_CHARGE(cancel, kReachedVertexBytes);
         sides.Insert(side, w, new_depth, v);
         if (sides.Has(other, w)) {
@@ -338,7 +325,7 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
     depth[side] = new_depth;
   }
 
-  if (best > limit) return PathIndex::kUnreachable;
+  if (best > limit) return false;
   // meet -> s along side 0's parents (reversed), then meet -> t along
   // side 1's.
   out_path->clear();
@@ -355,7 +342,7 @@ Result<uint32_t> IndexedBidirDistance(const PathIndex& index,
     cur = p;
     out_path->push_back(index.IdOf(cur));
   }
-  return best;
+  return true;
 }
 
 }  // namespace
@@ -375,7 +362,6 @@ Result<BfsResult> BreadthFirst(const GraphEngine& engine,
       cancel.set_position("BreadthFirst(index)");
       result.stats.used_index = true;
       result.stats.route = "index-bfs";
-      ++result.stats.index_probes;
       GDB_RETURN_IF_ERROR(RunIndexed(*index, session.traversal_scratch(),
                                      ord, depth_budget, cancel, &result.stats,
                                      &result.visited, &result.depth_reached));
@@ -421,28 +407,18 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
     if (s != PathIndex::kNoOrd && t != PathIndex::kNoOrd && max_depth >= 0) {
       cancel.set_position("ShortestPath(index)");
       result.stats.used_index = true;
-      ++result.stats.index_probes;
       if (!index->SameComponent(s, t)) {
         // Certain negative: no undirected path at any depth.
         result.stats.route = "index-component";
         return result;
       }
-      ++result.stats.index_probes;
-      if (index->DistanceLowerBound(s, t) >
-          static_cast<uint32_t>(max_depth)) {
-        // Certain negative: every landmark triangle bound exceeds the
-        // depth budget.
-        result.stats.route = "index-landmark";
-        return result;
-      }
       result.stats.route = "index-bidir";
-      Result<uint32_t> dist = IndexedBidirDistance(
+      Result<bool> found = IndexedBidirPath(
           *index, session.traversal_scratch(), s, t,
           static_cast<uint32_t>(max_depth), cancel, &result.stats,
           &result.path);
-      if (!dist.ok()) return dist.status();
-      result.found = *dist != PathIndex::kUnreachable;
-      if (!result.found) result.path.clear();
+      if (!found.ok()) return found.status();
+      result.found = *found;
       return result;
     }
   }

@@ -30,8 +30,7 @@ enum class PathMode { kAuto, kFrontierOnly };
 ///   "frontier"           engine-visitor expansion (index absent/unusable)
 ///   "index-bfs"          level-synchronous BFS over the index CSR
 ///   "index-component"    certain negative from connected components
-///   "index-landmark"     certain negative from landmark distance bounds
-///   "index-bidir"        landmark-pruned bidirectional search on the CSR
+///   "index-bidir"        bidirectional search on the CSR
 ///   "trivial"            shortest path with src == dst, no search
 struct PathSearchStats {
   /// A live PathIndex existed on the engine when the query ran.
@@ -39,9 +38,6 @@ struct PathSearchStats {
   /// The answer came from the index tier (any index-* route).
   bool used_index = false;
   const char* route = "frontier";
-  /// Index probe operations consulted (landmark bound evaluations,
-  /// component lookups).
-  uint64_t index_probes = 0;
   /// Vertices expanded by whichever search ultimately ran (0 when a
   /// certain probe answered without expansion).
   uint64_t expanded = 0;
@@ -94,10 +90,11 @@ struct PathResult {
 /// directions, optionally restricted to one edge label (Q.34 / Q.35).
 /// `max_depth` bounds the search (Gremlin loops are depth-bounded in the
 /// suite to keep the semantics of the paper's queries).
-/// With a live PathIndex and no label filter, kAuto answers certain
-/// negatives from components/landmark bounds without a frontier, and
-/// otherwise runs landmark-pruned bidirectional search over the index
-/// CSR. Semantics match the frontier path exactly: found iff a path of
+/// With a live PathIndex and no label filter, kAuto answers endpoints in
+/// different components as a certain negative without a frontier, and
+/// otherwise runs a bidirectional search over the index CSR, bounded by
+/// `max_depth` like the frontier. Semantics match the frontier path
+/// exactly: found iff a path of
 /// <= max_depth hops exists, the returned path is a valid minimum-hop
 /// path (tie-broken arbitrarily, like engine visit order), and
 /// `src == dst` returns {src} without an existence check.

@@ -25,18 +25,4 @@ void EncodeDeltaList(const std::vector<uint64_t>& sorted_ids,
   }
 }
 
-Result<std::vector<uint64_t>> DecodeDeltaList(const std::string& in) {
-  size_t pos = 0;
-  GDB_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(in, &pos));
-  std::vector<uint64_t> out;
-  out.reserve(n);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    GDB_ASSIGN_OR_RETURN(uint64_t delta, GetVarint64(in, &pos));
-    prev += delta;
-    out.push_back(prev);
-  }
-  return out;
-}
-
 }  // namespace gdbmicro

@@ -46,13 +46,11 @@ inline int64_t ZigZagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// Delta+varint encodes a *sorted* id list. Unsorted input is rejected by
-/// assertion in debug builds; callers sort first.
+/// Delta+varint encodes a *sorted* id list: the count, then each id's
+/// gap to the previous one (the first id's gap to 0). Unsorted input is
+/// rejected by assertion in debug builds; callers sort first.
 void EncodeDeltaList(const std::vector<uint64_t>& sorted_ids,
                      std::string* out);
-
-/// Inverse of EncodeDeltaList.
-Result<std::vector<uint64_t>> DecodeDeltaList(const std::string& in);
 
 }  // namespace gdbmicro
 

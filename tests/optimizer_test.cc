@@ -463,11 +463,13 @@ TEST(CardinalityEstimatorTest, EqualityExactWithinBucketBudget) {
   EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue("red")), 80.0);
   EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue("green")), 15.0);
   EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue("blue")), 5.0);
-  // Beyond the observed domain: 0. (An in-domain miss estimates at its
+  // Above the observed domain: 0. (An in-domain miss estimates at its
   // covering bucket — a histogram cannot tell absence from presence.)
   EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue("zzz")), 0.0);
-  // Unknown probe (prepared plans): key-wide average.
-  EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue()), 100.0 / 3.0);
+  // Below the observed domain: the first bucket's estimate. A null value
+  // ranks below every other type, so it lands on "blue"'s bucket.
+  EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue("aaa")), 5.0);
+  EXPECT_DOUBLE_EQ(key->EstimateEq(PropertyValue()), 5.0);
 }
 
 TEST(CardinalityEstimatorTest, DegreeFractionWithinFactorTwo) {

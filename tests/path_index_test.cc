@@ -1,11 +1,10 @@
 // PathIndex conformance across all nine engines: every indexed BFS /
 // shortest-path answer must equal the reference frontier answer on a
-// cyclic multi-component graph (components and landmarks both exercised)
-// and on the repository benchmark's fragmented Freebase-like graph, the
-// landmark rows must equal one plain BFS per landmark on both and on
-// graphs with fewer vertices than landmark lanes, the
-// indexed BFS must match a plain reference walk over the index CSR in
-// visit order, counters and charges, the index's layout
+// cyclic multi-component graph (components and the bidirectional search
+// both exercised) and on the repository benchmark's fragmented
+// Freebase-like graph, the bidirectional search must honour the depth
+// limit, the indexed BFS must match a plain reference walk over the
+// index CSR in visit order, counters and charges, the index's layout
 // invariants must hold, the index must invalidate with a typed status
 // when a commit publishes a new epoch, and a governor trip during build
 // must leave the engine fully usable on the frontier path. The
@@ -93,48 +92,6 @@ void ExpectLayoutInvariants(const PathIndex& index) {
   EXPECT_EQ(components, index.stats().components);
 }
 
-/// The landmark rows against a per-landmark reference: the landmarks
-/// picked again by (total degree desc, engine id asc), then one plain BFS
-/// per landmark over the index CSR. Every row must equal it lane for
-/// lane, kUnreachable in the lanes of other components' landmarks and in
-/// the lanes past the landmark count.
-void ExpectLandmarkRowsMatchPerLandmarkBfs(const PathIndex& index) {
-  const uint32_t n = index.NumVertices();
-  std::vector<uint32_t> order(n);
-  for (uint32_t v = 0; v < n; ++v) order[v] = v;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    size_t da = index.BothNeighbors(a).size();
-    size_t db = index.BothNeighbors(b).size();
-    return da != db ? da > db : index.IdOf(a) < index.IdOf(b);
-  });
-  const uint32_t landmarks =
-      std::min<uint32_t>(PathIndex::kMaxLandmarks, n);
-  ASSERT_EQ(index.stats().landmarks, static_cast<int>(landmarks));
-
-  std::vector<std::vector<uint32_t>> dist(
-      PathIndex::kMaxLandmarks,
-      std::vector<uint32_t>(n, PathIndex::kUnreachable));
-  for (uint32_t l = 0; l < landmarks; ++l) {
-    std::vector<uint32_t>& d = dist[l];
-    std::vector<uint32_t> queue{order[l]};
-    d[order[l]] = 0;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const uint32_t v = queue[head];
-      for (uint32_t w : index.BothNeighbors(v)) {
-        if (d[w] != PathIndex::kUnreachable) continue;
-        d[w] = d[v] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    const PathIndex::LandmarkRow& row = index.LandmarkRowOf(v);
-    for (int l = 0; l < PathIndex::kMaxLandmarks; ++l) {
-      ASSERT_EQ(row.dist[l], dist[l][v]) << "ordinal " << v << " lane " << l;
-    }
-  }
-}
-
 // Fixture graph — three undirected components, cycles and tendrils:
 //
 //   A:  r0 -> r1 -> r2 -> r3 -> r0   (directed 4-cycle)
@@ -146,8 +103,8 @@ void ExpectLandmarkRowsMatchPerLandmarkBfs(const PathIndex& index) {
 //   C:  c0                           (isolated)
 //
 // 10 vertices, 3 components — small enough that the cost-model-on ctest
-// leg stays fast, rich enough that every index tier (components,
-// landmarks, bidirectional search) decides something.
+// leg stays fast, rich enough that every index route (components,
+// bidirectional search, CSR BFS) decides something.
 class PathIndexTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -228,7 +185,6 @@ TEST_P(PathIndexTest, BuildStatsDescribeTheGraph) {
   EXPECT_EQ(st.vertices, 10u);
   EXPECT_EQ(st.edges, 12u);
   EXPECT_EQ(st.components, 3u);
-  EXPECT_GT(st.landmarks, 0);
   EXPECT_GT(st.bytes, 0u);
 }
 
@@ -245,9 +201,8 @@ TEST_P(PathIndexTest, LayoutInvariantsHold) {
   EXPECT_EQ(ids, std::set<VertexId>(all_.begin(), all_.end()));
 
   // Resident bytes are exactly the live arrays: id map, ordinal -> id,
-  // the single CSR (2V+1 offsets, one slot per edge and direction),
-  // component ids and offsets, landmark ordinals, and one 64-byte
-  // landmark row per vertex.
+  // the single CSR (2V+1 offsets, one slot per edge and direction), and
+  // component ids and offsets.
   const PathIndexStats& st = index->stats();
   const uint64_t v = st.vertices, e = st.edges;
   const uint64_t dense_bound = engine_->VertexIdUpperBound();
@@ -255,24 +210,13 @@ TEST_P(PathIndexTest, LayoutInvariantsHold) {
                                           : v * (sizeof(VertexId) + 4);
   const uint64_t want =
       id_map + v * sizeof(VertexId) + (2 * v + 1) * 8 + 2 * e * 4 + v * 4 +
-      (st.components + 1) * 4 + st.landmarks * 4 + v * 64;
+      (st.components + 1) * 4;
   EXPECT_EQ(st.bytes, want);
-  EXPECT_EQ(sizeof(PathIndex::LandmarkRow), 64u);
 }
 
-TEST_P(PathIndexTest, LandmarkRowsMatchPerLandmarkBfs) {
-  const PathIndex* index = engine_->path_index();
-  ASSERT_NE(index, nullptr);
-  // Ten vertices: the lanes past the tenth landmark stay unreachable.
-  ExpectLandmarkRowsMatchPerLandmarkBfs(*index);
-}
-
-TEST_P(PathIndexTest, LandmarkRowsOnGraphsSmallerThanTheLanes) {
+TEST_P(PathIndexTest, LayoutInvariantsHoldOnTinyGraphs) {
   // An empty graph, one vertex with a self-loop, a star beside an
-  // isolated pair, and a triangle: every vertex is a landmark, in up to
-  // two components. On the triangle the first level touches all three
-  // vertices before its last edge slot, which lands in the touched list's
-  // spare slot (an overflow there shows under ASan).
+  // isolated pair, and a triangle.
   for (uint64_t shape = 0; shape < 4; ++shape) {
     SCOPED_TRACE(::testing::Message() << "shape " << shape);
     GraphData data;
@@ -298,11 +242,11 @@ TEST_P(PathIndexTest, LandmarkRowsOnGraphsSmallerThanTheLanes) {
     const PathIndex* index = (*engine)->path_index();
     ASSERT_NE(index, nullptr);
     EXPECT_EQ(index->NumVertices(), data.vertices.size());
-    ExpectLandmarkRowsMatchPerLandmarkBfs(*index);
+    ExpectLayoutInvariants(*index);
   }
 }
 
-TEST_P(PathIndexTest, MemoryTripInsideLandmarksInstallsNoIndex) {
+TEST_P(PathIndexTest, MemoryTripAtTheLastChargeInstallsNoIndex) {
   // The whole build's ledger, under a budget it cannot reach.
   query::GovernorOptions ample;
   ample.memory_budget_bytes = uint64_t{1} << 40;
@@ -310,40 +254,24 @@ TEST_P(PathIndexTest, MemoryTripInsideLandmarksInstallsNoIndex) {
   ASSERT_TRUE(engine_->BuildPathIndex(ledger.token()).ok());
   const uint64_t total = ledger.token().charged_bytes();
 
-  // The landmark kernel charges last: one 64-byte row per vertex, then
-  // three 16-bit lane masks per vertex and its frontier and touched lists
-  // (n and n + 1 ordinals). The rest of the ledger is the adjacency
-  // build's, so a budget of exactly that share trips inside the landmark
-  // kernel and one byte less trips before it.
-  const uint64_t n = engine_->path_index()->NumVertices();
-  const uint64_t landmark_bytes = n * sizeof(PathIndex::LandmarkRow) +
-                                  3 * n * sizeof(uint16_t) +
-                                  (2 * n + 1) * sizeof(uint32_t);
-  ASSERT_GT(total, landmark_bytes);
-  const struct {
-    uint64_t budget;
-    const char* position;
-  } trips[] = {{total - 1, "PathIndex::BuildLandmarks"},
-               {total - landmark_bytes, "PathIndex::BuildLandmarks"},
-               {total - landmark_bytes - 1, "PathIndex::BuildAdjacency"}};
-  for (const auto& trip : trips) {
-    SCOPED_TRACE(::testing::Message() << "budget " << trip.budget);
-    query::GovernorOptions short_budget;
-    short_budget.memory_budget_bytes = trip.budget;
-    query::ResourceGovernor governor(short_budget);
-    Status build = engine_->BuildPathIndex(governor.token());
-    EXPECT_TRUE(build.IsResourceExhausted()) << build;
-    EXPECT_NE(build.message().find(trip.position), std::string::npos)
-        << build;
-    EXPECT_EQ(engine_->path_index(), nullptr);
-  }
+  // One byte short of the total trips at the build's last charge, inside
+  // the adjacency build, and installs no index.
+  query::GovernorOptions short_budget;
+  short_budget.memory_budget_bytes = total - 1;
+  query::ResourceGovernor governor(short_budget);
+  Status build = engine_->BuildPathIndex(governor.token());
+  EXPECT_TRUE(build.IsResourceExhausted()) << build;
+  EXPECT_NE(build.message().find("PathIndex::BuildAdjacency"),
+            std::string::npos)
+      << build;
+  EXPECT_EQ(engine_->path_index(), nullptr);
 
   // The exact budget builds the same index again.
   query::GovernorOptions exact;
   exact.memory_budget_bytes = total;
   query::ResourceGovernor exact_gov(exact);
   ASSERT_TRUE(engine_->BuildPathIndex(exact_gov.token()).ok());
-  ExpectLandmarkRowsMatchPerLandmarkBfs(*engine_->path_index());
+  ExpectLayoutInvariants(*engine_->path_index());
 }
 
 TEST_P(PathIndexTest, NotBuiltByDefault) {
@@ -404,30 +332,31 @@ TEST_P(PathIndexTest, IndexedShortestPathAgreesOnAllPairs) {
   }
 }
 
-TEST_P(PathIndexTest, LandmarkBoundsAnswerShortPathNegatives) {
-  // r0 - r1 - a0 - a1 is the shortest undirected path. The landmark at a1
-  // bounds the distance at 3, which exceeds a depth budget of 1: a
-  // certain negative without a search.
-  auto bounded = ShortestPath(*engine_, *session_, r_[0], a_[1], std::nullopt,
-                              1, never_, PathMode::kAuto);
-  ASSERT_TRUE(bounded.ok()) << bounded.status();
-  EXPECT_FALSE(bounded->found);
-  EXPECT_STREQ(bounded->stats.route, "index-landmark");
-  EXPECT_EQ(bounded->stats.expanded, 0u);
-  auto frontier = ShortestPath(*engine_, *session_, r_[0], a_[1],
-                               std::nullopt, 1, never_,
-                               PathMode::kFrontierOnly);
-  ASSERT_TRUE(frontier.ok()) << frontier.status();
-  EXPECT_FALSE(frontier->found);
-
-  // With room for the three hops the bidirectional search finds it.
-  auto found = ShortestPath(*engine_, *session_, r_[0], a_[1], std::nullopt,
-                            3, never_, PathMode::kAuto);
-  ASSERT_TRUE(found.ok()) << found.status();
-  EXPECT_TRUE(found->found);
-  EXPECT_STREQ(found->stats.route, "index-bidir");
-  EXPECT_EQ(found->path.size(), 4u);
-  ExpectValidPath(found->path, r_[0], a_[1]);
+TEST_P(PathIndexTest, BidirSearchHonoursTheDepthLimit) {
+  // r0 - r1 - a0 - a1 is the shortest undirected path: budgets below its
+  // three hops refute it after a bounded search, and a budget of three
+  // finds it.
+  for (int max_depth : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "max_depth " << max_depth);
+    auto indexed = ShortestPath(*engine_, *session_, r_[0], a_[1],
+                                std::nullopt, max_depth, never_,
+                                PathMode::kAuto);
+    auto frontier = ShortestPath(*engine_, *session_, r_[0], a_[1],
+                                 std::nullopt, max_depth, never_,
+                                 PathMode::kFrontierOnly);
+    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    ASSERT_TRUE(frontier.ok()) << frontier.status();
+    EXPECT_STREQ(indexed->stats.route, "index-bidir");
+    EXPECT_EQ(indexed->found, max_depth == 3);
+    EXPECT_EQ(indexed->found, frontier->found);
+    EXPECT_EQ(indexed->path.size(), frontier->path.size());
+    if (indexed->found) {
+      EXPECT_EQ(indexed->path.size(), 4u);
+      ExpectValidPath(indexed->path, r_[0], a_[1]);
+    } else {
+      EXPECT_TRUE(indexed->path.empty());
+    }
+  }
 }
 
 TEST_P(PathIndexTest, EdgeCaseSemanticsAgree) {
@@ -709,7 +638,6 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
     ASSERT_TRUE(mapping.ok()) << mapping.status();
     ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
     ExpectLayoutInvariants(*(*engine)->path_index());
-    ExpectLandmarkRowsMatchPerLandmarkBfs(*(*engine)->path_index());
     if (HasFatalFailure()) return;
     auto session = (*engine)->CreateSession();
     if (!have_reference) {
@@ -722,7 +650,7 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
     CollectAnswers(**engine, *session, *data, *mapping, PathMode::kAuto,
                    &indexed);
     if (HasFatalFailure()) return;
-    // The pairs reach both the certain tiers and the bidirectional search.
+    // The pairs reach both the component tier and the bidirectional search.
     EXPECT_GT(indexed.sp_routes["index-bidir"], 0);
     EXPECT_GT(indexed.sp_routes["index-component"], 0);
     for (int i = 0; i < kWorkloadPairs; ++i) {

@@ -26,6 +26,12 @@ end-to-end metrics, or with `--trace 1` the per-layer ones) it prints:
   - the pairs the change won;
   - whether the gap between the medians beats the parent's quartile
     spread (the interquartile range of the parent's runs);
+  - for a metric with a `bound` (the end-to-end ones), the verdict against
+    a margin of bound x the parent's median: "worse" when the change's
+    median is worse than the parent's by more than the margin,
+    "unresolved" when the parent's quartile spread exceeds the margin and
+    not every change run beats every parent run, "within bound"
+    otherwise;
 
 then every run's `correct`, `attempted` and `failed`.
 """
@@ -79,6 +85,22 @@ def fmt(x):
     return f"{x:.4g}"
 
 
+def verdict(metric, parent, change, p_med, c_med, spread):
+    """The change's verdict against the metric's bound, or "-" without one."""
+    if "bound" not in metric:
+        return "-"
+    margin = metric["bound"] * abs(p_med)
+    higher = metric["better"] == "higher"
+    worse_by = (p_med - c_med) if higher else (c_med - p_med)
+    if worse_by > margin:
+        return "worse"
+    beats_all = (min(change) > max(parent)) if higher else \
+        (max(change) < min(parent))
+    if spread > margin and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(records, metrics):
     """Prints the per-metric pair statistics and the per-run outcomes."""
     pairs = {}
@@ -94,7 +116,7 @@ def summarize(records, metrics):
     width = max(len(m["name"]) for m in metrics)
     header = (f"{'metric':<{width}} {'parent median (q1-q3)':<30} "
               f"{'change median (q1-q3)':<30} {'median':>8} {'won':>7}  "
-              "gap > parent IQR")
+              f"{'bound verdict':<13} gap > parent IQR")
     print(header)
     for m in metrics:
         name = m["name"]
@@ -117,10 +139,12 @@ def summarize(records, metrics):
         for s in SIDES:
             q1, med, q3 = stats[s]
             cells.append(f"{fmt(med)} ({fmt(q1)}-{fmt(q3)})")
-        verdict = "yes" if gap > spread else "no"
+        bound = verdict(m, values["parent"], values["change"], p_med, c_med,
+                        spread)
+        beats = "yes" if gap > spread else "no"
         print(f"{name:<{width}} {cells[0]:<30} {cells[1]:<30} "
-              f"{change:>+7.1f}% {won:>3}/{len(complete):<3}  {verdict} "
-              f"(gap {fmt(gap)}, IQR {fmt(spread)})")
+              f"{change:>+7.1f}% {won:>3}/{len(complete):<3}  {bound:<13} "
+              f"{beats} (gap {fmt(gap)}, IQR {fmt(spread)})")
     print()
     print(f"{'seed':>6} {'pair':>4} {'side':<7} {'correct':<8} "
           f"{'attempted':>10} {'failed':>7}")
