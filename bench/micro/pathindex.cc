@@ -15,6 +15,11 @@
 //   sp-fig7    shortest path, max_depth=30 (the paper's Q.34/Q.35 bound),
 //              in-island pairs plus a cross-island tail
 //   bfs-d3     breadth-first to depth 3 (Q.32/Q.33 shape)
+//
+// Each mode first answers every pair once untimed (the answers compared,
+// and the session's scratch warmed), then times --rounds passes over the
+// pairs one by one; a row's rates come from its fastest pass, so one slow
+// pass on a shared host does not move a row.
 
 #include <algorithm>
 #include <random>
@@ -157,7 +162,7 @@ Result<uint64_t> RunOne(const GraphEngine& engine, QuerySession& session,
 
 struct ModeRun {
   std::vector<uint64_t> answers;
-  double qps = 0;
+  double qps = 0;  // from the fastest timed pass
 };
 
 Result<ModeRun> RunMode(const GraphEngine& engine, QuerySession& session,
@@ -173,18 +178,19 @@ Result<ModeRun> RunMode(const GraphEngine& engine, QuerySession& session,
         RunOne(engine, session, load.kind, ids[a], ids[b], mode, cancel));
     run.answers.push_back(answer);
   }
-  Timer timer;
+  double fastest = 0;
   for (int r = 0; r < rounds; ++r) {
+    Timer timer;
     for (const auto& [a, b] : load.pairs) {
       GDB_RETURN_IF_ERROR(
           RunOne(engine, session, load.kind, ids[a], ids[b], mode, cancel)
               .status());
     }
+    double seconds = timer.ElapsedSeconds();
+    fastest = r == 0 ? seconds : std::min(fastest, seconds);
   }
-  double seconds = timer.ElapsedSeconds();
-  run.qps = seconds > 0
-                ? static_cast<double>(load.pairs.size()) * rounds / seconds
-                : 0.0;
+  run.qps = fastest > 0 ? static_cast<double>(load.pairs.size()) / fastest
+                        : 0.0;
   return run;
 }
 
@@ -198,7 +204,7 @@ Json::Object RunPathIndex(MicroRun& run) {
       Workloads(data.vertices.size(), island_span);
   std::printf(
       "path-index micro-bench: %zu vertices, %zu edges, %d islands, "
-      "%d rounds\n\n",
+      "%d rounds (fastest)\n\n",
       data.vertices.size(), data.edges.size(), kIslands, rounds);
   run.Table({{"engine", "engine", -9},
              {"workload", "workload", -10},

@@ -23,31 +23,63 @@ uint64_t VecBytes(const std::vector<uint64_t>& v) {
 }
 
 /// Counting-sort CSR over `n` vertices in the PathIndex layout: vertex
-/// v's out-targets fill adj[off[2v], off[2v+1]) and its in-sources
-/// adj[off[2v+1], off[2v+2]), each in `edges` order. Parallel edges and
-/// self-loops are kept as stored (one slot per edge occurrence).
+/// v's range adj[off[v], off[v + 1]) holds each of its distinct
+/// undirected neighbours once, where it first occurs among v's
+/// out-targets and then its in-sources, each in `edges` order. A
+/// parallel edge, an edge linked both ways and a self-loop's second
+/// direction repeat a neighbour the range already holds, so they take no
+/// slot: a both() search cannot store a vertex twice.
 Status BuildCsr(uint32_t n,
                 const std::vector<std::pair<uint32_t, uint32_t>>& edges,
                 const CancelToken& cancel, std::vector<uint64_t>* off,
                 std::vector<uint32_t>* adj) {
-  GDB_CHECK_CHARGE(cancel, (2 * uint64_t{n} + 1) * sizeof(uint64_t) +
+  // Place every edge once per direction: range 2v holds v's out-targets
+  // and range 2v + 1 its in-sources. Count range r into off[r + 2] and
+  // prefix-sum, so off[r + 1] is r's start; placing each slot at
+  // off[r + 1]++ leaves off[r + 1] at r's end, which is r + 1's start.
+  GDB_CHECK_CHARGE(cancel, (2 * uint64_t{n} + 2) * sizeof(uint64_t) +
                                2 * edges.size() * sizeof(uint32_t));
-  // Count into the slot after each range start, then prefix-sum: off[2v+1]
-  // accumulates v's out-degree, off[2v+2] its in-degree.
-  off->assign(2 * size_t{n} + 1, 0);
+  off->assign(2 * size_t{n} + 2, 0);
   for (const auto& [s, t] : edges) {
-    ++(*off)[2 * size_t{s} + 1];
-    ++(*off)[2 * size_t{t} + 2];
+    ++(*off)[2 * size_t{s} + 2];
+    ++(*off)[2 * size_t{t} + 3];
   }
   for (size_t i = 1; i < off->size(); ++i) (*off)[i] += (*off)[i - 1];
   adj->resize(2 * edges.size());
-  std::vector<uint64_t> cur(off->begin(), off->end() - 1);
   uint32_t polls = 0;
   for (const auto& [s, t] : edges) {
     if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
-    (*adj)[cur[2 * size_t{s}]++] = t;
-    (*adj)[cur[2 * size_t{t} + 1]++] = s;
+    (*adj)[(*off)[2 * size_t{s} + 1]++] = t;
+    (*adj)[(*off)[2 * size_t{t} + 2]++] = s;
   }
+
+  // Keep each range's first occurrences, in place: vertex v reads
+  // offsets 2v and 2v + 2 before it writes offset v, which no later
+  // vertex reads, and slots only move down. seen[w] == v once w is in
+  // v's range; a slot is written unconditionally and kept by whether it
+  // is new, as RunIndexed appends.
+  GDB_CHECK_CHARGE(cancel, uint64_t{n} * sizeof(uint32_t));
+  std::vector<uint32_t> seen(n, PathIndex::kNoOrd);
+  uint64_t kept = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
+    const uint64_t from = (*off)[2 * size_t{v}];
+    const uint64_t to = (*off)[2 * size_t{v} + 2];
+    (*off)[v] = kept;
+    for (uint64_t s = from; s < to; ++s) {
+      const uint32_t w = (*adj)[s];
+      (*adj)[kept] = w;
+      kept += seen[w] != v;
+      seen[w] = v;
+    }
+  }
+  (*off)[n] = kept;
+  off->resize(size_t{n} + 1);
+  adj->resize(kept);
+  GDB_CHECK_CHARGE(cancel, (uint64_t{n} + 1) * sizeof(uint64_t) +
+                               kept * sizeof(uint32_t));
+  off->shrink_to_fit();
+  adj->shrink_to_fit();
   return Status::OK();
 }
 
@@ -61,7 +93,6 @@ Result<std::unique_ptr<PathIndex>> PathIndex::Build(
 
   PathIndexStats& st = index->stats_;
   st.vertices = index->ord_to_id_.size();
-  st.edges = index->adj_.size() / 2;
   st.components = index->comp_begin_.size() - 1;
   st.bytes = VecBytes(index->dense_ids_) +
              index->sparse_ids_.size() * (sizeof(VertexId) + sizeof(uint32_t)) +
@@ -113,6 +144,7 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
   });
   if (!st.ok()) return st;
   GDB_CHECK_CHARGE(cancel, edges.size() * sizeof(edges[0]));
+  stats_.edges = edges.size();
 
   // Relabel in BFS order over the undirected view, roots in engine-id
   // order: each connected component becomes one contiguous ordinal range,
@@ -139,7 +171,7 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
         if (++polls % kCancelStride == 0) GDB_CHECK_CANCEL(cancel);
         comp_of_[head] = comp;
         const uint32_t v = queue[head];
-        for (uint64_t s = off[2 * size_t{v}]; s < off[2 * size_t{v} + 2]; ++s) {
+        for (uint64_t s = off[v]; s < off[size_t{v} + 1]; ++s) {
           uint32_t w = adj[s];
           if (ord_by_id[w] == kNoOrd) {
             ord_by_id[w] = next;
@@ -152,6 +184,7 @@ Status PathIndex::BuildAdjacency(const GraphEngine& engine,
   comp_begin_.push_back(n);
   comp_begin_.shrink_to_fit();
 
+  GDB_CHECK_CHARGE(cancel, uint64_t{n} * sizeof(VertexId));
   ord_to_id_.resize(n);
   for (uint32_t o = 0; o < n; ++o) {
     VertexId id = ids[queue[o]];

@@ -19,8 +19,9 @@
 // Layout is chosen for the searches' memory traffic. Ordinals are assigned
 // in BFS order over the undirected view (roots in engine-id order), so a
 // BFS touches neighbouring ordinals and every connected component is one
-// contiguous ordinal range. One CSR holds each vertex's out-targets
-// followed by its in-sources, so a both() expansion is a single range.
+// contiguous ordinal range. The CSR holds one range per vertex with each
+// distinct undirected neighbour once, so a both() expansion is a single
+// range that reads no neighbour twice.
 //
 // Consistency contract: the index describes exactly the snapshot it was
 // built from. GraphEngine::BuildPathIndex builds it after BulkLoad (off
@@ -31,10 +32,10 @@
 // const and thread-safe: any number of sessions may share one index.
 //
 // Build is governor-cooperative: it checks the CancelToken at bounded
-// strides and charges every index structure against the token's byte
-// budget, so a deadline or memory trip aborts the build with a typed
-// status and no index installed (the engine stays fully usable on the
-// frontier path).
+// strides and charges the index structures and the build's working
+// arrays against the token's byte budget, so a deadline or memory trip
+// aborts the build with a typed status and no index installed (the
+// engine stays fully usable on the frontier path).
 
 #ifndef GDBMICRO_GRAPH_PATH_INDEX_H_
 #define GDBMICRO_GRAPH_PATH_INDEX_H_
@@ -55,7 +56,7 @@ class GraphEngine;
 /// Build-time measurements and structure sizes of one PathIndex.
 struct PathIndexStats {
   uint64_t vertices = 0;
-  uint64_t edges = 0;
+  uint64_t edges = 0;  // scanned, parallel edges and self-loops included
   uint64_t components = 0;  // undirected connected components
   double build_millis = 0;
   uint64_t bytes = 0;  // resident bytes of the index structures
@@ -102,10 +103,13 @@ class PathIndex {
 
   // --- CSR adjacency snapshot (for index-side searches) --------------------
   //
-  // Flat ordinal adjacency: a vertex's out-targets then its in-sources,
-  // each in engine edge-scan order. Parallel edges and self-loops appear
-  // exactly as loaded (BFS-style consumers dedup via their visited set,
-  // like the engine visitors' contract).
+  // Flat ordinal adjacency, one range per vertex: each distinct undirected
+  // neighbour once, where it first occurs among the vertex's out-targets
+  // and then its in-sources, each in engine edge-scan order. A parallel
+  // edge, a pair linked both ways or a self-loop's second direction only
+  // repeats a neighbour, and a both() search stores a vertex once, so
+  // dropping the repeat changes no visit order, parent or charge (the
+  // engine visitors still report every edge).
 
   struct NeighborRange {
     const uint32_t* begin_ptr;
@@ -114,25 +118,16 @@ class PathIndex {
     const uint32_t* end() const { return end_ptr; }
     size_t size() const { return static_cast<size_t>(end_ptr - begin_ptr); }
   };
-  NeighborRange OutNeighbors(uint32_t ord) const {
-    return Slots(2 * size_t{ord}, 2 * size_t{ord} + 1);
-  }
-  NeighborRange InNeighbors(uint32_t ord) const {
-    return Slots(2 * size_t{ord} + 1, 2 * size_t{ord} + 2);
-  }
-  /// Out-targets then in-sources: the both() expansion in one range.
+  /// The both() expansion: `ord`'s distinct neighbours in one range.
   NeighborRange BothNeighbors(uint32_t ord) const {
-    return Slots(2 * size_t{ord}, 2 * size_t{ord} + 2);
+    return {adj_.data() + adj_off_[ord],
+            adj_.data() + adj_off_[size_t{ord} + 1]};
   }
 
   const PathIndexStats& stats() const { return stats_; }
 
  private:
   PathIndex() = default;
-
-  NeighborRange Slots(size_t from, size_t to) const {
-    return {adj_.data() + adj_off_[from], adj_.data() + adj_off_[to]};
-  }
 
   Status BuildAdjacency(const GraphEngine& engine, const CancelToken& cancel);
 
@@ -144,8 +139,8 @@ class PathIndex {
   std::unordered_map<VertexId, uint32_t> sparse_ids_;
   std::vector<VertexId> ord_to_id_;
 
-  // CSR adjacency: vertex v's out-targets are adj_[adj_off_[2v],
-  // adj_off_[2v+1]) and its in-sources adj_[adj_off_[2v+1], adj_off_[2v+2]).
+  // CSR adjacency: vertex v's distinct neighbours are
+  // adj_[adj_off_[v], adj_off_[v + 1]).
   std::vector<uint64_t> adj_off_;
   std::vector<uint32_t> adj_;
 

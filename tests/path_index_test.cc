@@ -3,8 +3,8 @@
 // cyclic multi-component graph (components and the bidirectional search
 // both exercised) and on the repository benchmark's fragmented
 // Freebase-like graph, the bidirectional search must honour the depth
-// limit, the indexed BFS must match a plain reference walk over the
-// index CSR in visit order, counters and charges, the index's layout
+// limit, the indexed BFS must match a plain reference walk over every
+// edge in visit order, counters and charges, the index's layout
 // invariants must hold, the index must invalidate with a typed status
 // when a commit publishes a new epoch, and a governor trip during build
 // must leave the engine fully usable on the frontier path. The
@@ -36,29 +36,61 @@ using query::BreadthFirst;
 using query::PathMode;
 using query::ShortestPath;
 
+/// The multigraph layout, built here from the engine's own edge scan:
+/// every edge once per direction, each vertex's out-targets then its
+/// in-sources in `ScanEdges` order, in index ordinals.
+std::vector<std::vector<uint32_t>> MultigraphRanges(
+    const GraphEngine& engine) {
+  const PathIndex& index = *engine.path_index();
+  std::vector<std::vector<uint32_t>> out(index.NumVertices());
+  std::vector<std::vector<uint32_t>> in(index.NumVertices());
+  auto session = engine.CreateSession();
+  Status scanned =
+      engine.ScanEdges(*session, CancelToken(), [&](const EdgeEnds& e) {
+        const uint32_t s = index.OrdOf(e.src), t = index.OrdOf(e.dst);
+        EXPECT_NE(s, PathIndex::kNoOrd);
+        EXPECT_NE(t, PathIndex::kNoOrd);
+        if (s == PathIndex::kNoOrd || t == PathIndex::kNoOrd) return false;
+        out[s].push_back(t);
+        in[t].push_back(s);
+        return true;
+      });
+  EXPECT_TRUE(scanned.ok()) << scanned;
+  for (size_t v = 0; v < out.size(); ++v) {
+    out[v].insert(out[v].end(), in[v].begin(), in[v].end());
+  }
+  return out;
+}
+
 /// Structural invariants of the index layout, checked through the public
-/// accessors: the single CSR's out/in sub-ranges partition each vertex's
-/// both() range, each edge appears once per direction, and the connected
+/// accessors against the multigraph layout: each vertex's range holds no
+/// neighbour twice and equals, in order, the first occurrences in its
+/// multigraph range, the scan's edges are all counted, and the connected
 /// components are exactly the contiguous component ranges.
-void ExpectLayoutInvariants(const PathIndex& index) {
+void ExpectLayoutInvariants(const GraphEngine& engine) {
+  const PathIndex& index = *engine.path_index();
+  const std::vector<std::vector<uint32_t>> multigraph =
+      MultigraphRanges(engine);
   const uint32_t n = index.NumVertices();
-  uint64_t out_slots = 0, in_slots = 0;
+  uint64_t multigraph_slots = 0;
   for (uint32_t v = 0; v < n; ++v) {
-    PathIndex::NeighborRange out = index.OutNeighbors(v);
-    PathIndex::NeighborRange in = index.InNeighbors(v);
     PathIndex::NeighborRange both = index.BothNeighbors(v);
-    std::multiset<uint32_t> parts(out.begin(), out.end());
-    parts.insert(in.begin(), in.end());
-    ASSERT_EQ(parts, std::multiset<uint32_t>(both.begin(), both.end()))
-        << "ordinal " << v;
-    out_slots += out.size();
-    in_slots += in.size();
-    for (uint32_t w : both) {
+    const std::vector<uint32_t> range(both.begin(), both.end());
+    ASSERT_EQ(std::set<uint32_t>(range.begin(), range.end()).size(),
+              range.size())
+        << "ordinal " << v << " holds a neighbour twice";
+    std::vector<uint32_t> firsts;
+    std::set<uint32_t> seen;
+    for (uint32_t w : multigraph[v]) {
+      if (seen.insert(w).second) firsts.push_back(w);
+    }
+    ASSERT_EQ(range, firsts) << "ordinal " << v;
+    multigraph_slots += multigraph[v].size();
+    for (uint32_t w : range) {
       ASSERT_TRUE(index.SameComponent(v, w)) << v << " ~ " << w;
     }
   }
-  EXPECT_EQ(out_slots, index.stats().edges);
-  EXPECT_EQ(in_slots, index.stats().edges);
+  EXPECT_EQ(multigraph_slots, 2 * index.stats().edges);
 
   // No edge leaves a range (checked above), and a search from a range's
   // first ordinal reaches all of it: each range is one component.
@@ -191,7 +223,7 @@ TEST_P(PathIndexTest, BuildStatsDescribeTheGraph) {
 TEST_P(PathIndexTest, LayoutInvariantsHold) {
   const PathIndex* index = engine_->path_index();
   ASSERT_NE(index, nullptr);
-  ExpectLayoutInvariants(*index);
+  ExpectLayoutInvariants(*engine_);
   // The relabelling is a bijection between ordinals and engine ids.
   std::set<VertexId> ids;
   for (uint32_t o = 0; o < index->NumVertices(); ++o) {
@@ -201,16 +233,18 @@ TEST_P(PathIndexTest, LayoutInvariantsHold) {
   EXPECT_EQ(ids, std::set<VertexId>(all_.begin(), all_.end()));
 
   // Resident bytes are exactly the live arrays: id map, ordinal -> id,
-  // the single CSR (2V+1 offsets, one slot per edge and direction), and
-  // component ids and offsets.
+  // the CSR (V + 1 offsets, one slot per distinct neighbour), and
+  // component ids and offsets. The 12 edges fill 24 multigraph slots; the
+  // parallel r0 -> r1 (twice), the self-loop's second direction and
+  // b1 <-> b2 (twice) repeat a neighbour, which leaves 19.
   const PathIndexStats& st = index->stats();
-  const uint64_t v = st.vertices, e = st.edges;
+  const uint64_t v = st.vertices;
+  constexpr uint64_t kDistinctSlots = 19;
   const uint64_t dense_bound = engine_->VertexIdUpperBound();
   const uint64_t id_map = dense_bound > 0 ? dense_bound * sizeof(uint32_t)
                                           : v * (sizeof(VertexId) + 4);
-  const uint64_t want =
-      id_map + v * sizeof(VertexId) + (2 * v + 1) * 8 + 2 * e * 4 + v * 4 +
-      (st.components + 1) * 4;
+  const uint64_t want = id_map + v * sizeof(VertexId) + (v + 1) * 8 +
+                        kDistinctSlots * 4 + v * 4 + (st.components + 1) * 4;
   EXPECT_EQ(st.bytes, want);
 }
 
@@ -242,7 +276,7 @@ TEST_P(PathIndexTest, LayoutInvariantsHoldOnTinyGraphs) {
     const PathIndex* index = (*engine)->path_index();
     ASSERT_NE(index, nullptr);
     EXPECT_EQ(index->NumVertices(), data.vertices.size());
-    ExpectLayoutInvariants(*index);
+    ExpectLayoutInvariants(**engine);
   }
 }
 
@@ -271,7 +305,7 @@ TEST_P(PathIndexTest, MemoryTripAtTheLastChargeInstallsNoIndex) {
   exact.memory_budget_bytes = total;
   query::ResourceGovernor exact_gov(exact);
   ASSERT_TRUE(engine_->BuildPathIndex(exact_gov.token()).ok());
-  ExpectLayoutInvariants(*engine_->path_index());
+  ExpectLayoutInvariants(*engine_);
 }
 
 TEST_P(PathIndexTest, NotBuiltByDefault) {
@@ -637,7 +671,7 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
     auto mapping = (*engine)->BulkLoad(*data);
     ASSERT_TRUE(mapping.ok()) << mapping.status();
     ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
-    ExpectLayoutInvariants(*(*engine)->path_index());
+    ExpectLayoutInvariants(**engine);
     if (HasFatalFailure()) return;
     auto session = (*engine)->CreateSession();
     if (!have_reference) {
@@ -665,28 +699,33 @@ TEST(PathIndexWorkloadTest, IndexedAgreesWithFrontierOnWorkloadPairs) {
 }
 
 // Reference walks for the indexed BFS: a plain level-synchronous BFS over
-// the index's own CSR, written out here slot by slot, which the indexed
-// BreadthFirst must match in everything it reports — visit order, depth
-// reached, vertices expanded and governor charges — on the `reach` graph
-// shape. The indexed kernel stamps and queues every slot without
-// branching on whether it is new, so a slot read once the whole component
-// is stored is written one past the component (the queue's spare slot);
-// the sweep covers such starts, and reruns each on a fresh session, whose
-// queue is allocated to exactly the size the search asks for, so an
-// undersized queue shows under ASan.
+// the multigraph layout, every edge once per direction, written out here
+// slot by slot, which the indexed BreadthFirst over its distinct-neighbour
+// CSR must match in everything it reports — visit order, depth reached,
+// vertices expanded and governor charges — on the `reach` graph shape. So
+// the repeats the index leaves out are shown to change no search. The
+// indexed kernel stamps and queues every slot without branching on whether
+// it is new, so a slot read once the whole component is stored is written
+// one past the component (the queue's spare slot); the sweep covers such
+// starts, and reruns each on a fresh session, whose queue is allocated to
+// exactly the size the search asks for, so an undersized queue shows under
+// ASan.
 
-/// What a BFS over the index CSR reports.
+/// What a BFS over the multigraph reports.
 struct ReferenceWalk {
   std::vector<VertexId> visited;  // reached vertices, in visit order
   int depth_reached = 0;
   uint64_t expanded = 0;
-  uint64_t spare_slot_writes = 0;  // slots read with the component stored
+  uint64_t spare_slot_writes = 0;  // index slots read, component stored
 };
 
-/// BFS from `root` through `BothNeighbors` for at most `max_depth`
-/// levels; it stops at the level boundary where the root's whole
-/// component is stored.
-ReferenceWalk WalkIndex(const PathIndex& index, uint32_t root, int max_depth) {
+/// BFS from `root` through `multigraph` for at most `max_depth` levels;
+/// it stops at the level boundary where the root's whole component is
+/// stored.
+ReferenceWalk WalkMultigraph(
+    const PathIndex& index,
+    const std::vector<std::vector<uint32_t>>& multigraph, uint32_t root,
+    int max_depth) {
   ReferenceWalk walk;
   std::set<uint32_t> stored{root};
   std::vector<uint32_t> frontier{root};
@@ -696,8 +735,11 @@ ReferenceWalk WalkIndex(const PathIndex& index, uint32_t root, int max_depth) {
     std::vector<uint32_t> next;
     for (uint32_t v : frontier) {
       ++walk.expanded;
-      for (uint32_t w : index.BothNeighbors(v)) {
-        if (stored.size() == component) ++walk.spare_slot_writes;
+      std::set<uint32_t> in_range;  // the index keeps first occurrences
+      for (uint32_t w : multigraph[v]) {
+        if (in_range.insert(w).second && stored.size() == component) {
+          ++walk.spare_slot_writes;
+        }
         if (!stored.insert(w).second) continue;
         next.push_back(w);
         walk.visited.push_back(index.IdOf(w));
@@ -730,6 +772,8 @@ TEST(PathIndexWorkloadTest, IndexedSearchesMatchReferenceWalks) {
     ASSERT_TRUE(mapping.ok()) << mapping.status();
     ASSERT_TRUE((*engine)->BuildPathIndex(CancelToken()).ok());
     const PathIndex& index = *(*engine)->path_index();
+    const std::vector<std::vector<uint32_t>> multigraph =
+        MultigraphRanges(**engine);
     auto session = (*engine)->CreateSession();
     datasets::Workload workload(&*data, &*mapping, /*seed=*/42);
     CancelToken never;
@@ -744,7 +788,7 @@ TEST(PathIndexWorkloadTest, IndexedSearchesMatchReferenceWalks) {
       ASSERT_NE(s, PathIndex::kNoOrd);
       for (int depth = 0; depth <= 6; ++depth) {
         SCOPED_TRACE(::testing::Message() << "depth " << depth);
-        const ReferenceWalk want = WalkIndex(index, s, depth);
+        const ReferenceWalk want = WalkMultigraph(index, multigraph, s, depth);
         CancelToken ledger =
             CancelToken::WithLimits(std::chrono::nanoseconds(0), kAmpleBudget);
         auto bfs = BreadthFirst(**engine, *session, src, depth, std::nullopt,

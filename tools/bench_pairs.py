@@ -23,9 +23,12 @@ the summary. For each metric in BENCHMARK.json that the runs report (the
 end-to-end metrics, or with `--trace 1` the per-layer ones) it prints:
 
   - each side's median and quartiles;
-  - the pairs the change won;
+  - the pairs the change won (a tie counts for neither side);
   - whether the gap between the medians beats the parent's quartile
     spread (the interquartile range of the parent's runs);
+  - whether a gain may be claimed on the metric: "yes" when there are at
+    least ten complete pairs, the change won at least nine tenths of
+    them, and the median gap beats the parent's quartile spread;
   - for a metric with a `bound` (the end-to-end ones), the verdict against
     a margin of bound x the parent's median: "worse" when the change's
     median is worse than the parent's by more than the margin,
@@ -101,6 +104,13 @@ def verdict(metric, parent, change, p_med, c_med, spread):
     return "within bound"
 
 
+def claim_met(won, pairs, gap, spread):
+    """The rule for claiming a gain: ten or more pairs, the change won at
+    least nine tenths of them, and the median gap beats the parent's
+    quartile spread."""
+    return pairs >= 10 and 10 * won >= 9 * pairs and gap > spread
+
+
 def summarize(records, metrics):
     """Prints the per-metric pair statistics and the per-run outcomes."""
     pairs = {}
@@ -116,7 +126,7 @@ def summarize(records, metrics):
     width = max(len(m["name"]) for m in metrics)
     header = (f"{'metric':<{width}} {'parent median (q1-q3)':<30} "
               f"{'change median (q1-q3)':<30} {'median':>8} {'won':>7}  "
-              f"{'bound verdict':<13} gap > parent IQR")
+              f"{'bound verdict':<13} {'claim':<5} gap > parent IQR")
     print(header)
     for m in metrics:
         name = m["name"]
@@ -142,9 +152,10 @@ def summarize(records, metrics):
         bound = verdict(m, values["parent"], values["change"], p_med, c_med,
                         spread)
         beats = "yes" if gap > spread else "no"
+        claim = "yes" if claim_met(won, len(complete), gap, spread) else "no"
         print(f"{name:<{width}} {cells[0]:<30} {cells[1]:<30} "
               f"{change:>+7.1f}% {won:>3}/{len(complete):<3}  {bound:<13} "
-              f"{beats} (gap {fmt(gap)}, IQR {fmt(spread)})")
+              f"{claim:<5} {beats} (gap {fmt(gap)}, IQR {fmt(spread)})")
     print()
     print(f"{'seed':>6} {'pair':>4} {'side':<7} {'correct':<8} "
           f"{'attempted':>10} {'failed':>7}")
